@@ -8,6 +8,7 @@ from .analytics import (
     SelectKResult,
     Stage,
     elbow_curve,
+    fit_k_range,
     kmeanspp_seed,
     kpi_feature_matrix,
     lloyd,

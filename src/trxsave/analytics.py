@@ -22,12 +22,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Optional, Sequence, Union
+from typing import IO, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .traffic import KpiRecord, fmt_num
+from .traffic import KpiRecord, fmt_num, open_text
 
 FEATURE_COLUMNS = [
     "tch_traffic_erl",
@@ -385,25 +385,33 @@ class ElbowResult:
     suggested_knee: Optional[int]
 
 
-def elbow_curve(
+def fit_k_range(
     points: Union[FeatureMatrix, np.ndarray],
-    k_range: Sequence[int] = range(1, 11),
+    ks: Iterable[int],
     restarts: int = 10,
     seed: int = 0,
-) -> ElbowResult:
-    """Best SSE per k plus a knee suggestion (advisory; selection uses silhouette).
+) -> dict[int, ClusteringResult]:
+    """Best-of-restarts k-means for each distinct k, keyed by k in ascending order.
+
+    This is the one place a k range is checked and fitted: the elbow curve,
+    silhouette selection and a pinned k all read their results from this table.
+    """
+    x = _points_of(points)
+    ordered = sorted(set(int(k) for k in ks))
+    if not ordered or ordered[0] < 1:
+        raise ConfigurationError(f"bad k range {ordered!r}")
+    if ordered[-1] > len(x):
+        raise ConfigurationError(f"max k {ordered[-1]} exceeds {len(x)} points")
+    return {k: run_kmeans(x, k, seed=seed, restarts=restarts) for k in ordered}
+
+
+def elbow_curve(fits: Mapping[int, ClusteringResult]) -> ElbowResult:
+    """Best SSE per fitted k plus a knee suggestion (advisory; selection uses silhouette).
 
     The knee is the k farthest from the chord joining the curve's endpoints,
     which is the classic largest-deviation bend heuristic.
     """
-    x = _points_of(points)
-    ks = sorted(set(int(k) for k in k_range))
-    if not ks or ks[0] < 1:
-        raise ConfigurationError(f"bad k_range {list(k_range)!r}")
-    if ks[-1] > len(x):
-        raise ConfigurationError(f"max k {ks[-1]} exceeds {len(x)} points")
-    curve = [(k, run_kmeans(x, k, seed=seed, restarts=restarts).sse) for k in ks]
-
+    curve = [(k, fits[k].sse) for k in sorted(fits)]
     knee: Optional[int] = None
     if len(curve) >= 3:
         k0, s0 = curve[0]
@@ -476,32 +484,15 @@ class SelectKResult:
 
 
 def select_k(
-    points: Union[FeatureMatrix, np.ndarray],
-    k_range: Sequence[int] = range(2, 10),
-    restarts: int = 10,
-    seed: int = 0,
+    points: Union[FeatureMatrix, np.ndarray], fits: Mapping[int, ClusteringResult]
 ) -> SelectKResult:
-    """Pick the k with the highest silhouette (ties go to the smaller k)."""
+    """Pick the fitted k with the highest silhouette (ties go to the smaller k)."""
     x = _points_of(points)
-    ks = sorted(set(int(k) for k in k_range))
-    if not ks or ks[0] < 2:
-        raise ConfigurationError(f"select_k needs k >= 2, got {list(k_range)!r}")
-    if ks[-1] > len(x):
-        raise ConfigurationError(f"max k {ks[-1]} exceeds {len(x)} points")
-    curve: list[tuple[int, float]] = []
-    best_k: Optional[int] = None
-    best_score = -math.inf
-    best_result: Optional[ClusteringResult] = None
-    for k in ks:
-        result = run_kmeans(x, k, seed=seed, restarts=restarts)
-        score = silhouette_score(x, result.labels)
-        curve.append((k, score))
-        if score > best_score:
-            best_score = score
-            best_k = k
-            best_result = result
-    assert best_k is not None and best_result is not None
-    return SelectKResult(k_best=best_k, curve=curve, best_result=best_result)
+    if not fits or min(fits) < 2:
+        raise ConfigurationError(f"select_k needs k >= 2, got {sorted(fits)!r}")
+    curve = [(k, silhouette_score(x, fits[k].labels)) for k in sorted(fits)]
+    k_best = max(curve, key=lambda point: point[1])[0]  # first maximum: the smaller k
+    return SelectKResult(k_best=k_best, curve=curve, best_result=fits[k_best])
 
 
 # ---------------------------------------------------------------------------
@@ -519,37 +510,25 @@ def write_silhouette_csv(
 
 
 def _write_curve(rows, header, dest) -> None:
-    opened = isinstance(dest, (str, Path))
-    stream = open(dest, "w", encoding="utf-8", newline="") if opened else dest
-    try:
+    with open_text(dest, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         for k, v in rows:
             writer.writerow([str(k), fmt_num(v)])
-    finally:
-        if opened:
-            stream.close()
 
 
 def write_clusters_csv(
     row_ids: Sequence[str], labels: np.ndarray, dest: Union[str, Path, IO[str]]
 ) -> None:
-    opened = isinstance(dest, (str, Path))
-    stream = open(dest, "w", encoding="utf-8", newline="") if opened else dest
-    try:
+    with open_text(dest, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["cell_id", "cluster"])
         for cid, lab in zip(row_ids, labels):
             writer.writerow([cid, str(int(lab))])
-    finally:
-        if opened:
-            stream.close()
 
 
 def read_clusters_csv(source: Union[str, Path, IO[str]]) -> dict[str, int]:
-    opened = isinstance(source, (str, Path))
-    stream = open(source, encoding="utf-8", newline="") if opened else source
-    try:
+    with open_text(source) as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header != ["cell_id", "cluster"]:
@@ -558,11 +537,10 @@ def read_clusters_csv(source: Union[str, Path, IO[str]]) -> dict[str, int]:
         for row_no, row in enumerate(reader, start=1):
             if not row:
                 continue
+            if row[0] in out:
+                raise DataError(f"row {row_no}: duplicate cell_id {row[0]!r}")
             try:
                 out[row[0]] = int(row[1])
             except (IndexError, ValueError):
                 raise DataError(f"row {row_no}: bad cluster row {row!r}") from None
         return out
-    finally:
-        if opened:
-            stream.close()

@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from . import analytics, evaluator, traffic, tuner
-from .cell_model import CellConfig, MappingStrategy
+from .cell_model import CellConfig
 from .errors import ConfigurationError, DataError, InvariantError
 from .saving_engine import PowerSavingParams, validate_params
 
@@ -222,7 +222,9 @@ def generate(n_cells: int, days: int, seed: int, scan_period: float, out: str) -
 @main.command()
 @config_option
 @click.option("--kpi", "kpi_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--k", type=int, default=None, help="Fix the cluster count (skips selection).")
+@click.option("--k", type=int, default=None,
+              help="Pin the cluster count instead of taking the silhouette argmax; "
+                   "elbow.csv and silhouette.csv are still written.")
 @click.option("--k-min", type=int, default=2, show_default=True)
 @click.option("--k-max", type=int, default=9, show_default=True)
 @click.option("--restarts", type=int, default=10, show_default=True)
@@ -240,23 +242,26 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    elbow_max = min(10, reduced.n_rows)
-    elbow = analytics.elbow_curve(reduced, range(1, elbow_max + 1), restarts=restarts, seed=seed)
-    analytics.write_elbow_csv(elbow, out_dir / "elbow.csv")
+    n = reduced.n_rows
+    if k is not None and not 1 <= k <= n:
+        raise ConfigurationError(f"--k {k} must be in [1, {n}]")
+    elbow_ks = range(1, min(10, n) + 1)
+    sel_ks = range(k_min, min(k_max, n) + 1)
+    pinned = [] if k is None else [k]
+    fits = analytics.fit_k_range(reduced, [*elbow_ks, *sel_ks, *pinned],
+                                 restarts=restarts, seed=seed)
 
-    sil_max = min(k_max, reduced.n_rows)
-    selection = analytics.select_k(reduced, range(k_min, sil_max + 1), restarts=restarts, seed=seed)
+    elbow = analytics.elbow_curve({j: fits[j] for j in elbow_ks})
+    analytics.write_elbow_csv(elbow, out_dir / "elbow.csv")
+    selection = analytics.select_k(reduced, {j: fits[j] for j in sel_ks})
     analytics.write_silhouette_csv(selection.curve, out_dir / "silhouette.csv")
 
-    if k is not None:
-        if not 1 <= k <= reduced.n_rows:
-            raise ConfigurationError(f"--k {k} must be in [1, {reduced.n_rows}]")
-        chosen = analytics.run_kmeans(reduced, k, seed=seed, restarts=restarts)
-    else:
-        chosen = selection.best_result
+    chosen = selection.best_result if k is None else fits[k]
     analytics.write_clusters_csv(reduced.row_ids, chosen.labels, out_dir / "clusters.csv")
 
-    sil = analytics.silhouette_score(reduced, chosen.labels) if chosen.k >= 2 else 0.0
+    sil = dict(selection.curve).get(chosen.k)
+    if sil is None:  # a pinned k off the silhouette curve
+        sil = analytics.silhouette_score(reduced, chosen.labels) if chosen.k >= 2 else 0.0
     with open(out_dir / "clustering.json", "w", encoding="utf-8", newline="") as fh:
         json.dump({
             "schema_version": 1,
@@ -345,7 +350,6 @@ def _load_scenario(
         base_params=params,
         hysteresis=hysteresis,
         default_hysteresis=default_hysteresis,
-        strategy=MappingStrategy.packed(),
         seed=seed,
         warmup_scans=warmup_scans,
     ).validate()

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Mapping, Optional, Sequence, Union
 
-from .cell_model import CellConfig, MappingStrategy
+from .cell_model import CellConfig
 from .errors import ConfigurationError, DataError
 from .saving_engine import CellTimeline, PowerSavingParams, run_cell, validate_params
-from .traffic import TrafficTrace, fmt_num
+from .traffic import TrafficTrace, fmt_num, open_text
 
 SCHEMA_VERSION = 1
 
@@ -37,14 +37,12 @@ class NetworkScenario:
     base_params: PowerSavingParams
     hysteresis: Mapping[str, int] = field(default_factory=dict)
     default_hysteresis: Optional[int] = None
-    strategy: MappingStrategy = MappingStrategy.packed()
     demand_mode: str = "round"
     seed: int = 0
     warmup_scans: int = 0
 
     def validate(self) -> "NetworkScenario":
         validate_params(self.base_params)
-        self.strategy.validate()
         if self.warmup_scans < 0:
             raise ConfigurationError(f"warmup_scans must be >= 0, got {self.warmup_scans}")
         seen = set()
@@ -84,7 +82,6 @@ def simulate_network(
             config,
             params,
             trace,
-            strategy=scenario.strategy,
             ps_enabled=ps_enabled,
             demand_mode=scenario.demand_mode,
             demand_seed=scenario.seed + i,
@@ -245,37 +242,22 @@ def summary_from_dict(data: dict) -> ComparisonSummary:
 
 
 def write_summary_json(summary: ComparisonSummary, dest: Union[str, Path, IO[str]]) -> None:
-    opened = isinstance(dest, (str, Path))
-    stream = open(dest, "w", encoding="utf-8", newline="") if opened else dest
-    try:
+    with open_text(dest, "w") as stream:
         json.dump(summary_to_dict(summary), stream, indent=2)
         stream.write("\n")
-    finally:
-        if opened:
-            stream.close()
 
 
 def read_summary_json(source: Union[str, Path, IO[str]]) -> ComparisonSummary:
-    opened = isinstance(source, (str, Path))
-    stream = open(source, encoding="utf-8") if opened else source
-    try:
+    with open_text(source) as stream:
         return summary_from_dict(json.load(stream))
-    finally:
-        if opened:
-            stream.close()
 
 
 def write_comparison_csv(summary: ComparisonSummary, dest: Union[str, Path, IO[str]]) -> None:
     """Per-cell table in the operator shape: cell_id,ts_before,max_ts_after."""
-    opened = isinstance(dest, (str, Path))
-    stream = open(dest, "w", encoding="utf-8", newline="") if opened else dest
-    try:
+    with open_text(dest, "w") as stream:
         stream.write(",".join(COMPARISON_CSV_HEADER) + "\n")
         for row in summary.rows:
             stream.write(f"{row.cell_id},{row.ts_before},{row.max_ts_after}\n")
-    finally:
-        if opened:
-            stream.close()
 
 
 def emit_report(
@@ -302,14 +284,9 @@ def emit_report(
 
 def write_timeline_csv(timeline: CellTimeline, dest: Union[str, Path, IO[str]]) -> None:
     """Plot-ready per-scan series: scan index, offered Erlang, active slots."""
-    opened = isinstance(dest, (str, Path))
-    stream = open(dest, "w", encoding="utf-8", newline="") if opened else dest
-    try:
+    with open_text(dest, "w") as stream:
         stream.write(",".join(TIMELINE_CSV_HEADER) + "\n")
         offered = timeline.offered.tolist()
         active = timeline.active_ts.tolist()
         lines = [f"{i},{fmt_num(e)},{t}" for i, (e, t) in enumerate(zip(offered, active))]
         stream.write("\n".join(lines) + "\n")
-    finally:
-        if opened:
-            stream.close()

@@ -37,7 +37,6 @@ from .cell_model import (
     SLOTS_PER_TRX,
     CellConfig,
     CellState,
-    MappingStrategy,
     idle_tch_count,
     set_trx_enabled,
 )
@@ -243,7 +242,6 @@ def run_cell(
     config: CellConfig,
     params: PowerSavingParams,
     trace: TrafficTrace,
-    strategy: Optional[MappingStrategy] = None,
     ps_enabled: bool = True,
     demand_mode: str = "round",
     demand_seed: Optional[int] = None,
@@ -253,15 +251,9 @@ def run_cell(
     Each scan re-places the offered demand, then (when power saving is on)
     runs the counter logic and applies at most one switch action. With
     ``ps_enabled=False`` every TRX stays enabled for the whole run.
-
-    The mapping strategy does not change any recorded quantity (occupancy and
-    blocking are slot-position independent); it is accepted so a scenario can
-    carry one placement convention end to end.
     """
     config.validate()
     validate_params(params)
-    if strategy is not None:
-        strategy.validate()
     trace.validate()
     if len(trace.samples) == 0:
         raise DataError(f"cell {config.cell_id!r}: empty traffic trace")

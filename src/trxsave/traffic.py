@@ -11,12 +11,13 @@ demand at a scan is the offered Erlang rounded to the nearest integer
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Optional, Sequence, Union
+from typing import IO, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -182,17 +183,22 @@ def demand_series(
 # KPI records
 
 
-def _open_text(source: Union[str, Path, IO[str]], mode: str = "r"):
-    if isinstance(source, (str, Path)):
-        return open(source, mode, encoding="utf-8", newline="")
-    return source
+@contextlib.contextmanager
+def open_text(target: Union[str, Path, IO], mode: str = "r") -> Iterator[IO]:
+    """Open a path as UTF-8 text without newline translation and close it after.
+
+    A stream the caller passes is yielded as is and left open.
+    """
+    if isinstance(target, (str, Path)):
+        with open(target, mode, encoding="utf-8", newline="") as stream:
+            yield stream
+    else:
+        yield target
 
 
 def ingest_kpi_csv(source: Union[str, Path, IO[str], IO[bytes]]) -> list[KpiRecord]:
     """Parse a KPI CSV into records; errors carry 1-based data row numbers."""
-    opened = isinstance(source, (str, Path))
-    stream = _open_text(source) if opened else source
-    try:
+    with open_text(source) as stream:
         if hasattr(stream, "read") and isinstance(stream.read(0), bytes):
             stream = io.TextIOWrapper(stream, encoding="utf-8")
         reader = csv.reader(stream)
@@ -206,12 +212,16 @@ def ingest_kpi_csv(source: Union[str, Path, IO[str], IO[bytes]]) -> list[KpiReco
                 f"got {','.join(header)}"
             )
         records = []
+        seen: set[str] = set()
         for row_no, row in enumerate(reader, start=1):
             if not row:
                 continue
             if len(row) != len(KPI_CSV_HEADER):
                 raise DataError(f"row {row_no}: expected {len(KPI_CSV_HEADER)} fields, got {len(row)}")
             cell_id = row[0]
+            if cell_id in seen:
+                raise DataError(f"row {row_no}: duplicate cell_id {cell_id!r}")
+            seen.add(cell_id)
             try:
                 erl = float(row[1])
                 thr = float(row[2])
@@ -226,16 +236,11 @@ def ingest_kpi_csv(source: Union[str, Path, IO[str], IO[bytes]]) -> list[KpiReco
                 raise DataError(f"row {row_no}: {exc}") from None
             records.append(rec)
         return records
-    finally:
-        if opened:
-            stream.close()
 
 
 def emit_kpi_csv(records: Sequence[KpiRecord], dest: Union[str, Path, IO[str]]) -> None:
     """Write records in the documented schema, preserving printed digits."""
-    opened = isinstance(dest, (str, Path))
-    stream = _open_text(dest, "w") if opened else dest
-    try:
+    with open_text(dest, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(KPI_CSV_HEADER)
         for r in records:
@@ -248,9 +253,6 @@ def emit_kpi_csv(records: Sequence[KpiRecord], dest: Union[str, Path, IO[str]]) 
                 fmt_num(r.preempt_pdch),
                 str(r.ts_count),
             ])
-    finally:
-        if opened:
-            stream.close()
 
 
 def busy_hour_average(daily_readings: Sequence[KpiRecord]) -> KpiRecord:
@@ -350,9 +352,7 @@ def trace_to_kpis(
 
 
 def write_traffic_csv(traces: Sequence[TrafficTrace], dest: Union[str, Path, IO[str]]) -> None:
-    opened = isinstance(dest, (str, Path))
-    stream = _open_text(dest, "w") if opened else dest
-    try:
+    with open_text(dest, "w") as stream:
         stream.write(",".join(TRAFFIC_CSV_HEADER) + "\n")
         for trace in traces:
             trace.validate()
@@ -361,18 +361,13 @@ def write_traffic_csv(traces: Sequence[TrafficTrace], dest: Union[str, Path, IO[
                 f"{cid},{i},{fmt_num(v)}" for i, v in enumerate(trace.samples.tolist())
             ]
             stream.write("\n".join(lines) + "\n")
-    finally:
-        if opened:
-            stream.close()
 
 
 def read_traffic_csv(
     source: Union[str, Path, IO[str]], scan_period_s: float = 10.0
 ) -> list[TrafficTrace]:
     """Read traces grouped by cell; validates contiguous 0-based scan indices."""
-    opened = isinstance(source, (str, Path))
-    stream = _open_text(source) if opened else source
-    try:
+    with open_text(source) as stream:
         header = stream.readline().rstrip("\n")
         if header.split(",") != TRAFFIC_CSV_HEADER:
             raise DataError(
@@ -408,6 +403,3 @@ def read_traffic_csv(
             TrafficTrace(cid, scan_period_s, np.asarray(samples[cid], dtype=np.float64)).validate()
             for cid in order
         ]
-    finally:
-        if opened:
-            stream.close()

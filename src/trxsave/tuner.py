@@ -17,7 +17,7 @@ import numpy as np
 
 from .analytics import ClusteringResult
 from .errors import ConfigurationError, DataError
-from .traffic import KpiRecord
+from .traffic import KpiRecord, open_text
 
 HYSTERESIS_MIN = 1
 HYSTERESIS_MAX = 1014
@@ -158,9 +158,7 @@ PUSH_CSV_HEADER = ["cell_id", "BTSPSHYST"]
 def write_assignment_csv(
     assignment: HysteresisAssignment, dest: Union[str, Path, IO[str]]
 ) -> None:
-    opened = isinstance(dest, (str, Path))
-    stream = open(dest, "w", encoding="utf-8", newline="") if opened else dest
-    try:
+    with open_text(dest, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(ASSIGNMENT_CSV_HEADER)
         for cell_id in assignment.hysteresis:
@@ -169,31 +167,21 @@ def write_assignment_csv(
                 str(assignment.cluster[cell_id]),
                 str(assignment.hysteresis[cell_id]),
             ])
-    finally:
-        if opened:
-            stream.close()
 
 
 def write_push_csv(
     assignment: HysteresisAssignment, dest: Union[str, Path, IO[str]]
 ) -> None:
     """Operator change-request sheet: one BTSPSHYST value per cell."""
-    opened = isinstance(dest, (str, Path))
-    stream = open(dest, "w", encoding="utf-8", newline="") if opened else dest
-    try:
+    with open_text(dest, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(PUSH_CSV_HEADER)
         for cell_id, h in assignment.hysteresis.items():
             writer.writerow([cell_id, str(h)])
-    finally:
-        if opened:
-            stream.close()
 
 
 def read_assignment_csv(source: Union[str, Path, IO[str]]) -> HysteresisAssignment:
-    opened = isinstance(source, (str, Path))
-    stream = open(source, encoding="utf-8", newline="") if opened else source
-    try:
+    with open_text(source) as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header != ASSIGNMENT_CSV_HEADER:
@@ -203,12 +191,11 @@ def read_assignment_csv(source: Union[str, Path, IO[str]]) -> HysteresisAssignme
         for row_no, row in enumerate(reader, start=1):
             if not row:
                 continue
+            if row[0] in hyst:
+                raise DataError(f"row {row_no}: duplicate cell_id {row[0]!r}")
             try:
                 hyst[row[0]] = int(row[2])
                 clusters[row[0]] = int(row[1])
             except (IndexError, ValueError):
                 raise DataError(f"row {row_no}: bad assignment row {row!r}") from None
         return HysteresisAssignment(hysteresis=hyst, cluster=clusters)
-    finally:
-        if opened:
-            stream.close()

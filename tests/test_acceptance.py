@@ -15,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from trxsave.analytics import (
+    fit_k_range,
     pca_reduce,
     run_kmeans,
     select_k,
@@ -246,7 +247,7 @@ def test_criterion_8_model_selection():
         pts = oracles.gaussian_blobs(
             [[0, 0, 0], [12, 12, 0], [-12, 12, 6]], 25, scale=1.0, seed=trial,
         )
-        sel = select_k(pts, range(2, 10), restarts=10, seed=trial)
+        sel = select_k(pts, fit_k_range(pts, range(2, 10), restarts=10, seed=trial))
         hits += sel.k_best == 3
     assert hits >= 95, f"k=3 chosen only {hits}/100 times"
 

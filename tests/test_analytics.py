@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from trxsave.analytics import (
     Stage,
     child_seed,
     elbow_curve,
+    fit_k_range,
     jacobi_eigh,
     kmeanspp_seed,
     kpi_feature_matrix,
@@ -252,11 +254,27 @@ class TestLloyd:
         assert np.array_equal(a.centroids, b.centroids)
 
 
+class TestFitKRange:
+    def test_one_fit_per_distinct_k(self):
+        pts = oracles.gaussian_blobs([[0, 0], [9, 9]], 10, 0.5, seed=2)
+        fits = fit_k_range(pts, [4, 2, 2, 3], restarts=3, seed=7)
+        assert list(fits) == [2, 3, 4]
+        for k, result in fits.items():
+            direct = run_kmeans(pts, k, seed=7, restarts=3)
+            assert result.sse == direct.sse
+            assert np.array_equal(result.labels, direct.labels)
+
+    @pytest.mark.parametrize("ks", [[], [0, 1, 2]])
+    def test_k_below_one_rejected(self, ks):
+        with pytest.raises(ConfigurationError):
+            fit_k_range(np.zeros((4, 2)), ks)
+
+
 class TestElbow:
     def test_sse_zero_at_k_equals_n(self):
         rng = np.random.default_rng(25)
         pts = rng.normal(size=(8, 2))
-        result = elbow_curve(pts, range(1, 9), restarts=4, seed=1)
+        result = elbow_curve(fit_k_range(pts, range(1, 9), restarts=4, seed=1))
         assert result.points[-1][0] == 8
         assert result.points[-1][1] == pytest.approx(0.0, abs=1e-18)
 
@@ -264,18 +282,18 @@ class TestElbow:
         rng = np.random.default_rng(26)
         for seed in range(4):
             pts = rng.normal(size=(40, 3))
-            result = elbow_curve(pts, range(1, 9), restarts=8, seed=seed)
+            result = elbow_curve(fit_k_range(pts, range(1, 9), restarts=8, seed=seed))
             sses = [s for _, s in result.points]
             assert all(a >= b - 1e-9 for a, b in zip(sses, sses[1:]))
 
     def test_three_blobs_knee_at_three(self):
         pts = oracles.gaussian_blobs([[0, 0, 0], [20, 0, 0], [0, 20, 0]], 20, 0.8, seed=4)
-        result = elbow_curve(pts, range(1, 11), restarts=6, seed=2)
+        result = elbow_curve(fit_k_range(pts, range(1, 11), restarts=6, seed=2))
         assert result.suggested_knee == 3
 
     def test_k_above_n_rejected(self):
         with pytest.raises(ConfigurationError):
-            elbow_curve(np.zeros((4, 2)), range(1, 6))
+            fit_k_range(np.zeros((4, 2)), range(1, 6))
 
 
 class TestSilhouette:
@@ -317,24 +335,31 @@ class TestSilhouette:
 class TestSelectK:
     def test_three_blobs(self):
         pts = oracles.gaussian_blobs([[0, 0, 0], [15, 15, 0], [-15, 15, 5]], 25, 0.7, seed=9)
-        sel = select_k(pts, range(2, 10), restarts=6, seed=1)
+        sel = select_k(pts, fit_k_range(pts, range(2, 10), restarts=6, seed=1))
         assert sel.k_best == 3
 
     def test_two_blobs(self):
         pts = oracles.gaussian_blobs([[0, 0], [20, 0]], 25, 0.8, seed=10)
-        sel = select_k(pts, range(2, 8), restarts=6, seed=1)
+        sel = select_k(pts, fit_k_range(pts, range(2, 8), restarts=6, seed=1))
         assert sel.k_best == 2
 
     def test_identical_points_tie_breaks_to_two(self):
         pts = np.zeros((12, 3))
-        sel = select_k(pts, range(2, 6), restarts=2, seed=0)
+        sel = select_k(pts, fit_k_range(pts, range(2, 6), restarts=2, seed=0))
         assert sel.k_best == 2
         assert all(s == 0.0 for _, s in sel.curve)
 
+    def test_k_below_two_rejected(self):
+        pts = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(ConfigurationError):
+            select_k(pts, fit_k_range(pts, range(1, 4)))
+        with pytest.raises(ConfigurationError):
+            select_k(pts, {})
+
     def test_full_determinism(self):
         pts = oracles.gaussian_blobs([[0, 0], [8, 8], [-8, 8]], 15, 1.0, seed=12)
-        a = select_k(pts, range(2, 8), restarts=5, seed=4)
-        b = select_k(pts, range(2, 8), restarts=5, seed=4)
+        a = select_k(pts, fit_k_range(pts, range(2, 8), restarts=5, seed=4))
+        b = select_k(pts, fit_k_range(pts, range(2, 8), restarts=5, seed=4))
         assert a.k_best == b.k_best
         assert a.curve == b.curve
         assert np.array_equal(a.best_result.labels, b.best_result.labels)
@@ -343,13 +368,14 @@ class TestSelectK:
 class TestCsvExports:
     def test_curves_and_clusters(self, tmp_path):
         pts = oracles.gaussian_blobs([[0, 0], [9, 9]], 10, 0.5, seed=2)
-        elbow = elbow_curve(pts, range(1, 5), restarts=3, seed=0)
+        fits = fit_k_range(pts, range(1, 5), restarts=3, seed=0)
+        elbow = elbow_curve(fits)
         write_elbow_csv(elbow, tmp_path / "elbow.csv")
         lines = (tmp_path / "elbow.csv").read_text().splitlines()
         assert lines[0] == "k,sse"
         assert len(lines) == 5
 
-        sel = select_k(pts, range(2, 5), restarts=3, seed=0)
+        sel = select_k(pts, {k: fits[k] for k in range(2, 5)})
         write_silhouette_csv(sel.curve, tmp_path / "sil.csv")
         assert (tmp_path / "sil.csv").read_text().splitlines()[0] == "k,silhouette"
 
@@ -357,6 +383,11 @@ class TestCsvExports:
         write_clusters_csv(ids, sel.best_result.labels, tmp_path / "clusters.csv")
         back = read_clusters_csv(tmp_path / "clusters.csv")
         assert back == {i: int(l) for i, l in zip(ids, sel.best_result.labels)}
+
+    def test_duplicate_cell_id_names_row(self):
+        source = io.StringIO("cell_id,cluster\na,0\nb,1\na,1\n")
+        with pytest.raises(DataError, match="row 3: duplicate cell_id 'a'"):
+            read_clusters_csv(source)
 
 
 class TestChildSeed:

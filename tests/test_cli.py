@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from trxsave import analytics
 from trxsave.cli import build_demo_fleet, main
 from trxsave.errors import ConfigurationError
 from trxsave.traffic import KPI_CSV_HEADER, emit_kpi_csv, KpiRecord
@@ -93,7 +94,7 @@ class TestCluster:
         assert (out / "elbow.csv").exists()
         assert (out / "silhouette.csv").exists()
 
-    def test_k_override_skips_selection(self, runner, tmp_path):
+    def test_k_override_pins_k(self, runner, tmp_path):
         blob_kpi_csv(tmp_path / "kpis.csv")
         out = tmp_path / "out"
         run_ok(runner, ["cluster", "--kpi", str(tmp_path / "kpis.csv"),
@@ -114,6 +115,54 @@ class TestCluster:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
         assert "row 1" in result.output
+
+
+    def test_duplicate_cell_id_exits_3(self, runner, tmp_path):
+        records = blob_kpi_csv(tmp_path / "kpis.csv", per_blob=2)
+        emit_kpi_csv(records + records[:1], tmp_path / "kpis.csv")
+        result = runner.invoke(main, ["cluster", "--kpi", str(tmp_path / "kpis.csv"),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert "row 7: duplicate cell_id 'cell_000'" in result.output
+
+    @pytest.mark.parametrize("pin", [[], ["--k", "3"]])
+    def test_each_k_fitted_once(self, runner, tmp_path, monkeypatch, pin):
+        fitted, scored = [], []
+        run_kmeans, silhouette_score = analytics.run_kmeans, analytics.silhouette_score
+
+        def counting_run_kmeans(points, k, **kwargs):
+            fitted.append(k)
+            return run_kmeans(points, k, **kwargs)
+
+        def counting_silhouette_score(points, labels):
+            scored.append(int(labels.max()) + 1)
+            return silhouette_score(points, labels)
+
+        monkeypatch.setattr(analytics, "run_kmeans", counting_run_kmeans)
+        monkeypatch.setattr(analytics, "silhouette_score", counting_silhouette_score)
+        blob_kpi_csv(tmp_path / "kpis.csv")
+        run_ok(runner, ["cluster", "--kpi", str(tmp_path / "kpis.csv"), *pin,
+                        "--seed", "5", "--out", str(tmp_path / "out")])
+        assert fitted == list(range(1, 11))
+        assert scored == list(range(2, 10))
+
+    @pytest.mark.parametrize("pin", [None, 3, 1, 12])
+    def test_clustering_json_silhouette_matches_curve(self, runner, tmp_path, pin):
+        blob_kpi_csv(tmp_path / "kpis.csv")
+        args = ["cluster", "--kpi", str(tmp_path / "kpis.csv"), "--seed", "5"]
+        run_ok(runner, [*args, "--k-max", "12", "--out", str(tmp_path / "wide")])
+        wide = read_curve(tmp_path / "wide" / "silhouette.csv")
+        out = tmp_path / "out"
+        run_ok(runner, [*args, *([] if pin is None else ["--k", str(pin)]), "--out", str(out)])
+        assert read_curve(out / "silhouette.csv") == {k: wide[k] for k in range(2, 10)}
+        meta = json.loads((out / "clustering.json").read_text())
+        assert meta["k"] == (3 if pin is None else pin)
+        assert meta["silhouette"] == (0.0 if pin == 1 else wide[meta["k"]])
+
+
+def read_curve(path: Path) -> dict[int, float]:
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return {int(k): float(v) for k, v in rows}
 
 
 class TestAssign:

@@ -162,6 +162,11 @@ class TestKpiCsv:
         with pytest.raises(DataError, match="row 2"):
             ingest_kpi_csv(bad)
 
+    def test_duplicate_cell_id_names_row(self):
+        bad = io.StringIO(KPI_HEADER + "\n" + "\n".join(SAMPLE_KPI_ROWS[:2] + SAMPLE_KPI_ROWS[:1]))
+        with pytest.raises(DataError, match="row 3: duplicate cell_id 'Cell_1'"):
+            ingest_kpi_csv(bad)
+
     def test_congestion_range_enforced(self):
         bad = io.StringIO(KPI_HEADER + "\nCell_1,2.0,130.5,101.0,5.0,24\n")
         with pytest.raises(DataError):

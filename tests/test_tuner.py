@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -175,3 +176,8 @@ class TestAssignmentCsv:
         push = tmp_path / "push.csv"
         write_push_csv(assignment, push)
         assert push.read_text().splitlines() == ["cell_id,BTSPSHYST", "a,4", "b,12"]
+
+    def test_duplicate_cell_id_names_row(self):
+        source = io.StringIO("cell_id,cluster,hysteresis\na,0,4\nb,1,12\na,1,12\n")
+        with pytest.raises(DataError, match="row 3: duplicate cell_id 'a'"):
+            read_assignment_csv(source)
