@@ -17,7 +17,6 @@ reproducible against a naive pairwise recomputation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,7 +26,7 @@ from typing import IO, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .traffic import KpiRecord, fmt_num, open_text
+from .traffic import KpiRecord, fmt_num, read_csv, write_csv
 
 FEATURE_COLUMNS = [
     "tch_traffic_erl",
@@ -499,48 +498,30 @@ def select_k(
 # CSV exports
 
 
+CLUSTERS_CSV_HEADER = ["cell_id", "cluster"]
+
+
 def write_elbow_csv(result: ElbowResult, dest: Union[str, Path, IO[str]]) -> None:
-    _write_curve(result.points, ["k", "sse"], dest)
+    write_csv(dest, ["k", "sse"], [(k, fmt_num(v)) for k, v in result.points])
 
 
 def write_silhouette_csv(
     curve: Sequence[tuple[int, float]], dest: Union[str, Path, IO[str]]
 ) -> None:
-    _write_curve(curve, ["k", "silhouette"], dest)
-
-
-def _write_curve(rows, header, dest) -> None:
-    with open_text(dest, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for k, v in rows:
-            writer.writerow([str(k), fmt_num(v)])
+    write_csv(dest, ["k", "silhouette"], [(k, fmt_num(v)) for k, v in curve])
 
 
 def write_clusters_csv(
     row_ids: Sequence[str], labels: np.ndarray, dest: Union[str, Path, IO[str]]
 ) -> None:
-    with open_text(dest, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["cell_id", "cluster"])
-        for cid, lab in zip(row_ids, labels):
-            writer.writerow([cid, str(int(lab))])
+    write_csv(dest, CLUSTERS_CSV_HEADER, [(cid, int(lab)) for cid, lab in zip(row_ids, labels)])
 
 
 def read_clusters_csv(source: Union[str, Path, IO[str]]) -> dict[str, int]:
-    with open_text(source) as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header != ["cell_id", "cluster"]:
-            raise DataError("cluster CSV header mismatch: expected cell_id,cluster")
-        out: dict[str, int] = {}
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if row[0] in out:
-                raise DataError(f"row {row_no}: duplicate cell_id {row[0]!r}")
-            try:
-                out[row[0]] = int(row[1])
-            except (IndexError, ValueError):
-                raise DataError(f"row {row_no}: bad cluster row {row!r}") from None
-        return out
+    out: dict[str, int] = {}
+    for row_no, (cell_id, cluster) in read_csv(source, CLUSTERS_CSV_HEADER):
+        try:
+            out[cell_id] = int(cluster)
+        except ValueError:
+            raise DataError(f"row {row_no}: non-integer cluster {cluster!r}") from None
+    return out

@@ -177,19 +177,28 @@ def write_fleet_json(path: Path, cells: list[dict], seed: int, days: int,
         "scan_period_s": scan_period_s,
         "cells": cells,
     }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    traffic.write_json(doc, path)
 
 
 def read_fleet_json(path: Path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
-    if "cells" not in doc:
-        raise DataError(f"{path}: missing 'cells'")
+    """Read fleet.json; every cell needs a unique string cell_id and integer num_trx, cch_slots."""
+    doc = traffic.read_json(path)
+    if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
+        raise DataError(f"{path}: missing 'cells' list")
+    seen = set()
+    for index, cell in enumerate(doc["cells"]):
+        cell_id = cell.get("cell_id") if isinstance(cell, dict) else None
+        if not isinstance(cell_id, str):
+            raise DataError(f"{path}: cells[{index}] has no string 'cell_id'")
+        if cell_id in seen:
+            raise DataError(f"{path}: duplicate cell_id {cell_id!r}")
+        seen.add(cell_id)
+        for key in ("num_trx", "cch_slots"):
+            value = cell.get(key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DataError(
+                    f"{path}: cell {cell_id!r}: {key} must be an integer, got {value!r}"
+                )
     return doc
 
 
@@ -262,18 +271,16 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
     sil = dict(selection.curve).get(chosen.k)
     if sil is None:  # a pinned k off the silhouette curve
         sil = analytics.silhouette_score(reduced, chosen.labels) if chosen.k >= 2 else 0.0
-    with open(out_dir / "clustering.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump({
-            "schema_version": 1,
-            "seed": seed,
-            "restarts": restarts,
-            "k": chosen.k,
-            "sse": chosen.sse,
-            "silhouette": sil,
-            "iterations": chosen.iterations,
-            "suggested_knee": elbow.suggested_knee,
-        }, fh, indent=2)
-        fh.write("\n")
+    traffic.write_json({
+        "schema_version": 1,
+        "seed": seed,
+        "restarts": restarts,
+        "k": chosen.k,
+        "sse": chosen.sse,
+        "silhouette": sil,
+        "iterations": chosen.iterations,
+        "suggested_knee": elbow.suggested_knee,
+    }, out_dir / "clustering.json")
     click.echo(f"clustered {reduced.n_rows} cells into k={chosen.k} (silhouette {sil:.4f})")
 
 
@@ -302,12 +309,7 @@ def assign(clusters_path: str, kpi_path: str, policy: str, severity: str, out: s
         raise DataError(f"cells in cluster CSV missing from KPI CSV: {missing[:5]}")
 
     ordered = [by_id[c] for c in labels]
-    label_array = np.asarray([labels[r.cell_id] for r in ordered])
-    k = int(label_array.max()) + 1
-    pseudo = analytics.ClusteringResult(
-        k=k, labels=label_array, centroids=np.zeros((k, 1)), sse=0.0, iterations=0, seed=0,
-    )
-    profiles = tuner.profile_clusters(pseudo, ordered)
+    profiles = tuner.profile_clusters(np.asarray([labels[r.cell_id] for r in ordered]), ordered)
     assignment = tuner.rank_and_assign(
         profiles, tuner.HysteresisPolicy(values=values, severity=severity), labels
     )
@@ -329,20 +331,23 @@ def _load_scenario(
     assignment_path: Optional[str],
     default_hysteresis: Optional[int],
     params: PowerSavingParams,
-    seed: int,
     warmup_days: float,
 ) -> evaluator.NetworkScenario:
+    """Read the simulate inputs; traffic.csv must trace exactly the fleet's cells and
+    assignment.csv may name only fleet cells."""
     fleet = read_fleet_json(Path(fleet_path))
     scan_period = float(fleet.get("scan_period_s", 10.0))
-    cells = [
-        CellConfig(cell_id=c["cell_id"], num_trx=int(c["num_trx"]),
-                   cch_slots=int(c.get("cch_slots", 3)))
-        for c in fleet["cells"]
-    ]
+    cells = [CellConfig(c["cell_id"], c["num_trx"], c["cch_slots"]) for c in fleet["cells"]]
+    fleet_ids = {c.cell_id for c in cells}
     traces = {t.cell_id: t for t in traffic.read_traffic_csv(traffic_path, scan_period)}
+    _reject_unknown_cells(traffic_path, traces, fleet_path, fleet_ids)
+    untraced = next((c.cell_id for c in cells if c.cell_id not in traces), None)
+    if untraced is not None:
+        raise DataError(f"{traffic_path}: no trace for fleet cell {untraced!r}")
     hysteresis = {}
     if assignment_path:
         hysteresis = dict(tuner.read_assignment_csv(assignment_path).hysteresis)
+        _reject_unknown_cells(assignment_path, hysteresis, fleet_path, fleet_ids)
     warmup_scans = int(round(warmup_days * 86400 / scan_period))
     return evaluator.NetworkScenario(
         cells=cells,
@@ -350,9 +355,14 @@ def _load_scenario(
         base_params=params,
         hysteresis=hysteresis,
         default_hysteresis=default_hysteresis,
-        seed=seed,
         warmup_scans=warmup_scans,
     ).validate()
+
+
+def _reject_unknown_cells(path: str, cell_ids, fleet_path: str, fleet_ids: set) -> None:
+    stray = next((c for c in cell_ids if c not in fleet_ids), None)
+    if stray is not None:
+        raise DataError(f"{path}: cell {stray!r} is not in {fleet_path}")
 
 
 @main.command()
@@ -372,7 +382,8 @@ def _load_scenario(
               help="Days excluded from statistics (cold-start ramp).")
 @click.option("--timelines", default="8", show_default=True,
               help="How many per-cell timeline CSVs to write ('all' or a count).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Recorded in the report metadata for provenance; the replay is deterministic.")
 @click.option("--out", type=click.Path(file_okay=False), default="out", show_default=True)
 @handle_errors
 def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
@@ -386,7 +397,7 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
         hysteresis=PowerSavingParams().hysteresis,
     ))
     scenario = _load_scenario(
-        fleet_path, traffic_path, assignment_path, hysteresis, params, seed, warmup_days,
+        fleet_path, traffic_path, assignment_path, hysteresis, params, warmup_days,
     )
     if timelines == "all":
         n_timelines = len(scenario.cells)
@@ -398,14 +409,13 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
 
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs: dict[str, dict] = {}
+    reports: dict[str, evaluator.NetworkReport] = {}
     for mode in ("off", "on") if ps == "both" else (ps,):
         timelines_map = evaluator.simulate_network(scenario, ps_enabled=(mode == "on"))
-        report = evaluator.summarize(
+        reports[mode] = evaluator.summarize(
             timelines_map, ps_enabled=(mode == "on"),
             warmup_scans=scenario.warmup_scans,
         )
-        runs[mode] = {"timelines": timelines_map, "report": report}
         if n_timelines:
             tl_dir = out_dir / "timelines"
             tl_dir.mkdir(exist_ok=True)
@@ -413,6 +423,7 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
                 evaluator.write_timeline_csv(
                     timelines_map[cell_id], tl_dir / f"{cell_id}_{mode}.csv"
                 )
+        del timelines_map  # free this mode's timelines before the next mode runs
 
     metadata = {
         "seed": seed,
@@ -422,17 +433,14 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
         "n_cells": len(scenario.cells),
     }
     if ps == "both":
-        summary = evaluator.compare(runs["on"]["report"], runs["off"]["report"], metadata)
+        summary = evaluator.compare(reports["on"], reports["off"], metadata)
         evaluator.emit_report(summary, out_dir)
         click.echo(f"active TRX reduction: {summary.reduction_pct:.1f}%")
         click.echo(f"blocking delta: {summary.blocking_delta:+d}")
     else:
-        report = runs[ps]["report"]
-        with open(out_dir / f"report_{ps}.json", "w", encoding="utf-8", newline="") as fh:
-            doc = dataclasses.asdict(report)
-            doc["metadata"] = metadata
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        report = reports[ps]
+        traffic.write_json({**dataclasses.asdict(report), "metadata": metadata},
+                           out_dir / f"report_{ps}.json")
         click.echo(f"ps={ps}: {report.trx_scans} active TRX-scans over {len(scenario.cells)} cells")
 
 

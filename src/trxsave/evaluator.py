@@ -12,7 +12,6 @@ already be converged.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Mapping, Optional, Sequence, Union
@@ -20,7 +19,7 @@ from typing import IO, Mapping, Optional, Sequence, Union
 from .cell_model import CellConfig
 from .errors import ConfigurationError, DataError
 from .saving_engine import CellTimeline, PowerSavingParams, run_cell, validate_params
-from .traffic import TrafficTrace, fmt_num, open_text
+from .traffic import TrafficTrace, fmt_num, open_text, read_json, write_csv, write_json
 
 SCHEMA_VERSION = 1
 
@@ -37,8 +36,6 @@ class NetworkScenario:
     base_params: PowerSavingParams
     hysteresis: Mapping[str, int] = field(default_factory=dict)
     default_hysteresis: Optional[int] = None
-    demand_mode: str = "round"
-    seed: int = 0
     warmup_scans: int = 0
 
     def validate(self) -> "NetworkScenario":
@@ -70,7 +67,7 @@ def simulate_network(
     """Run every cell independently; with saving off the assignment is ignored."""
     scenario.validate()
     timelines: dict[str, CellTimeline] = {}
-    for i, config in enumerate(scenario.cells):
+    for config in scenario.cells:
         params = scenario.params_for(config.cell_id) if ps_enabled else scenario.base_params
         trace = scenario.traces[config.cell_id]
         if scenario.warmup_scans >= len(trace.samples):
@@ -78,14 +75,7 @@ def simulate_network(
                 f"warmup_scans {scenario.warmup_scans} consumes the whole "
                 f"{len(trace.samples)}-scan trace of cell {config.cell_id!r}"
             )
-        timelines[config.cell_id] = run_cell(
-            config,
-            params,
-            trace,
-            ps_enabled=ps_enabled,
-            demand_mode=scenario.demand_mode,
-            demand_seed=scenario.seed + i,
-        )
+        timelines[config.cell_id] = run_cell(config, params, trace, ps_enabled=ps_enabled)
     return timelines
 
 
@@ -236,50 +226,39 @@ def summary_to_dict(summary: ComparisonSummary) -> dict:
 
 
 def summary_from_dict(data: dict) -> ComparisonSummary:
-    rows = tuple(CellComparison(**r) for r in data["rows"])
-    fields = {k: v for k, v in data.items() if k != "rows"}
-    return ComparisonSummary(rows=rows, **fields)
+    """Inverse of ``summary_to_dict``; a missing or unknown key is a ``DataError``."""
+    try:
+        rows = tuple(CellComparison(**r) for r in data["rows"])
+        fields = {k: v for k, v in data.items() if k != "rows"}
+        return ComparisonSummary(rows=rows, **fields)
+    except KeyError as exc:
+        raise DataError(f"summary: missing key {exc}") from None
+    except TypeError as exc:
+        raise DataError(f"summary: {exc}") from None
 
 
 def write_summary_json(summary: ComparisonSummary, dest: Union[str, Path, IO[str]]) -> None:
-    with open_text(dest, "w") as stream:
-        json.dump(summary_to_dict(summary), stream, indent=2)
-        stream.write("\n")
+    write_json(summary_to_dict(summary), dest)
 
 
 def read_summary_json(source: Union[str, Path, IO[str]]) -> ComparisonSummary:
-    with open_text(source) as stream:
-        return summary_from_dict(json.load(stream))
+    return summary_from_dict(read_json(source))
 
 
 def write_comparison_csv(summary: ComparisonSummary, dest: Union[str, Path, IO[str]]) -> None:
     """Per-cell table in the operator shape: cell_id,ts_before,max_ts_after."""
-    with open_text(dest, "w") as stream:
-        stream.write(",".join(COMPARISON_CSV_HEADER) + "\n")
-        for row in summary.rows:
-            stream.write(f"{row.cell_id},{row.ts_before},{row.max_ts_after}\n")
+    write_csv(dest, COMPARISON_CSV_HEADER,
+              [(row.cell_id, row.ts_before, row.max_ts_after) for row in summary.rows])
 
 
-def emit_report(
-    summary: ComparisonSummary,
-    out_dir: Union[str, Path],
-    formats: Sequence[str] = ("csv", "json"),
-) -> list[Path]:
-    """Write the comparison artifacts; returns the paths written."""
+def emit_report(summary: ComparisonSummary, out_dir: Union[str, Path]) -> list[Path]:
+    """Write comparison.csv and summary.json; returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for fmt in formats:
-        if fmt == "csv":
-            path = out / "comparison.csv"
-            write_comparison_csv(summary, path)
-        elif fmt == "json":
-            path = out / "summary.json"
-            write_summary_json(summary, path)
-        else:
-            raise ConfigurationError(f"unknown report format {fmt!r}")
-        written.append(path)
-    return written
+    csv_path, json_path = out / "comparison.csv", out / "summary.json"
+    write_comparison_csv(summary, csv_path)
+    write_summary_json(summary, json_path)
+    return [csv_path, json_path]
 
 
 def write_timeline_csv(timeline: CellTimeline, dest: Union[str, Path, IO[str]]) -> None:

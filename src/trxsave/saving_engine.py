@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -243,8 +242,6 @@ def run_cell(
     params: PowerSavingParams,
     trace: TrafficTrace,
     ps_enabled: bool = True,
-    demand_mode: str = "round",
-    demand_seed: Optional[int] = None,
 ) -> CellTimeline:
     """Simulate one cell over a traffic trace.
 
@@ -258,7 +255,7 @@ def run_cell(
     if len(trace.samples) == 0:
         raise DataError(f"cell {config.cell_id!r}: empty traffic trace")
 
-    demand = demand_series(trace.samples, mode=demand_mode, seed=demand_seed)
+    demand = demand_series(trace.samples)
     n = len(demand)
     num_trx = config.num_trx
     cch = config.cch_slots

@@ -6,18 +6,23 @@ interpolated per scan, with optional Gaussian noise truncated at zero.
 
 Erlang semantics: one Erlang is one continuously busy channel, so the call
 demand at a scan is the offered Erlang rounded to the nearest integer
-(half up). A seeded Poisson mode is available for stochastic runs.
+(half up).
+
+Small tables (KPIs, clusters, assignments, reports) are read and written only
+through ``read_csv``/``write_csv``/``read_json``/``write_json``, which own the
+framing and the strictness checks.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import io
+import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Optional, Sequence, Union
+from typing import IO, Any, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -163,24 +168,13 @@ def generate_diurnal_trace(spec: DiurnalProfileSpec, cell_id: str = "cell") -> T
     return TrafficTrace(cell_id=cell_id, scan_period_s=period, samples=samples).validate()
 
 
-def demand_series(
-    samples: np.ndarray, mode: str = "round", seed: Optional[int] = None
-) -> np.ndarray:
-    """Convert offered Erlang per scan into integer call demand.
-
-    ``round`` (default) rounds half up; ``poisson`` draws seeded Poisson
-    counts with the offered Erlang as the mean.
-    """
-    if mode == "round":
-        return np.floor(np.asarray(samples, dtype=np.float64) + 0.5).astype(np.int32)
-    if mode == "poisson":
-        rng = np.random.default_rng(0 if seed is None else seed)
-        return rng.poisson(np.asarray(samples, dtype=np.float64)).astype(np.int32)
-    raise ConfigurationError(f"unknown demand mode {mode!r}")
+def demand_series(samples: np.ndarray) -> np.ndarray:
+    """Convert offered Erlang per scan into integer call demand, rounding half up."""
+    return np.floor(np.asarray(samples, dtype=np.float64) + 0.5).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
-# KPI records
+# Table files
 
 
 @contextlib.contextmanager
@@ -196,63 +190,95 @@ def open_text(target: Union[str, Path, IO], mode: str = "r") -> Iterator[IO]:
         yield target
 
 
-def ingest_kpi_csv(source: Union[str, Path, IO[str], IO[bytes]]) -> list[KpiRecord]:
-    """Parse a KPI CSV into records; errors carry 1-based data row numbers."""
+def read_csv(
+    source: Union[str, Path, IO[str]], header: Sequence[str]
+) -> list[tuple[int, list[str]]]:
+    """Data rows of a table keyed by its first column, with 1-based row numbers.
+
+    The first line must equal ``header``. Blank rows are skipped but still
+    counted; a row of another width or a repeated key is a ``DataError``.
+    """
     with open_text(source) as stream:
-        if hasattr(stream, "read") and isinstance(stream.read(0), bytes):
-            stream = io.TextIOWrapper(stream, encoding="utf-8")
         reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("KPI CSV is empty (missing header)") from None
-        if header != KPI_CSV_HEADER:
+        got = next(reader, None)
+        if got != list(header):
             raise DataError(
-                f"KPI CSV header mismatch: expected {','.join(KPI_CSV_HEADER)}, "
-                f"got {','.join(header)}"
+                f"CSV header mismatch: expected {','.join(header)}, "
+                f"got {','.join(got) if got else 'an empty file'}"
             )
-        records = []
+        rows = []
         seen: set[str] = set()
         for row_no, row in enumerate(reader, start=1):
             if not row:
                 continue
-            if len(row) != len(KPI_CSV_HEADER):
-                raise DataError(f"row {row_no}: expected {len(KPI_CSV_HEADER)} fields, got {len(row)}")
-            cell_id = row[0]
-            if cell_id in seen:
-                raise DataError(f"row {row_no}: duplicate cell_id {cell_id!r}")
-            seen.add(cell_id)
-            try:
-                erl = float(row[1])
-                thr = float(row[2])
-                cong = float(row[3])
-                pre = float(row[4])
-                ts = int(row[5])
-            except ValueError as exc:
-                raise DataError(f"row {row_no}: non-numeric field ({exc})") from None
-            try:
-                rec = KpiRecord(cell_id, erl, thr, cong, pre, ts).validate()
-            except DataError as exc:
-                raise DataError(f"row {row_no}: {exc}") from None
-            records.append(rec)
-        return records
+            if len(row) != len(header):
+                raise DataError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
+            if row[0] in seen:
+                raise DataError(f"row {row_no}: duplicate cell_id {row[0]!r}")
+            seen.add(row[0])
+            rows.append((row_no, row))
+        return rows
+
+
+def write_csv(
+    dest: Union[str, Path, IO[str]], header: Sequence[str], rows: Iterable[Sequence[Any]]
+) -> None:
+    """Write ``header`` then ``rows`` with ``\\n`` line ends."""
+    with open_text(dest, "w") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_json(source: Union[str, Path, IO[str]]) -> Any:
+    """Parse a JSON document; malformed text is a ``DataError`` naming the source."""
+    with open_text(source) as stream:
+        try:
+            return json.load(stream)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{source}: invalid JSON ({exc})") from None
+
+
+def write_json(doc: Any, dest: Union[str, Path, IO[str]]) -> None:
+    """Two-space indented JSON with a trailing newline."""
+    with open_text(dest, "w") as stream:
+        json.dump(doc, stream, indent=2)
+        stream.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# KPI records
+
+
+def ingest_kpi_csv(source: Union[str, Path, IO[str]]) -> list[KpiRecord]:
+    """Parse a KPI CSV into records; errors carry 1-based data row numbers."""
+    records = []
+    for row_no, row in read_csv(source, KPI_CSV_HEADER):
+        try:
+            erl, thr, cong, pre = (float(v) for v in row[1:5])
+            ts = int(row[5])
+        except ValueError as exc:
+            raise DataError(f"row {row_no}: non-numeric field ({exc})") from None
+        try:
+            records.append(KpiRecord(row[0], erl, thr, cong, pre, ts).validate())
+        except DataError as exc:
+            raise DataError(f"row {row_no}: {exc}") from None
+    return records
 
 
 def emit_kpi_csv(records: Sequence[KpiRecord], dest: Union[str, Path, IO[str]]) -> None:
     """Write records in the documented schema, preserving printed digits."""
-    with open_text(dest, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(KPI_CSV_HEADER)
-        for r in records:
-            r.validate()
-            writer.writerow([
-                r.cell_id,
-                fmt_num(r.tch_traffic_erl),
-                fmt_num(r.dl_edge_throughput_kbps),
-                fmt_num(r.pdch_congestion_pct),
-                fmt_num(r.preempt_pdch),
-                str(r.ts_count),
-            ])
+    write_csv(dest, KPI_CSV_HEADER, [
+        [
+            r.cell_id,
+            fmt_num(r.tch_traffic_erl),
+            fmt_num(r.dl_edge_throughput_kbps),
+            fmt_num(r.pdch_congestion_pct),
+            fmt_num(r.preempt_pdch),
+            r.ts_count,
+        ]
+        for r in (rec.validate() for rec in records)
+    ])
 
 
 def busy_hour_average(daily_readings: Sequence[KpiRecord]) -> KpiRecord:
@@ -374,7 +400,7 @@ def read_traffic_csv(
                 f"traffic CSV header mismatch: expected {','.join(TRAFFIC_CSV_HEADER)}, got {header}"
             )
         order: list[str] = []
-        samples: dict[str, list[float]] = {}
+        samples: dict[str, array] = {}
         for row_no, line in enumerate(stream, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -389,7 +415,7 @@ def read_traffic_csv(
             except ValueError as exc:
                 raise DataError(f"row {row_no}: non-numeric field ({exc})") from None
             if cid not in samples:
-                samples[cid] = []
+                samples[cid] = array("d")
                 order.append(cid)
             if idx != len(samples[cid]):
                 raise DataError(
@@ -400,6 +426,6 @@ def read_traffic_csv(
                 raise DataError(f"row {row_no}: offered_erlang must be finite and >= 0")
             samples[cid].append(val)
         return [
-            TrafficTrace(cid, scan_period_s, np.asarray(samples[cid], dtype=np.float64)).validate()
+            TrafficTrace(cid, scan_period_s, np.frombuffer(samples[cid])).validate()
             for cid in order
         ]

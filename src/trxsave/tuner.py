@@ -7,7 +7,6 @@ and quiet clusters are allowed to save aggressively.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,9 +14,8 @@ from typing import IO, Mapping, Sequence, Union
 
 import numpy as np
 
-from .analytics import ClusteringResult
 from .errors import ConfigurationError, DataError
-from .traffic import KpiRecord, open_text
+from .traffic import KpiRecord, read_csv, write_csv
 
 HYSTERESIS_MIN = 1
 HYSTERESIS_MAX = 1014
@@ -69,17 +67,18 @@ class HysteresisAssignment:
     cluster: Mapping[str, int]
 
 
-def profile_clusters(
-    result: ClusteringResult, kpis: Sequence[KpiRecord]
-) -> list[ClusterProfile]:
-    """Per-cluster means of the original (pre-standardization) KPI values."""
-    if len(result.labels) != len(kpis):
-        raise DataError(
-            f"label/KPI mismatch: {len(result.labels)} labels vs {len(kpis)} records"
-        )
+def profile_clusters(labels: np.ndarray, kpis: Sequence[KpiRecord]) -> list[ClusterProfile]:
+    """Per-cluster means of the original (pre-standardization) KPI values.
+
+    ``labels[i]`` is the cluster of ``kpis[i]``; clusters are 0..max(labels).
+    """
+    labels = np.asarray(labels)
+    if len(labels) != len(kpis):
+        raise DataError(f"label/KPI mismatch: {len(labels)} labels vs {len(kpis)} records")
+    if len(labels) == 0:
+        raise DataError("no cluster labels")
     profiles = []
-    labels = np.asarray(result.labels)
-    for cluster_id in range(result.k):
+    for cluster_id in range(int(labels.max()) + 1):
         members = [kpis[i] for i in np.flatnonzero(labels == cluster_id)]
         if not members:
             raise DataError(f"cluster {cluster_id} has no members")
@@ -158,44 +157,25 @@ PUSH_CSV_HEADER = ["cell_id", "BTSPSHYST"]
 def write_assignment_csv(
     assignment: HysteresisAssignment, dest: Union[str, Path, IO[str]]
 ) -> None:
-    with open_text(dest, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(ASSIGNMENT_CSV_HEADER)
-        for cell_id in assignment.hysteresis:
-            writer.writerow([
-                cell_id,
-                str(assignment.cluster[cell_id]),
-                str(assignment.hysteresis[cell_id]),
-            ])
+    write_csv(dest, ASSIGNMENT_CSV_HEADER, [
+        (cell_id, assignment.cluster[cell_id], h) for cell_id, h in assignment.hysteresis.items()
+    ])
 
 
 def write_push_csv(
     assignment: HysteresisAssignment, dest: Union[str, Path, IO[str]]
 ) -> None:
     """Operator change-request sheet: one BTSPSHYST value per cell."""
-    with open_text(dest, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(PUSH_CSV_HEADER)
-        for cell_id, h in assignment.hysteresis.items():
-            writer.writerow([cell_id, str(h)])
+    write_csv(dest, PUSH_CSV_HEADER, assignment.hysteresis.items())
 
 
 def read_assignment_csv(source: Union[str, Path, IO[str]]) -> HysteresisAssignment:
-    with open_text(source) as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header != ASSIGNMENT_CSV_HEADER:
-            raise DataError("assignment CSV header mismatch: expected cell_id,cluster,hysteresis")
-        hyst: dict[str, int] = {}
-        clusters: dict[str, int] = {}
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if row[0] in hyst:
-                raise DataError(f"row {row_no}: duplicate cell_id {row[0]!r}")
-            try:
-                hyst[row[0]] = int(row[2])
-                clusters[row[0]] = int(row[1])
-            except (IndexError, ValueError):
-                raise DataError(f"row {row_no}: bad assignment row {row!r}") from None
-        return HysteresisAssignment(hysteresis=hyst, cluster=clusters)
+    hyst: dict[str, int] = {}
+    clusters: dict[str, int] = {}
+    for row_no, (cell_id, cluster, h) in read_csv(source, ASSIGNMENT_CSV_HEADER):
+        try:
+            clusters[cell_id] = int(cluster)
+            hyst[cell_id] = int(h)
+        except ValueError:
+            raise DataError(f"row {row_no}: non-integer cluster or hysteresis") from None
+    return HysteresisAssignment(hysteresis=hyst, cluster=clusters)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from trxsave.analytics import (
+    ElbowResult,
     FeatureMatrix,
     Stage,
     child_seed,
@@ -388,6 +389,24 @@ class TestCsvExports:
         source = io.StringIO("cell_id,cluster\na,0\nb,1\na,1\n")
         with pytest.raises(DataError, match="row 3: duplicate cell_id 'a'"):
             read_clusters_csv(source)
+
+    @pytest.mark.parametrize("row", ["a,1,zzz", "a"])
+    def test_row_of_wrong_width_names_row(self, row):
+        source = io.StringIO(f"cell_id,cluster\nb,0\n\n{row}\n")
+        with pytest.raises(DataError, match=r"row 3: expected 2 fields, got \d"):
+            read_clusters_csv(source)
+
+    def test_exact_bytes(self):
+        out = io.StringIO()
+        write_elbow_csv(ElbowResult(points=[(1, 12.0), (2, 3.5), (3, 0.1 + 0.2)],
+                                    suggested_knee=2), out)
+        assert out.getvalue() == "k,sse\n1,12\n2,3.5\n3,0.30000000000000004\n"
+        out = io.StringIO()
+        write_silhouette_csv([(2, 0.5), (3, 1 / 3)], out)
+        assert out.getvalue() == "k,silhouette\n2,0.5\n3,0.3333333333333333\n"
+        out = io.StringIO()
+        write_clusters_csv(["a", "b,c"], np.array([1, 0]), out)
+        assert out.getvalue() == 'cell_id,cluster\na,1\n"b,c",0\n'
 
 
 class TestChildSeed:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,57 @@ class TestSimulate:
                                       "--traffic", str(tmp_path / "nope.csv")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda c: c.pop("num_trx"), "cell 'cell_0001': num_trx must be an integer, got None"),
+        (lambda c: c.update(num_trx="3"), "cell 'cell_0001': num_trx must be an integer, got '3'"),
+        (lambda c: c.update(num_trx=3.5), "cell 'cell_0001': num_trx must be an integer"),
+        (lambda c: c.pop("cch_slots"), "cell 'cell_0001': cch_slots must be an integer"),
+        (lambda c: c.pop("cell_id"), r"cells\[1\] has no string 'cell_id'"),
+        (lambda c: c.update(cell_id="cell_0000"), "duplicate cell_id 'cell_0000'"),
+    ], ids=["no_num_trx", "str_num_trx", "float_num_trx", "no_cch_slots", "no_cell_id",
+            "duplicate_cell_id"])
+    def test_malformed_fleet_cell_exits_3(self, runner, tmp_path, edit, message):
+        out = tmp_path / "run"
+        run_ok(runner, ["generate", "--cells", "3", "--days", "1", "--out", str(out)])
+        fleet = json.loads((out / "fleet.json").read_text())
+        edit(fleet["cells"][1])
+        (out / "fleet.json").write_text(json.dumps(fleet))
+        result = self.simulate(runner, out)
+        assert result.exit_code == 3
+        assert "fleet.json" in result.output
+        assert re.search(message, result.output), result.output
+
+    def test_traffic_must_trace_exactly_the_fleet(self, runner, tmp_path):
+        out = tmp_path / "run"
+        run_ok(runner, ["generate", "--cells", "3", "--days", "1", "--out", str(out)])
+        fleet = json.loads((out / "fleet.json").read_text())
+        dropped = fleet["cells"].pop(2)
+        (out / "fleet.json").write_text(json.dumps(fleet))
+        result = self.simulate(runner, out)
+        assert result.exit_code == 3
+        assert "traffic.csv: cell 'cell_0002' is not in" in result.output
+
+        fleet["cells"] += [dropped, {**dropped, "cell_id": "cell_0009"}]
+        (out / "fleet.json").write_text(json.dumps(fleet))
+        result = self.simulate(runner, out)
+        assert result.exit_code == 3
+        assert "traffic.csv: no trace for fleet cell 'cell_0009'" in result.output
+
+    def test_assignment_for_unknown_cell_exits_3(self, runner, tmp_path):
+        out = tmp_path / "run"
+        run_ok(runner, ["generate", "--cells", "3", "--days", "1", "--out", str(out)])
+        (out / "assignment.csv").write_text(
+            "cell_id,cluster,hysteresis\ncell_0000,0,4\ncell_0007,1,6\n")
+        result = self.simulate(runner, out, "--assignment", str(out / "assignment.csv"))
+        assert result.exit_code == 3
+        assert "assignment.csv: cell 'cell_0007' is not in" in result.output
+
+    @staticmethod
+    def simulate(runner, out, *extra):
+        return runner.invoke(main, ["simulate", "--fleet", f"{out}/fleet.json",
+                                    "--traffic", f"{out}/traffic.csv", "--hysteresis", "5",
+                                    "--timelines", "0", "--out", str(out), *extra])
+
     def test_timelines_count_option(self, runner, tmp_path):
         out = tmp_path / "run"
         run_pipeline(runner, out, extra_sim=["--timelines", "2"])
@@ -267,6 +319,15 @@ class TestReport:
         result = run_ok(runner, ["report", "--summary", f"{out}/summary.json"])
         assert "reduction" in result.output
         assert "cell_0000" in result.output
+
+    @pytest.mark.parametrize("text", ['{"schema_version": 1, "rows": [', "{}"],
+                             ids=["truncated", "empty_object"])
+    def test_bad_summary_exits_3(self, runner, tmp_path, text):
+        path = tmp_path / "summary.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["report", "--summary", str(path)])
+        assert result.exit_code == 3
+        assert result.output.startswith("error: ")
 
 
 class TestConfigFile:

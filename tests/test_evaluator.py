@@ -6,7 +6,9 @@ import pytest
 from trxsave.cell_model import CellConfig
 from trxsave.errors import ConfigurationError, DataError
 from trxsave.evaluator import (
+    CellComparison,
     CellStats,
+    ComparisonSummary,
     NetworkReport,
     NetworkScenario,
     compare,
@@ -194,9 +196,61 @@ class TestEmission:
         assert lines[1] == "0,0,24"
         assert all(line.endswith(",24") for line in lines[1:])
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            emit_report(self.small_summary(), tmp_path, formats=("xml",))
+    def test_exact_bytes(self, tmp_path):
+        summary = ComparisonSummary(
+            schema_version=1, metadata={"seed": 7, "params": {"hysteresis": 3}},
+            rows=(CellComparison("a", 24, 8, 9.5, 0, 1),),
+            trx_scans_without=30, trx_scans_with=20, ts_scans_without=240, ts_scans_with=160,
+            reduction_pct=100 / 3, blocked_without=2, blocked_with=3, blocking_delta=1,
+        )
+        emit_report(summary, tmp_path)
+        assert (tmp_path / "comparison.csv").read_bytes() == (
+            b"cell_id,ts_before,max_ts_after\na,24,8\n"
+        )
+        assert (tmp_path / "summary.json").read_bytes() == SUMMARY_JSON.encode()
+
+    @pytest.mark.parametrize("text,match", [
+        ('{"schema_version": 1', "invalid JSON"),
+        ("{}", "missing key 'rows'"),
+        ('{"rows": [], "extra": 1}', "unexpected keyword argument 'extra'"),
+        ('{"rows": [{"cell_id": "a"}]}', "missing 5 required"),
+    ])
+    def test_bad_summary_json_is_data_error(self, tmp_path, text, match):
+        path = tmp_path / "summary.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=match):
+            read_summary_json(path)
+
+
+SUMMARY_JSON = """\
+{
+  "schema_version": 1,
+  "metadata": {
+    "seed": 7,
+    "params": {
+      "hysteresis": 3
+    }
+  },
+  "rows": [
+    {
+      "cell_id": "a",
+      "ts_before": 24,
+      "max_ts_after": 8,
+      "mean_ts_after": 9.5,
+      "blocked_before": 0,
+      "blocked_after": 1
+    }
+  ],
+  "trx_scans_without": 30,
+  "trx_scans_with": 20,
+  "ts_scans_without": 240,
+  "ts_scans_with": 160,
+  "reduction_pct": 33.333333333333336,
+  "blocked_without": 2,
+  "blocked_with": 3,
+  "blocking_delta": 1
+}
+"""
 
 
 class TestDominanceProperty:

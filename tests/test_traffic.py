@@ -105,19 +105,6 @@ class TestDemandSeries:
             out = demand_series(np.full(100, erl))
             assert np.all(out == math.floor(erl + 0.5))
 
-    def test_poisson_is_seeded(self):
-        x = np.full(1000, 3.5)
-        a = demand_series(x, mode="poisson", seed=9)
-        b = demand_series(x, mode="poisson", seed=9)
-        c = demand_series(x, mode="poisson", seed=10)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-        assert abs(a.mean() - 3.5) < 0.3
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigurationError):
-            demand_series(np.ones(3), mode="ceil")
-
 
 class TestKpiCsv:
     def test_dataset_sample_rows_parse_exactly(self):
@@ -136,11 +123,6 @@ class TestKpiCsv:
 
     def test_empty_file_after_header(self):
         assert ingest_kpi_csv(io.StringIO(KPI_HEADER + "\n")) == []
-
-    def test_byte_stream_source(self):
-        raw = (KPI_HEADER + "\n" + SAMPLE_KPI_ROWS[0] + "\n").encode("utf-8")
-        records = ingest_kpi_csv(io.BytesIO(raw))
-        assert records[0].cell_id == "Cell_1"
 
     def test_path_source(self, tmp_path):
         path = tmp_path / "kpis.csv"

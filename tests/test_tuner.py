@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from trxsave.analytics import ClusteringResult
 from trxsave.errors import ConfigurationError, DataError
 from trxsave.traffic import KpiRecord
 from trxsave.tuner import (
@@ -18,7 +17,7 @@ from trxsave.tuner import (
     write_push_csv,
 )
 
-# clustering-result sample: six cells in three clusters (labels 1,1,2,2,0,0)
+# clustering sample: six cells in three clusters (labels 1,1,2,2,0,0)
 SAMPLE_KPIS = [
     KpiRecord("Cell_1", 2.69845, 130.523, 0.00579, 5.08791, 24),
     KpiRecord("Cell_2", 1.62493, 136.034, 0.00596, 3.12088, 24),
@@ -30,19 +29,13 @@ SAMPLE_KPIS = [
 SAMPLE_LABELS = np.array([1, 1, 2, 2, 0, 0])
 
 
-def sample_result():
-    return ClusteringResult(
-        k=3, labels=SAMPLE_LABELS, centroids=np.zeros((3, 3)), sse=0.0, iterations=1, seed=0
-    )
-
-
 def sample_label_map():
     return {r.cell_id: int(l) for r, l in zip(SAMPLE_KPIS, SAMPLE_LABELS)}
 
 
 class TestProfileClusters:
     def test_cluster_means_match_hand_sums(self):
-        profiles = {p.cluster_id: p for p in profile_clusters(sample_result(), SAMPLE_KPIS)}
+        profiles = {p.cluster_id: p for p in profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS)}
         # cluster 2 traffic: mean of 7.31606 and 5.25773
         expected_c2 = math.fsum([7.31606, 5.25773]) / 2
         assert profiles[2].tch_traffic_erl == pytest.approx(expected_c2, abs=1e-12)
@@ -54,24 +47,30 @@ class TestProfileClusters:
         assert all(p.member_count == 2 for p in profiles.values())
 
     def test_single_member_cluster_is_that_cell(self):
-        result = ClusteringResult(
-            k=2, labels=np.array([0, 1]), centroids=np.zeros((2, 3)),
-            sse=0.0, iterations=1, seed=0,
-        )
-        profiles = profile_clusters(result, SAMPLE_KPIS[:2])
+        profiles = profile_clusters(np.array([0, 1]), SAMPLE_KPIS[:2])
         assert profiles[0].tch_traffic_erl == SAMPLE_KPIS[0].tch_traffic_erl
         assert profiles[1].dl_edge_throughput_kbps == SAMPLE_KPIS[1].dl_edge_throughput_kbps
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError, match="mismatch"):
-            profile_clusters(sample_result(), SAMPLE_KPIS[:4])
+            profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS[:4])
+
+    def test_clusters_run_to_max_label(self):
+        profiles = profile_clusters(np.array([2, 0, 1, 0]), SAMPLE_KPIS[:4])
+        assert [(p.cluster_id, p.member_count) for p in profiles] == [(0, 2), (1, 1), (2, 1)]
+        with pytest.raises(DataError, match="cluster 1 has no members"):
+            profile_clusters(np.array([2, 0, 2, 0]), SAMPLE_KPIS[:4])
+
+    def test_no_labels_rejected(self):
+        with pytest.raises(DataError, match="no cluster labels"):
+            profile_clusters(np.array([], dtype=int), [])
 
 
 class TestRankAndAssign:
     def test_dataset_sample_gets_published_values(self):
         # ascending traffic: cluster 1 (2.16) -> 4, cluster 0 (4.64) -> 6,
         # cluster 2 (6.29) -> 12
-        profiles = profile_clusters(sample_result(), SAMPLE_KPIS)
+        profiles = profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS)
         assignment = rank_and_assign(profiles, HysteresisPolicy(), sample_label_map())
         assert assignment.hysteresis == {
             "Cell_1": 4, "Cell_2": 4, "Cell_3": 12, "Cell_4": 12,
@@ -83,15 +82,13 @@ class TestRankAndAssign:
             KpiRecord("a", 5.0, 100.0, 0.0, 1.0, 24),
             KpiRecord("b", 5.0, 100.0, 0.0, 1.0, 24),
         ]
-        result = ClusteringResult(k=2, labels=np.array([1, 0]), centroids=np.zeros((2, 1)),
-                                  sse=0.0, iterations=1, seed=0)
-        profiles = profile_clusters(result, kpis)
+        profiles = profile_clusters(np.array([1, 0]), kpis)
         assignment = rank_and_assign(profiles, HysteresisPolicy(values=(4, 6)),
                                      {"a": 1, "b": 0})
         assert assignment.hysteresis == {"b": 4, "a": 6}
 
     def test_policy_count_mismatch(self):
-        profiles = profile_clusters(sample_result(), SAMPLE_KPIS)
+        profiles = profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS)
         with pytest.raises(ConfigurationError):
             rank_and_assign(profiles, HysteresisPolicy(values=(4, 6)), sample_label_map())
 
@@ -99,12 +96,10 @@ class TestRankAndAssign:
         # permute cluster ids; the per-cell hysteresis must not change
         relabel = {0: 2, 1: 0, 2: 1}
         labels2 = np.array([relabel[int(l)] for l in SAMPLE_LABELS])
-        result2 = ClusteringResult(k=3, labels=labels2, centroids=np.zeros((3, 3)),
-                                   sse=0.0, iterations=1, seed=0)
         map2 = {r.cell_id: int(l) for r, l in zip(SAMPLE_KPIS, labels2)}
-        a1 = rank_and_assign(profile_clusters(sample_result(), SAMPLE_KPIS),
+        a1 = rank_and_assign(profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS),
                              HysteresisPolicy(), sample_label_map())
-        a2 = rank_and_assign(profile_clusters(result2, SAMPLE_KPIS),
+        a2 = rank_and_assign(profile_clusters(labels2, SAMPLE_KPIS),
                              HysteresisPolicy(), map2)
         assert a1.hysteresis == a2.hysteresis
 
@@ -120,9 +115,7 @@ class TestRankAndAssign:
                           float(rng.uniform(0, 5)), float(rng.uniform(0, 50)), 24)
                 for i in range(n)
             ]
-            result = ClusteringResult(k=k, labels=labels, centroids=np.zeros((k, 1)),
-                                      sse=0.0, iterations=1, seed=0)
-            profiles = profile_clusters(result, kpis)
+            profiles = profile_clusters(labels, kpis)
             policy = HysteresisPolicy(values=tuple(sorted(rng.integers(1, 1015, size=k))))
             label_map = {r.cell_id: int(l) for r, l in zip(kpis, labels)}
             assignment = rank_and_assign(profiles, policy, label_map)
@@ -139,7 +132,7 @@ class TestRankAndAssign:
                         assert hyst_of[a] >= hyst_of[b]
 
     def test_composite_severity_orders_by_combined_zscores(self):
-        profiles = profile_clusters(sample_result(), SAMPLE_KPIS)
+        profiles = profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS)
         traffic_scores = severity_scores(profiles, "traffic")
         composite = severity_scores(profiles, "composite")
         # cluster 2 dominates every feature, so it stays the most severe
@@ -173,11 +166,19 @@ class TestAssignmentCsv:
         back = read_assignment_csv(path)
         assert back == assignment
 
+        assert path.read_bytes() == b"cell_id,cluster,hysteresis\na,0,4\nb,1,12\n"
+
         push = tmp_path / "push.csv"
         write_push_csv(assignment, push)
-        assert push.read_text().splitlines() == ["cell_id,BTSPSHYST", "a,4", "b,12"]
+        assert push.read_bytes() == b"cell_id,BTSPSHYST\na,4\nb,12\n"
 
     def test_duplicate_cell_id_names_row(self):
         source = io.StringIO("cell_id,cluster,hysteresis\na,0,4\nb,1,12\na,1,12\n")
         with pytest.raises(DataError, match="row 3: duplicate cell_id 'a'"):
+            read_assignment_csv(source)
+
+    @pytest.mark.parametrize("row", ["a,0,4,x", "a,0"])
+    def test_row_of_wrong_width_names_row(self, row):
+        source = io.StringIO(f"cell_id,cluster,hysteresis\nb,1,12\n{row}\n")
+        with pytest.raises(DataError, match=r"row 2: expected 3 fields, got \d"):
             read_assignment_csv(source)
