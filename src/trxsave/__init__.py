@@ -16,6 +16,7 @@ from .analytics import (
     run_kmeans,
     select_k,
     silhouette_score,
+    silhouette_scores,
     standardize,
 )
 from .cell_model import (

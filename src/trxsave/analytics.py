@@ -10,9 +10,13 @@ merged in index order, and ties break toward the lower index.
 
 Silhouette uses the standard cohesion/separation form s = (b - a)/max(a, b),
 where a is the mean distance to the point's own cluster and b the smallest
-mean distance to another cluster, so +1 means well separated. Per-point means
-are accumulated sequentially in row order, which keeps the score bit-for-bit
-reproducible against a naive pairwise recomputation.
+mean distance to another cluster, so +1 means well separated. Model selection
+scores every fitted k in one blocked pass: the distance matrix is computed a
+block of rows at a time (about ``PAIRS_PER_BLOCK`` distances) and each block
+serves every labeling, so memory stays bounded whatever the fleet size. Each
+point's sum over a cluster's members is ``np.cumsum`` along the row, which
+adds strictly in index order, and the running total is carried across blocks
+in row order; the score is therefore bit-for-bit the naive pairwise one.
 """
 
 from __future__ import annotations
@@ -425,54 +429,75 @@ def elbow_curve(fits: Mapping[int, ClusteringResult]) -> ElbowResult:
     return ElbowResult(points=curve, suggested_knee=knee)
 
 
-def silhouette_score(
-    points: Union[FeatureMatrix, np.ndarray], labels: np.ndarray
-) -> float:
-    """Mean silhouette value s = (b - a)/max(a, b) over all points.
+# Distances one silhouette block holds at once: the pass keeps O(PAIRS_PER_BLOCK)
+# floats in memory instead of the whole n x n matrix.
+PAIRS_PER_BLOCK = 1 << 20
 
-    Singleton-cluster points score 0, as do points where both means vanish
-    (coincident data). Requires at least 2 clusters, all non-empty.
-    """
-    x = _points_of(points)
-    labels = np.asarray(labels)
-    n = len(x)
+
+def _cluster_members(labels: np.ndarray, n: int) -> list[np.ndarray]:
+    """Member indices of each cluster 0..k-1; needs k >= 2, all non-empty."""
     if len(labels) != n:
         raise DataError("labels length does not match points")
     k = int(labels.max()) + 1 if n else 0
     if k < 2:
         raise DataError(f"silhouette needs k >= 2, got {k}")
-    counts = [int(np.sum(labels == j)) for j in range(k)]
-    if any(c == 0 for c in counts):
-        raise DataError("silhouette needs every cluster non-empty")
-
-    diff = x[:, None, :] - x[None, :, :]
-    dmat = np.sqrt(np.sum(diff * diff, axis=2))
     members = [np.flatnonzero(labels == j) for j in range(k)]
+    if any(len(m) == 0 for m in members):
+        raise DataError("silhouette needs every cluster non-empty")
+    return members
 
-    total = 0.0
-    for i in range(n):
-        own = int(labels[i])
-        if counts[own] == 1:
-            continue  # singleton scores 0
-        row = dmat[i]
-        acc = 0.0
-        for j in members[own]:
-            acc += row[j]
-        a = acc / (counts[own] - 1)
-        b = math.inf
-        for other in range(k):
-            if other == own:
-                continue
-            acc = 0.0
-            for j in members[other]:
-                acc += row[j]
-            mean_other = acc / counts[other]
-            if mean_other < b:
-                b = mean_other
-        denom = a if a > b else b
-        if denom > 0.0:
-            total += (b - a) / denom
-    return total / n
+
+def _block_silhouettes(
+    dist: np.ndarray, own: np.ndarray, members: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Silhouette value of each row of a distance block (0 for singletons and a = b = 0)."""
+    counts = np.array([len(m) for m in members])
+    # cumsum adds in index order, the same sequence as a scalar acc += d[j] loop
+    sums = np.stack([np.cumsum(dist[:, m], axis=1)[:, -1] for m in members], axis=1)
+    rows = np.arange(len(own))
+    own_size = counts[own] - 1
+    a = sums[rows, own] / np.maximum(own_size, 1)
+    means = sums / counts
+    means[rows, own] = math.inf
+    b = means.min(axis=1)
+    denom = np.where(a > b, a, b)
+    keep = (own_size > 0) & (denom > 0.0)
+    return np.divide(b - a, denom, out=np.zeros(len(own)), where=keep)
+
+
+def silhouette_scores(
+    points: Union[FeatureMatrix, np.ndarray], labelings: Sequence[np.ndarray]
+) -> list[float]:
+    """Mean silhouette value s = (b - a)/max(a, b) over all points, per labeling.
+
+    One pass over row blocks of the distance matrix serves every labeling.
+    Singleton-cluster points score 0, as do points where both means vanish
+    (coincident data). Each labeling needs at least 2 clusters, all non-empty.
+    """
+    x = _points_of(points)
+    n = len(x)
+    labelings = [np.asarray(labels) for labels in labelings]
+    members = [_cluster_members(labels, n) for labels in labelings]
+    totals = [0.0] * len(labelings)
+    step = max(1, PAIRS_PER_BLOCK // n) if n else 1
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        diff = x[i0:i1, None, :] - x[None, :, :]
+        diff *= diff  # squared in place: the same products as diff * diff
+        dist = np.sqrt(np.sum(diff, axis=2))
+        del diff
+        for t, labels in enumerate(labelings):
+            values = _block_silhouettes(dist, labels[i0:i1], members[t])
+            # carry the running total across blocks in row order
+            totals[t] = float(np.cumsum(np.append(totals[t], values))[-1])
+    return [total / n for total in totals]
+
+
+def silhouette_score(
+    points: Union[FeatureMatrix, np.ndarray], labels: np.ndarray
+) -> float:
+    """Mean silhouette value of one labeling (see ``silhouette_scores``)."""
+    return silhouette_scores(points, [labels])[0]
 
 
 @dataclass
@@ -489,7 +514,8 @@ def select_k(
     x = _points_of(points)
     if not fits or min(fits) < 2:
         raise ConfigurationError(f"select_k needs k >= 2, got {sorted(fits)!r}")
-    curve = [(k, silhouette_score(x, fits[k].labels)) for k in sorted(fits)]
+    ks = sorted(fits)
+    curve = list(zip(ks, silhouette_scores(x, [fits[k].labels for k in ks])))
     k_best = max(curve, key=lambda point: point[1])[0]  # first maximum: the smaller k
     return SelectKResult(k_best=k_best, curve=curve, best_result=fits[k_best])
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -64,7 +65,7 @@ def apply_config_file(ctx: click.Context, param: click.Parameter, value):
     try:
         with open(value, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"cannot read config file {value}: {exc}")
     if not isinstance(data, dict):
         raise click.UsageError(f"config file {value} must hold a JSON object")
@@ -181,10 +182,15 @@ def write_fleet_json(path: Path, cells: list[dict], seed: int, days: int,
 
 
 def read_fleet_json(path: Path) -> dict:
-    """Read fleet.json; every cell needs a unique string cell_id and integer num_trx, cch_slots."""
+    """Read fleet.json: a finite scan_period_s > 0 (10 s when absent), and per cell a
+    unique string cell_id and integer num_trx, cch_slots."""
     doc = traffic.read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise DataError(f"{path}: missing 'cells' list")
+    period = doc.setdefault("scan_period_s", 10.0)
+    if (not isinstance(period, (int, float)) or isinstance(period, bool)
+            or not math.isfinite(period) or period <= 0):
+        raise DataError(f"{path}: scan_period_s must be a finite number > 0, got {period!r}")
     seen = set()
     for index, cell in enumerate(doc["cells"]):
         cell_id = cell.get("cell_id") if isinstance(cell, dict) else None
@@ -336,7 +342,7 @@ def _load_scenario(
     """Read the simulate inputs; traffic.csv must trace exactly the fleet's cells and
     assignment.csv may name only fleet cells."""
     fleet = read_fleet_json(Path(fleet_path))
-    scan_period = float(fleet.get("scan_period_s", 10.0))
+    scan_period = float(fleet["scan_period_s"])
     cells = [CellConfig(c["cell_id"], c["num_trx"], c["cch_slots"]) for c in fleet["cells"]]
     fleet_ids = {c.cell_id for c in cells}
     traces = {t.cell_id: t for t in traffic.read_traffic_csv(traffic_path, scan_period)}

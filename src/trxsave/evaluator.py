@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Mapping, Optional, Sequence, Union
+from typing import IO, Any, Mapping, Optional, Sequence, Union
 
 from .cell_model import CellConfig
 from .errors import ConfigurationError, DataError
@@ -225,16 +225,36 @@ def summary_to_dict(summary: ComparisonSummary) -> dict:
     return out
 
 
+# JSON types a parsed summary field may hold, by its annotation; a bool is no number
+_JSON_KINDS = {"str": (str, "a string"), "dict": (dict, "an object"),
+               "int": ((int, float), "a number"), "float": ((int, float), "a number")}
+
+
+def _check_json_types(record: Any, where: str) -> None:
+    for f in dataclasses.fields(record):
+        if f.type not in _JSON_KINDS:
+            continue
+        kinds, noun = _JSON_KINDS[f.type]
+        value = getattr(record, f.name)
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            raise DataError(f"summary: {where}{f.name} must be {noun}, got {value!r}")
+
+
 def summary_from_dict(data: dict) -> ComparisonSummary:
-    """Inverse of ``summary_to_dict``; a missing or unknown key is a ``DataError``."""
+    """Inverse of ``summary_to_dict``; a missing or unknown key, or a value of
+    the wrong JSON type, is a ``DataError``."""
     try:
         rows = tuple(CellComparison(**r) for r in data["rows"])
         fields = {k: v for k, v in data.items() if k != "rows"}
-        return ComparisonSummary(rows=rows, **fields)
+        summary = ComparisonSummary(rows=rows, **fields)
     except KeyError as exc:
         raise DataError(f"summary: missing key {exc}") from None
     except TypeError as exc:
         raise DataError(f"summary: {exc}") from None
+    _check_json_types(summary, "")
+    for index, row in enumerate(rows):
+        _check_json_types(row, f"rows[{index}].")
+    return summary
 
 
 def write_summary_json(summary: ComparisonSummary, dest: Union[str, Path, IO[str]]) -> None:

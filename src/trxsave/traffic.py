@@ -190,6 +190,29 @@ def open_text(target: Union[str, Path, IO], mode: str = "r") -> Iterator[IO]:
         yield target
 
 
+@contextlib.contextmanager
+def _utf8_rows(source: Union[str, Path, IO[str]]) -> Iterator[None]:
+    """Turn a ``UnicodeDecodeError`` while reading rows into a ``DataError``.
+
+    The text stream decodes ahead in chunks, so for a file path the first line
+    that is not UTF-8 is found again in the raw bytes; line 0 is the header and
+    data rows count from 1, as in every other row error.
+    """
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        where = ""
+        if isinstance(source, (str, Path)):
+            with open(source, "rb") as raw:
+                for line_no, line in enumerate(raw):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError:
+                        where = "header: " if line_no == 0 else f"row {line_no}: "
+                        break
+        raise DataError(f"{source}: {where}not UTF-8 text ({exc.reason})") from None
+
+
 def read_csv(
     source: Union[str, Path, IO[str]], header: Sequence[str]
 ) -> list[tuple[int, list[str]]]:
@@ -198,7 +221,7 @@ def read_csv(
     The first line must equal ``header``. Blank rows are skipped but still
     counted; a row of another width or a repeated key is a ``DataError``.
     """
-    with open_text(source) as stream:
+    with open_text(source) as stream, _utf8_rows(source):
         reader = csv.reader(stream)
         got = next(reader, None)
         if got != list(header):
@@ -237,6 +260,8 @@ def read_json(source: Union[str, Path, IO[str]]) -> Any:
             return json.load(stream)
         except json.JSONDecodeError as exc:
             raise DataError(f"{source}: invalid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{source}: not UTF-8 text ({exc.reason})") from None
 
 
 def write_json(doc: Any, dest: Union[str, Path, IO[str]]) -> None:
@@ -393,7 +418,7 @@ def read_traffic_csv(
     source: Union[str, Path, IO[str]], scan_period_s: float = 10.0
 ) -> list[TrafficTrace]:
     """Read traces grouped by cell; validates contiguous 0-based scan indices."""
-    with open_text(source) as stream:
+    with open_text(source) as stream, _utf8_rows(source):
         header = stream.readline().rstrip("\n")
         if header.split(",") != TRAFFIC_CSV_HEADER:
             raise DataError(

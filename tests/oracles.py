@@ -1,9 +1,10 @@
 """Independent reference implementations used to freeze expected test values.
 
 Everything here recomputes results from first principles, without touching
-the production code paths it checks: naive pairwise silhouette, exhaustive
-partition search for the k-means optimum, power iteration with deflation for
-eigenpairs, and direct capacity arithmetic for the channel model.
+the production code paths it checks: naive pairwise silhouette (scalar
+distances, and the full n x n matrix), exhaustive partition search for the
+k-means optimum, power iteration with deflation for eigenpairs, and direct
+capacity arithmetic for the channel model.
 """
 
 from __future__ import annotations
@@ -58,6 +59,46 @@ def brute_silhouette(x: np.ndarray, labels) -> float:
             mean_c = acc / len(members[c])
             if mean_c < b:
                 b = mean_c
+        denom = a if a > b else b
+        if denom > 0.0:
+            total += (b - a) / denom
+    return total / n
+
+
+def pairwise_silhouette(x: np.ndarray, labels) -> float:
+    """Silhouette from the whole n x n distance matrix, member sums in index order.
+
+    The distances come from the whole n x n x 3 difference tensor at once; each
+    point's per-cluster sums are scalar loops over that point's row.
+    """
+    labels = np.asarray(labels)
+    n = len(x)
+    k = int(labels.max()) + 1
+    counts = [int(np.sum(labels == j)) for j in range(k)]
+    diff = x[:, None, :] - x[None, :, :]
+    dmat = np.sqrt(np.sum(diff * diff, axis=2))
+    members = [np.flatnonzero(labels == j) for j in range(k)]
+
+    total = 0.0
+    for i in range(n):
+        own = int(labels[i])
+        if counts[own] == 1:
+            continue
+        row = dmat[i]
+        acc = 0.0
+        for j in members[own]:
+            acc += row[j]
+        a = acc / (counts[own] - 1)
+        b = math.inf
+        for other in range(k):
+            if other == own:
+                continue
+            acc = 0.0
+            for j in members[other]:
+                acc += row[j]
+            mean_other = acc / counts[other]
+            if mean_other < b:
+                b = mean_other
         denom = a if a > b else b
         if denom > 0.0:
             total += (b - a) / denom

@@ -1,9 +1,11 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from trxsave import analytics
 from trxsave.analytics import (
     ElbowResult,
     FeatureMatrix,
@@ -21,6 +23,7 @@ from trxsave.analytics import (
     seeding_probabilities,
     select_k,
     silhouette_score,
+    silhouette_scores,
     standardize,
     write_clusters_csv,
     write_elbow_csv,
@@ -322,6 +325,14 @@ class TestSilhouette:
         res = run_kmeans(pts, k, seed=seed, restarts=3)
         assert silhouette_score(pts, res.labels) == oracles.brute_silhouette(pts, res.labels)
 
+    @pytest.mark.parametrize("case", ["singletons", "coincident", "uneven", "k12"])
+    def test_edge_cases_match_brute_force_exactly(self, case):
+        pts, labels = silhouette_case(case)
+        score = silhouette_score(pts, labels)
+        assert score == oracles.brute_silhouette(pts, labels)
+        if case == "coincident":
+            assert score == 0.0
+
     def test_range_bounds(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(60, 2))
@@ -331,6 +342,72 @@ class TestSilhouette:
     def test_single_cluster_rejected(self):
         with pytest.raises(DataError):
             silhouette_score(np.zeros((4, 2)), np.zeros(4, dtype=int))
+
+
+def silhouette_case(case: str) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded point sets of at most 200 points for the exact-oracle checks."""
+    rng = np.random.default_rng(["singletons", "coincident", "uneven", "k12"].index(case))
+    if case == "singletons":  # three one-point clusters beside two large ones
+        pts = rng.normal(size=(40, 3))
+        labels = np.concatenate([rng.integers(0, 2, size=37), [2, 3, 4]])
+        labels[:2] = [0, 1]
+        return pts, rng.permutation(labels)
+    if case == "coincident":  # every point on the same spot: a = b = 0 everywhere
+        return np.full((30, 3), 1.5), np.arange(30) % 3
+    if case == "uneven":  # cluster sizes 190, 6, 3, 1
+        pts = rng.normal(size=(200, 3))
+        return pts, rng.permutation(np.repeat([0, 1, 2, 3], [190, 6, 3, 1]))
+    pts = rng.normal(size=(180, 3))
+    return pts, run_kmeans(pts, 12, seed=7, restarts=2).labels
+
+
+@pytest.fixture(scope="module")
+def thousand_points():
+    """1,000 points with their k = 2..9 labelings and full-matrix oracle scores."""
+    pts = np.random.default_rng(21).normal(size=(1000, 3))
+    labelings = [fit.labels for fit in fit_k_range(pts, range(2, 10), restarts=2, seed=4).values()]
+    return pts, labelings, [oracles.pairwise_silhouette(pts, labels) for labels in labelings]
+
+
+class TestSilhouetteScores:
+    @pytest.mark.parametrize("block_rows", [1, 7, 1000, None],
+                             ids=["one_row", "seven_rows", "whole_matrix", "default"])
+    def test_block_size_invariant(self, thousand_points, monkeypatch, block_rows):
+        pts, labelings, expected = thousand_points
+        assert len(pts) % 7 != 0  # the last seven-row block is short
+        if block_rows is not None:
+            monkeypatch.setattr(analytics, "PAIRS_PER_BLOCK", block_rows * len(pts))
+        assert silhouette_scores(pts, labelings) == expected
+
+    def test_one_labeling_equals_its_share_of_the_pass(self, thousand_points):
+        pts, labelings, expected = thousand_points
+        assert [silhouette_score(pts, labels) for labels in labelings] == expected
+
+    @pytest.mark.parametrize("labels,match", [
+        ([0, 1, 0], "labels length does not match points"),
+        ([0, 0, 0, 0], "needs k >= 2, got 1"),
+        ([0, 2, 0, 2], "every cluster non-empty"),
+    ], ids=["length_mismatch", "k_below_two", "empty_cluster"])
+    def test_bad_labeling_rejected(self, labels, match):
+        pts = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(DataError, match=match):
+            silhouette_scores(pts, [np.array([0, 1, 0, 1]), np.array(labels)])
+        with pytest.raises(DataError, match=match):
+            silhouette_score(pts, np.array(labels))
+
+    def test_peak_memory_bounded(self):
+        pts = np.random.default_rng(8).normal(size=(3000, 3))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            silhouette_scores(pts, [np.arange(3000) % 4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # the n x n x 3 difference tensor alone would take 216 MB
+        assert peak < 64_000_000
 
 
 class TestSelectK:

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from trxsave import analytics
 from trxsave.cli import build_demo_fleet, main
 from trxsave.errors import ConfigurationError
+from trxsave.evaluator import CellComparison, ComparisonSummary, summary_to_dict
 from trxsave.traffic import KPI_CSV_HEADER, emit_kpi_csv, KpiRecord
 
 
@@ -117,6 +118,14 @@ class TestCluster:
         assert result.exit_code == 3
         assert "row 1" in result.output
 
+    def test_non_utf8_kpi_exits_3(self, runner, tmp_path):
+        path = tmp_path / "kpis.csv"
+        blob_kpi_csv(path)
+        path.write_bytes(path.read_bytes().replace(b"cell_004", b"cell_\xff04"))
+        result = runner.invoke(main, ["cluster", "--kpi", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert f"{path}: row 5: not UTF-8 text" in result.output
 
     def test_duplicate_cell_id_exits_3(self, runner, tmp_path):
         records = blob_kpi_csv(tmp_path / "kpis.csv", per_blob=2)
@@ -126,26 +135,29 @@ class TestCluster:
         assert result.exit_code == 3
         assert "row 7: duplicate cell_id 'cell_000'" in result.output
 
-    @pytest.mark.parametrize("pin", [[], ["--k", "3"]])
+    @pytest.mark.parametrize("pin", [[], ["--k", "3"], ["--k", "12"]])
     def test_each_k_fitted_once(self, runner, tmp_path, monkeypatch, pin):
         fitted, scored = [], []
-        run_kmeans, silhouette_score = analytics.run_kmeans, analytics.silhouette_score
+        run_kmeans, silhouette_scores = analytics.run_kmeans, analytics.silhouette_scores
 
         def counting_run_kmeans(points, k, **kwargs):
             fitted.append(k)
             return run_kmeans(points, k, **kwargs)
 
-        def counting_silhouette_score(points, labels):
-            scored.append(int(labels.max()) + 1)
-            return silhouette_score(points, labels)
+        def counting_silhouette_scores(points, labelings):
+            scored.append([int(labels.max()) + 1 for labels in labelings])
+            return silhouette_scores(points, labelings)
 
         monkeypatch.setattr(analytics, "run_kmeans", counting_run_kmeans)
-        monkeypatch.setattr(analytics, "silhouette_score", counting_silhouette_score)
+        monkeypatch.setattr(analytics, "silhouette_scores", counting_silhouette_scores)
         blob_kpi_csv(tmp_path / "kpis.csv")
         run_ok(runner, ["cluster", "--kpi", str(tmp_path / "kpis.csv"), *pin,
                         "--seed", "5", "--out", str(tmp_path / "out")])
-        assert fitted == list(range(1, 11))
-        assert scored == list(range(2, 10))
+        curve = list(range(2, 10))
+        off_curve = [int(pin[1])] if pin and int(pin[1]) not in curve else []
+        assert fitted == [*range(1, 11), *off_curve]
+        # one distance pass scores the whole curve; a pinned k off it gets its own
+        assert scored == [curve, *([off_curve] if off_curve else [])]
 
     @pytest.mark.parametrize("pin", [None, 3, 1, 12])
     def test_clustering_json_silhouette_matches_curve(self, runner, tmp_path, pin):
@@ -273,6 +285,18 @@ class TestSimulate:
         assert "fleet.json" in result.output
         assert re.search(message, result.output), result.output
 
+    @pytest.mark.parametrize("period", ["ten", 0, -10.0, True, float("nan")],
+                             ids=["str", "zero", "negative", "bool", "nan"])
+    def test_bad_scan_period_exits_3(self, runner, tmp_path, period):
+        out = tmp_path / "run"
+        run_ok(runner, ["generate", "--cells", "2", "--days", "1", "--out", str(out)])
+        fleet = json.loads((out / "fleet.json").read_text())
+        fleet["scan_period_s"] = period
+        (out / "fleet.json").write_text(json.dumps(fleet))
+        result = self.simulate(runner, out)
+        assert result.exit_code == 3
+        assert "fleet.json: scan_period_s must be a finite number > 0" in result.output
+
     def test_traffic_must_trace_exactly_the_fleet(self, runner, tmp_path):
         out = tmp_path / "run"
         run_ok(runner, ["generate", "--cells", "3", "--days", "1", "--out", str(out)])
@@ -312,6 +336,14 @@ class TestSimulate:
                          "cell_0001_off.csv", "cell_0001_on.csv"]
 
 
+# a well-formed summary.json except for one number field holding text
+WRONGLY_TYPED_SUMMARY = json.dumps({**summary_to_dict(ComparisonSummary(
+    schema_version=1, metadata={}, rows=(CellComparison("a", 24, 8, 9.5, 0, 1),),
+    trx_scans_without=30, trx_scans_with=20, ts_scans_without=240, ts_scans_with=160,
+    reduction_pct=100 / 3, blocked_without=2, blocked_with=3, blocking_delta=1,
+)), "reduction_pct": "x"})
+
+
 class TestReport:
     def test_report_renders_summary(self, runner, tmp_path):
         out = tmp_path / "run"
@@ -320,8 +352,9 @@ class TestReport:
         assert "reduction" in result.output
         assert "cell_0000" in result.output
 
-    @pytest.mark.parametrize("text", ['{"schema_version": 1, "rows": [', "{}"],
-                             ids=["truncated", "empty_object"])
+    @pytest.mark.parametrize("text", ['{"schema_version": 1, "rows": [', "{}",
+                                      WRONGLY_TYPED_SUMMARY],
+                             ids=["truncated", "empty_object", "str_number"])
     def test_bad_summary_exits_3(self, runner, tmp_path, text):
         path = tmp_path / "summary.json"
         path.write_text(text)
@@ -343,6 +376,14 @@ class TestConfigFile:
                         "--out", str(out_b)])
         fleet_b = json.loads((out_b / "fleet.json").read_text())
         assert len(fleet_b["cells"]) == 3 and fleet_b["seed"] == 21
+
+    def test_non_utf8_config_exits_2(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"cells": 5, "note": "\xff"}')
+        result = runner.invoke(main, ["generate", "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "cannot read config file" in result.output
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -218,6 +219,22 @@ class TestEmission:
     def test_bad_summary_json_is_data_error(self, tmp_path, text, match):
         path = tmp_path / "summary.json"
         path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=match):
+            read_summary_json(path)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda d: d.update(reduction_pct="x"), "reduction_pct must be a number, got 'x'"),
+        (lambda d: d.update(blocking_delta=True), "blocking_delta must be a number, got True"),
+        (lambda d: d.update(metadata=[]), r"metadata must be an object, got \[\]"),
+        (lambda d: d["rows"][0].update(cell_id=7), r"rows\[0\]\.cell_id must be a string, got 7"),
+        (lambda d: d["rows"][0].update(ts_before=None),
+         r"rows\[0\]\.ts_before must be a number, got None"),
+    ], ids=["str_number", "bool_number", "list_metadata", "int_cell_id", "null_number"])
+    def test_wrongly_typed_summary_value_is_data_error(self, tmp_path, edit, match):
+        doc = json.loads(SUMMARY_JSON)
+        edit(doc)
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError, match=match):
             read_summary_json(path)
 

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from trxsave.traffic import (
     fmt_num,
     generate_diurnal_trace,
     ingest_kpi_csv,
+    read_json,
     read_traffic_csv,
     trace_to_kpis,
     write_traffic_csv,
@@ -149,6 +151,13 @@ class TestKpiCsv:
         with pytest.raises(DataError, match="row 3: duplicate cell_id 'Cell_1'"):
             ingest_kpi_csv(bad)
 
+    def test_non_utf8_byte_names_file_and_row(self, tmp_path):
+        path = tmp_path / "kpis.csv"
+        path.write_bytes((KPI_HEADER + "\n" + "\n".join(SAMPLE_KPI_ROWS) + "\n")
+                         .encode().replace(b"Cell_4", b"Cell_\xff4"))
+        with pytest.raises(DataError, match=re.escape(f"{path}: row 4: not UTF-8 text")):
+            ingest_kpi_csv(path)
+
     def test_congestion_range_enforced(self):
         bad = io.StringIO(KPI_HEADER + "\nCell_1,2.0,130.5,101.0,5.0,24\n")
         with pytest.raises(DataError):
@@ -275,6 +284,26 @@ class TestTrafficCsv:
         text = "cell_id,scan_index,offered_erlang\na,0,1.0\na,1,oops\n"
         with pytest.raises(DataError, match="row 2"):
             read_traffic_csv(io.StringIO(text))
+
+
+    @pytest.mark.parametrize("line_no,where", [(0, "header: "), (2500, "row 2500: ")],
+                             ids=["header", "row_2500"])
+    def test_non_utf8_byte_names_file_and_row(self, tmp_path, line_no, where):
+        # 2,500 rows in, the bad byte sits well past the first decoded chunk
+        lines = [b"cell_id,scan_index,offered_erlang"] + [b"a,%d,1.5" % i for i in range(3000)]
+        lines[line_no] += b"\xc3"
+        path = tmp_path / "traffic.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: {where}not UTF-8 text")):
+            read_traffic_csv(path)
+
+
+class TestReadJson:
+    def test_non_utf8_byte_names_file(self, tmp_path):
+        path = tmp_path / "fleet.json"
+        path.write_bytes(b'{"cells": [], "note": "\xff"}')
+        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
+            read_json(path)
 
 
 class TestFmtNum:
