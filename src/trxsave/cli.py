@@ -341,6 +341,8 @@ def _load_scenario(
 ) -> evaluator.NetworkScenario:
     """Read the simulate inputs; traffic.csv must trace exactly the fleet's cells and
     assignment.csv may name only fleet cells."""
+    if not math.isfinite(warmup_days):
+        raise ConfigurationError(f"--warmup-days must be a finite number, got {warmup_days}")
     fleet = read_fleet_json(Path(fleet_path))
     scan_period = float(fleet["scan_period_s"])
     cells = [CellConfig(c["cell_id"], c["num_trx"], c["cch_slots"]) for c in fleet["cells"]]
@@ -362,7 +364,7 @@ def _load_scenario(
         hysteresis=hysteresis,
         default_hysteresis=default_hysteresis,
         warmup_scans=warmup_scans,
-    ).validate()
+    )
 
 
 def _reject_unknown_cells(path: str, cell_ids, fleet_path: str, fleet_ids: set) -> None:
@@ -396,6 +398,8 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
              hysteresis: Optional[int], off_target: int, on_target: int, off_delay: int,
              ps: str, warmup_days: float, timelines: str, seed: int, out: str) -> None:
     """Run the fleet with/without power saving and write comparison reports."""
+    if timelines != "all" and not timelines.isdigit():
+        raise ConfigurationError(f"--timelines must be 'all' or a count >= 0, got {timelines!r}")
     if assignment_path is None and hysteresis is None:
         hysteresis = PowerSavingParams().hysteresis
     params = validate_params(PowerSavingParams(
@@ -405,31 +409,11 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
     scenario = _load_scenario(
         fleet_path, traffic_path, assignment_path, hysteresis, params, warmup_days,
     )
-    if timelines == "all":
-        n_timelines = len(scenario.cells)
-    else:
-        try:
-            n_timelines = int(timelines)
-        except ValueError:
-            raise ConfigurationError(f"--timelines must be 'all' or an integer, got {timelines!r}")
-
+    n_timelines = len(scenario.cells) if timelines == "all" else int(timelines)
     out_dir = Path(out)
+    modes = ("off", "on") if ps == "both" else (ps,)
+    reports = evaluator.simulate_network(scenario, modes, out_dir / "timelines", n_timelines)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports: dict[str, evaluator.NetworkReport] = {}
-    for mode in ("off", "on") if ps == "both" else (ps,):
-        timelines_map = evaluator.simulate_network(scenario, ps_enabled=(mode == "on"))
-        reports[mode] = evaluator.summarize(
-            timelines_map, ps_enabled=(mode == "on"),
-            warmup_scans=scenario.warmup_scans,
-        )
-        if n_timelines:
-            tl_dir = out_dir / "timelines"
-            tl_dir.mkdir(exist_ok=True)
-            for cell_id in sorted(timelines_map)[:n_timelines]:
-                evaluator.write_timeline_csv(
-                    timelines_map[cell_id], tl_dir / f"{cell_id}_{mode}.csv"
-                )
-        del timelines_map  # free this mode's timelines before the next mode runs
 
     metadata = {
         "seed": seed,

@@ -7,6 +7,9 @@ traffic. Per-cell rows mirror the operator view (total slots before, maximum
 active slots after). An optional warmup window excludes the cold-start ramp,
 during which every TRX is still on, from the statistics; a live network would
 already be converged.
+
+``simulate_network`` checks the inputs once, then runs one cell at a time and
+folds each timeline into its mode's report, so memory holds one timeline.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Any, Mapping, Optional, Sequence, Union
+from typing import IO, Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .cell_model import CellConfig
 from .errors import ConfigurationError, DataError
@@ -39,7 +42,7 @@ class NetworkScenario:
     warmup_scans: int = 0
 
     def validate(self) -> "NetworkScenario":
-        validate_params(self.base_params)
+        """Check every cell's inputs, so a run that starts cannot fail on them part-way."""
         if self.warmup_scans < 0:
             raise ConfigurationError(f"warmup_scans must be >= 0, got {self.warmup_scans}")
         seen = set()
@@ -54,29 +57,18 @@ class NetworkScenario:
                 raise ConfigurationError(
                     f"cell {config.cell_id!r} has no hysteresis assignment and no default"
                 )
+            validate_params(self.params_for(config.cell_id))
+            n_scans = len(self.traces[config.cell_id].samples)
+            if self.warmup_scans >= n_scans:
+                raise ConfigurationError(
+                    f"warmup_scans {self.warmup_scans} consumes the whole "
+                    f"{n_scans}-scan trace of cell {config.cell_id!r}"
+                )
         return self
 
     def params_for(self, cell_id: str) -> PowerSavingParams:
         h = self.hysteresis.get(cell_id, self.default_hysteresis)
         return replace(self.base_params, hysteresis=h)
-
-
-def simulate_network(
-    scenario: NetworkScenario, ps_enabled: bool
-) -> dict[str, CellTimeline]:
-    """Run every cell independently; with saving off the assignment is ignored."""
-    scenario.validate()
-    timelines: dict[str, CellTimeline] = {}
-    for config in scenario.cells:
-        params = scenario.params_for(config.cell_id) if ps_enabled else scenario.base_params
-        trace = scenario.traces[config.cell_id]
-        if scenario.warmup_scans >= len(trace.samples):
-            raise ConfigurationError(
-                f"warmup_scans {scenario.warmup_scans} consumes the whole "
-                f"{len(trace.samples)}-scan trace of cell {config.cell_id!r}"
-            )
-        timelines[config.cell_id] = run_cell(config, params, trace, ps_enabled=ps_enabled)
-    return timelines
 
 
 @dataclass(frozen=True)
@@ -105,30 +97,22 @@ class NetworkReport:
 
 
 def summarize(
-    timelines: Mapping[str, CellTimeline],
+    timelines: Iterable[CellTimeline],
     ps_enabled: bool,
     warmup_scans: int = 0,
 ) -> NetworkReport:
-    """Reduce timelines to per-cell and aggregate statistics.
-
-    Statistics cover scans at index >= warmup_scans; cells reduce in cell_id
-    order so aggregation is deterministic.
-    """
+    """Fold timelines, in the order given, into per-cell and aggregate statistics
+    over scans >= warmup_scans (``NetworkScenario.validate`` checks each is longer)."""
     per_cell: dict[str, CellStats] = {}
     trx_scans = 0
     ts_scans = 0
     blocked_total = 0
-    for cell_id in sorted(timelines):
-        tl = timelines[cell_id]
-        if warmup_scans >= tl.n_scans:
-            raise ConfigurationError(
-                f"warmup_scans {warmup_scans} >= trace length {tl.n_scans} for {cell_id!r}"
-            )
+    for tl in timelines:
         trx = tl.active_trx[warmup_scans:]
         ts = tl.active_ts[warmup_scans:]
         blk = tl.blocked[warmup_scans:]
         stats = CellStats(
-            cell_id=cell_id,
+            cell_id=tl.cell_id,
             num_trx=tl.config.num_trx,
             hysteresis=tl.params.hysteresis if ps_enabled else None,
             max_ts=int(ts.max()),
@@ -138,7 +122,7 @@ def summarize(
             blocked=int(blk.sum()),
             n_scans=len(trx),
         )
-        per_cell[cell_id] = stats
+        per_cell[tl.cell_id] = stats
         trx_scans += int(trx.sum())
         ts_scans += int(ts.sum())
         blocked_total += stats.blocked
@@ -150,6 +134,33 @@ def summarize(
         ts_scans=ts_scans,
         blocked=blocked_total,
     )
+
+
+def simulate_network(
+    scenario: NetworkScenario,
+    modes: Sequence[str] = ("off", "on"),
+    timeline_dir: Union[str, Path, None] = None,
+    n_timelines: int = 0,
+) -> dict[str, NetworkReport]:
+    """Run every cell once per mode ("off", "on"), one at a time in cell_id order,
+    folding each timeline into its mode's report; memory holds one timeline. The
+    first ``n_timelines`` cells' timelines go to ``timeline_dir/<cell_id>_<mode>.csv``.
+    """
+    scenario.validate()
+    cells = sorted(scenario.cells, key=lambda c: c.cell_id)
+    if n_timelines > 0:
+        Path(timeline_dir).mkdir(parents=True, exist_ok=True)
+
+    def timelines(mode: str) -> Iterator[CellTimeline]:
+        for index, config in enumerate(cells):
+            timeline = run_cell(config, scenario.params_for(config.cell_id),
+                                scenario.traces[config.cell_id], ps_enabled=mode == "on")
+            if index < n_timelines:
+                write_timeline_csv(timeline, Path(timeline_dir) / f"{config.cell_id}_{mode}.csv")
+            yield timeline
+
+    return {mode: summarize(timelines(mode), mode == "on", scenario.warmup_scans)
+            for mode in modes}
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .cell_model import (
     idle_tch_count,
     set_trx_enabled,
 )
-from .errors import ConfigurationError, DataError, InvariantError
+from .errors import ConfigurationError, InvariantError
 from .traffic import TrafficTrace, demand_series
 
 log = logging.getLogger(__name__)
@@ -252,8 +252,6 @@ def run_cell(
     config.validate()
     validate_params(params)
     trace.validate()
-    if len(trace.samples) == 0:
-        raise DataError(f"cell {config.cell_id!r}: empty traffic trace")
 
     demand = demand_series(trace.samples)
     n = len(demand)
@@ -341,15 +339,12 @@ def run_cell(
             enabled += 1
             act = enabled
         elif disable_fires:
+            # idle > hysteresis + 9 >= 10, so the calls always fit on one TRX fewer
+            # and apply_action's deferral cannot trigger here
             off_c = 0
             delay = off_delay
-            if occ <= (enabled - 1) * SLOTS_PER_TRX - cch:
-                act = -enabled
-                enabled -= 1
-            else:
-                log.warning(
-                    "cell %s: deferred disable of TRX %d under load", config.cell_id, enabled
-                )
+            act = -enabled
+            enabled -= 1
 
         occupied_l.append(occ)
         blocked_l.append(d - occ)

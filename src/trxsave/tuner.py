@@ -178,4 +178,7 @@ def read_assignment_csv(source: Union[str, Path, IO[str]]) -> HysteresisAssignme
             hyst[cell_id] = int(h)
         except ValueError:
             raise DataError(f"row {row_no}: non-integer cluster or hysteresis") from None
+        if not HYSTERESIS_MIN <= hyst[cell_id] <= HYSTERESIS_MAX:
+            raise DataError(f"row {row_no}: hysteresis {hyst[cell_id]} outside "
+                            f"[{HYSTERESIS_MIN}, {HYSTERESIS_MAX}]")
     return HysteresisAssignment(hysteresis=hyst, cluster=clusters)

@@ -228,6 +228,15 @@ def run_pipeline(runner, root, seed="3", cells="8", days="1", extra_sim=()):
                            "--seed", seed, "--out", out, *extra_sim])
 
 
+@pytest.fixture(scope="module")
+def small_fleet(tmp_path_factory):
+    """Three cells, one day: generated once and only read by the tests that use it."""
+    out = tmp_path_factory.mktemp("small_fleet")
+    run_ok(CliRunner(), ["generate", "--cells", "3", "--days", "1", "--seed", "4",
+                         "--out", str(out)])
+    return out
+
+
 class TestSimulate:
     def test_pipeline_prints_one_decimal_reduction(self, runner, tmp_path):
         result = run_pipeline(runner, tmp_path / "run")
@@ -327,6 +336,55 @@ class TestSimulate:
         return runner.invoke(main, ["simulate", "--fleet", f"{out}/fleet.json",
                                     "--traffic", f"{out}/traffic.csv", "--hysteresis", "5",
                                     "--timelines", "0", "--out", str(out), *extra])
+
+    @pytest.mark.parametrize("args,message", [
+        (["--timelines", "-1"], "--timelines must be 'all' or a count >= 0, got '-1'"),
+        (["--timelines", "x"], "--timelines must be 'all' or a count >= 0, got 'x'"),
+        (["--warmup-days", "nan"], "--warmup-days must be a finite number, got nan"),
+        (["--warmup-days", "inf"], "--warmup-days must be a finite number, got inf"),
+        (["--warmup-days", "1"], "warmup_scans 8640 consumes the whole 8640-scan trace"),
+        (["--hysteresis", "0"], "hysteresis must be in [1, 1014], got 0"),
+    ], ids=["negative_timelines", "text_timelines", "nan_warmup", "inf_warmup",
+            "whole_trace_warmup", "zero_hysteresis"])
+    def test_bad_option_exits_2_before_writing(self, runner, small_fleet, tmp_path,
+                                               args, message):
+        out = tmp_path / "out"
+        result = self.simulate(runner, small_fleet, "--timelines", "all", *args,
+                               "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
+    def test_assignment_hysteresis_out_of_range_exits_3(self, runner, small_fleet, tmp_path):
+        path = tmp_path / "assignment.csv"
+        path.write_text("cell_id,cluster,hysteresis\ncell_0000,0,4\ncell_0001,1,0\n")
+        out = tmp_path / "out"
+        result = self.simulate(runner, small_fleet, "--assignment", str(path),
+                               "--timelines", "all", "--out", str(out))
+        assert result.exit_code == 3
+        assert "row 2: hysteresis 0 outside [1, 1014]" in result.output
+        assert not out.exists()
+
+    def test_fleet_order_does_not_change_outputs(self, runner, small_fleet, tmp_path):
+        fleet = json.loads((small_fleet / "fleet.json").read_text())
+        fleet["cells"].reverse()
+        (tmp_path / "fleet.json").write_text(json.dumps(fleet))
+        for name, fleet_dir in (("sorted", small_fleet), ("reversed", tmp_path)):
+            for ps in ("both", "on"):
+                run_ok(runner, ["simulate", "--fleet", f"{fleet_dir}/fleet.json",
+                                "--traffic", f"{small_fleet}/traffic.csv", "--hysteresis", "3",
+                                "--warmup-days", "0.25", "--timelines", "2", "--ps", ps,
+                                "--out", str(tmp_path / name / ps)])
+        outputs = [Path("both/summary.json"), Path("on/report_on.json"),
+                   *(Path(ps, "timelines", f"cell_000{i}_{mode}.csv")
+                     for ps, modes in (("both", ("off", "on")), ("on", ("on",)))
+                     for i in range(2) for mode in modes)]
+        for rel in outputs:
+            assert (tmp_path / "sorted" / rel).read_bytes() == \
+                (tmp_path / "reversed" / rel).read_bytes(), rel
+        names = sorted(p.name for p in (tmp_path / "reversed/both/timelines").iterdir())
+        assert names == ["cell_0000_off.csv", "cell_0000_on.csv",
+                         "cell_0001_off.csv", "cell_0001_on.csv"]
 
     def test_timelines_count_option(self, runner, tmp_path):
         out = tmp_path / "run"

@@ -1,9 +1,12 @@
 import io
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from trxsave import evaluator
 from trxsave.cell_model import CellConfig
 from trxsave.errors import ConfigurationError, DataError
 from trxsave.evaluator import (
@@ -16,14 +19,13 @@ from trxsave.evaluator import (
     emit_report,
     read_summary_json,
     simulate_network,
-    summarize,
     summary_from_dict,
     summary_to_dict,
     write_comparison_csv,
     write_summary_json,
     write_timeline_csv,
 )
-from trxsave.saving_engine import PowerSavingParams
+from trxsave.saving_engine import PowerSavingParams, run_cell
 from trxsave.traffic import TrafficTrace
 
 
@@ -55,19 +57,20 @@ def report_with_totals(trx_scans, ts_scans=0, blocked=0, cells=("a",), ps=True):
 
 class TestSimulateNetwork:
     def test_saving_off_keeps_full_slot_count(self):
-        timelines = simulate_network(make_scenario(), ps_enabled=False)
-        for tl in timelines.values():
-            assert np.all(tl.active_ts == 24)
+        report = simulate_network(make_scenario(n_scans=400), ("off",))["off"]
+        for stats in report.per_cell.values():
+            assert (stats.max_ts, stats.mean_ts) == (24, 24.0)  # every scan at 24
+            assert (stats.max_trx, stats.mean_trx) == (3, 3.0)
+        assert report.ts_scans == 3 * 400 * 24
 
     def test_low_traffic_cell_converges_at_or_below_two_trx(self):
-        scenario = make_scenario(n_cells=1, n_scans=2000, hysteresis=3, level=0.3)
-        timelines = simulate_network(scenario, ps_enabled=True)
-        tl = timelines["cell_00"]
-        assert tl.active_ts[-1000:].max() <= 16
+        scenario = make_scenario(n_cells=1, n_scans=2000, hysteresis=3, level=0.3, warmup=1000)
+        stats = simulate_network(scenario, ("on",))["on"].per_cell["cell_00"]
+        assert stats.max_ts <= 16
 
     def test_empty_network_gives_empty_report(self):
         scenario = NetworkScenario(cells=[], traces={}, base_params=PowerSavingParams())
-        report = summarize(simulate_network(scenario, True), ps_enabled=True)
+        report = simulate_network(scenario, ("on",))["on"]
         assert report.per_cell == {}
         assert report.trx_scans == 0
 
@@ -77,7 +80,7 @@ class TestSimulateNetwork:
             base_params=PowerSavingParams(), default_hysteresis=5,
         )
         with pytest.raises(ConfigurationError, match="trace"):
-            simulate_network(scenario, True)
+            simulate_network(scenario, ("on",))
 
     def test_missing_hysteresis_without_default_rejected(self):
         scenario = NetworkScenario(
@@ -86,37 +89,76 @@ class TestSimulateNetwork:
             base_params=PowerSavingParams(),
         )
         with pytest.raises(ConfigurationError, match="hysteresis"):
-            simulate_network(scenario, True)
+            simulate_network(scenario, ("on",))
 
     def test_per_cell_hysteresis_override(self):
-        scenario = make_scenario(n_cells=2, n_scans=300)
-        scenario = NetworkScenario(
-            cells=scenario.cells, traces=scenario.traces,
-            base_params=scenario.base_params,
-            hysteresis={"cell_00": 3, "cell_01": 5},
-        )
-        timelines = simulate_network(scenario, ps_enabled=True)
-        assert timelines["cell_00"].params.hysteresis == 3
-        assert timelines["cell_01"].params.hysteresis == 5
+        scenario = replace(make_scenario(n_cells=2, n_scans=300, warmup=150),
+                           hysteresis={"cell_00": 3, "cell_01": 5})
+        per_cell = simulate_network(scenario, ("on",))["on"].per_cell
+        assert per_cell["cell_00"].hysteresis == 3
+        assert per_cell["cell_01"].hysteresis == 5
         # h=3 reaches one TRX by scan 130; h=5 parks at two
-        assert timelines["cell_00"].active_trx[-1] == 1
-        assert timelines["cell_01"].active_trx[-1] == 2
+        assert (per_cell["cell_00"].max_trx, per_cell["cell_00"].mean_trx) == (1, 1.0)
+        assert (per_cell["cell_01"].max_trx, per_cell["cell_01"].mean_trx) == (2, 2.0)
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: replace(s, hysteresis={**s.hysteresis, "cell_01": 0}),
+        lambda s: replace(s, hysteresis={}, default_hysteresis=1015),
+    ], ids=["assigned", "default"])
+    def test_bad_hysteresis_fails_before_any_cell_runs(self, tmp_path, monkeypatch, edit):
+        ran = []
+        monkeypatch.setattr(evaluator, "run_cell", lambda *a, **k: ran.append(a))
+        with pytest.raises(ConfigurationError, match="hysteresis must be in"):
+            simulate_network(edit(make_scenario(n_scans=50)), ("off", "on"), tmp_path / "tl", 3)
+        assert ran == [] and not (tmp_path / "tl").exists()
+
+    def test_timelines_of_first_cells_in_cell_id_order(self, tmp_path):
+        scenario = make_scenario(n_cells=3, n_scans=60)
+        scenario = replace(scenario, cells=scenario.cells[::-1])
+        reports = simulate_network(scenario, ("off", "on"), tmp_path, 2)
+        assert list(reports) == ["off", "on"]
+        assert list(reports["on"].per_cell) == ["cell_00", "cell_01", "cell_02"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cell_00_off.csv", "cell_00_on.csv", "cell_01_off.csv", "cell_01_on.csv"]
+        cell_00, expected = scenario.cells[-1], io.StringIO()
+        write_timeline_csv(run_cell(cell_00, scenario.params_for("cell_00"),
+                                    scenario.traces["cell_00"]), expected)
+        assert (tmp_path / "cell_00_on.csv").read_text() == expected.getvalue()
+
+    def test_memory_holds_one_timeline_whatever_the_fleet_size(self):
+        n_scans = 20_000
+        one_timeline = 30 * n_scans  # bytes per scan of a timeline's own arrays
+
+        def peak(n_cells):
+            rng = np.random.default_rng(5)
+            scenario = make_scenario(n_cells=n_cells, n_scans=n_scans, hysteresis=2)
+            scenario = replace(scenario, traces={  # traces exist before tracing starts
+                c: TrafficTrace(c, 10.0, np.round(rng.uniform(0, 12, n_scans), 3))
+                for c in scenario.traces})
+            tracemalloc.start()
+            try:
+                simulate_network(scenario)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(4), peak(40)
+        assert large - small < one_timeline, (small, large)
 
 
 class TestSummarize:
     def test_warmup_excludes_ramp(self):
         scenario = make_scenario(n_cells=1, n_scans=300, hysteresis=3)
-        timelines = simulate_network(scenario, ps_enabled=True)
-        full = summarize(timelines, True, warmup_scans=0)
-        settled = summarize(timelines, True, warmup_scans=150)
+        full = simulate_network(scenario, ("on",))["on"]
+        settled = simulate_network(replace(scenario, warmup_scans=150), ("on",))["on"]
         assert full.per_cell["cell_00"].max_ts == 24   # includes the all-on start
         assert settled.per_cell["cell_00"].max_ts == 8  # one TRX holds after scan 130
 
-    def test_warmup_longer_than_trace_rejected(self):
-        scenario = make_scenario(n_cells=1, n_scans=50)
-        timelines = simulate_network(scenario, ps_enabled=True)
-        with pytest.raises(ConfigurationError):
-            summarize(timelines, True, warmup_scans=50)
+    def test_warmup_longer_than_trace_rejected(self, tmp_path):
+        scenario = make_scenario(n_cells=2, n_scans=50, warmup=50)
+        with pytest.raises(ConfigurationError, match="consumes the whole 50-scan trace"):
+            simulate_network(scenario, ("off", "on"), tmp_path / "tl", 2)
+        assert not (tmp_path / "tl").exists()
 
 
 class TestCompare:
@@ -133,9 +175,8 @@ class TestCompare:
 
     def test_saturated_cell_shows_no_reduction(self):
         scenario = make_scenario(n_cells=1, n_scans=1200, hysteresis=3, level=30.0)
-        on = summarize(simulate_network(scenario, True), True)
-        off = summarize(simulate_network(scenario, False), False)
-        summary = compare(on, off)
+        reports = simulate_network(scenario)
+        summary = compare(reports["on"], reports["off"])
         row = summary.rows[0]
         assert row.ts_before == row.max_ts_after == 24
         assert summary.blocking_delta == 0
@@ -147,19 +188,18 @@ class TestCompare:
 
     def test_rows_ordered_by_cell_id(self):
         scenario = make_scenario(n_cells=4, n_scans=100)
-        on = summarize(simulate_network(scenario, True), True)
-        off = summarize(simulate_network(scenario, False), False)
-        summary = compare(on, off)
+        reports = simulate_network(replace(scenario, cells=scenario.cells[::-1]))
+        summary = compare(reports["on"], reports["off"])
         ids = [r.cell_id for r in summary.rows]
         assert ids == sorted(ids)
 
 
 class TestEmission:
     def small_summary(self):
-        scenario = make_scenario(n_cells=2, n_scans=400, hysteresis=3)
-        on = summarize(simulate_network(scenario, True), True, warmup_scans=200)
-        off = summarize(simulate_network(scenario, False), False, warmup_scans=200)
-        return compare(on, off, metadata={"seed": 0, "params": {"hysteresis": 3}})
+        scenario = make_scenario(n_cells=2, n_scans=400, hysteresis=3, warmup=200)
+        reports = simulate_network(scenario)
+        return compare(reports["on"], reports["off"],
+                       metadata={"seed": 0, "params": {"hysteresis": 3}})
 
     def test_comparison_csv_header_matches_operator_table(self):
         out = io.StringIO()
@@ -188,7 +228,8 @@ class TestEmission:
 
     def test_timeline_csv_shape(self, tmp_path):
         scenario = make_scenario(n_cells=1, n_scans=50)
-        tl = simulate_network(scenario, ps_enabled=False)["cell_00"]
+        tl = run_cell(scenario.cells[0], scenario.params_for("cell_00"),
+                      scenario.traces["cell_00"], ps_enabled=False)
         path = tmp_path / "tl.csv"
         write_timeline_csv(tl, path)
         lines = path.read_text().splitlines()
@@ -279,10 +320,6 @@ class TestDominanceProperty:
             samples = np.maximum(rng.normal(rng.uniform(0, 20), 5, size=300), 0)
             trace = TrafficTrace("c", 10.0, samples)
             params = PowerSavingParams(hysteresis=int(rng.integers(1, 20)))
-            scenario = NetworkScenario(
-                cells=[config], traces={"c": trace}, base_params=params,
-                default_hysteresis=params.hysteresis,
-            )
-            on = simulate_network(scenario, True)["c"]
-            off = simulate_network(scenario, False)["c"]
+            on = run_cell(config, params, trace, ps_enabled=True)
+            off = run_cell(config, params, trace, ps_enabled=False)
             assert np.all(on.active_ts <= off.active_ts)

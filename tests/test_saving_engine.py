@@ -304,6 +304,27 @@ class TestInvariants:
             tl = run_cell(config, params, TrafficTrace("c1", 10.0, samples))
             assert_counter_algebra(tl, params)
 
+    def test_disable_leaves_hysteresis_idle_tchs(self):
+        # a disable fires only at idle > hysteresis + 9, so after losing one TRX's 8
+        # slots the calls still fit with hysteresis idle TCHs to spare: run_cell never
+        # meets the overloaded disable that apply_action defers
+        rng = np.random.default_rng(47)
+        disables = 0
+        for _ in range(150):
+            num_trx, cch = int(rng.integers(2, 13)), int(rng.integers(1, 4))
+            h = int(rng.integers(1, 31))
+            params = PowerSavingParams(trx_off_target=20, trx_on_target=20, trx_off_delay=6,
+                                       hysteresis=h)
+            levels = rng.uniform(0, num_trx * 8 - cch, size=40)  # regimes of 50 scans
+            samples = np.maximum(np.repeat(levels, 50) + rng.normal(0, 2, size=2000), 0)
+            tl = run_cell(CellConfig("c1", num_trx, cch), params,
+                          TrafficTrace("c1", 10.0, samples))
+            fired = tl.actions < 0
+            disables += int(fired.sum())
+            capacity_left = tl.active_trx[fired].astype(np.int64) * 8 - cch
+            assert np.all(tl.occupied[fired] <= capacity_left - h)
+        assert disables > 1000
+
     def test_dominance_per_scan(self):
         rng = np.random.default_rng(31)
         config = CellConfig("c1", 4, 3)

@@ -182,3 +182,13 @@ class TestAssignmentCsv:
         source = io.StringIO(f"cell_id,cluster,hysteresis\nb,1,12\n{row}\n")
         with pytest.raises(DataError, match=r"row 2: expected 3 fields, got \d"):
             read_assignment_csv(source)
+
+    @pytest.mark.parametrize("h", ["0", "1015", "-3"])
+    def test_hysteresis_out_of_range_names_row(self, h):
+        source = io.StringIO(f"cell_id,cluster,hysteresis\nb,1,1014\na,0,{h}\n")
+        with pytest.raises(DataError, match=rf"row 2: hysteresis {h} outside \[1, 1014\]"):
+            read_assignment_csv(source)
+
+    def test_hysteresis_range_ends_accepted(self):
+        source = io.StringIO("cell_id,cluster,hysteresis\na,0,1\nb,1,1014\n")
+        assert read_assignment_csv(source).hysteresis == {"a": 1, "b": 1014}
