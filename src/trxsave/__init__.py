@@ -52,7 +52,6 @@ from .traffic import (
     DiurnalProfileSpec,
     KpiRecord,
     TrafficTrace,
-    busy_hour_average,
     generate_diurnal_trace,
     ingest_kpi_csv,
     trace_to_kpis,

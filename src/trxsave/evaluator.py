@@ -19,10 +19,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from .cell_model import CellConfig
 from .errors import ConfigurationError, DataError
 from .saving_engine import CellTimeline, PowerSavingParams, run_cell, validate_params
-from .traffic import TrafficTrace, fmt_num, open_text, read_json, write_csv, write_json
+from .traffic import TrafficTrace, open_text, read_json, write_csv, write_json, write_rows
 
 SCHEMA_VERSION = 1
 
@@ -45,6 +47,8 @@ class NetworkScenario:
         """Check every cell's inputs, so a run that starts cannot fail on them part-way."""
         if self.warmup_scans < 0:
             raise ConfigurationError(f"warmup_scans must be >= 0, got {self.warmup_scans}")
+        if self.default_hysteresis is not None:
+            validate_params(replace(self.base_params, hysteresis=self.default_hysteresis))
         seen = set()
         for config in self.cells:
             config.validate()
@@ -296,7 +300,5 @@ def write_timeline_csv(timeline: CellTimeline, dest: Union[str, Path, IO[str]]) 
     """Plot-ready per-scan series: scan index, offered Erlang, active slots."""
     with open_text(dest, "w") as stream:
         stream.write(",".join(TIMELINE_CSV_HEADER) + "\n")
-        offered = timeline.offered.tolist()
-        active = timeline.active_ts.tolist()
-        lines = [f"{i},{fmt_num(e)},{t}" for i, (e, t) in enumerate(zip(offered, active))]
-        stream.write("\n".join(lines) + "\n")
+        offered = np.asarray(timeline.offered, np.float64)
+        write_rows(stream, [np.arange(timeline.n_scans), offered, timeline.active_ts])

@@ -22,9 +22,10 @@ import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Sequence, Union
+from typing import IO, Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cell_model import CellConfig
 from .errors import ConfigurationError, DataError
@@ -306,35 +307,6 @@ def emit_kpi_csv(records: Sequence[KpiRecord], dest: Union[str, Path, IO[str]]) 
     ])
 
 
-def busy_hour_average(daily_readings: Sequence[KpiRecord]) -> KpiRecord:
-    """Average per-day busy-hour readings of one cell into a single record.
-
-    Averaging damps single-day outliers from impulse traffic. Uses exact
-    summation, so the result is independent of reading order.
-    """
-    if not daily_readings:
-        raise DataError("busy_hour_average needs at least one reading")
-    first = daily_readings[0]
-    for r in daily_readings[1:]:
-        if r.cell_id != first.cell_id:
-            raise DataError(f"mixed cell_ids: {first.cell_id!r} vs {r.cell_id!r}")
-        if r.ts_count != first.ts_count:
-            raise DataError(f"cell {first.cell_id!r}: ts_count changed across readings")
-    n = len(daily_readings)
-
-    def mean(field: str) -> float:
-        return math.fsum(getattr(r, field) for r in daily_readings) / n
-
-    return KpiRecord(
-        cell_id=first.cell_id,
-        tch_traffic_erl=mean("tch_traffic_erl"),
-        dl_edge_throughput_kbps=mean("dl_edge_throughput_kbps"),
-        pdch_congestion_pct=mean("pdch_congestion_pct"),
-        preempt_pdch=mean("preempt_pdch"),
-        ts_count=first.ts_count,
-    )
-
-
 def busy_hour_erlang(trace: TrafficTrace) -> float:
     """Mean offered Erlang of each day's busiest contiguous hour, averaged.
 
@@ -399,33 +371,168 @@ def trace_to_kpis(
 
 
 # ---------------------------------------------------------------------------
+# Per-scan rows: one array-built formatter for traffic.csv and timeline CSVs
+
+ROW_BLOCK = 1 << 16  # rows formatted at a time, so memory does not grow with a trace
+
+
+def _unsigned(values: np.ndarray) -> np.ndarray:
+    """Integers >= 0 as the narrowest of uint32 and uint64, whose division is fastest."""
+    return values.astype(np.uint32 if values.max() < 2**32 else np.uint64)
+
+
+def _put_digits(values: np.ndarray, out: np.ndarray, keep: Optional[np.ndarray] = None) -> None:
+    """Write unsigned integers as zero-padded decimal digits into the byte columns of
+    ``out``; ``keep`` marks each value's digits without the leading zeros."""
+    width = out.shape[1]
+    rest = values
+    for col in range(width - 1, -1, -1):
+        quot = rest // 10
+        out[:, col] = rest - quot * 10 + ord("0")
+        rest = quot
+        if keep is not None:
+            keep[:, col] = values >= 10 ** (width - 1 - col) if col < width - 1 else True
+
+
+def _int_field(values: np.ndarray) -> tuple[int, Callable[[np.ndarray, np.ndarray], None]]:
+    """Width and filler of integers >= 0 printed in decimal."""
+    if values.min() < 0:
+        raise ValueError("format_rows prints integers >= 0 only")
+    values = _unsigned(values)
+    return len(str(values.max())), lambda out, keep: _put_digits(values, out, keep)
+
+
+def _number_field(values: np.ndarray) -> tuple[int, Callable[[np.ndarray, np.ndarray], None]]:
+    """Width and filler of ``fmt_num(v)`` for each value.
+
+    ``repr`` prints a value in [1e-4, 1e16) positionally. When the value is
+    also the double nearest a multiple of 1e-6 below 1e9
+    (``rint(v * 1e6) / 1e6 == v``), that decimal has at most 15 significant
+    digits, so it is the shortest text that round-trips: the 6-decimal digits
+    with trailing zeros cut, and an integral value bare. Those values and 0
+    are built from integers; ``fmt_num`` prints the rest.
+    """
+    with np.errstate(over="ignore"):
+        micros = np.rint(values * 1e6)
+    fast = (values == 0) | ((micros / 1e6 == values) & (values >= 1e-4) & (values < 1e9))
+    micros = _unsigned(np.where(fast, micros, 0))
+    whole = micros // 10**6
+    frac = micros - whole * 10**6
+    digits = len(str(whole.max()))
+    slow = np.flatnonzero(~fast)
+    texts = [fmt_num(v).encode() for v in values[slow].tolist()]
+    width = max([digits + 7, *map(len, texts)])
+
+    def fill(out: np.ndarray, keep: np.ndarray) -> None:
+        _put_digits(whole, out[:, :digits], keep[:, :digits])
+        out[:, digits] = ord(".")
+        _put_digits(frac, out[:, digits + 1:digits + 7])
+        # a fraction digit stays while it or a digit after it is not 0; the point
+        # stays with the first
+        nonzero = out[:, digits + 1:digits + 7] != ord("0")
+        keep[:, digits + 1:digits + 7] = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+        keep[:, digits] = keep[:, digits + 1]
+        keep[:, digits + 7:] = False
+        if texts:
+            padded = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), np.uint8)
+            out[slow] = padded.reshape(len(texts), width)
+            keep[slow] = out[slow] != 0
+
+    return width, fill
+
+
+def _text_field(text: str) -> tuple[int, Callable[[np.ndarray, np.ndarray], None]]:
+    """Width and filler of the same text on every row."""
+    data = np.frombuffer(text.encode(), np.uint8)
+
+    def fill(out: np.ndarray, keep: np.ndarray) -> None:
+        out[:] = data
+
+    return len(data), fill
+
+
+def format_rows(columns: Sequence[Union[str, np.ndarray]]) -> str:
+    """CSV rows, fields joined by "," and each row ended by "\\n".
+
+    A ``str`` column repeats its text on every row, an integer array prints
+    its values (>= 0) in decimal, and a float array prints each value as
+    ``fmt_num`` does. The rows are one byte matrix, and a mask keeps the bytes
+    of the text.
+    """
+    n = next(len(c) for c in columns if not isinstance(c, str))
+    if n == 0:
+        return ""
+    fields = [_text_field(c) if isinstance(c, str)
+              else _int_field(c) if c.dtype.kind in "iu"
+              else _number_field(np.asarray(c, np.float64)) for c in columns]
+    rows = np.empty((n, sum(width + 1 for width, _ in fields)), np.uint8)
+    keep = np.ones(rows.shape, bool)
+    at = 0
+    for width, fill in fields:
+        fill(rows[:, at:at + width], keep[:, at:at + width])
+        rows[:, at + width] = ord(",")
+        at += width + 1
+    rows[:, -1] = ord("\n")
+    return rows[keep].tobytes().decode()
+
+
+def write_rows(stream: IO[str], columns: Sequence[Union[str, np.ndarray]]) -> None:
+    """Write ``format_rows(columns)`` to ``stream``, ``ROW_BLOCK`` rows at a time."""
+    n = next(len(c) for c in columns if not isinstance(c, str))
+    for start in range(0, n, ROW_BLOCK):
+        stream.write(format_rows(
+            [c if isinstance(c, str) else c[start:start + ROW_BLOCK] for c in columns]))
+
+
+# ---------------------------------------------------------------------------
 # Traffic CSV (one row per scan per cell, 0-based contiguous scan_index)
+
+# Bytes of whole rows per np.loadtxt call. Larger chunks parse a little faster but
+# leave more freed memory resident: 256 KB chunks raised the peak RSS of a
+# 1.7 M-row parse by 5 MB over 64 KB ones.
+PARSE_CHUNK = 1 << 16
+_TRAFFIC_HEADER_LINE = (",".join(TRAFFIC_CSV_HEADER) + "\n").encode()
+_DECADES = 10 ** np.arange(1, 19)  # digits of n >= 0: 1 + the number of these <= n
 
 
 def write_traffic_csv(traces: Sequence[TrafficTrace], dest: Union[str, Path, IO[str]]) -> None:
+    """One ``cell_id,scan_index,offered_erlang`` row per scan, each cell's rows
+    one block; values print as ``fmt_num`` prints them."""
     with open_text(dest, "w") as stream:
         stream.write(",".join(TRAFFIC_CSV_HEADER) + "\n")
         for trace in traces:
             trace.validate()
-            cid = trace.cell_id
-            lines = [
-                f"{cid},{i},{fmt_num(v)}" for i, v in enumerate(trace.samples.tolist())
-            ]
-            stream.write("\n".join(lines) + "\n")
+            samples = np.asarray(trace.samples, np.float64)  # integer samples print as fmt_num does
+            write_rows(stream, [trace.cell_id, np.arange(len(samples)), samples])
 
 
 def read_traffic_csv(
     source: Union[str, Path, IO[str]], scan_period_s: float = 10.0
 ) -> list[TrafficTrace]:
-    """Read traces grouped by cell; validates contiguous 0-based scan indices."""
+    """Read traces in file order. Each cell's rows form one contiguous block with
+    scan_index 0, 1, 2, ..., and every offered_erlang is finite and >= 0.
+
+    A file path is parsed by ``np.loadtxt`` in chunks of whole rows. A text
+    stream, or a file with any row that is not plain, is read row by row,
+    which names the first bad row.
+    """
+    samples = _read_plain_chunks(source) if isinstance(source, (str, Path)) else None
+    if samples is None:
+        samples = _read_rows(source)
+    return [TrafficTrace(cid, scan_period_s, np.frombuffer(block)).validate()
+            for cid, block in samples.items()]
+
+
+def _read_rows(source: Union[str, Path, IO[str]]) -> dict[str, array]:
+    """Samples per cell id, row by row; a bad row raises a ``DataError`` naming it."""
     with open_text(source) as stream, _utf8_rows(source):
         header = stream.readline().rstrip("\n")
         if header.split(",") != TRAFFIC_CSV_HEADER:
             raise DataError(
                 f"traffic CSV header mismatch: expected {','.join(TRAFFIC_CSV_HEADER)}, got {header}"
             )
-        order: list[str] = []
         samples: dict[str, array] = {}
+        cid, block = None, array("d")
         for row_no, line in enumerate(stream, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -433,24 +540,106 @@ def read_traffic_csv(
             parts = line.split(",")
             if len(parts) != 3:
                 raise DataError(f"row {row_no}: expected 3 fields, got {len(parts)}")
-            cid, idx_s, val_s = parts
+            row_cid, idx_s, val_s = parts
             try:
                 idx = int(idx_s)
                 val = float(val_s)
             except ValueError as exc:
                 raise DataError(f"row {row_no}: non-numeric field ({exc})") from None
-            if cid not in samples:
-                samples[cid] = array("d")
-                order.append(cid)
-            if idx != len(samples[cid]):
+            if row_cid != cid:
+                if row_cid in samples:
+                    raise DataError(f"row {row_no}: cell {row_cid!r} again after another "
+                                    f"cell; each cell's rows must form one contiguous block")
+                cid, block = row_cid, array("d")
+                samples[cid] = block
+            if idx != len(block):
                 raise DataError(
                     f"row {row_no}: cell {cid!r} scan_index {idx} not contiguous "
-                    f"(expected {len(samples[cid])})"
+                    f"(expected {len(block)})"
                 )
             if not math.isfinite(val) or val < 0:
                 raise DataError(f"row {row_no}: offered_erlang must be finite and >= 0")
-            samples[cid].append(val)
-        return [
-            TrafficTrace(cid, scan_period_s, np.frombuffer(samples[cid])).validate()
-            for cid in order
-        ]
+            block.append(val)
+        return samples
+
+
+def _read_plain_chunks(path: Union[str, Path]) -> Optional[dict[str, array]]:
+    """Samples per cell id, chunk by chunk; None when any row is not plain (see
+    ``_plain_runs``) or breaks a rule, so the row loop reads the file instead."""
+    samples: dict[str, array] = {}
+    run_cid, block = None, array("d")
+    with open(path, "rb") as raw:
+        if raw.readline() != _TRAFFIC_HEADER_LINE:
+            return None
+        for chunk in _row_chunks(raw):
+            runs = _plain_runs(chunk)
+            if runs is None:
+                return None
+            for cid, first_scan, values in runs:
+                if cid != run_cid:
+                    name = cid.decode("ascii")  # _plain_runs took only ASCII
+                    if name in samples:
+                        return None
+                    run_cid, block = cid, array("d")
+                    samples[name] = block
+                if first_scan != len(block):
+                    return None
+                block.frombytes(values.tobytes())
+    return samples
+
+
+def _row_chunks(raw: IO[bytes]) -> Iterator[bytes]:
+    """Whole rows, about ``PARSE_CHUNK`` bytes at a time; a last row without a
+    newline gets one."""
+    rest = b""
+    while data := raw.read(PARSE_CHUNK):
+        data = rest + data
+        cut = data.rfind(b"\n") + 1
+        rest = data[cut:]
+        if cut:
+            yield data[:cut]
+    if rest:
+        yield rest + b"\n"
+
+
+def _plain_runs(chunk: bytes) -> Optional[list[tuple[bytes, int, np.ndarray]]]:
+    """Split whole rows into runs of one cell id: (id bytes, first scan_index, values).
+
+    None unless every row is plain: printable ASCII with exactly two commas, a
+    scan_index of digits without a leading zero that steps by one within a
+    run, and an offered_erlang that is finite and >= 0. Without spaces,
+    control bytes or non-ASCII bytes, ``np.loadtxt`` and ``int``/``float``
+    accept the same field text and give the same value.
+    """
+    text = np.frombuffer(chunk, np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    if np.count_nonzero(text <= ord(" ")) != len(ends):
+        return None
+    commas = np.flatnonzero(text == ord(","))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first, second = commas[0::2], commas[1::2]
+    if len(commas) != 2 * len(ends) or (first < starts).any() or (second > ends).any():
+        return None
+    try:  # a byte that is not ASCII fails the decode with a ValueError too
+        rows = np.loadtxt(chunk.decode("ascii").split("\n"), delimiter=",", usecols=(1, 2),
+                          comments=None, dtype=[("i", "i8"), ("v", "f8")], ndmin=1)
+    except ValueError:
+        return None
+    scans, values = rows["i"], np.ascontiguousarray(rows["v"])
+    digits = np.searchsorted(_DECADES, scans, side="right") + 1
+    if (second - first - 1 != digits).any() or not ((values >= 0) & (values < np.inf)).all():
+        return None
+    # each row's cell_id bytes, zero-padded to the longest, against the row before
+    id_len = first - starts
+    width = max(1, int(id_len.max()))
+    if len(ends) * width > 8 * len(chunk):  # a few very long ids among short ones
+        return None
+    ids = sliding_window_view(np.frombuffer(chunk + bytes(width), np.uint8), width)[starts]
+    ids[np.arange(width) >= id_len[:, None]] = 0
+    same = np.zeros(len(ends), bool)
+    same[1:] = (id_len[1:] == id_len[:-1]) & (ids[1:] == ids[:-1]).all(axis=1)
+    if not (np.diff(scans)[same[1:]] == 1).all():
+        return None
+    bounds = [*np.flatnonzero(~same).tolist(), len(ends)]
+    return [(chunk[starts[a]:first[a]], int(scans[a]), values[a:b])
+            for a, b in zip(bounds, bounds[1:])]

@@ -365,6 +365,27 @@ class TestSimulate:
         assert "row 2: hysteresis 0 outside [1, 1014]" in result.output
         assert not out.exists()
 
+    def test_default_hysteresis_checked_when_every_cell_is_assigned(self, runner, small_fleet,
+                                                                   tmp_path):
+        path = tmp_path / "assignment.csv"
+        path.write_text("cell_id,cluster,hysteresis\n"
+                        "cell_0000,0,4\ncell_0001,1,6\ncell_0002,1,6\n")
+        out = tmp_path / "out"
+        result = self.simulate(runner, small_fleet, "--assignment", str(path),
+                               "--hysteresis", "0", "--timelines", "all", "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert "hysteresis must be in [1, 1014], got 0" in result.output
+        assert not out.exists()
+
+    def test_cell_rows_out_of_one_block_exit_3(self, runner, small_fleet, tmp_path):
+        (tmp_path / "fleet.json").write_bytes((small_fleet / "fleet.json").read_bytes())
+        rows = (small_fleet / "traffic.csv").read_text()
+        (tmp_path / "traffic.csv").write_text(rows + "cell_0000,8640,1.5\n")
+        result = self.simulate(runner, tmp_path, "--out", str(tmp_path / "out"))
+        assert result.exit_code == 3, result.output
+        assert "row 25921: cell 'cell_0000' again after another cell" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_fleet_order_does_not_change_outputs(self, runner, small_fleet, tmp_path):
         fleet = json.loads((small_fleet / "fleet.json").read_text())
         fleet["cells"].reverse()

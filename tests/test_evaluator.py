@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trxsave import evaluator
+from trxsave import evaluator, traffic
 from trxsave.cell_model import CellConfig
 from trxsave.errors import ConfigurationError, DataError
 from trxsave.evaluator import (
@@ -26,7 +26,7 @@ from trxsave.evaluator import (
     write_timeline_csv,
 )
 from trxsave.saving_engine import PowerSavingParams, run_cell
-from trxsave.traffic import TrafficTrace
+from trxsave.traffic import TrafficTrace, fmt_num
 
 
 def make_scenario(n_cells=3, n_scans=400, hysteresis=3, num_trx=3, level=0.0, warmup=0):
@@ -237,6 +237,20 @@ class TestEmission:
         assert len(lines) == 51
         assert lines[1] == "0,0,24"
         assert all(line.endswith(",24") for line in lines[1:])
+
+    def test_timeline_rows_match_the_per_value_loop(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(traffic, "ROW_BLOCK", 500)  # several blocks per timeline
+        rng = np.random.default_rng(6)
+        samples = np.round(rng.uniform(0, 2, 2000), 6)
+        samples[1000:1100] += 25  # busy spell: TRXs switch back on
+        samples[::7] = rng.integers(1, 100, len(samples[::7])) * 1e-6
+        trace = TrafficTrace("c", 10.0, samples)
+        tl = run_cell(CellConfig("c", 4, 3), PowerSavingParams(hysteresis=1), trace)
+        assert len(set(tl.active_ts.tolist())) > 2
+        write_timeline_csv(tl, tmp_path / "tl.csv")
+        assert (tmp_path / "tl.csv").read_text() == "scan,erlang,active_ts\n" + "".join(
+            f"{i},{fmt_num(e)},{t}\n"
+            for i, (e, t) in enumerate(zip(tl.offered.tolist(), tl.active_ts.tolist())))
 
     def test_exact_bytes(self, tmp_path):
         summary = ComparisonSummary(

@@ -1,21 +1,24 @@
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from trxsave import traffic
 from trxsave.cell_model import CellConfig
+from trxsave.cli import build_demo_fleet
 from trxsave.errors import ConfigurationError, DataError
 from trxsave.traffic import (
     DiurnalProfileSpec,
     KpiRecord,
     TrafficTrace,
-    busy_hour_average,
     busy_hour_erlang,
     demand_series,
     emit_kpi_csv,
     fmt_num,
+    format_rows,
     generate_diurnal_trace,
     ingest_kpi_csv,
     read_json,
@@ -184,46 +187,6 @@ class TestKpiCsv:
         assert back == records
 
 
-class TestBusyHourAverage:
-    def rec(self, erl, cell="c1", ts=24):
-        return KpiRecord(cell, erl, 130.0, 0.01, 5.0, ts)
-
-    def test_single_reading_is_identity(self):
-        r = self.rec(3.3)
-        assert busy_hour_average([r]) == r
-
-    def test_two_readings_mean(self):
-        avg = busy_hour_average([self.rec(2.0), self.rec(4.0)])
-        assert avg.tch_traffic_erl == 3.0
-
-    def test_ninety_days_matches_summation_oracle(self):
-        rng = np.random.default_rng(7)
-        vals = rng.uniform(0, 10, size=90)
-        readings = [self.rec(float(v)) for v in vals]
-        avg = busy_hour_average(readings)
-        oracle = math.fsum(float(v) for v in vals) / 90
-        assert avg.tch_traffic_erl == pytest.approx(oracle, abs=1e-12)
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(8)
-        readings = [self.rec(float(v)) for v in rng.uniform(0, 9, size=30)]
-        shuffled = list(readings)
-        rng.shuffle(shuffled)
-        assert busy_hour_average(readings) == busy_hour_average(shuffled)
-
-    def test_mixed_cells_rejected(self):
-        with pytest.raises(DataError, match="mixed"):
-            busy_hour_average([self.rec(1.0, "a"), self.rec(2.0, "b")])
-
-    def test_changed_ts_count_rejected(self):
-        with pytest.raises(DataError, match="ts_count"):
-            busy_hour_average([self.rec(1.0, ts=24), self.rec(2.0, ts=32)])
-
-    def test_no_readings_rejected(self):
-        with pytest.raises(DataError):
-            busy_hour_average([])
-
-
 class TestTraceToKpis:
     CFG = CellConfig("c1", 3, 3)
 
@@ -296,6 +259,193 @@ class TestTrafficCsv:
         path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(DataError, match=re.escape(f"{path}: {where}not UTF-8 text")):
             read_traffic_csv(path)
+
+
+def fmt_lines(values) -> str:
+    """The reference: one ``fmt_num`` call per value."""
+    return "".join(fmt_num(v) + "\n" for v in np.asarray(values, np.float64).tolist())
+
+
+def around(x):
+    """x and the doubles one ulp below and above it."""
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+class TestFormatRows:
+    def test_every_sample_of_a_generated_fleet(self):
+        _, traces, _ = build_demo_fleet(12, 1, seed=11)
+        samples = np.concatenate([t.samples for t in traces])
+        assert format_rows([samples]) == fmt_lines(samples)
+
+    def test_bursty_noise(self):
+        rng = np.random.default_rng(3)
+        load = np.repeat(rng.choice([1.0, 28.0], 600), rng.geometric(1 / 40, 600))
+        samples = np.round(np.maximum(load + rng.normal(0.0, 1.5, len(load)), 0.0), 6)
+        samples[::97] = rng.integers(1, 100, len(samples[::97])) * 1e-6  # exponent form
+        assert (samples == 0).any() and (samples < 1e-4).any()
+        assert format_rows([samples]) == fmt_lines(samples)
+
+    def test_adversarial_doubles(self):
+        rng = np.random.default_rng(4)
+        values = [
+            *around(1e-4), *around(1e9), *around(1e15), *around(1e16),
+            *(float(10**k) for k in range(18)), 1e15 - 1, 1e15 + 2, 2.0**53, 2.0**53 + 2,
+            999999999.999999, 123456789.000001, 0.0001005, 0.000999999,
+            0.1234567, 1.0000001, 12345.6789012, 1 / 3, math.pi, 2.5e-7,
+            5e-324, 1e-310, 2.2250738585072014e-308, 0.0, -0.0, -1.5, -1e-5, 1e300,
+        ]
+        grid = rng.integers(0, 10**15, 2000) / 1e6  # on the 1e-6 grid, up to 15 digits
+        raw = rng.random(2000) * 10.0 ** rng.integers(-9, 12, 2000)  # any digits
+        for batch in (values, grid, raw, np.concatenate(around(grid[:50]))):
+            assert format_rows([np.array(batch)]) == fmt_lines(batch)
+
+    def test_rows_match_the_per_value_loop(self, monkeypatch):
+        monkeypatch.setattr(traffic, "ROW_BLOCK", 1000)  # several blocks per trace
+        trace = generate_diurnal_trace(DiurnalProfileSpec(0.0, 3.0, noise_sigma=0.4, seed=9),
+                                       "célula 7")
+        out = io.StringIO()
+        write_traffic_csv([trace], out)
+        assert out.getvalue() == "cell_id,scan_index,offered_erlang\n" + "".join(
+            f"célula 7,{i},{fmt_num(v)}\n" for i, v in enumerate(trace.samples.tolist()))
+
+    def test_integer_samples_print_as_fmt_num(self):
+        trace = TrafficTrace("a", 10.0, np.array([0, 3, 10**15 - 1, 10**15, 10**16]))
+        out = io.StringIO()
+        write_traffic_csv([trace], out)
+        assert out.getvalue().splitlines()[1:] == [
+            f"a,{i},{fmt_num(v)}" for i, v in enumerate(trace.samples.tolist())]
+
+    def test_negative_integers_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            format_rows([np.array([3, -1])])
+
+
+TRAFFIC_HEADER = "cell_id,scan_index,offered_erlang\n"
+
+# files for both parse paths: each gives the same traces or the same DataError
+PARSE_CORPUS = {
+    "plain": "a,0,1.5\na,1,0\na,2,2.25\nb,0,3\nb,1,0.000001\nb,2,7e-05\n",
+    "exponent": "a,0,1e-3\na,1,2E2\na,2,.5\na,3,5.\na,4,+1\n",
+    "negative_zero": "a,0,-0\na,1,-0.0\n",
+    "empty_id": ",0,1\n,1,2\n",
+    "long_id": "".join(f"{'x' * 300},{i},{i}.5\n" for i in range(40)) + "b,0,1\n",
+    "no_final_newline": "a,0,1.5\na,1,2",
+    "header_only": "",
+    "blank_rows": "a,0,1.5\n\na,1,2\n\n",
+    "crlf_rows": "a,0,1.5\r\na,1,2\r\n",
+    "cr_rows": "a,0,1.5\ra,1,2\r",
+    "space_value": "a,0, 1.5\n",
+    "space_id": "cell 1,0,1.5\ncell 1,1,2\n",
+    "tab": "a,0,1\t\n",
+    "control_byte": "a,0,1\x1c\n",
+    "plus_index": "a,+0,1\n",
+    "leading_zero_index": "a,00,1\na,01,2\n",
+    "underscore": "a,0,1_0\n",
+    "underscore_index": "a,0_0,1\n",
+    "float_index": "a,0.0,1\n",
+    "wide_index": "a,99999999999999999999,1\n",
+    "nan": "a,0,nan\n",
+    "inf": "a,0,inf\n",
+    "overflow": "a,0,1e999\n",
+    "negative": "a,0,1\na,1,-1\n",
+    "hash": "a,0,1 # note\n",
+    "hash_row": "# note\na,0,1\n",
+    "quoted_value": 'a,0,"1.5"\n',
+    "quoted_id": '"a",0,1.5\n"a",1,2\n',
+    "unicode_id": "célula,0,1\ncélula,1,2\n",
+    "non_utf8_id": b"a\xff,0,1\n",
+    "non_utf8_value": b"a,0,1\x85\n",
+    "interleaved": "a,0,1\nb,0,1\na,1,1\n",
+    "repeated_block": "a,0,1\na,1,1\nb,0,1\na,0,1\n",
+    "gap": "a,0,1\na,2,1\n",
+    "not_from_zero": "a,1,1\n",
+    "two_fields": "a,0\n",
+    "four_fields": "a,0,1,2\n",
+    "empty_value": "a,0,\n",
+}
+FAST_PATH = {"plain", "exponent", "negative_zero", "empty_id", "long_id", "no_final_newline",
+             "header_only", "quoted_id"}
+WHOLE_FILE_CASES = {
+    "empty": b"",
+    "header_no_newline": TRAFFIC_HEADER.rstrip("\n").encode(),
+    "crlf_header": TRAFFIC_HEADER.replace("\n", "\r\n").encode() + b"a,0,1\r\n",
+    "bom": "﻿".encode() + TRAFFIC_HEADER.encode() + b"a,0,1\n",
+}
+
+
+def corpus_file(tmp_path, name):
+    path = tmp_path / "traffic.csv"
+    if name in WHOLE_FILE_CASES:
+        path.write_bytes(WHOLE_FILE_CASES[name])
+    else:
+        rows = PARSE_CORPUS[name]
+        path.write_bytes(TRAFFIC_HEADER.encode() + (rows if isinstance(rows, bytes)
+                                                    else rows.encode()))
+    return path
+
+
+def sample_bytes(samples: dict) -> dict:
+    return {cid: np.frombuffer(block).tobytes() for cid, block in samples.items()}
+
+
+class TestTrafficParsePaths:
+    """The chunked ``np.loadtxt`` path against the row loop it stands in for."""
+
+    @pytest.mark.parametrize("chunk", [16, traffic.PARSE_CHUNK], ids=["16B", "default"])
+    @pytest.mark.parametrize("name", sorted(PARSE_CORPUS.keys() | WHOLE_FILE_CASES.keys()))
+    def test_same_traces_or_same_error(self, tmp_path, monkeypatch, name, chunk):
+        monkeypatch.setattr(traffic, "PARSE_CHUNK", chunk)  # 16 B: runs cross chunk edges
+        path = corpus_file(tmp_path, name)
+        fast = traffic._read_plain_chunks(path)
+        assert (fast is not None) == (name in FAST_PATH)
+        try:
+            rows = traffic._read_rows(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                read_traffic_csv(path)
+            assert str(got.value) == str(exc)
+            return
+        if fast is not None:
+            assert list(fast) == list(rows)
+            assert sample_bytes(fast) == sample_bytes(rows)
+        traces = read_traffic_csv(path)
+        assert {t.cell_id: t.samples.tobytes() for t in traces} == sample_bytes(rows)
+
+    def test_generated_fleet_takes_the_fast_path_bit_identically(self, tmp_path):
+        _, traces, _ = build_demo_fleet(6, 1, seed=11)
+        path = tmp_path / "traffic.csv"
+        write_traffic_csv(traces, path)
+        fast = traffic._read_plain_chunks(path)
+        assert fast is not None
+        assert sample_bytes(fast) == sample_bytes(traffic._read_rows(path))
+        assert sample_bytes(fast) == {t.cell_id: t.samples.tobytes() for t in traces}
+
+    @pytest.mark.parametrize("name,message", [
+        ("interleaved", "row 3: cell 'a' again after another cell"),
+        ("repeated_block", "row 4: cell 'a' again after another cell"),
+    ])
+    def test_cell_rows_must_form_one_block(self, tmp_path, name, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            read_traffic_csv(corpus_file(tmp_path, name))
+        text = TRAFFIC_HEADER + PARSE_CORPUS[name]
+        with pytest.raises(DataError, match=re.escape(message)):
+            read_traffic_csv(io.StringIO(text))
+
+    def test_parse_memory_is_the_samples_plus_a_fixed_budget(self, tmp_path):
+        rng = np.random.default_rng(1)
+        path = tmp_path / "traffic.csv"
+        for n_cells in (2, 8):
+            write_traffic_csv([TrafficTrace(f"cell_{i:04d}", 10.0,
+                                            np.round(rng.uniform(0, 30, 30_000), 6))
+                               for i in range(n_cells)], path)
+            tracemalloc.start()
+            try:
+                read_traffic_csv(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            samples = n_cells * 30_000 * 8  # array("d") over-allocates up to 1/16
+            assert peak <= samples * 17 / 16 + 12 * traffic.PARSE_CHUNK, (n_cells, peak)
 
 
 class TestReadJson:
