@@ -23,6 +23,23 @@ as soon as the cell can no longer hold that margin. Using the off-threshold
 At most one switch action happens per scan; switch-on wins if both counters
 would fire (the two trigger conditions are disjoint, so this is a guard, not
 a reachable branch).
+
+``scan_step`` and ``apply_action`` are the executable spec, one scan at a
+time. ``run_cell`` gets the same result by jumping from switch event to
+switch event. Between two events the enabled count E is constant, so each
+scan's idle count, and with it each counter's step x_t (+1, or -decay), is a
+fixed function of that scan's demand. A counter then follows Lindley's
+recursion C_t = max(C_{t-1} + x_t, 0), whose closed form is
+C_t = P_t - min(-C, min_{k<=t} P_k), with P the running sum of the steps from
+the segment's start and C the counter there. A cumulative sum of the steps
+for each E, a running minimum and a comparison with the target give a whole
+segment's counters and its first firing scan. The off-counter stays frozen
+while the delay window runs, and a counter is frozen when there is no TRX to
+switch. Only integers enter this arithmetic, so every counter is exactly the
+value the scan-by-scan replay gives.
+
+A disable fires only at idle > hysteresis + 9 >= 10, so the calls always fit
+on one TRX fewer: the deferral in ``apply_action`` cannot happen in a run.
 """
 
 from __future__ import annotations
@@ -248,6 +265,16 @@ def run_cell(
     Each scan re-places the offered demand, then (when power saving is on)
     runs the counter logic and applies at most one switch action. With
     ``ps_enabled=False`` every TRX stays enabled for the whole run.
+
+    With saving on, ``_walk_counters`` jumps from switch event to switch
+    event: from each segment's start it walks both counters over a window of
+    scans in closed form (see the module docstring) and stops at the first
+    scan where one reaches its target. It sums and compares integers only,
+    so every array equals the ``scan_step``/``apply_action`` replay's. The
+    other arrays follow from the events in one pass: ``occupied`` and
+    ``blocked`` from the enabled count before each scan's action, and
+    ``delay_remaining`` from the disable scans. Saving off is the same pass
+    with no events.
     """
     config.validate()
     validate_params(params)
@@ -256,119 +283,138 @@ def run_cell(
     demand = demand_series(trace.samples)
     n = len(demand)
     num_trx = config.num_trx
-    cch = config.cch_slots
-    full_capacity = num_trx * SLOTS_PER_TRX - cch
+    off_counter = np.zeros(n, np.int32)
+    on_counter = np.zeros(n, np.int32)
+    actions = np.zeros(n, np.int16)
+    if ps_enabled:
+        _walk_counters(demand, config, params, off_counter, on_counter, actions)
 
-    if not ps_enabled:
-        occupied = np.minimum(demand, full_capacity)
-        blocked = demand - occupied
-        zeros = np.zeros(n, dtype=np.int32)
-        return CellTimeline(
-            cell_id=config.cell_id,
-            config=config,
-            params=params,
-            ps_enabled=False,
-            scan_period_s=trace.scan_period_s,
-            offered=trace.samples,
-            demand=demand,
-            occupied=occupied.astype(np.int32),
-            blocked=blocked.astype(np.int32),
-            active_trx=np.full(n, num_trx, dtype=np.int16),
-            active_ts=np.full(n, num_trx * SLOTS_PER_TRX, dtype=np.int16),
-            off_counter=zeros,
-            on_counter=zeros.copy(),
-            delay_remaining=zeros.copy(),
-            actions=np.zeros(n, dtype=np.int16),
-        )
-
-    # Hot loop over plain ints; mirrors scan_step()/apply_action() exactly
-    # (cross-checked by the replay property test). Enabled TRXs always form
-    # the prefix 1..enabled because disables pick the highest index and
-    # enables the lowest disabled one.
-    off_threshold = params.hysteresis + params.fixed_offset
-    on_threshold = params.hysteresis
-    off_target = params.trx_off_target
-    on_target = params.trx_on_target
-    off_delay = params.trx_off_delay
-    decay = params.decay_step
-
-    enabled = num_trx
-    off_c = 0
-    on_c = 0
-    delay = 0
-
-    occupied_l: list[int] = []
-    blocked_l: list[int] = []
-    active_l: list[int] = []
-    off_l: list[int] = []
-    on_l: list[int] = []
-    delay_l: list[int] = []
-    action_l: list[int] = []
-    demand_list = demand.tolist()
-
-    for d in demand_list:
-        cap = enabled * SLOTS_PER_TRX - cch
-        occ = d if d < cap else cap
-        idle = cap - occ
-
-        delay_was_open = delay == 0
-        if delay > 0:
-            delay -= 1
-
-        act = 0
-        enable_fires = False
-        if enabled < num_trx:
-            if idle < on_threshold:
-                on_c += 1
-                if on_c >= on_target:
-                    enable_fires = True
-                    on_c = 0
-            elif on_c:
-                on_c = on_c - decay if on_c > decay else 0
-
-        disable_fires = False
-        if enabled > 1 and delay_was_open:
-            if idle > off_threshold:
-                off_c += 1
-                if off_c >= off_target:
-                    disable_fires = True
-            elif off_c:
-                off_c = off_c - decay if off_c > decay else 0
-
-        if enable_fires:
-            enabled += 1
-            act = enabled
-        elif disable_fires:
-            # idle > hysteresis + 9 >= 10, so the calls always fit on one TRX fewer
-            # and apply_action's deferral cannot trigger here
-            off_c = 0
-            delay = off_delay
-            act = -enabled
-            enabled -= 1
-
-        occupied_l.append(occ)
-        blocked_l.append(d - occ)
-        active_l.append(enabled)
-        off_l.append(off_c)
-        on_l.append(on_c)
-        delay_l.append(delay)
-        action_l.append(act)
-
-    active_trx = np.asarray(active_l, dtype=np.int16)
+    active_trx = np.cumsum(np.sign(actions), dtype=np.int16)
+    active_trx += num_trx
+    # calls are placed before the scan's action, on the TRXs the scan before left enabled
+    capacity = np.empty(n, np.int32)
+    capacity[0] = num_trx
+    capacity[1:] = active_trx[:-1]
+    capacity *= SLOTS_PER_TRX
+    capacity -= config.cch_slots
+    occupied = np.minimum(demand, capacity)
+    delay_remaining = np.zeros(n, np.int32)
+    ramp = np.arange(params.trx_off_delay, -1, -1, dtype=np.int32)
+    for t in np.flatnonzero(actions < 0).tolist():
+        delay_remaining[t:t + len(ramp)] = ramp[:n - t]
     return CellTimeline(
         cell_id=config.cell_id,
         config=config,
         params=params,
-        ps_enabled=True,
+        ps_enabled=ps_enabled,
         scan_period_s=trace.scan_period_s,
         offered=trace.samples,
         demand=demand,
-        occupied=np.asarray(occupied_l, dtype=np.int32),
-        blocked=np.asarray(blocked_l, dtype=np.int32),
+        occupied=occupied,
+        blocked=demand - occupied,
         active_trx=active_trx,
-        active_ts=(active_trx.astype(np.int32) * SLOTS_PER_TRX).astype(np.int16),
-        off_counter=np.asarray(off_l, dtype=np.int32),
-        on_counter=np.asarray(on_l, dtype=np.int32),
-        delay_remaining=np.asarray(delay_l, dtype=np.int32),
-        actions=np.asarray(action_l, dtype=np.int16),
+        active_ts=active_trx * np.int16(SLOTS_PER_TRX),
+        off_counter=off_counter,
+        on_counter=on_counter,
+        delay_remaining=delay_remaining,
+        actions=actions,
     )
+
+
+# Scans looked ahead from a segment's start. A window with no event doubles the
+# next one, up to MAX_WINDOW, so a quiet day costs a few dozen numpy calls.
+FIRST_WINDOW = 64
+MAX_WINDOW = 1 << 14
+
+
+def _walk_counters(
+    demand: np.ndarray,
+    config: CellConfig,
+    params: PowerSavingParams,
+    off_counter: np.ndarray,
+    on_counter: np.ndarray,
+    actions: np.ndarray,
+) -> None:
+    """Fill both counters and the actions of a saving-on run, event by event.
+
+    Enabled TRXs always form the prefix 1..enabled, because disables pick the
+    highest index and enables the lowest disabled one, so the enabled count is
+    the whole cell state besides the counters.
+    """
+    n = len(demand)
+    num_trx, cch, h = config.num_trx, config.cch_slots, params.hysteresis
+    on_target, off_target = params.trx_on_target, params.trx_off_target
+    dtype = np.int32 if (n + 1) * 100 < 2**31 else np.int64  # every step is in [-100, 1]
+    kept: dict[tuple[str, int], np.ndarray] = {}
+
+    def prefix_sums(side: str, enabled: int) -> np.ndarray:
+        """Counter steps of every scan on ``enabled`` TRXs, summed from scan 0;
+        built when the walk first reaches that count."""
+        sums = kept.get((side, enabled))
+        if sums is None:
+            cap = enabled * SLOTS_PER_TRX - cch
+            if side == "on":  # idle < h, with idle = max(cap - demand, 0) and h >= 1
+                up, down = demand > cap - h, min(params.decay_step, on_target)
+            else:  # idle > h + 9
+                up, down = demand < cap - h - params.fixed_offset, min(params.decay_step, off_target)
+            # a counter is below its target before every scan, so a decay larger than
+            # the target floors it at 0 just as the target does
+            sums = np.zeros(n + 1, dtype)
+            np.cumsum(np.where(up, np.int8(1), np.int8(-down)), dtype=dtype, out=sums[1:])
+            kept[side, enabled] = sums
+        return sums
+
+    walk = np.empty(MAX_WINDOW + 1, dtype)
+    low = np.empty(MAX_WINDOW + 1, dtype)
+
+    def first_fire(sums: np.ndarray, start: int, stop: int, counter: int, target: int,
+                   out: np.ndarray) -> int:
+        """Walk a counter that holds ``counter`` before scan ``start`` over the scans
+        [start, stop), into ``out``; the first scan where it reaches ``target``, or stop.
+
+        C_t = max(C_{t-1} + x_t, 0) is P_t - min(-C, min_{start<=k<=t} P_k), where P
+        sums the steps x from ``start`` (Lindley's recursion, in closed form).
+        """
+        k = stop - start
+        np.subtract(sums[start + 1:stop + 1], sums[start], out=walk[1:k + 1])
+        walk[0] = -counter
+        np.minimum.accumulate(walk[:k + 1], out=low[:k + 1])
+        np.subtract(walk[1:k + 1], low[1:k + 1], out=out[start:stop])
+        hit = out[start:stop] >= target
+        i = int(hit.argmax())
+        return start + i if hit[i] else stop
+
+    start, enabled, off_c, on_c, off_open = 0, num_trx, 0, 0, 0
+    window = FIRST_WINDOW
+    while start < n:
+        stop = min(start + window, n)
+        on_at = off_at = stop
+        if enabled < num_trx:
+            on_at = first_fire(prefix_sums("on", enabled), start, stop, on_c, on_target,
+                               on_counter)
+        else:
+            on_counter[start:stop] = on_c
+        # off-checks stay suspended until the delay window after a disable has run out
+        walk_from = min(max(start, off_open), stop)
+        off_counter[start:walk_from] = off_c
+        if enabled > 1 and walk_from < stop:
+            off_at = first_fire(prefix_sums("off", enabled), walk_from, stop, off_c,
+                                off_target, off_counter)
+        else:
+            off_counter[walk_from:stop] = off_c
+        at = min(on_at, off_at)
+        if at == stop:  # no event: go on from the window's last scan
+            at, window = stop - 1, min(2 * window, MAX_WINDOW)
+        elif on_at <= off_at:  # enable first on a tie, which the disjoint triggers never make
+            enabled += 1
+            actions[at] = enabled
+            on_counter[at] = 0
+            window = FIRST_WINDOW
+        else:
+            actions[at] = -enabled
+            enabled -= 1
+            off_counter[at] = 0
+            off_open = at + params.trx_off_delay + 1
+            window = FIRST_WINDOW
+        off_c, on_c = int(off_counter[at]), int(on_counter[at])
+        start = at + 1

@@ -577,7 +577,7 @@ def _read_plain_chunks(path: Union[str, Path]) -> Optional[dict[str, array]]:
                 return None
             for cid, first_scan, values in runs:
                 if cid != run_cid:
-                    name = cid.decode("ascii")  # _plain_runs took only ASCII
+                    name = cid.decode("utf-8")  # _plain_runs took only UTF-8
                     if name in samples:
                         return None
                     run_cid, block = cid, array("d")
@@ -605,23 +605,28 @@ def _row_chunks(raw: IO[bytes]) -> Iterator[bytes]:
 def _plain_runs(chunk: bytes) -> Optional[list[tuple[bytes, int, np.ndarray]]]:
     """Split whole rows into runs of one cell id: (id bytes, first scan_index, values).
 
-    None unless every row is plain: printable ASCII with exactly two commas, a
-    scan_index of digits without a leading zero that steps by one within a
-    run, and an offered_erlang that is finite and >= 0. Without spaces,
-    control bytes or non-ASCII bytes, ``np.loadtxt`` and ``int``/``float``
-    accept the same field text and give the same value.
+    None unless every row is plain: UTF-8 with exactly two commas and no
+    control byte, a scan_index of digits without a leading zero that steps by
+    one within a run, and an offered_erlang that is finite and >= 0. Spaces
+    and non-ASCII bytes may stand only in the cell id, before the row's first
+    comma. Without them, ``np.loadtxt`` and ``int``/``float`` accept the same
+    field text and give the same value.
     """
     text = np.frombuffer(chunk, np.uint8)
     ends = np.flatnonzero(text == ord("\n"))
-    if np.count_nonzero(text <= ord(" ")) != len(ends):
-        return None
     commas = np.flatnonzero(text == ord(","))
     starts = np.concatenate(([0], ends[:-1] + 1))
     first, second = commas[0::2], commas[1::2]
     if len(commas) != 2 * len(ends) or (first < starts).any() or (second > ends).any():
         return None
-    try:  # a byte that is not ASCII fails the decode with a ValueError too
-        rows = np.loadtxt(chunk.decode("ascii").split("\n"), delimiter=",", usecols=(1, 2),
+    # a space or a non-ASCII byte may stand only in a cell id; most files hold neither
+    if np.count_nonzero(text <= ord(" ")) != len(ends) or text.max() > 0x7F:
+        loose = np.flatnonzero((text == ord(" ")) | (text > 0x7F))
+        if (np.count_nonzero(text < ord(" ")) != len(ends)
+                or (loose > first[np.searchsorted(ends, loose)]).any()):
+            return None
+    try:  # bytes that are not UTF-8 fail the decode with a ValueError too
+        rows = np.loadtxt(chunk.decode("utf-8").split("\n"), delimiter=",", usecols=(1, 2),
                           comments=None, dtype=[("i", "i8"), ("v", "f8")], ndmin=1)
     except ValueError:
         return None

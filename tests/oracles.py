@@ -3,16 +3,22 @@
 Everything here recomputes results from first principles, without touching
 the production code paths it checks: naive pairwise silhouette (scalar
 distances, and the full n x n matrix), exhaustive partition search for the
-k-means optimum, power iteration with deflation for eigenpairs, and direct
-capacity arithmetic for the channel model.
+k-means optimum, power iteration with deflation for eigenpairs, direct
+capacity arithmetic for the channel model, and a scan-by-scan replay of the
+state machine's executable spec (``scan_step``/``apply_action``) for the
+event-jumping ``run_cell``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
+
+from trxsave.cell_model import build_cell
+from trxsave.saving_engine import SavingState, apply_action, scan_step
 
 SLOTS_PER_TRX = 8
 
@@ -25,6 +31,37 @@ def place(demand: int, cap: int) -> tuple[int, int]:
     """(occupied, blocked) for a stateless placement."""
     occupied = min(demand, cap)
     return occupied, demand - occupied
+
+
+def replay_with_step_functions(config, params, trace) -> dict[str, list[int]]:
+    """Drive scan_step/apply_action one scan at a time; each per-scan CellTimeline
+    array, by field name, as a list.
+
+    Calls are placed by capacity arithmetic: the step functions read the call
+    count, never the slot map.
+    """
+    cell = build_cell(config)
+    saving = SavingState()
+    out = {name: [] for name in ("demand", "occupied", "blocked", "active_trx", "active_ts",
+                                 "off_counter", "on_counter", "delay_remaining", "actions")}
+    for sample in trace.samples.tolist():
+        demand = math.floor(sample + 0.5)
+        occupied, blocked = place(demand, cell.enabled_tch_capacity)
+        cell = dataclasses.replace(cell, occupied_tch=occupied)
+        saving, action = scan_step(cell, saving, params)
+        before = cell.enabled_trx_count
+        cell = apply_action(cell, action)
+        after = cell.enabled_trx_count
+        out["demand"].append(demand)
+        out["occupied"].append(occupied)
+        out["blocked"].append(blocked)
+        out["active_trx"].append(after)
+        out["active_ts"].append(after * SLOTS_PER_TRX)
+        out["off_counter"].append(saving.off_counter)
+        out["on_counter"].append(saving.on_counter)
+        out["delay_remaining"].append(saving.delay_remaining)
+        out["actions"].append(action.trx if after > before else -action.trx if after < before else 0)
+    return out
 
 
 def brute_silhouette(x: np.ndarray, labels) -> float:

@@ -1,14 +1,19 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from trxsave.cell_model import CellConfig, MappingStrategy, build_cell, place_calls
+import oracles
+from trxsave import saving_engine
+from trxsave.cell_model import MAX_TRX, CellConfig, MappingStrategy, build_cell, place_calls
 from trxsave.errors import ConfigurationError, DataError, InvariantError
 from trxsave.saving_engine import (
     ACTION_DISABLE,
     ACTION_ENABLE,
     ACTION_NONE,
+    FIRST_WINDOW,
+    MAX_WINDOW,
     PowerSavingParams,
     SavingState,
     ScanAction,
@@ -17,7 +22,7 @@ from trxsave.saving_engine import (
     scan_step,
     validate_params,
 )
-from trxsave.traffic import TrafficTrace
+from trxsave.traffic import DiurnalProfileSpec, TrafficTrace, generate_diurnal_trace
 
 
 def zero_trace(n=400, period=10.0):
@@ -205,6 +210,28 @@ class TestRunCell:
         assert np.all(tl.active_trx == 3)
         assert np.all(tl.blocked == 4)  # 25 offered on 21 TCHs
 
+    @pytest.mark.parametrize("load,bound", [("diurnal", 4.0), ("saturated", 1.5)])
+    def test_peak_memory_is_a_small_multiple_of_the_timeline(self, load, bound):
+        # a 12-TRX cell over six days: the diurnal load visits every enabled count,
+        # so the walk holds one int32 prefix-sum array per counter and count (3.7x
+        # the timeline); a saturated cell never leaves 12, so only one is built
+        if load == "diurnal":
+            trace = generate_diurnal_trace(DiurnalProfileSpec(0.0, 95.0, noise_sigma=1.0,
+                                                              days=6, seed=5))
+        else:
+            trace = TrafficTrace("c1", 10.0, np.full(6 * 8640, 100.0))
+        config = CellConfig("c1", MAX_TRX, 3)
+        tracemalloc.start()
+        try:
+            tl = run_cell(config, PowerSavingParams(hysteresis=2), trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        reached = set(tl.active_trx.tolist())
+        assert reached == (set(range(1, MAX_TRX + 1)) if load == "diurnal" else {MAX_TRX})
+        own = sum(getattr(tl, field).nbytes for field in TIMELINE_ARRAYS)
+        assert peak <= bound * own, (peak, own)
+
     def test_determinism_bit_for_bit(self):
         spec_args = dict(config=CellConfig("c1", 4, 2), params=PowerSavingParams(hysteresis=2))
         rng = np.random.default_rng(17)
@@ -217,33 +244,78 @@ class TestRunCell:
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
-def replay_with_step_functions(config, params, trace):
-    """Drive scan_step/apply_action directly; returns per-scan arrays."""
-    from trxsave.traffic import demand_series
+TIMELINE_ARRAYS = ("demand", "occupied", "blocked", "active_trx", "active_ts", "off_counter",
+                   "on_counter", "delay_remaining", "actions")
 
-    cell = build_cell(config)
-    saving = SavingState()
-    active, off_c, on_c, delay, actions = [], [], [], [], []
-    for d in demand_series(trace.samples):
-        cell, _ = place_calls(cell, int(d), MappingStrategy.packed())
-        saving, action = scan_step(cell, saving, params)
-        before = cell.enabled_trx_count
-        cell = apply_action(cell, action)
-        if cell.enabled_trx_count > before:
-            actions.append(action.trx)
-        elif cell.enabled_trx_count < before:
-            actions.append(-action.trx)
-        else:
-            actions.append(0)
-        active.append(cell.enabled_trx_count)
-        off_c.append(saving.off_counter)
-        on_c.append(saving.on_counter)
-        delay.append(saving.delay_remaining)
-    return active, off_c, on_c, delay, actions
+
+def assert_replays(config, params, samples):
+    """run_cell and the scan_step/apply_action replay agree on every array at every scan."""
+    trace = TrafficTrace("c1", 10.0, samples)
+    tl = run_cell(config, params, trace)
+    spec = oracles.replay_with_step_functions(config, params, trace)
+    for field in TIMELINE_ARRAYS:
+        got = getattr(tl, field).tolist()
+        if got != spec[field]:
+            scan = next(i for i, (a, b) in enumerate(zip(got, spec[field])) if a != b)
+            pytest.fail(f"{field} differs first at scan {scan}: {got[scan]} != {spec[field][scan]}")
+    return tl
+
+
+def regimes(rng, n, low, high, mean_scans):
+    """Levels drawn from [low, high) held for geometric spans, plus Gaussian noise."""
+    spans = rng.geometric(1.0 / mean_scans, size=n // mean_scans * 4 + 8)
+    levels = np.repeat(rng.uniform(low, high, size=len(spans)), spans)[:n]
+    return np.round(np.maximum(levels + rng.normal(0, 1.0, size=n), 0), 6)
+
+
+def zero_then(level, quiet, busy):
+    return np.concatenate([np.zeros(quiet), np.full(busy, float(level))])
+
+
+# name -> (num_trx, cch_slots, PowerSavingParams fields, samples)
+EDGE_CASES = {
+    # zero traffic, target 64: the first disable is the window's last scan, the
+    # second (target 65) the first scan of the window after an empty one
+    "fires_on_last_scan_of_window": lambda: (3, 3, dict(trx_off_target=64, hysteresis=3),
+                                             np.zeros(400)),
+    "fires_on_first_scan_of_next": lambda: (3, 3, dict(trx_off_target=65, hysteresis=3),
+                                            np.zeros(400)),
+    "ends_on_firing_scan": lambda: (3, 3, dict(hysteresis=3), np.zeros(50)),
+    "ends_on_firing_scan_at_window_end": lambda: (3, 3, dict(trx_off_target=64, hysteresis=3),
+                                                  np.zeros(64)),
+    "zero_max_trx_sheds_to_one": lambda: (12, 1, dict(hysteresis=1, trx_off_target=20,
+                                                       trx_off_delay=6), np.zeros(1500)),
+    "saturated_max_trx": lambda: (12, 3, dict(hysteresis=1), np.full(800, 100.0)),
+    # re-enables while calls are blocked: placement reads the pre-action capacity
+    "surge_after_shedding": lambda: (4, 2, dict(hysteresis=1, trx_on_target=20,
+                                                trx_off_target=20, trx_off_delay=6),
+                                     np.tile(zero_then(40.0, 300, 200), 3)),
+    # a counter keeps its value across an event of the other: off at 20 when the
+    # enable fires, on at 30 when the disable fires
+    "off_counter_carried_across_enable": lambda: (
+        3, 3, dict(trx_off_target=100, trx_on_target=20, trx_off_delay=6, hysteresis=2),
+        np.concatenate([np.zeros(186), np.full(60, 30.0), np.zeros(100)])),
+    "on_counter_carried_across_disable": lambda: (
+        4, 3, dict(trx_off_target=20, trx_on_target=100, trx_off_delay=6, hysteresis=5),
+        np.concatenate([np.zeros(20), np.full(90, 18.0), np.zeros(100)])),
+    "one_trx": lambda: (1, 3, {}, regimes(np.random.default_rng(1), 2000, 0, 8, 40)),
+    "two_trx_bursty": lambda: (2, 1, dict(hysteresis=1, trx_off_target=20, trx_on_target=20,
+                                          trx_off_delay=6),
+                               regimes(np.random.default_rng(2), 3000, 0, 18, 30)),
+    "hysteresis_1014": lambda: (5, 2, dict(hysteresis=1014),
+                                regimes(np.random.default_rng(3), 2000, 0, 40, 60)),
+    "targets_100_delay_90": lambda: (6, 3, dict(trx_off_target=100, trx_on_target=100,
+                                                trx_off_delay=90, hysteresis=2),
+                                     regimes(np.random.default_rng(4), 4000, 0, 50, 300)),
+    "decay_above_target": lambda: (4, 3, dict(trx_off_target=20, trx_on_target=20,
+                                              trx_off_delay=6, hysteresis=3, decay_step=150),
+                                   regimes(np.random.default_rng(5), 3000, 0, 32, 25)),
+}
+WINDOWS = {"default": (FIRST_WINDOW, MAX_WINDOW), "one": (1, 1), "three_to_seven": (3, 7)}
 
 
 class TestReplayEquivalence:
-    """The fast run_cell loop and the pure step functions must agree exactly."""
+    """run_cell and the pure step functions agree on every array at every scan."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_traces_replay_identically(self, seed):
@@ -259,15 +331,54 @@ class TestReplayEquivalence:
         n = 600
         lam = rng.uniform(0, num_trx * 8)
         samples = np.round(np.maximum(rng.normal(lam, lam / 2 + 0.5, size=n), 0), 6)
-        trace = TrafficTrace("c1", 10.0, samples)
+        assert_replays(config, params, samples)
 
-        tl = run_cell(config, params, trace)
-        active, off_c, on_c, delay, actions = replay_with_step_functions(config, params, trace)
-        assert list(tl.active_trx) == active
-        assert list(tl.off_counter) == off_c
-        assert list(tl.on_counter) == on_c
-        assert list(tl.delay_remaining) == delay
-        assert list(tl.actions) == actions
+    @pytest.mark.parametrize("seed", range(10))
+    def test_multi_day_traces_replay_identically(self, seed):
+        # two days of scans; every parameter at its range ends on some seed
+        rng = np.random.default_rng(1000 + seed)
+        num_trx = (1, 2, MAX_TRX)[seed % 3] if seed < 6 else int(rng.integers(2, MAX_TRX + 1))
+        cch = seed % 3 + 1
+        params = PowerSavingParams(
+            trx_off_target=(20, 100)[seed % 2] if seed < 4 else int(rng.integers(20, 101)),
+            trx_on_target=(100, 20)[seed % 2] if seed < 4 else int(rng.integers(20, 101)),
+            trx_off_delay=(6, 90)[seed % 2] if seed < 4 else int(rng.integers(6, 91)),
+            hysteresis=(1, 1014)[seed % 2] if seed < 2 else int(rng.integers(1, max(2, 8 * num_trx - cch - 9))),
+            decay_step=int(rng.integers(1, 5)),
+        )
+        n = 17_280
+        samples = regimes(rng, n, -num_trx * 4, num_trx * 8 + 4, 150)  # zero to saturated
+        tl = assert_replays(CellConfig("c1", num_trx, cch), params, samples)
+        if 1 < num_trx and params.hysteresis < 1014:
+            assert np.count_nonzero(tl.actions) >= 10
+
+    @pytest.mark.parametrize("windows", WINDOWS)
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_edge_cases_replay_identically(self, monkeypatch, name, windows):
+        first, largest = WINDOWS[windows]
+        monkeypatch.setattr(saving_engine, "FIRST_WINDOW", first)
+        monkeypatch.setattr(saving_engine, "MAX_WINDOW", largest)
+        num_trx, cch, fields, samples = EDGE_CASES[name]()
+        assert_replays(CellConfig("c1", num_trx, cch), PowerSavingParams(**fields), samples)
+
+    def test_enable_wins_a_tie_as_in_scan_step(self, monkeypatch):
+        # fixed_offset 9 keeps the two triggers disjoint, so no valid run meets a
+        # tie; at -11 a scan with 8 or 9 idle TCHs bumps both counters, and with a
+        # 2-TRX cell enabled both counters reach their targets on scan 45
+        monkeypatch.setattr(saving_engine, "validate_params", lambda p: p)
+        params = PowerSavingParams(trx_off_target=20, trx_on_target=26, trx_off_delay=6,
+                                   hysteresis=10, fixed_offset=-11)
+        tl = assert_replays(CellConfig("c1", 3, 3), params, np.full(200, 4.0))
+        assert tl.actions[45] == 3 and tl.off_counter[45] == 20
+
+    def test_quiet_spans_far_longer_than_the_largest_window(self):
+        # shed to one TRX within the first thousand scans, idle for three largest
+        # windows, then a surge re-enables every TRX
+        quiet = 3 * MAX_WINDOW + 777
+        samples = np.concatenate([zero_then(0.0, quiet, 0), np.full(600, 90.0), np.zeros(500)])
+        tl = assert_replays(CellConfig("c1", MAX_TRX, 3),
+                            PowerSavingParams(hysteresis=2, trx_on_target=20), samples)
+        assert tl.active_trx[quiet - 1] == 1 and tl.active_trx[quiet + 599] == MAX_TRX
 
 
 def assert_counter_algebra(tl, params):

@@ -353,6 +353,15 @@ PARSE_CORPUS = {
     "quoted_value": 'a,0,"1.5"\n',
     "quoted_id": '"a",0,1.5\n"a",1,2\n',
     "unicode_id": "célula,0,1\ncélula,1,2\n",
+    "space_ids": " a,0,1\n a,1,2\ncell 0001 ,0,3\ncell 0001 ,1,4\ncell 0002,0,5\n",
+    "utf8_ids": "célula 1,0,1\n小区 7,0,2\n小区 7,1,3\n\U0001f6f0,0,4\n",
+    "line_separator_ids": "a\u2028b,0,1\na\u2028b,1,2\nc\x85,0,3\n",
+    "space_index": "a,0 ,1\n",
+    "nbsp_value": "a b,0,1\u00a0\n",
+    "non_ascii_value": "a,0,1\u00a0\n",
+    "non_ascii_digits": "a,0,\u0661\na,\u0661,2\n",
+    "tab_id": "a\tb,0,1\n",
+    "truncated_utf8_id": b"a b\xc3,0,1\n",
     "non_utf8_id": b"a\xff,0,1\n",
     "non_utf8_value": b"a,0,1\x85\n",
     "interleaved": "a,0,1\nb,0,1\na,1,1\n",
@@ -364,7 +373,8 @@ PARSE_CORPUS = {
     "empty_value": "a,0,\n",
 }
 FAST_PATH = {"plain", "exponent", "negative_zero", "empty_id", "long_id", "no_final_newline",
-             "header_only", "quoted_id"}
+             "header_only", "quoted_id", "space_id", "unicode_id", "space_ids", "utf8_ids",
+             "line_separator_ids"}
 WHOLE_FILE_CASES = {
     "empty": b"",
     "header_no_newline": TRAFFIC_HEADER.rstrip("\n").encode(),
@@ -413,12 +423,17 @@ class TestTrafficParsePaths:
 
     def test_generated_fleet_takes_the_fast_path_bit_identically(self, tmp_path):
         _, traces, _ = build_demo_fleet(6, 1, seed=11)
+        # ids with spaces or non-ASCII letters keep the file on the fast path
+        renamed = [TrafficTrace(name, t.scan_period_s, t.samples)
+                   for name, t in zip(["cell 0000", "célula 1", "小区 2", " 3", "4 ", "x y z"],
+                                      traces)]
         path = tmp_path / "traffic.csv"
-        write_traffic_csv(traces, path)
-        fast = traffic._read_plain_chunks(path)
-        assert fast is not None
-        assert sample_bytes(fast) == sample_bytes(traffic._read_rows(path))
-        assert sample_bytes(fast) == {t.cell_id: t.samples.tobytes() for t in traces}
+        for fleet in (traces, renamed):
+            write_traffic_csv(fleet, path)
+            fast = traffic._read_plain_chunks(path)
+            assert fast is not None
+            assert sample_bytes(fast) == sample_bytes(traffic._read_rows(path))
+            assert sample_bytes(fast) == {t.cell_id: t.samples.tobytes() for t in fleet}
 
     @pytest.mark.parametrize("name,message", [
         ("interleaved", "row 3: cell 'a' again after another cell"),
