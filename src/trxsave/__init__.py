@@ -23,7 +23,6 @@ from .cell_model import (
     CellConfig,
     CellState,
     MappingStrategy,
-    active_trx_count,
     build_cell,
     idle_tch_count,
     place_calls,

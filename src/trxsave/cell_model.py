@@ -162,11 +162,6 @@ def idle_tch_count(state: CellState) -> int:
     return state.enabled_tch_capacity - state.occupied_tch
 
 
-def active_trx_count(state: CellState) -> int:
-    """Number of enabled TRXs; at least 1 (TRX 1 is never disabled)."""
-    return state.enabled_trx_count
-
-
 def set_trx_enabled(state: CellState, trx_index: int, enabled: bool) -> CellState:
     """Toggle one TRX's enable flag; keeps the slot map consistent.
 

@@ -227,31 +227,30 @@ def apply_action(cell: CellState, action: ScanAction) -> CellState:
 
 @dataclass
 class CellTimeline:
-    """Per-scan record of one cell's simulation run.
+    """What the outputs read of one cell's run, one entry per scan.
 
-    Arrays are parallel, one entry per scan; counters and enable state are
-    recorded after the scan's action has been applied.
+    ``offered`` is the trace's own array; ``blocked`` counts the calls that did
+    not fit on the TRXs the scan before left enabled; ``active_trx`` is the
+    enabled count after the scan's action, and ``actions`` the action itself.
+    The counters and the delay window are not kept: only the
+    ``scan_step``/``apply_action`` replay has them per scan.
     """
 
     cell_id: str
     config: CellConfig
     params: PowerSavingParams
-    ps_enabled: bool
-    scan_period_s: float
     offered: np.ndarray
-    demand: np.ndarray
-    occupied: np.ndarray
     blocked: np.ndarray
     active_trx: np.ndarray
-    active_ts: np.ndarray
-    off_counter: np.ndarray
-    on_counter: np.ndarray
-    delay_remaining: np.ndarray
     actions: np.ndarray
 
     @property
+    def active_ts(self) -> np.ndarray:
+        return self.active_trx * np.int16(SLOTS_PER_TRX)
+
+    @property
     def n_scans(self) -> int:
-        return len(self.demand)
+        return len(self.actions)
 
 
 def run_cell(
@@ -266,15 +265,13 @@ def run_cell(
     runs the counter logic and applies at most one switch action. With
     ``ps_enabled=False`` every TRX stays enabled for the whole run.
 
-    With saving on, ``_walk_counters`` jumps from switch event to switch
-    event: from each segment's start it walks both counters over a window of
-    scans in closed form (see the module docstring) and stops at the first
-    scan where one reaches its target. It sums and compares integers only,
-    so every array equals the ``scan_step``/``apply_action`` replay's. The
-    other arrays follow from the events in one pass: ``occupied`` and
-    ``blocked`` from the enabled count before each scan's action, and
-    ``delay_remaining`` from the disable scans. Saving off is the same pass
-    with no events.
+    With saving on, ``_walk_counters`` finds the switch actions by jumping from
+    event to event (see the module docstring). It sums and compares integers
+    only, so every action falls on the scan where the
+    ``scan_step``/``apply_action`` replay takes it. The enabled counts follow
+    from the actions, and the blocked calls from the demand and the enabled
+    count before each scan's action. Saving off is the same pass with no
+    actions. The timeline keeps no counter or delay array.
     """
     config.validate()
     validate_params(params)
@@ -283,11 +280,9 @@ def run_cell(
     demand = demand_series(trace.samples)
     n = len(demand)
     num_trx = config.num_trx
-    off_counter = np.zeros(n, np.int32)
-    on_counter = np.zeros(n, np.int32)
     actions = np.zeros(n, np.int16)
     if ps_enabled:
-        _walk_counters(demand, config, params, off_counter, on_counter, actions)
+        _walk_counters(demand, config, params, actions)
 
     active_trx = np.cumsum(np.sign(actions), dtype=np.int16)
     active_trx += num_trx
@@ -297,26 +292,16 @@ def run_cell(
     capacity[1:] = active_trx[:-1]
     capacity *= SLOTS_PER_TRX
     capacity -= config.cch_slots
-    occupied = np.minimum(demand, capacity)
-    delay_remaining = np.zeros(n, np.int32)
-    ramp = np.arange(params.trx_off_delay, -1, -1, dtype=np.int32)
-    for t in np.flatnonzero(actions < 0).tolist():
-        delay_remaining[t:t + len(ramp)] = ramp[:n - t]
+    blocked = demand  # demand - min(demand, capacity), in place
+    blocked -= capacity
+    np.maximum(blocked, 0, out=blocked)
     return CellTimeline(
         cell_id=config.cell_id,
         config=config,
         params=params,
-        ps_enabled=ps_enabled,
-        scan_period_s=trace.scan_period_s,
         offered=trace.samples,
-        demand=demand,
-        occupied=occupied,
-        blocked=demand - occupied,
+        blocked=blocked,
         active_trx=active_trx,
-        active_ts=active_trx * np.int16(SLOTS_PER_TRX),
-        off_counter=off_counter,
-        on_counter=on_counter,
-        delay_remaining=delay_remaining,
         actions=actions,
     )
 
@@ -331,11 +316,14 @@ def _walk_counters(
     demand: np.ndarray,
     config: CellConfig,
     params: PowerSavingParams,
-    off_counter: np.ndarray,
-    on_counter: np.ndarray,
     actions: np.ndarray,
 ) -> None:
-    """Fill both counters and the actions of a saving-on run, event by event.
+    """Fill the actions of a saving-on run, event by event.
+
+    Each window's counters go into two window-sized scratch buffers. Only each
+    counter's value at the event scan, or at the window's last scan, is carried
+    on; a counter that is not walked (delay window, no TRX to switch) keeps its
+    carried value.
 
     Enabled TRXs always form the prefix 1..enabled, because disables pick the
     highest index and enables the lowest disabled one, so the enabled count is
@@ -364,13 +352,15 @@ def _walk_counters(
             kept[side, enabled] = sums
         return sums
 
-    walk = np.empty(MAX_WINDOW + 1, dtype)
+    on_walk = np.empty(MAX_WINDOW + 1, dtype)
+    off_walk = np.empty(MAX_WINDOW + 1, dtype)
     low = np.empty(MAX_WINDOW + 1, dtype)
 
     def first_fire(sums: np.ndarray, start: int, stop: int, counter: int, target: int,
-                   out: np.ndarray) -> int:
+                   walk: np.ndarray) -> int:
         """Walk a counter that holds ``counter`` before scan ``start`` over the scans
-        [start, stop), into ``out``; the first scan where it reaches ``target``, or stop.
+        [start, stop), leaving its value after scan ``start + i`` in ``walk[i + 1]``;
+        the first scan where it reaches ``target``, or stop.
 
         C_t = max(C_{t-1} + x_t, 0) is P_t - min(-C, min_{start<=k<=t} P_k), where P
         sums the steps x from ``start`` (Lindley's recursion, in closed form).
@@ -379,8 +369,8 @@ def _walk_counters(
         np.subtract(sums[start + 1:stop + 1], sums[start], out=walk[1:k + 1])
         walk[0] = -counter
         np.minimum.accumulate(walk[:k + 1], out=low[:k + 1])
-        np.subtract(walk[1:k + 1], low[1:k + 1], out=out[start:stop])
-        hit = out[start:stop] >= target
+        np.subtract(walk[1:k + 1], low[1:k + 1], out=walk[1:k + 1])
+        hit = walk[1:k + 1] >= target
         i = int(hit.argmax())
         return start + i if hit[i] else stop
 
@@ -389,32 +379,32 @@ def _walk_counters(
     while start < n:
         stop = min(start + window, n)
         on_at = off_at = stop
-        if enabled < num_trx:
+        on_walked = enabled < num_trx
+        if on_walked:
             on_at = first_fire(prefix_sums("on", enabled), start, stop, on_c, on_target,
-                               on_counter)
-        else:
-            on_counter[start:stop] = on_c
+                               on_walk)
         # off-checks stay suspended until the delay window after a disable has run out
-        walk_from = min(max(start, off_open), stop)
-        off_counter[start:walk_from] = off_c
-        if enabled > 1 and walk_from < stop:
-            off_at = first_fire(prefix_sums("off", enabled), walk_from, stop, off_c,
-                                off_target, off_counter)
-        else:
-            off_counter[walk_from:stop] = off_c
+        off_from = max(start, off_open)
+        off_walked = enabled > 1 and off_from < stop
+        if off_walked:
+            off_at = first_fire(prefix_sums("off", enabled), off_from, stop, off_c,
+                                off_target, off_walk)
         at = min(on_at, off_at)
         if at == stop:  # no event: go on from the window's last scan
             at, window = stop - 1, min(2 * window, MAX_WINDOW)
-        elif on_at <= off_at:  # enable first on a tie, which the disjoint triggers never make
+        else:
+            window = FIRST_WINDOW
+        if on_walked:
+            on_c = int(on_walk[at - start + 1])
+        if off_walked and off_from <= at:
+            off_c = int(off_walk[at - off_from + 1])
+        if at == on_at:  # enable first on a tie, which the disjoint triggers never make
             enabled += 1
             actions[at] = enabled
-            on_counter[at] = 0
-            window = FIRST_WINDOW
-        else:
+            on_c = 0
+        elif at == off_at:
             actions[at] = -enabled
             enabled -= 1
-            off_counter[at] = 0
+            off_c = 0
             off_open = at + params.trx_off_delay + 1
-            window = FIRST_WINDOW
-        off_c, on_c = int(off_counter[at]), int(on_counter[at])
         start = at + 1

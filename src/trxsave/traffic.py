@@ -41,6 +41,10 @@ KPI_CSV_HEADER = [
 
 TRAFFIC_CSV_HEADER = ["cell_id", "scan_index", "offered_erlang"]
 
+# call demand is an int32; an offered Erlang from MAX_ERLANG up would round past it
+MAX_DEMAND = int(np.iinfo(np.int32).max)
+MAX_ERLANG = MAX_DEMAND + 0.5
+
 
 def fmt_num(value: float) -> str:
     """Shortest decimal text that round-trips; integral values print bare."""
@@ -66,6 +70,12 @@ class TrafficTrace:
             raise DataError(f"trace {self.cell_id!r}: non-finite sample")
         if np.any(self.samples < 0):
             raise DataError(f"trace {self.cell_id!r}: negative offered Erlang")
+        if self.samples.max() >= MAX_ERLANG:
+            scan = int(np.argmax(self.samples >= MAX_ERLANG))
+            raise DataError(
+                f"trace {self.cell_id!r}: scan {scan}: offered Erlang "
+                f"{fmt_num(self.samples[scan])} rounds to a call demand over {MAX_DEMAND}"
+            )
         return self
 
 
@@ -332,23 +342,16 @@ def busy_hour_erlang(trace: TrafficTrace) -> float:
     return math.fsum(day_maxima) / len(day_maxima)
 
 
-@dataclass(frozen=True)
-class SynthKpiMaps:
-    """Coefficients of the synthetic load->KPI maps (all monotone in load).
-
-    These exist so a generated fleet exercises the clustering pipeline; the
-    emitted metadata marks such KPI files as synthetic.
-    """
-
-    throughput_base_kbps: float = 140.0
-    throughput_slope_kbps: float = 18.0
-    congestion_coeff: float = 12.0
-    preempt_coeff: float = 60.0
+# Coefficients of the synthetic load->KPI maps (all monotone in load). They exist
+# so a generated fleet exercises the clustering pipeline; the emitted metadata
+# marks such KPI files as synthetic.
+THROUGHPUT_BASE_KBPS = 140.0
+THROUGHPUT_SLOPE_KBPS = 18.0
+CONGESTION_COEFF = 12.0
+PREEMPT_COEFF = 60.0
 
 
-def trace_to_kpis(
-    trace: TrafficTrace, config: CellConfig, maps: SynthKpiMaps = SynthKpiMaps()
-) -> KpiRecord:
+def trace_to_kpis(trace: TrafficTrace, config: CellConfig) -> KpiRecord:
     """Derive a KPI record from a trace via documented monotone maps.
 
     Throughput falls linearly with load; congestion grows cubically and
@@ -357,9 +360,9 @@ def trace_to_kpis(
     config.validate()
     erl = busy_hour_erlang(trace)
     load = erl / config.total_tch
-    throughput = max(0.0, maps.throughput_base_kbps - maps.throughput_slope_kbps * load)
-    congestion = min(100.0, maps.congestion_coeff * load ** 3)
-    preempt = maps.preempt_coeff * load ** 2
+    throughput = max(0.0, THROUGHPUT_BASE_KBPS - THROUGHPUT_SLOPE_KBPS * load)
+    congestion = min(100.0, CONGESTION_COEFF * load ** 3)
+    preempt = PREEMPT_COEFF * load ** 2
     return KpiRecord(
         cell_id=trace.cell_id,
         tch_traffic_erl=erl,

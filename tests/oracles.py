@@ -7,6 +7,11 @@ k-means optimum, power iteration with deflation for eigenpairs, direct
 capacity arithmetic for the channel model, and a scan-by-scan replay of the
 state machine's executable spec (``scan_step``/``apply_action``) for the
 event-jumping ``run_cell``.
+
+A ``CellTimeline`` keeps only what an output reads. The counters, the delay
+window, the demand and the occupancy per scan live only in the replay, so the
+counter and delay-window contract is checked on it, and ``run_cell`` is
+checked against it.
 """
 
 from __future__ import annotations
@@ -33,35 +38,35 @@ def place(demand: int, cap: int) -> tuple[int, int]:
     return occupied, demand - occupied
 
 
+REPLAY_ARRAYS = ("demand", "occupied", "blocked", "active_trx", "active_ts",
+                 "off_counter", "on_counter", "delay_remaining", "actions")
+
+
 def replay_with_step_functions(config, params, trace) -> dict[str, list[int]]:
-    """Drive scan_step/apply_action one scan at a time; each per-scan CellTimeline
-    array, by field name, as a list.
+    """Drive scan_step/apply_action one scan at a time; each per-scan array, by
+    name, as a list: the CellTimeline arrays (blocked, active_trx, active_ts,
+    actions) and the spec's own (demand, occupied, both counters,
+    delay_remaining).
 
     Calls are placed by capacity arithmetic: the step functions read the call
     count, never the slot map.
     """
     cell = build_cell(config)
     saving = SavingState()
-    out = {name: [] for name in ("demand", "occupied", "blocked", "active_trx", "active_ts",
-                                 "off_counter", "on_counter", "delay_remaining", "actions")}
+    before = cell.enabled_trx_count
+    rows = []
     for sample in trace.samples.tolist():
         demand = math.floor(sample + 0.5)
         occupied, blocked = place(demand, cell.enabled_tch_capacity)
         cell = dataclasses.replace(cell, occupied_tch=occupied)
         saving, action = scan_step(cell, saving, params)
-        before = cell.enabled_trx_count
         cell = apply_action(cell, action)
         after = cell.enabled_trx_count
-        out["demand"].append(demand)
-        out["occupied"].append(occupied)
-        out["blocked"].append(blocked)
-        out["active_trx"].append(after)
-        out["active_ts"].append(after * SLOTS_PER_TRX)
-        out["off_counter"].append(saving.off_counter)
-        out["on_counter"].append(saving.on_counter)
-        out["delay_remaining"].append(saving.delay_remaining)
-        out["actions"].append(action.trx if after > before else -action.trx if after < before else 0)
-    return out
+        rows.append((demand, occupied, blocked, after, after * SLOTS_PER_TRX,
+                     saving.off_counter, saving.on_counter, saving.delay_remaining,
+                     action.trx if after > before else -action.trx if after < before else 0))
+        before = after
+    return {name: list(column) for name, column in zip(REPLAY_ARRAYS, zip(*rows))}
 
 
 def brute_silhouette(x: np.ndarray, labels) -> float:

@@ -28,7 +28,7 @@ from trxsave.saving_engine import PowerSavingParams, run_cell
 from trxsave.traffic import TrafficTrace, emit_kpi_csv, ingest_kpi_csv
 
 import oracles
-from test_saving_engine import assert_counter_algebra
+from test_saving_engine import assert_counter_algebra, assert_replays
 from test_traffic import KPI_HEADER, SAMPLE_KPI_ROWS
 
 
@@ -115,8 +115,8 @@ def test_criterion_2_counter_algebra():
         n = int(rng.integers(40, 120))
         level = rng.uniform(0, num_trx * 8 + 4)
         samples = np.maximum(rng.normal(level, level / 2 + 0.5, size=n), 0)
-        tl = run_cell(config, params, TrafficTrace("c", 10.0, samples))
-        assert_counter_algebra(tl, params)
+        _, spec = assert_replays(config, params, samples)
+        assert_counter_algebra(spec, config, params)
 
 
 @criterion(3, "per-scan dominance across 50 random scenarios")

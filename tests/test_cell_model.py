@@ -4,7 +4,6 @@ import pytest
 from trxsave.cell_model import (
     CellConfig,
     MappingStrategy,
-    active_trx_count,
     build_cell,
     idle_tch_count,
     place_calls,
@@ -123,11 +122,11 @@ class TestCounts:
 
     def test_active_trx_counts(self):
         state = cell()
-        assert active_trx_count(state) == 3
+        assert state.enabled_trx_count == 3
         state = set_trx_enabled(state, 3, False)
-        assert active_trx_count(state) == 2
+        assert state.enabled_trx_count == 2
         state = set_trx_enabled(state, 2, False)
-        assert active_trx_count(state) == 1
+        assert state.enabled_trx_count == 1
 
     def test_capacity_identity(self):
         rng = np.random.default_rng(9)
@@ -138,7 +137,7 @@ class TestCounts:
             for trx in range(num_trx, 1, -1):
                 if rng.random() < 0.5:
                     state = set_trx_enabled(state, trx, False)
-            assert state.enabled_tch_capacity == 8 * active_trx_count(state) - cch
+            assert state.enabled_tch_capacity == 8 * state.enabled_trx_count - cch
 
 
 class TestEnableFlag:

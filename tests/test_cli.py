@@ -322,6 +322,18 @@ class TestSimulate:
         assert result.exit_code == 3
         assert "traffic.csv: no trace for fleet cell 'cell_0009'" in result.output
 
+    def test_demand_past_int32_exits_3(self, runner, tmp_path):
+        # 3e9 Erlang would round to a call demand that wraps negative in int32
+        out = tmp_path / "run"
+        run_ok(runner, ["generate", "--cells", "1", "--days", "1", "--out", str(out)])
+        (out / "traffic.csv").write_text("cell_id,scan_index,offered_erlang\n" + "".join(
+            f"cell_0000,{i},{1.5 if i < 4 else 3e9}\n" for i in range(10)))
+        result = self.simulate(runner, out)
+        assert result.exit_code == 3
+        assert "trace 'cell_0000': scan 4: offered Erlang 3000000000 rounds to a call demand " \
+               "over 2147483647" in result.output
+        assert not (out / "summary.json").exists()
+
     def test_assignment_for_unknown_cell_exits_3(self, runner, tmp_path):
         out = tmp_path / "run"
         run_ok(runner, ["generate", "--cells", "3", "--days", "1", "--out", str(out)])

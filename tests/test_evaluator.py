@@ -127,7 +127,7 @@ class TestSimulateNetwork:
 
     def test_memory_holds_one_timeline_whatever_the_fleet_size(self):
         n_scans = 20_000
-        one_timeline = 30 * n_scans  # bytes per scan of a timeline's own arrays
+        one_timeline = 8 * n_scans  # blocked int32, active_trx and actions int16
 
         def peak(n_cells):
             rng = np.random.default_rng(5)

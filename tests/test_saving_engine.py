@@ -22,7 +22,7 @@ from trxsave.saving_engine import (
     scan_step,
     validate_params,
 )
-from trxsave.traffic import DiurnalProfileSpec, TrafficTrace, generate_diurnal_trace
+from trxsave.traffic import DiurnalProfileSpec, TrafficTrace, demand_series, generate_diurnal_trace
 
 
 def zero_trace(n=400, period=10.0):
@@ -169,7 +169,7 @@ class TestRunCell:
                       ps_enabled=False)
         assert np.all(tl.active_ts == 24)
         assert np.all(tl.active_trx == 3)
-        assert np.all(tl.off_counter == 0)
+        assert np.all(tl.actions == 0)
 
     def test_zero_traffic_h3_full_wind_down(self):
         # 50 qualifying scans, 30 delay scans, 50 more: disables on scans 50 and 130
@@ -210,11 +210,12 @@ class TestRunCell:
         assert np.all(tl.active_trx == 3)
         assert np.all(tl.blocked == 4)  # 25 offered on 21 TCHs
 
-    @pytest.mark.parametrize("load,bound", [("diurnal", 4.0), ("saturated", 1.5)])
-    def test_peak_memory_is_a_small_multiple_of_the_timeline(self, load, bound):
-        # a 12-TRX cell over six days: the diurnal load visits every enabled count,
-        # so the walk holds one int32 prefix-sum array per counter and count (3.7x
-        # the timeline); a saturated cell never leaves 12, so only one is built
+    @pytest.mark.parametrize("load,per_scan", [("diurnal", 120), ("saturated", 24)])
+    def test_peak_memory_is_a_small_multiple_of_the_timeline(self, load, per_scan):
+        # a 12-TRX cell over six days, in bytes per scan: the timeline's own arrays
+        # take 8 and the demand 4. The diurnal load visits every enabled count, so
+        # the walk holds one int32 prefix-sum array per counter and count (22 of
+        # them, 88); a saturated cell never leaves 12, so only one is built
         if load == "diurnal":
             trace = generate_diurnal_trace(DiurnalProfileSpec(0.0, 95.0, noise_sigma=1.0,
                                                               days=6, seed=5))
@@ -229,8 +230,7 @@ class TestRunCell:
             tracemalloc.stop()
         reached = set(tl.active_trx.tolist())
         assert reached == (set(range(1, MAX_TRX + 1)) if load == "diurnal" else {MAX_TRX})
-        own = sum(getattr(tl, field).nbytes for field in TIMELINE_ARRAYS)
-        assert peak <= bound * own, (peak, own)
+        assert peak <= per_scan * tl.n_scans, peak / tl.n_scans
 
     def test_determinism_bit_for_bit(self):
         spec_args = dict(config=CellConfig("c1", 4, 2), params=PowerSavingParams(hysteresis=2))
@@ -239,18 +239,17 @@ class TestRunCell:
         t = TrafficTrace("c1", 10.0, samples)
         a = run_cell(spec_args["config"], spec_args["params"], t)
         b = run_cell(spec_args["config"], spec_args["params"], t)
-        for field in ("demand", "occupied", "blocked", "active_trx", "active_ts",
-                      "off_counter", "on_counter", "delay_remaining", "actions"):
+        for field in TIMELINE_ARRAYS:
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
-TIMELINE_ARRAYS = ("demand", "occupied", "blocked", "active_trx", "active_ts", "off_counter",
-                   "on_counter", "delay_remaining", "actions")
+TIMELINE_ARRAYS = ("blocked", "active_trx", "active_ts", "actions")
 
 
 def assert_replays(config, params, samples):
-    """run_cell and the scan_step/apply_action replay agree on every array at every scan."""
-    trace = TrafficTrace("c1", 10.0, samples)
+    """run_cell and the scan_step/apply_action replay agree on every per-scan array a
+    timeline has, at every scan; the timeline and the replay."""
+    trace = TrafficTrace(config.cell_id, 10.0, samples)
     tl = run_cell(config, params, trace)
     spec = oracles.replay_with_step_functions(config, params, trace)
     for field in TIMELINE_ARRAYS:
@@ -258,7 +257,7 @@ def assert_replays(config, params, samples):
         if got != spec[field]:
             scan = next(i for i, (a, b) in enumerate(zip(got, spec[field])) if a != b)
             pytest.fail(f"{field} differs first at scan {scan}: {got[scan]} != {spec[field][scan]}")
-    return tl
+    return tl, spec
 
 
 def regimes(rng, n, low, high, mean_scans):
@@ -315,7 +314,7 @@ WINDOWS = {"default": (FIRST_WINDOW, MAX_WINDOW), "one": (1, 1), "three_to_seven
 
 
 class TestReplayEquivalence:
-    """run_cell and the pure step functions agree on every array at every scan."""
+    """run_cell and the pure step functions agree on every timeline array at every scan."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_traces_replay_identically(self, seed):
@@ -348,7 +347,7 @@ class TestReplayEquivalence:
         )
         n = 17_280
         samples = regimes(rng, n, -num_trx * 4, num_trx * 8 + 4, 150)  # zero to saturated
-        tl = assert_replays(CellConfig("c1", num_trx, cch), params, samples)
+        tl, _ = assert_replays(CellConfig("c1", num_trx, cch), params, samples)
         if 1 < num_trx and params.hysteresis < 1014:
             assert np.count_nonzero(tl.actions) >= 10
 
@@ -368,23 +367,25 @@ class TestReplayEquivalence:
         monkeypatch.setattr(saving_engine, "validate_params", lambda p: p)
         params = PowerSavingParams(trx_off_target=20, trx_on_target=26, trx_off_delay=6,
                                    hysteresis=10, fixed_offset=-11)
-        tl = assert_replays(CellConfig("c1", 3, 3), params, np.full(200, 4.0))
-        assert tl.actions[45] == 3 and tl.off_counter[45] == 20
+        tl, spec = assert_replays(CellConfig("c1", 3, 3), params, np.full(200, 4.0))
+        assert tl.actions[45] == 3 and spec["off_counter"][45] == 20
 
     def test_quiet_spans_far_longer_than_the_largest_window(self):
         # shed to one TRX within the first thousand scans, idle for three largest
         # windows, then a surge re-enables every TRX
         quiet = 3 * MAX_WINDOW + 777
         samples = np.concatenate([zero_then(0.0, quiet, 0), np.full(600, 90.0), np.zeros(500)])
-        tl = assert_replays(CellConfig("c1", MAX_TRX, 3),
-                            PowerSavingParams(hysteresis=2, trx_on_target=20), samples)
+        tl, _ = assert_replays(CellConfig("c1", MAX_TRX, 3),
+                               PowerSavingParams(hysteresis=2, trx_on_target=20), samples)
         assert tl.active_trx[quiet - 1] == 1 and tl.active_trx[quiet + 599] == MAX_TRX
 
 
-def assert_counter_algebra(tl, params):
-    """Counter transitions, delay-window and safety invariants for one run."""
+def assert_counter_algebra(spec, config, params):
+    """Counter transitions, delay-window and safety invariants of one
+    scan_step/apply_action replay."""
+    spec = {name: np.array(values) for name, values in spec.items()}
     for name in ("off_counter", "on_counter"):
-        c = getattr(tl, name).astype(int)
+        c = spec[name]
         prev = np.concatenate(([0], c[:-1]))
         allowed = (
             (c == prev + 1)
@@ -392,12 +393,12 @@ def assert_counter_algebra(tl, params):
             | (c == 0)
         )
         assert np.all(allowed), f"{name} made an illegal transition"
-    delay_at_start = np.concatenate(([0], tl.delay_remaining[:-1].astype(int)))
-    disables = tl.actions < 0
+    delay_at_start = np.concatenate(([0], spec["delay_remaining"][:-1]))
+    disables = spec["actions"] < 0
     assert not np.any(disables & (delay_at_start > 0)), "disable inside the delay window"
-    assert not np.any(tl.actions == -1), "TRX 1 was disabled"
-    assert tl.active_trx.min() >= 1
-    assert np.all(tl.occupied <= tl.active_trx.astype(int) * 8 - tl.config.cch_slots)
+    assert not np.any(spec["actions"] == -1), "TRX 1 was disabled"
+    assert spec["active_trx"].min() >= 1
+    assert np.all(spec["occupied"] <= spec["active_trx"] * 8 - config.cch_slots)
 
 
 class TestInvariants:
@@ -412,8 +413,8 @@ class TestInvariants:
                 hysteresis=int(rng.integers(1, 12)),
             )
             samples = np.maximum(rng.normal(rng.uniform(0, 25), 4, size=300), 0)
-            tl = run_cell(config, params, TrafficTrace("c1", 10.0, samples))
-            assert_counter_algebra(tl, params)
+            _, spec = assert_replays(config, params, samples)
+            assert_counter_algebra(spec, config, params)
 
     def test_disable_leaves_hysteresis_idle_tchs(self):
         # a disable fires only at idle > hysteresis + 9, so after losing one TRX's 8
@@ -433,7 +434,8 @@ class TestInvariants:
             fired = tl.actions < 0
             disables += int(fired.sum())
             capacity_left = tl.active_trx[fired].astype(np.int64) * 8 - cch
-            assert np.all(tl.occupied[fired] <= capacity_left - h)
+            occupied = demand_series(samples) - tl.blocked
+            assert np.all(occupied[fired] <= capacity_left - h)
         assert disables > 1000
 
     def test_dominance_per_scan(self):

@@ -111,6 +111,15 @@ class TestDemandSeries:
             assert np.all(out == math.floor(erl + 0.5))
 
 
+    def test_demand_past_int32_rejected(self):
+        largest = np.nextafter(traffic.MAX_ERLANG, 0)
+        assert demand_series(np.array([largest]))[0] == traffic.MAX_DEMAND
+        TrafficTrace("c9", 10.0, np.array([1.0, largest])).validate()
+        trace = TrafficTrace("c9", 10.0, np.array([1.0, largest, traffic.MAX_ERLANG, 3e9]))
+        with pytest.raises(DataError, match=r"trace 'c9': scan 2: offered Erlang 2147483647\.5 "):
+            trace.validate()
+
+
 class TestKpiCsv:
     def test_dataset_sample_rows_parse_exactly(self):
         records = ingest_kpi_csv(sample_kpi_csv())
@@ -309,11 +318,14 @@ class TestFormatRows:
             f"célula 7,{i},{fmt_num(v)}\n" for i, v in enumerate(trace.samples.tolist()))
 
     def test_integer_samples_print_as_fmt_num(self):
-        trace = TrafficTrace("a", 10.0, np.array([0, 3, 10**15 - 1, 10**15, 10**16]))
+        trace = TrafficTrace("a", 10.0, np.array([0, 3, 10**9, traffic.MAX_DEMAND]))
         out = io.StringIO()
         write_traffic_csv([trace], out)
         assert out.getvalue().splitlines()[1:] == [
             f"a,{i},{fmt_num(v)}" for i, v in enumerate(trace.samples.tolist())]
+        # from 1e15 up fmt_num prints exponent text, but no valid trace gets there
+        with pytest.raises(DataError, match="scan 1"):
+            write_traffic_csv([TrafficTrace("a", 10.0, np.array([3, 10**15]))], io.StringIO())
 
     def test_negative_integers_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
