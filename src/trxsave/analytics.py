@@ -8,15 +8,26 @@ Everything is deterministic: all randomness flows through
 ``numpy.random.default_rng`` seeded from explicit integers, restarts are
 merged in index order, and ties break toward the lower index.
 
+Summation order is part of the contract. Every squared distance adds the
+per-feature squares one feature at a time, left to right, into one output
+array (``_squared_gaps``); for up to 7 features that is bit-for-bit numpy's
+``np.sum(diff * diff, axis=-1)``, which sums so short an axis in the same
+order. k-means++ keeps each point's distance to its nearest chosen centroid
+as a running ``np.minimum``, which is exact. Every fit uses all k clusters:
+an empty cluster is reseeded to the point farthest from its own centroid,
+repeatedly, until none is empty (k <= n).
+
 Silhouette uses the standard cohesion/separation form s = (b - a)/max(a, b),
 where a is the mean distance to the point's own cluster and b the smallest
 mean distance to another cluster, so +1 means well separated. Model selection
 scores every fitted k in one blocked pass: the distance matrix is computed a
-block of rows at a time (about ``PAIRS_PER_BLOCK`` distances) and each block
-serves every labeling, so memory stays bounded whatever the fleet size. Each
-point's sum over a cluster's members is ``np.cumsum`` along the row, which
-adds strictly in index order, and the running total is carried across blocks
-in row order; the score is therefore bit-for-bit the naive pairwise one.
+block of points at a time (about ``PAIRS_PER_BLOCK`` distances) and each
+block serves every labeling, so memory stays bounded whatever the fleet size.
+A block is stored transposed, one column per block point, since distance is
+symmetric bit for bit. Each point's sum over a cluster's members is
+``np.cumsum`` down the member rows, which adds strictly in index order, and
+the running total is carried across blocks in point order; the score is
+therefore bit-for-bit the naive pairwise one.
 """
 
 from __future__ import annotations
@@ -233,29 +244,51 @@ def _points_of(points: Union[FeatureMatrix, np.ndarray]) -> np.ndarray:
     return np.asarray(points, dtype=np.float64)
 
 
+def _squared_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the broadcast rows of ``a`` and ``b``.
+
+    The last axis holds the features. The squares are added one feature at a
+    time, left to right, into one output array, so no difference tensor with a
+    feature axis is built.
+    """
+    out = a[..., 0] - b[..., 0]
+    out *= out
+    gap = np.empty_like(out)
+    for j in range(1, a.shape[-1]):
+        np.subtract(a[..., j], b[..., j], out=gap)
+        gap *= gap
+        out += gap
+    return out
+
+
 def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n_points, n_centers) squared Euclidean distances."""
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    """(n_points, n_centers) squared Euclidean distances, features added left to right."""
+    return _squared_gaps(points[:, None, :], centers[None, :, :])
 
 
-def seeding_probabilities(points: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+def seeding_probabilities(nearest_d2: np.ndarray) -> np.ndarray:
     """Selection weights for the next k-means++ centroid.
 
-    Each point's weight is its squared distance to the nearest already-chosen
-    centroid over the total; points coinciding with a centroid get 0.
+    ``nearest_d2`` holds each point's squared distance to its nearest
+    already-chosen centroid; a point's weight is its share of the total, so
+    points coinciding with a centroid get 0. When every point coincides with
+    one, the weights fall back to uniform.
     """
-    d2 = squared_distances(points, chosen).min(axis=1)
-    total = d2.sum()
+    total = nearest_d2.sum()
     if total == 0.0:
-        return np.full(len(points), 1.0 / len(points))  # degenerate: uniform fallback
-    return d2 / total
+        return np.full(len(nearest_d2), 1.0 / len(nearest_d2))
+    return nearest_d2 / total
 
 
 def kmeanspp_seed(
     points: Union[FeatureMatrix, np.ndarray], k: int, seed: int
 ) -> np.ndarray:
-    """Pick k initial centroids: first uniform, then squared-distance weighted."""
+    """Pick k initial centroids: first uniform, then squared-distance weighted.
+
+    The distance to the nearest chosen centroid is kept as a running minimum,
+    updated against each new centroid only; ``min`` is exact, so the weights
+    equal those from measuring every point against every chosen centroid.
+    """
     x = _points_of(points)
     n = len(x)
     if k > n:
@@ -265,9 +298,10 @@ def kmeanspp_seed(
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[rng.integers(n)]
+    nearest_d2 = _squared_gaps(x, centroids[0])
     for j in range(1, k):
-        probs = seeding_probabilities(x, centroids[:j])
-        centroids[j] = x[rng.choice(n, p=probs)]
+        centroids[j] = x[rng.choice(n, p=seeding_probabilities(nearest_d2))]
+        np.minimum(nearest_d2, _squared_gaps(x, centroids[j]), out=nearest_d2)
     return centroids
 
 
@@ -284,21 +318,33 @@ def _sse(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
 def _repair_empty(
     x: np.ndarray, centroids: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reseed each empty cluster to the point farthest from its centroid."""
+    """Reseed each empty cluster to the point farthest from its own centroid.
+
+    Clusters are visited in index order and checked as they are reached, so a
+    steal that empties a later cluster is repaired in the same pass. A steal
+    can also empty a cluster already visited, so the pass repeats until none
+    is empty. A moved point never moves again, so each repaired cluster keeps
+    a member and the loop ends within k moves (k <= n). Only moved points and
+    repaired clusters change, so each point's distance to its own centroid is
+    measured once per call.
+    """
     k = len(centroids)
-    taken: set[int] = set()
-    for j in range(k):
-        if np.any(labels == j):
-            continue
-        dist = squared_distances(x, centroids)[np.arange(len(x)), labels]
-        for idx in taken:
-            dist[idx] = -1.0
-        far = int(np.argmax(dist))
-        taken.add(far)
-        centroids = centroids.copy()
-        centroids[j] = x[far]
-        labels = labels.copy()
-        labels[far] = j
+    counts = np.bincount(labels, minlength=k)
+    if counts.all():
+        return centroids, labels
+    centroids = centroids.copy()
+    labels = labels.copy()
+    dist = _squared_gaps(x, centroids[labels])
+    while not counts.all():
+        for j in range(k):
+            if counts[j]:
+                continue
+            far = int(np.argmax(dist))
+            dist[far] = -1.0  # moved: never picked again
+            counts[labels[far]] -= 1
+            counts[j] += 1
+            centroids[j] = x[far]
+            labels[far] = j
     return centroids, labels
 
 
@@ -312,13 +358,16 @@ def lloyd(
     """Alternate assignment and centroid updates until centroids stop moving.
 
     Nearest-centroid ties break toward the lower centroid index; empty
-    clusters are reseeded to the point farthest from its current centroid.
+    clusters are reseeded to the points farthest from their own centroids, so
+    every returned cluster is non-empty (k <= n).
     """
     x = _points_of(points)
     centroids = np.array(init_centroids, dtype=np.float64, copy=True)
     if centroids.ndim != 2 or centroids.shape[1] != x.shape[1] or len(centroids) == 0:
         raise DataError(f"bad init_centroids shape {centroids.shape}")
     k = len(centroids)
+    if k > len(x):
+        raise DataError(f"k={k} exceeds {len(x)} points")
 
     sse_history: list[float] = []
     iterations = 0
@@ -450,10 +499,14 @@ def _cluster_members(labels: np.ndarray, n: int) -> list[np.ndarray]:
 def _block_silhouettes(
     dist: np.ndarray, own: np.ndarray, members: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Silhouette value of each row of a distance block (0 for singletons and a = b = 0)."""
+    """Silhouette value of each column of a distance block (0 for singletons and a = b = 0).
+
+    ``dist`` is n x block: column i holds every point's distance to block point i.
+    """
     counts = np.array([len(m) for m in members])
-    # cumsum adds in index order, the same sequence as a scalar acc += d[j] loop
-    sums = np.stack([np.cumsum(dist[:, m], axis=1)[:, -1] for m in members], axis=1)
+    # cumsum down the member rows adds in index order, the same sequence as a
+    # scalar acc += d[j] loop
+    sums = np.stack([np.cumsum(dist[m], axis=0)[-1] for m in members], axis=1)
     rows = np.arange(len(own))
     own_size = counts[own] - 1
     a = sums[rows, own] / np.maximum(own_size, 1)
@@ -482,14 +535,14 @@ def silhouette_scores(
     step = max(1, PAIRS_PER_BLOCK // n) if n else 1
     for i0 in range(0, n, step):
         i1 = min(i0 + step, n)
-        diff = x[i0:i1, None, :] - x[None, :, :]
-        diff *= diff  # squared in place: the same products as diff * diff
-        dist = np.sqrt(np.sum(diff, axis=2))
-        del diff
+        # transposed block: (x_j - x_i)^2 equals (x_i - x_j)^2 bit for bit
+        dist = _squared_gaps(x[:, None, :], x[None, i0:i1, :])
+        np.sqrt(dist, out=dist)
         for t, labels in enumerate(labelings):
             values = _block_silhouettes(dist, labels[i0:i1], members[t])
             # carry the running total across blocks in row order
             totals[t] = float(np.cumsum(np.append(totals[t], values))[-1])
+        del dist  # freed before the next block is built
     return [total / n for total in totals]
 
 

@@ -254,12 +254,15 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
     standardized, _ = analytics.standardize(matrix)
     reduced, _ = analytics.pca_reduce(standardized, n_components=3)
 
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     n = reduced.n_rows
     if k is not None and not 1 <= k <= n:
         raise ConfigurationError(f"--k {k} must be in [1, {n}]")
+    if not 2 <= k_min <= min(k_max, n):
+        raise ConfigurationError(
+            f"--k-min {k_min} and --k-max {k_max} need 2 <= --k-min <= min(--k-max, {n} cells)")
+
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     elbow_ks = range(1, min(10, n) + 1)
     sel_ks = range(k_min, min(k_max, n) + 1)
     pinned = [] if k is None else [k]

@@ -3,7 +3,9 @@
 Everything here recomputes results from first principles, without touching
 the production code paths it checks: naive pairwise silhouette (scalar
 distances, and the full n x n matrix), exhaustive partition search for the
-k-means optimum, power iteration with deflation for eigenpairs, direct
+k-means optimum, squared distances from the whole n x k x d difference tensor,
+k-means++ seeding that measures every point against every chosen centroid,
+power iteration with deflation for eigenpairs, direct
 capacity arithmetic for the channel model, and a scan-by-scan replay of the
 state machine's executable spec (``scan_step``/``apply_action``) for the
 event-jumping ``run_cell``.
@@ -168,6 +170,31 @@ def exhaustive_best_sse(x: np.ndarray, k: int) -> float:
         if sse < best:
             best = sse
     return best
+
+
+def tensor_squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n_points, n_centers) squared distances summed over the n x k x d difference tensor."""
+    diff = points[:, None, :] - centers[None, :, :]
+    return np.sum(diff * diff, axis=2)
+
+
+def rescan_kmeanspp_seed(x: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k-means++ seeding that measures every point against every chosen centroid at each step.
+
+    Draws from the same generator in the same order as the production seeding:
+    one uniform pick, then one weighted pick per further centroid, with
+    uniform weights when every point coincides with a chosen centroid.
+    """
+    n = len(x)
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[rng.integers(n)]
+    for j in range(1, k):
+        d2 = tensor_squared_distances(x, centroids[:j]).min(axis=1)
+        total = d2.sum()
+        probs = np.full(n, 1.0 / n) if total == 0.0 else d2 / total
+        centroids[j] = x[rng.choice(n, p=probs)]
+    return centroids
 
 
 def power_iteration_eigs(matrix: np.ndarray, n_components: int,

@@ -24,6 +24,7 @@ from trxsave.analytics import (
     select_k,
     silhouette_score,
     silhouette_scores,
+    squared_distances,
     standardize,
     write_clusters_csv,
     write_elbow_csv,
@@ -168,11 +169,41 @@ class TestPca:
             pca_reduce(raw([[1.0, 2.0], [3.0, 4.0]]), 2)
 
 
+def duplicated_point_sets(count, seed):
+    """Point sets of 12-40 rows drawn from only 3-7 distinct rows (3 features)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        distinct = rng.normal(size=(int(rng.integers(3, 8)), 3))
+        yield distinct[rng.integers(len(distinct), size=int(rng.integers(12, 41)))]
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_equals_difference_tensor_sum(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(30):
+            n, k = rng.integers(1, 50, size=2)
+            scale = 10.0 ** rng.integers(-4, 5)
+            pts, centers = rng.normal(size=(n, d)) * scale, rng.normal(size=(k, d)) * scale
+            assert np.array_equal(squared_distances(pts, centers),
+                                  oracles.tensor_squared_distances(pts, centers))
+
+    @pytest.mark.parametrize("pts,centers", [
+        (np.array([[1.5, -2.0, 3.25]]), np.array([[0.5, 4.0, -1.0]])),
+        (np.full((4, 3), 2.5), np.full((3, 3), 2.5)),
+        (np.array([[1e-150, -3e-150, 2e-150], [5e149, 1e150, -1e150]]),
+         np.array([[-1e-150, 1e-150, 0.0], [1e150, -7e149, 3e149], [0.0, 0.0, 0.0]])),
+    ], ids=["n1_k1", "coincident", "magnitudes_1e-150_to_1e150"])
+    def test_edge_cases_equal_difference_tensor_sum(self, pts, centers):
+        assert np.array_equal(squared_distances(pts, centers),
+                              oracles.tensor_squared_distances(pts, centers))
+
+
 class TestKmeansppSeed:
     def test_probabilities_match_direct_arithmetic(self):
         # 1-D points {0, 1, 10} with centroid at 0: squared distances 1 and 100
         pts = np.array([[0.0], [1.0], [10.0]])
-        probs = seeding_probabilities(pts, np.array([[0.0]]))
+        probs = seeding_probabilities(squared_distances(pts, np.array([[0.0]]))[:, 0])
         assert list(probs) == [0.0, 1 / 101, 100 / 101]
 
     def test_statistical_draw_frequencies(self):
@@ -190,7 +221,7 @@ class TestKmeansppSeed:
 
     def test_duplicates_of_chosen_centroid_never_picked(self):
         pts = np.array([[1.0], [1.0], [5.0]])
-        probs = seeding_probabilities(pts, np.array([[1.0]]))
+        probs = seeding_probabilities(squared_distances(pts, np.array([[1.0]]))[:, 0])
         assert probs[0] == 0.0 and probs[1] == 0.0 and probs[2] == 1.0
 
     def test_k_equals_n_selects_every_point(self):
@@ -202,6 +233,16 @@ class TestKmeansppSeed:
     def test_k_too_large_rejected(self):
         with pytest.raises(DataError):
             kmeanspp_seed(np.zeros((3, 2)), 4, 0)
+
+    def test_same_draws_as_rescanning_every_chosen_centroid(self):
+        rng = np.random.default_rng(15)
+        spread = rng.normal(size=(40, 3))
+        duplicated = np.repeat(spread[:4], 5, axis=0)  # k = 6 reaches the uniform fallback
+        for seed in range(200):
+            assert np.array_equal(kmeanspp_seed(spread, 5, seed),
+                                  oracles.rescan_kmeanspp_seed(spread, 5, seed))
+            assert np.array_equal(kmeanspp_seed(duplicated, 6, seed),
+                                  oracles.rescan_kmeanspp_seed(duplicated, 6, seed))
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(14)
@@ -249,6 +290,18 @@ class TestLloyd:
         res = lloyd(pts, np.array([[0.0], [0.05]]))
         assert len(set(res.labels.tolist())) == 2
 
+    def test_steal_that_empties_a_visited_cluster_is_repaired(self):
+        # cluster 1 steals point 0, the only member of the already visited cluster 0
+        pts = np.array([[10.0], [0.0], [1.0]])
+        centroids, labels = analytics._repair_empty(
+            pts, np.array([[0.0], [5.0], [0.5]]), np.array([0, 2, 2]))
+        assert list(labels) == [1, 0, 2]
+        assert list(centroids[:, 0]) == [0.0, 10.0, 0.5]
+
+    def test_more_centroids_than_points_rejected(self):
+        with pytest.raises(DataError, match="k=3 exceeds 2 points"):
+            lloyd(np.array([[0.0], [1.0]]), np.array([[0.0], [0.5], [1.0]]))
+
     def test_deterministic(self):
         rng = np.random.default_rng(23)
         pts = rng.normal(size=(40, 2))
@@ -259,6 +312,11 @@ class TestLloyd:
 
 
 class TestFitKRange:
+    def test_duplicated_points_leave_no_cluster_empty(self):
+        for i, pts in enumerate(duplicated_point_sets(40, seed=3)):
+            for k, fit in fit_k_range(pts, range(1, 11), restarts=3, seed=i).items():
+                assert set(fit.labels.tolist()) == set(range(k)), (i, k)
+
     def test_one_fit_per_distinct_k(self):
         pts = oracles.gaussian_blobs([[0, 0], [9, 9]], 10, 0.5, seed=2)
         fits = fit_k_range(pts, [4, 2, 2, 3], restarts=3, seed=7)
@@ -407,7 +465,7 @@ class TestSilhouetteScores:
             if not tracing:
                 tracemalloc.stop()
         # the n x n x 3 difference tensor alone would take 216 MB
-        assert peak < 64_000_000
+        assert peak < 40_000_000
 
 
 class TestSelectK:

@@ -135,6 +135,32 @@ class TestCluster:
         assert result.exit_code == 3
         assert "row 7: duplicate cell_id 'cell_000'" in result.output
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duplicated_feature_rows_exit_0(self, runner, tmp_path, seed):
+        # 22 cells, only 5 distinct rows: k-means keeps proposing duplicate centroids
+        rows = [(12.2, 124.0, 0.31, 32.8, 24), (9.81, 122.2, 0.279, 15.8, 32),
+                (11.29, 121.4, 0.233, 30.2, 32), (5.4, 134.8, 0.19, 33.8, 32),
+                (11.89, 123.4, 0.356, 1.4, 32)]
+        picks = [0] * 11 + [1] * 3 + [2] * 3 + [3] * 3 + [4] * 2
+        emit_kpi_csv([KpiRecord(f"cell_{i:03d}", *rows[j]) for i, j in enumerate(picks)],
+                     tmp_path / "kpis.csv")
+        out = tmp_path / "out"
+        run_ok(runner, ["cluster", "--kpi", str(tmp_path / "kpis.csv"), "--seed", str(seed),
+                        "--out", str(out)])
+        assert json.loads((out / "clustering.json").read_text())["k"] == 5
+
+    @pytest.mark.parametrize("args", [
+        ["--k-min", "1"], ["--k-min", "5", "--k-max", "3"], ["--k-min", "37"],
+    ], ids=["k_min_below_two", "k_min_above_k_max", "k_min_above_cells"])
+    def test_bad_k_range_exits_2_before_writing(self, runner, tmp_path, args):
+        blob_kpi_csv(tmp_path / "kpis.csv")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["cluster", "--kpi", str(tmp_path / "kpis.csv"), *args,
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"--k-min {args[1]}" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("pin", [[], ["--k", "3"], ["--k", "12"]])
     def test_each_k_fitted_once(self, runner, tmp_path, monkeypatch, pin):
         fitted, scored = [], []
