@@ -10,13 +10,14 @@ invariant violation.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import click
 import numpy as np
@@ -110,20 +111,28 @@ FLEET_TIERS = {
 }
 
 
-def build_demo_fleet(
+def demo_fleet(
     n_cells: int, days: int, seed: int, scan_period_s: float = 10.0
-) -> tuple[list[dict], list[traffic.TrafficTrace], list[traffic.KpiRecord]]:
-    """Deterministic desk-scale fleet: cell configs, traces, synthetic KPIs.
+) -> Iterator[tuple[dict, traffic.TrafficTrace, traffic.KpiRecord]]:
+    """Deterministic desk-scale fleet, one (cell config, trace, synthetic KPIs) at a time.
 
     Cells fall into four traffic tiers (low, medium, high, saturated); the
     saturated tier offers more Erlang than it has traffic channels at every
-    scan, modelling permanently congested sites.
+    scan, modelling permanently congested sites. The arguments are checked
+    before the first cell is built.
     """
     if n_cells < 1:
         raise ConfigurationError(f"need at least 1 cell, got {n_cells}")
     if days < 1:
         raise ConfigurationError(f"need at least 1 day, got {days}")
+    # every cell's profile shares the days and the scan period
+    traffic.DiurnalProfileSpec(0.0, 0.0, days=days, scan_period_s=scan_period_s).validate()
+    return _demo_cells(n_cells, days, seed, scan_period_s)
 
+
+def _demo_cells(
+    n_cells: int, days: int, seed: int, scan_period_s: float
+) -> Iterator[tuple[dict, traffic.TrafficTrace, traffic.KpiRecord]]:
     counts = {}
     remaining = n_cells
     names = list(FLEET_TIERS)
@@ -132,9 +141,6 @@ def build_demo_fleet(
         remaining -= counts[name]
     counts[names[0]] = max(0, remaining)
 
-    cells: list[dict] = []
-    traces: list[traffic.TrafficTrace] = []
-    kpis: list[traffic.KpiRecord] = []
     index = 0
     for tier in names:
         share, num_trx, base_rng, peak_rng, sigma_rng = FLEET_TIERS[tier]
@@ -156,15 +162,20 @@ def build_demo_fleet(
             )
             config = CellConfig(cell_id=cell_id, num_trx=num_trx, cch_slots=3)
             trace = traffic.generate_diurnal_trace(spec, cell_id=cell_id)
-            cells.append({
-                "cell_id": cell_id,
-                "num_trx": num_trx,
-                "cch_slots": 3,
-                "tier": tier,
-            })
-            traces.append(trace)
-            kpis.append(traffic.trace_to_kpis(trace, config))
+            cell = {"cell_id": cell_id, "num_trx": num_trx, "cch_slots": 3, "tier": tier}
+            yield cell, trace, traffic.trace_to_kpis(trace, config)
             index += 1
+
+
+def build_demo_fleet(
+    n_cells: int, days: int, seed: int, scan_period_s: float = 10.0
+) -> tuple[list[dict], list[traffic.TrafficTrace], list[traffic.KpiRecord]]:
+    """``demo_fleet`` collected: cell configs, traces, synthetic KPIs."""
+    cells, traces, kpis = [], [], []
+    for cell, trace, kpi in demo_fleet(n_cells, days, seed, scan_period_s):
+        cells.append(cell)
+        traces.append(trace)
+        kpis.append(kpi)
     return cells, traces, kpis
 
 
@@ -220,12 +231,20 @@ def read_fleet_json(path: Path) -> dict:
 @click.option("--out", type=click.Path(file_okay=False), default="out", show_default=True)
 @handle_errors
 def generate(n_cells: int, days: int, seed: int, scan_period: float, out: str) -> None:
-    """Write a synthetic fleet: fleet.json, traffic.csv, kpis.csv."""
+    """Write a synthetic fleet: traffic.csv one cell at a time, then fleet.json, kpis.csv."""
+    fleet = demo_fleet(n_cells, days, seed, scan_period)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells, traces, kpis = build_demo_fleet(n_cells, days, seed, scan_period)
+    cells, kpis = [], []
+
+    def traces() -> Iterator[traffic.TrafficTrace]:
+        for cell, trace, kpi in fleet:
+            cells.append(cell)
+            kpis.append(kpi)
+            yield trace
+
+    traffic.write_traffic_csv(traces(), out_dir / "traffic.csv")
     write_fleet_json(out_dir / "fleet.json", cells, seed, days, scan_period)
-    traffic.write_traffic_csv(traces, out_dir / "traffic.csv")
     traffic.emit_kpi_csv(kpis, out_dir / "kpis.csv")
     click.echo(f"wrote {len(cells)} cells x {days} day(s) to {out_dir}")
 
@@ -249,6 +268,8 @@ def generate(n_cells: int, days: int, seed: int, scan_period: float, out: str) -
 def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
             restarts: int, seed: int, out: str) -> None:
     """Standardize, reduce to 3 features, cluster; write clusters/elbow/silhouette CSVs."""
+    if restarts < 1:
+        raise ConfigurationError(f"--restarts must be >= 1, got {restarts}")
     records = traffic.ingest_kpi_csv(kpi_path)
     matrix = analytics.kpi_feature_matrix(records)
     standardized, _ = analytics.standardize(matrix)
@@ -336,44 +357,32 @@ def assign(clusters_path: str, kpi_path: str, policy: str, severity: str, out: s
 
 def _load_scenario(
     fleet_path: str,
-    traffic_path: str,
     assignment_path: Optional[str],
     default_hysteresis: Optional[int],
     params: PowerSavingParams,
     warmup_days: float,
-) -> evaluator.NetworkScenario:
-    """Read the simulate inputs; traffic.csv must trace exactly the fleet's cells and
-    assignment.csv may name only fleet cells."""
+) -> tuple[evaluator.NetworkScenario, float]:
+    """The fleet's scenario and scan period; assignment.csv may name only fleet cells."""
     if not math.isfinite(warmup_days):
         raise ConfigurationError(f"--warmup-days must be a finite number, got {warmup_days}")
     fleet = read_fleet_json(Path(fleet_path))
     scan_period = float(fleet["scan_period_s"])
     cells = [CellConfig(c["cell_id"], c["num_trx"], c["cch_slots"]) for c in fleet["cells"]]
-    fleet_ids = {c.cell_id for c in cells}
-    traces = {t.cell_id: t for t in traffic.read_traffic_csv(traffic_path, scan_period)}
-    _reject_unknown_cells(traffic_path, traces, fleet_path, fleet_ids)
-    untraced = next((c.cell_id for c in cells if c.cell_id not in traces), None)
-    if untraced is not None:
-        raise DataError(f"{traffic_path}: no trace for fleet cell {untraced!r}")
     hysteresis = {}
     if assignment_path:
         hysteresis = dict(tuner.read_assignment_csv(assignment_path).hysteresis)
-        _reject_unknown_cells(assignment_path, hysteresis, fleet_path, fleet_ids)
-    warmup_scans = int(round(warmup_days * 86400 / scan_period))
-    return evaluator.NetworkScenario(
+        fleet_ids = {c.cell_id for c in cells}
+        stray = next((c for c in hysteresis if c not in fleet_ids), None)
+        if stray is not None:
+            raise DataError(f"{assignment_path}: cell {stray!r} is not in {fleet_path}")
+    scenario = evaluator.NetworkScenario(
         cells=cells,
-        traces=traces,
         base_params=params,
         hysteresis=hysteresis,
         default_hysteresis=default_hysteresis,
-        warmup_scans=warmup_scans,
+        warmup_scans=int(round(warmup_days * 86400 / scan_period)),
     )
-
-
-def _reject_unknown_cells(path: str, cell_ids, fleet_path: str, fleet_ids: set) -> None:
-    stray = next((c for c in cell_ids if c not in fleet_ids), None)
-    if stray is not None:
-        raise DataError(f"{path}: cell {stray!r} is not in {fleet_path}")
+    return scenario, scan_period
 
 
 @main.command()
@@ -401,7 +410,7 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
              hysteresis: Optional[int], off_target: int, on_target: int, off_delay: int,
              ps: str, warmup_days: float, timelines: str, seed: int, out: str) -> None:
     """Run the fleet with/without power saving and write comparison reports."""
-    if timelines != "all" and not timelines.isdigit():
+    if timelines != "all" and not timelines.isdecimal():  # what int() reads
         raise ConfigurationError(f"--timelines must be 'all' or a count >= 0, got {timelines!r}")
     if assignment_path is None and hysteresis is None:
         hysteresis = PowerSavingParams().hysteresis
@@ -409,13 +418,21 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
         trx_off_target=off_target, trx_on_target=on_target, trx_off_delay=off_delay,
         hysteresis=PowerSavingParams().hysteresis,
     ))
-    scenario = _load_scenario(
-        fleet_path, traffic_path, assignment_path, hysteresis, params, warmup_days,
+    scenario, scan_period = _load_scenario(
+        fleet_path, assignment_path, hysteresis, params, warmup_days,
     )
     n_timelines = len(scenario.cells) if timelines == "all" else int(timelines)
     out_dir = Path(out)
     modes = ("off", "on") if ps == "both" else (ps,)
-    reports = evaluator.simulate_network(scenario, modes, out_dir / "timelines", n_timelines)
+    with contextlib.closing(traffic.iter_traffic_csv(traffic_path, scan_period)) as traces:
+        try:
+            reports = evaluator.simulate_network(scenario, traces, modes, out_dir / "timelines",
+                                                 n_timelines)
+        except DataError as exc:  # a row, a trace or a cell of traffic.csv
+            message = str(exc)
+            if not message.startswith(f"{traffic_path}: "):
+                message = f"{traffic_path}: {message}"
+            raise DataError(message) from None
     out_dir.mkdir(parents=True, exist_ok=True)
 
     metadata = {

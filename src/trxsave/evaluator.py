@@ -8,16 +8,23 @@ active slots after). An optional warmup window excludes the cold-start ramp,
 during which every TRX is still on, from the statistics; a live network would
 already be converged.
 
-``simulate_network`` checks the inputs once, then runs one cell at a time and
-folds each timeline into its mode's report, so memory holds one timeline.
+``simulate_network`` first checks everything that needs no trace. It then
+reads the traces once, in file order: each cell runs with saving off and on
+as its trace arrives, each timeline folds into its mode's report, and the
+trace is dropped, so memory holds one trace and one timeline, never the
+fleet. Timeline CSVs are staged and moved into place only after the last
+check (no fleet cell untraced) passes, so a failed run leaves no output.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import IO, Any, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,17 +41,16 @@ TIMELINE_CSV_HEADER = ["scan", "erlang", "active_ts"]
 
 @dataclass(frozen=True)
 class NetworkScenario:
-    """Everything needed to run a fleet: cells, traffic, hysteresis, knobs."""
+    """Everything needed to run a fleet but its traffic: cells, hysteresis, knobs."""
 
     cells: Sequence[CellConfig]
-    traces: Mapping[str, TrafficTrace]
     base_params: PowerSavingParams
     hysteresis: Mapping[str, int] = field(default_factory=dict)
     default_hysteresis: Optional[int] = None
     warmup_scans: int = 0
 
     def validate(self) -> "NetworkScenario":
-        """Check every cell's inputs, so a run that starts cannot fail on them part-way."""
+        """Check every cell's inputs but its trace, so a run fails before reading any trace."""
         if self.warmup_scans < 0:
             raise ConfigurationError(f"warmup_scans must be >= 0, got {self.warmup_scans}")
         if self.default_hysteresis is not None:
@@ -55,20 +61,21 @@ class NetworkScenario:
             if config.cell_id in seen:
                 raise ConfigurationError(f"duplicate cell_id {config.cell_id!r}")
             seen.add(config.cell_id)
-            if config.cell_id not in self.traces:
-                raise ConfigurationError(f"cell {config.cell_id!r} has no traffic trace")
             if config.cell_id not in self.hysteresis and self.default_hysteresis is None:
                 raise ConfigurationError(
                     f"cell {config.cell_id!r} has no hysteresis assignment and no default"
                 )
             validate_params(self.params_for(config.cell_id))
-            n_scans = len(self.traces[config.cell_id].samples)
-            if self.warmup_scans >= n_scans:
-                raise ConfigurationError(
-                    f"warmup_scans {self.warmup_scans} consumes the whole "
-                    f"{n_scans}-scan trace of cell {config.cell_id!r}"
-                )
         return self
+
+    def check_trace(self, trace: TrafficTrace) -> None:
+        """A trace must be longer than the warm-up, so every cell has a measured scan."""
+        n_scans = len(trace.samples)
+        if self.warmup_scans >= n_scans:
+            raise ConfigurationError(
+                f"warmup_scans {self.warmup_scans} consumes the whole "
+                f"{n_scans}-scan trace of cell {trace.cell_id!r}"
+            )
 
     def params_for(self, cell_id: str) -> PowerSavingParams:
         h = self.hysteresis.get(cell_id, self.default_hysteresis)
@@ -106,7 +113,7 @@ def summarize(
     warmup_scans: int = 0,
 ) -> NetworkReport:
     """Fold timelines, in the order given, into per-cell and aggregate statistics
-    over scans >= warmup_scans (``NetworkScenario.validate`` checks each is longer)."""
+    over scans >= warmup_scans (``NetworkScenario.check_trace`` checks each is longer)."""
     per_cell: dict[str, CellStats] = {}
     trx_scans = 0
     ts_scans = 0
@@ -140,31 +147,74 @@ def summarize(
     )
 
 
+def _merge(parts: Sequence[NetworkReport], ps_enabled: bool, warmup_scans: int) -> NetworkReport:
+    """One report over the cells of ``parts``, per_cell in cell_id order."""
+    stats = sorted((s for part in parts for s in part.per_cell.values()), key=lambda s: s.cell_id)
+    return NetworkReport(
+        ps_enabled=ps_enabled,
+        warmup_scans=warmup_scans,
+        per_cell={s.cell_id: s for s in stats},
+        trx_scans=sum(part.trx_scans for part in parts),
+        ts_scans=sum(part.ts_scans for part in parts),
+        blocked=sum(part.blocked for part in parts),
+    )
+
+
 def simulate_network(
     scenario: NetworkScenario,
+    traces: Iterable[TrafficTrace],
     modes: Sequence[str] = ("off", "on"),
     timeline_dir: Union[str, Path, None] = None,
     n_timelines: int = 0,
 ) -> dict[str, NetworkReport]:
-    """Run every cell once per mode ("off", "on"), one at a time in cell_id order,
-    folding each timeline into its mode's report; memory holds one timeline. The
-    first ``n_timelines`` cells' timelines go to ``timeline_dir/<cell_id>_<mode>.csv``.
+    """Run each cell once per mode ("off", "on") as its trace arrives and fold each
+    timeline into its mode's report. ``traces`` is read once, in its own order, and
+    must trace exactly the scenario's cells; memory holds one trace and one timeline.
+
+    The first ``n_timelines`` cells by cell_id get ``<cell_id>_<mode>.csv``
+    timelines. They are staged in a new directory beside ``timeline_dir`` and
+    moved into it only after the last check passes, so a failed run leaves
+    ``timeline_dir`` as it was.
     """
     scenario.validate()
-    cells = sorted(scenario.cells, key=lambda c: c.cell_id)
-    if n_timelines > 0:
-        Path(timeline_dir).mkdir(parents=True, exist_ok=True)
+    configs = {c.cell_id: c for c in scenario.cells}
+    kept = set(sorted(configs)[:n_timelines])
+    staging = _staging_dir(Path(timeline_dir)) if kept else None
+    parts: dict[str, list[NetworkReport]] = {mode: [] for mode in modes}
+    ran: set[str] = set()
+    try:
+        for trace in traces:
+            config = configs.get(trace.cell_id)
+            if config is None:
+                raise DataError(f"cell {trace.cell_id!r} is not in the fleet")
+            if trace.cell_id in ran:
+                raise DataError(f"cell {trace.cell_id!r} has a second trace")
+            ran.add(trace.cell_id)
+            scenario.check_trace(trace)
+            for mode in modes:
+                timeline = run_cell(config, scenario.params_for(config.cell_id), trace,
+                                    ps_enabled=mode == "on")
+                if config.cell_id in kept:
+                    write_timeline_csv(timeline, staging / f"{config.cell_id}_{mode}.csv")
+                parts[mode].append(summarize([timeline], mode == "on", scenario.warmup_scans))
+        untraced = next((c.cell_id for c in scenario.cells if c.cell_id not in ran), None)
+        if untraced is not None:
+            raise DataError(f"no trace for fleet cell {untraced!r}")
+        if staging is not None:
+            Path(timeline_dir).mkdir(parents=True, exist_ok=True)
+            for name in sorted(os.listdir(staging)):
+                os.replace(staging / name, Path(timeline_dir) / name)
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging)
+    return {mode: _merge(parts[mode], mode == "on", scenario.warmup_scans) for mode in modes}
 
-    def timelines(mode: str) -> Iterator[CellTimeline]:
-        for index, config in enumerate(cells):
-            timeline = run_cell(config, scenario.params_for(config.cell_id),
-                                scenario.traces[config.cell_id], ps_enabled=mode == "on")
-            if index < n_timelines:
-                write_timeline_csv(timeline, Path(timeline_dir) / f"{config.cell_id}_{mode}.csv")
-            yield timeline
 
-    return {mode: summarize(timelines(mode), mode == "on", scenario.warmup_scans)
-            for mode in modes}
+def _staging_dir(timeline_dir: Path) -> Path:
+    """A new directory in the nearest existing parent of ``timeline_dir``, so its
+    files move in by rename."""
+    parent = next(p for p in (timeline_dir.parent, *timeline_dir.parent.parents) if p.is_dir())
+    return Path(tempfile.mkdtemp(prefix=f".{timeline_dir.name}.staging-", dir=parent))
 
 
 @dataclass(frozen=True)

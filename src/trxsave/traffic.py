@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import math
 from array import array
@@ -494,13 +495,13 @@ def write_rows(stream: IO[str], columns: Sequence[Union[str, np.ndarray]]) -> No
 # leave more freed memory resident: 256 KB chunks raised the peak RSS of a
 # 1.7 M-row parse by 5 MB over 64 KB ones.
 PARSE_CHUNK = 1 << 16
-_TRAFFIC_HEADER_LINE = (",".join(TRAFFIC_CSV_HEADER) + "\n").encode()
 _DECADES = 10 ** np.arange(1, 19)  # digits of n >= 0: 1 + the number of these <= n
 
 
-def write_traffic_csv(traces: Sequence[TrafficTrace], dest: Union[str, Path, IO[str]]) -> None:
+def write_traffic_csv(traces: Iterable[TrafficTrace], dest: Union[str, Path, IO[str]]) -> None:
     """One ``cell_id,scan_index,offered_erlang`` row per scan, each cell's rows
-    one block; values print as ``fmt_num`` prints them."""
+    one block; values print as ``fmt_num`` prints them. ``traces`` is read once,
+    so a generator's cells are written as it builds them."""
     with open_text(dest, "w") as stream:
         stream.write(",".join(TRAFFIC_CSV_HEADER) + "\n")
         for trace in traces:
@@ -512,83 +513,128 @@ def write_traffic_csv(traces: Sequence[TrafficTrace], dest: Union[str, Path, IO[
 def read_traffic_csv(
     source: Union[str, Path, IO[str]], scan_period_s: float = 10.0
 ) -> list[TrafficTrace]:
-    """Read traces in file order. Each cell's rows form one contiguous block with
-    scan_index 0, 1, 2, ..., and every offered_erlang is finite and >= 0.
+    """Every trace of ``iter_traffic_csv``, in file order."""
+    return list(iter_traffic_csv(source, scan_period_s))
 
-    A file path is parsed by ``np.loadtxt`` in chunks of whole rows. A text
-    stream, or a file with any row that is not plain, is read row by row,
-    which names the first bad row.
+
+def iter_traffic_csv(
+    source: Union[str, Path, IO[str]], scan_period_s: float = 10.0
+) -> Iterator[TrafficTrace]:
+    """Each cell's validated trace, in file order, as soon as its block of rows ends.
+
+    Each cell's rows form one contiguous block with scan_index 0, 1, 2, ...,
+    and every offered_erlang is finite and >= 0. A file path is read in chunks
+    of whole rows: ``np.loadtxt`` parses a chunk of plain rows (see
+    ``_plain_runs``) and the row loop reads any other chunk, naming its first
+    bad row. A text stream is one chunk for the row loop. Memory holds the
+    current cell's samples and one chunk.
     """
-    samples = _read_plain_chunks(source) if isinstance(source, (str, Path)) else None
-    if samples is None:
-        samples = _read_rows(source)
-    return [TrafficTrace(cid, scan_period_s, np.frombuffer(block)).validate()
-            for cid, block in samples.items()]
+    for cid, samples in _Blocks().read(source):
+        yield TrafficTrace(cid, scan_period_s, np.frombuffer(samples)).validate()
 
 
-def _read_rows(source: Union[str, Path, IO[str]]) -> dict[str, array]:
-    """Samples per cell id, row by row; a bad row raises a ``DataError`` naming it."""
-    with open_text(source) as stream, _utf8_rows(source):
-        header = stream.readline().rstrip("\n")
-        if header.split(",") != TRAFFIC_CSV_HEADER:
-            raise DataError(
-                f"traffic CSV header mismatch: expected {','.join(TRAFFIC_CSV_HEADER)}, got {header}"
-            )
-        samples: dict[str, array] = {}
-        cid, block = None, array("d")
-        for row_no, line in enumerate(stream, start=1):
+def _check_traffic_header(line: str) -> None:
+    header = io.StringIO(line, newline="").readline().rstrip("\n")  # a text stream's first row
+    if header.split(",") != TRAFFIC_CSV_HEADER:
+        raise DataError(
+            f"traffic CSV header mismatch: expected {','.join(TRAFFIC_CSV_HEADER)}, got {header}"
+        )
+
+
+class _Blocks:
+    """Splits traffic rows into each cell's block of samples.
+
+    ``row`` counts the data rows read so far, blank ones too. Rows arrive a
+    run at a time, a run being rows of one cell with scan_index stepping by
+    one, so a run can break the block rules only at its first row.
+    """
+
+    def __init__(self) -> None:
+        self.cid: Optional[str] = None
+        self.samples = array("d")
+        self.seen: set[str] = set()
+        self.row = 0
+
+    def read(self, source: Union[str, Path, IO[str]]) -> Iterator[tuple[str, array]]:
+        """(cell id, samples) of each block, as soon as the block ends."""
+        if isinstance(source, (str, Path)):
+            yield from self.read_file(source)
+        else:
+            with _utf8_rows(source):
+                _check_traffic_header(source.readline())
+                yield from self.read_rows(source)
+        if self.cid is not None:
+            yield self.cid, self.samples
+
+    def read_file(self, path: Union[str, Path]) -> Iterator[tuple[str, array]]:
+        with open(path, "rb") as raw:
+            header = raw.readline()
+            try:
+                _check_traffic_header(header.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: header: not UTF-8 text ({exc.reason})") from None
+            for chunk in _row_chunks(raw):
+                runs = _plain_runs(chunk)
+                if runs is None:
+                    yield from self.read_rows(_chunk_lines(path, chunk, self.row))
+                    continue
+                for offset, cid, first_scan, values in runs:
+                    # _plain_runs took only UTF-8
+                    ended = self.start_run(self.row + 1 + offset, cid.decode("utf-8"), first_scan)
+                    if ended is not None:
+                        yield ended
+                    self.samples.frombytes(values.tobytes())
+                self.row += chunk.count(b"\n")
+
+    def read_rows(self, lines: Iterable[str]) -> Iterator[tuple[str, array]]:
+        """The row loop: one row at a time; a bad row raises a ``DataError`` naming it."""
+        for line in lines:
+            self.row += 1
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != 3:
-                raise DataError(f"row {row_no}: expected 3 fields, got {len(parts)}")
-            row_cid, idx_s, val_s = parts
+                raise DataError(f"row {self.row}: expected 3 fields, got {len(parts)}")
+            cid, idx_s, val_s = parts
             try:
                 idx = int(idx_s)
                 val = float(val_s)
             except ValueError as exc:
-                raise DataError(f"row {row_no}: non-numeric field ({exc})") from None
-            if row_cid != cid:
-                if row_cid in samples:
-                    raise DataError(f"row {row_no}: cell {row_cid!r} again after another "
-                                    f"cell; each cell's rows must form one contiguous block")
-                cid, block = row_cid, array("d")
-                samples[cid] = block
-            if idx != len(block):
-                raise DataError(
-                    f"row {row_no}: cell {cid!r} scan_index {idx} not contiguous "
-                    f"(expected {len(block)})"
-                )
+                raise DataError(f"row {self.row}: non-numeric field ({exc})") from None
+            ended = self.start_run(self.row, cid, idx)
+            if ended is not None:
+                yield ended
             if not math.isfinite(val) or val < 0:
-                raise DataError(f"row {row_no}: offered_erlang must be finite and >= 0")
-            block.append(val)
-        return samples
+                raise DataError(f"row {self.row}: offered_erlang must be finite and >= 0")
+            self.samples.append(val)
+
+    def start_run(self, row: int, cid: str, first_scan: int) -> Optional[tuple[str, array]]:
+        """Check that a run of ``cid`` from ``first_scan`` on, starting at ``row``,
+        continues the current block or opens a new one; returns the block it ends."""
+        ended = None
+        if cid != self.cid:
+            if cid in self.seen:
+                raise DataError(f"row {row}: cell {cid!r} again after another cell; "
+                                f"each cell's rows must form one contiguous block")
+            if self.cid is not None:
+                ended = self.cid, self.samples
+            self.cid, self.samples = cid, array("d")
+            self.seen.add(cid)
+        if first_scan != len(self.samples):
+            raise DataError(f"row {row}: cell {cid!r} scan_index {first_scan} not contiguous "
+                            f"(expected {len(self.samples)})")
+        return ended
 
 
-def _read_plain_chunks(path: Union[str, Path]) -> Optional[dict[str, array]]:
-    """Samples per cell id, chunk by chunk; None when any row is not plain (see
-    ``_plain_runs``) or breaks a rule, so the row loop reads the file instead."""
-    samples: dict[str, array] = {}
-    run_cid, block = None, array("d")
-    with open(path, "rb") as raw:
-        if raw.readline() != _TRAFFIC_HEADER_LINE:
-            return None
-        for chunk in _row_chunks(raw):
-            runs = _plain_runs(chunk)
-            if runs is None:
-                return None
-            for cid, first_scan, values in runs:
-                if cid != run_cid:
-                    name = cid.decode("utf-8")  # _plain_runs took only UTF-8
-                    if name in samples:
-                        return None
-                    run_cid, block = cid, array("d")
-                    samples[name] = block
-                if first_scan != len(block):
-                    return None
-                block.frombytes(values.tobytes())
-    return samples
+def _chunk_lines(path: Union[str, Path], chunk: bytes, row: int) -> IO[str]:
+    """A chunk's rows as a text stream reads them; ``row`` rows come before it.
+    A byte that is not UTF-8 is a ``DataError`` naming its row."""
+    try:
+        return io.StringIO(chunk.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        where = row + 1 + chunk.count(b"\n", 0, exc.start)
+        raise DataError(f"{path}: row {where}: not UTF-8 text ({exc.reason})") from None
 
 
 def _row_chunks(raw: IO[bytes]) -> Iterator[bytes]:
@@ -605,8 +651,9 @@ def _row_chunks(raw: IO[bytes]) -> Iterator[bytes]:
         yield rest + b"\n"
 
 
-def _plain_runs(chunk: bytes) -> Optional[list[tuple[bytes, int, np.ndarray]]]:
-    """Split whole rows into runs of one cell id: (id bytes, first scan_index, values).
+def _plain_runs(chunk: bytes) -> Optional[list[tuple[int, bytes, int, np.ndarray]]]:
+    """Split whole rows into runs of one cell id: (index of the run's first row in
+    the chunk, id bytes, first scan_index, values).
 
     None unless every row is plain: UTF-8 with exactly two commas and no
     control byte, a scan_index of digits without a leading zero that steps by
@@ -649,5 +696,5 @@ def _plain_runs(chunk: bytes) -> Optional[list[tuple[bytes, int, np.ndarray]]]:
     if not (np.diff(scans)[same[1:]] == 1).all():
         return None
     bounds = [*np.flatnonzero(~same).tolist(), len(ends)]
-    return [(chunk[starts[a]:first[a]], int(scans[a]), values[a:b])
+    return [(a, chunk[starts[a]:first[a]], int(scans[a]), values[a:b])
             for a, b in zip(bounds, bounds[1:])]

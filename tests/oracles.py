@@ -6,9 +6,10 @@ distances, and the full n x n matrix), exhaustive partition search for the
 k-means optimum, squared distances from the whole n x k x d difference tensor,
 k-means++ seeding that measures every point against every chosen centroid,
 power iteration with deflation for eigenpairs, direct
-capacity arithmetic for the channel model, and a scan-by-scan replay of the
+capacity arithmetic for the channel model, a scan-by-scan replay of the
 state machine's executable spec (``scan_step``/``apply_action``) for the
-event-jumping ``run_cell``.
+event-jumping ``run_cell``, and a whole-file row loop for the chunked
+``traffic.csv`` reader.
 
 A ``CellTimeline`` keeps only what an output reads. The counters, the delay
 window, the demand and the occupancy per scan live only in the replay, so the
@@ -19,12 +20,15 @@ checked against it.
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
 import math
+from array import array
 
 import numpy as np
 
 from trxsave.cell_model import build_cell
+from trxsave.errors import DataError
 from trxsave.saving_engine import SavingState, apply_action, scan_step
 
 SLOTS_PER_TRX = 8
@@ -254,3 +258,59 @@ def gaussian_blobs(centers, points_per_blob: int, scale: float, seed: int) -> np
         for c in centers
     ]
     return np.vstack(chunks)
+
+
+def row_loop_traffic(source) -> dict[str, array]:
+    """Samples per cell id of a traffic CSV path or text stream, one row at a time
+    over the whole file; a bad row raises the ``DataError`` the reader must raise."""
+    header_text = "cell_id,scan_index,offered_erlang"
+    stream = open(source, encoding="utf-8", newline="") if not isinstance(source, io.IOBase) \
+        else source
+    try:
+        header = stream.readline().rstrip("\n")
+        if header.split(",") != header_text.split(","):
+            raise DataError(f"traffic CSV header mismatch: expected {header_text}, got {header}")
+        samples: dict[str, array] = {}
+        cid, block = None, array("d")
+        for row_no, line in enumerate(stream, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise DataError(f"row {row_no}: expected 3 fields, got {len(parts)}")
+            row_cid, idx_s, val_s = parts
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError as exc:
+                raise DataError(f"row {row_no}: non-numeric field ({exc})") from None
+            if row_cid != cid:
+                if row_cid in samples:
+                    raise DataError(f"row {row_no}: cell {row_cid!r} again after another "
+                                    f"cell; each cell's rows must form one contiguous block")
+                cid, block = row_cid, array("d")
+                samples[cid] = block
+            if idx != len(block):
+                raise DataError(f"row {row_no}: cell {cid!r} scan_index {idx} not contiguous "
+                                f"(expected {len(block)})")
+            if not math.isfinite(val) or val < 0:
+                raise DataError(f"row {row_no}: offered_erlang must be finite and >= 0")
+            block.append(val)
+        return samples
+    except UnicodeDecodeError as exc:  # the first raw line that is not UTF-8 names the row
+        with open(source, "rb") as raw:
+            line_no = next(n for n, line in enumerate(raw) if not _is_utf8(line))
+        where = "header: " if line_no == 0 else f"row {line_no}: "
+        raise DataError(f"{source}: {where}not UTF-8 text ({exc.reason})") from None
+    finally:
+        if stream is not source:
+            stream.close()
+
+
+def _is_utf8(line: bytes) -> bool:
+    try:
+        line.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from trxsave import analytics
 from trxsave.cli import build_demo_fleet, main
 from trxsave.errors import ConfigurationError
 from trxsave.evaluator import CellComparison, ComparisonSummary, summary_to_dict
-from trxsave.traffic import KPI_CSV_HEADER, emit_kpi_csv, KpiRecord
+from trxsave.traffic import (KPI_CSV_HEADER, KpiRecord, emit_kpi_csv, read_traffic_csv,
+                             write_traffic_csv)
 
 
 @pytest.fixture
@@ -72,6 +74,36 @@ class TestGenerate:
     def test_zero_cells_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["generate", "--cells", "0", "--out", str(tmp_path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args,message", [
+        (["--cells", "0"], "need at least 1 cell, got 0"),
+        (["--days", "0"], "need at least 1 day, got 0"),
+        (["--scan-period", "0"], "scan_period_s must divide one hour evenly, got 0.0"),
+        (["--scan-period", "7"], "scan_period_s must divide one hour evenly, got 7.0"),
+    ], ids=["zero_cells", "zero_days", "zero_scan_period", "uneven_scan_period"])
+    def test_bad_value_exits_2_before_writing(self, runner, tmp_path, args, message):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["generate", *args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
+    def test_memory_holds_one_cell_whatever_the_fleet_size(self, runner, tmp_path):
+        scans = 2 * 8640
+        one_trace = 8 * scans  # far less than one cell's write buffers
+
+        def peak(n_cells):
+            tracemalloc.start()
+            try:
+                run_ok(runner, ["generate", "--cells", str(n_cells), "--days", "2",
+                                "--out", str(tmp_path / str(n_cells))])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call allocations fall outside the comparison
+        small, large = peak(4), peak(40)
+        assert large - small < one_trace, (small, large)
 
     def test_fleet_contains_every_tier(self):
         cells, traces, kpis = build_demo_fleet(100, 1, seed=0)
@@ -159,6 +191,15 @@ class TestCluster:
                                       "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert f"--k-min {args[1]}" in result.output
+        assert not out.exists()
+
+    def test_zero_restarts_exits_2_before_writing(self, runner, tmp_path):
+        blob_kpi_csv(tmp_path / "kpis.csv")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["cluster", "--kpi", str(tmp_path / "kpis.csv"),
+                                      "--restarts", "0", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--restarts must be >= 1, got 0" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("pin", [[], ["--k", "3"], ["--k", "12"]])
@@ -378,11 +419,13 @@ class TestSimulate:
     @pytest.mark.parametrize("args,message", [
         (["--timelines", "-1"], "--timelines must be 'all' or a count >= 0, got '-1'"),
         (["--timelines", "x"], "--timelines must be 'all' or a count >= 0, got 'x'"),
+        (["--timelines", "\u00b2"], "--timelines must be 'all' or a count >= 0, got '\u00b2'"),
         (["--warmup-days", "nan"], "--warmup-days must be a finite number, got nan"),
         (["--warmup-days", "inf"], "--warmup-days must be a finite number, got inf"),
         (["--warmup-days", "1"], "warmup_scans 8640 consumes the whole 8640-scan trace"),
         (["--hysteresis", "0"], "hysteresis must be in [1, 1014], got 0"),
-    ], ids=["negative_timelines", "text_timelines", "nan_warmup", "inf_warmup",
+    ], ids=["negative_timelines", "text_timelines", "superscript_timelines", "nan_warmup",
+            "inf_warmup",
             "whole_trace_warmup", "zero_hysteresis"])
     def test_bad_option_exits_2_before_writing(self, runner, small_fleet, tmp_path,
                                                args, message):
@@ -444,6 +487,69 @@ class TestSimulate:
         names = sorted(p.name for p in (tmp_path / "reversed/both/timelines").iterdir())
         assert names == ["cell_0000_off.csv", "cell_0000_on.csv",
                          "cell_0001_off.csv", "cell_0001_on.csv"]
+
+    def test_traffic_file_order_does_not_change_outputs(self, runner, small_fleet, tmp_path):
+        traces = read_traffic_csv(small_fleet / "traffic.csv")
+        write_traffic_csv(traces[::-1], tmp_path / "traffic.csv")
+        for name, traffic_dir in (("sorted", small_fleet), ("reversed", tmp_path)):
+            for ps in ("both", "on"):
+                run_ok(runner, ["simulate", "--fleet", f"{small_fleet}/fleet.json",
+                                "--traffic", f"{traffic_dir}/traffic.csv", "--hysteresis", "3",
+                                "--warmup-days", "0.25", "--timelines", "2", "--ps", ps,
+                                "--out", str(tmp_path / name / ps)])
+        files = sorted(p.relative_to(tmp_path / "sorted")
+                       for p in (tmp_path / "sorted").rglob("*") if p.is_file())
+        assert [str(p) for p in files] == [
+            "both/comparison.csv", "both/summary.json",
+            *(f"both/timelines/cell_000{i}_{mode}.csv" for i in range(2) for mode in ("off", "on")),
+            "on/report_on.json", "on/timelines/cell_0000_on.csv", "on/timelines/cell_0001_on.csv"]
+        for rel in files:
+            assert (tmp_path / "sorted" / rel).read_bytes() == \
+                (tmp_path / "reversed" / rel).read_bytes(), rel
+        per_cell = json.loads((tmp_path / "reversed/on/report_on.json").read_text())["per_cell"]
+        assert list(per_cell) == ["cell_0000", "cell_0001", "cell_0002"]
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda fleet, rows: (fleet, rows.replace("cell_0002,8639,", "cell_0002,8639,x")),
+         "row 25920: non-numeric field"),
+        (lambda fleet, rows: (fleet, rows + "cell_0009,0,1.5\n"),
+         "traffic.csv: cell 'cell_0009' is not in the fleet"),
+        (lambda fleet, rows: ({**fleet, "cells": [*fleet["cells"], {**fleet["cells"][0],
+                                                                 "cell_id": "cell_0003"}]}, rows),
+         "traffic.csv: no trace for fleet cell 'cell_0003'"),
+    ], ids=["bad_row_in_last_block", "stray_cell_at_end", "fleet_cell_without_trace"])
+    def test_late_failure_writes_nothing(self, runner, small_fleet, tmp_path, edit, message):
+        fleet, rows = edit(json.loads((small_fleet / "fleet.json").read_text()),
+                           (small_fleet / "traffic.csv").read_text())
+        (tmp_path / "fleet.json").write_text(json.dumps(fleet))
+        (tmp_path / "traffic.csv").write_text(rows)
+        out = tmp_path / "out"
+        result = self.simulate(runner, tmp_path, "--timelines", "all", "--out", str(out))
+        assert result.exit_code == 3, result.output
+        assert message in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.json", "traffic.csv"]
+
+    def test_memory_holds_one_trace_whatever_the_fleet_size(self, runner, tmp_path):
+        scans = 2 * 8640
+        one_trace_and_timeline = 16 * scans  # 8 B of samples and 8 B of timeline per scan
+        for n_cells in (2, 4, 40):
+            run_ok(runner, ["generate", "--cells", str(n_cells), "--days", "2",
+                            "--out", str(tmp_path / str(n_cells))])
+
+        def peak(n_cells):
+            fleet_dir = tmp_path / str(n_cells)
+            tracemalloc.start()
+            try:
+                run_ok(runner, ["simulate", "--fleet", f"{fleet_dir}/fleet.json",
+                                "--traffic", f"{fleet_dir}/traffic.csv", "--hysteresis", "3",
+                                "--timelines", "0", "--out", str(fleet_dir / "sim")])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call allocations fall outside the comparison
+        small, large = peak(4), peak(40)
+        assert large - small < one_trace_and_timeline, (small, large)
 
     def test_timelines_count_option(self, runner, tmp_path):
         out = tmp_path / "run"

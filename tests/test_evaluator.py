@@ -30,18 +30,16 @@ from trxsave.traffic import TrafficTrace, fmt_num
 
 
 def make_scenario(n_cells=3, n_scans=400, hysteresis=3, num_trx=3, level=0.0, warmup=0):
+    """A fleet of flat-traffic cells and its traces, in cell_id order."""
     cells = [CellConfig(f"cell_{i:02d}", num_trx, 3) for i in range(n_cells)]
-    traces = {
-        c.cell_id: TrafficTrace(c.cell_id, 10.0, np.full(n_scans, level))
-        for c in cells
-    }
-    return NetworkScenario(
+    traces = [TrafficTrace(c.cell_id, 10.0, np.full(n_scans, level)) for c in cells]
+    scenario = NetworkScenario(
         cells=cells,
-        traces=traces,
         base_params=PowerSavingParams(),
         hysteresis={c.cell_id: hysteresis for c in cells},
         warmup_scans=warmup,
     )
+    return scenario, traces
 
 
 def report_with_totals(trx_scans, ts_scans=0, blocked=0, cells=("a",), ps=True):
@@ -57,7 +55,7 @@ def report_with_totals(trx_scans, ts_scans=0, blocked=0, cells=("a",), ps=True):
 
 class TestSimulateNetwork:
     def test_saving_off_keeps_full_slot_count(self):
-        report = simulate_network(make_scenario(n_scans=400), ("off",))["off"]
+        report = simulate_network(*make_scenario(n_scans=400), ("off",))["off"]
         for stats in report.per_cell.values():
             assert (stats.max_ts, stats.mean_ts) == (24, 24.0)  # every scan at 24
             assert (stats.max_trx, stats.mean_trx) == (3, 3.0)
@@ -65,36 +63,53 @@ class TestSimulateNetwork:
 
     def test_low_traffic_cell_converges_at_or_below_two_trx(self):
         scenario = make_scenario(n_cells=1, n_scans=2000, hysteresis=3, level=0.3, warmup=1000)
-        stats = simulate_network(scenario, ("on",))["on"].per_cell["cell_00"]
+        stats = simulate_network(*scenario, ("on",))["on"].per_cell["cell_00"]
         assert stats.max_ts <= 16
 
     def test_empty_network_gives_empty_report(self):
-        scenario = NetworkScenario(cells=[], traces={}, base_params=PowerSavingParams())
-        report = simulate_network(scenario, ("on",))["on"]
+        scenario = NetworkScenario(cells=[], base_params=PowerSavingParams())
+        report = simulate_network(scenario, [], ("on",))["on"]
         assert report.per_cell == {}
         assert report.trx_scans == 0
 
     def test_missing_trace_rejected(self):
         scenario = NetworkScenario(
-            cells=[CellConfig("a", 3, 3)], traces={},
-            base_params=PowerSavingParams(), default_hysteresis=5,
+            cells=[CellConfig("a", 3, 3)], base_params=PowerSavingParams(), default_hysteresis=5,
         )
-        with pytest.raises(ConfigurationError, match="trace"):
-            simulate_network(scenario, ("on",))
+        with pytest.raises(DataError, match="no trace for fleet cell 'a'"):
+            simulate_network(scenario, [], ("on",))
+
+    @pytest.mark.parametrize("extra,match", [
+        (TrafficTrace("zz", 10.0, np.zeros(50)), "cell 'zz' is not in the fleet"),
+        (TrafficTrace("cell_00", 10.0, np.zeros(50)), "cell 'cell_00' has a second trace"),
+    ], ids=["stray", "second"])
+    def test_trace_outside_the_fleet_rejected(self, extra, match):
+        scenario, traces = make_scenario(n_scans=50)
+        with pytest.raises(DataError, match=match):
+            simulate_network(scenario, [*traces, extra])
+
+    def test_failed_run_leaves_timeline_dir_as_it_was(self, tmp_path):
+        scenario, traces = make_scenario(n_scans=50)
+        tl = tmp_path / "tl"
+        tl.mkdir()
+        (tl / "cell_00_on.csv").write_text("old")
+        with pytest.raises(DataError, match="no trace for fleet cell 'cell_02'"):
+            simulate_network(scenario, traces[:2], ("on",), tl, 3)  # cell_00 was staged
+        assert [p.name for p in tmp_path.iterdir()] == ["tl"]
+        assert [p.name for p in tl.iterdir()] == ["cell_00_on.csv"]
+        assert (tl / "cell_00_on.csv").read_text() == "old"
+        simulate_network(scenario, traces, ("on",), tl, 3)
+        assert (tl / "cell_00_on.csv").read_text().startswith("scan,erlang,active_ts\n")
 
     def test_missing_hysteresis_without_default_rejected(self):
-        scenario = NetworkScenario(
-            cells=[CellConfig("a", 3, 3)],
-            traces={"a": TrafficTrace("a", 10.0, np.zeros(10))},
-            base_params=PowerSavingParams(),
-        )
+        scenario = NetworkScenario(cells=[CellConfig("a", 3, 3)], base_params=PowerSavingParams())
         with pytest.raises(ConfigurationError, match="hysteresis"):
-            simulate_network(scenario, ("on",))
+            simulate_network(scenario, [TrafficTrace("a", 10.0, np.zeros(10))], ("on",))
 
     def test_per_cell_hysteresis_override(self):
-        scenario = replace(make_scenario(n_cells=2, n_scans=300, warmup=150),
-                           hysteresis={"cell_00": 3, "cell_01": 5})
-        per_cell = simulate_network(scenario, ("on",))["on"].per_cell
+        scenario, traces = make_scenario(n_cells=2, n_scans=300, warmup=150)
+        scenario = replace(scenario, hysteresis={"cell_00": 3, "cell_01": 5})
+        per_cell = simulate_network(scenario, traces, ("on",))["on"].per_cell
         assert per_cell["cell_00"].hysteresis == 3
         assert per_cell["cell_01"].hysteresis == 5
         # h=3 reaches one TRX by scan 130; h=5 parks at two
@@ -108,22 +123,28 @@ class TestSimulateNetwork:
     def test_bad_hysteresis_fails_before_any_cell_runs(self, tmp_path, monkeypatch, edit):
         ran = []
         monkeypatch.setattr(evaluator, "run_cell", lambda *a, **k: ran.append(a))
+        scenario, traces = make_scenario(n_scans=50)
+        read = []
         with pytest.raises(ConfigurationError, match="hysteresis must be in"):
-            simulate_network(edit(make_scenario(n_scans=50)), ("off", "on"), tmp_path / "tl", 3)
-        assert ran == [] and not (tmp_path / "tl").exists()
+            simulate_network(edit(scenario), (read.append(t) or t for t in traces),
+                             ("off", "on"), tmp_path / "tl", 3)
+        assert ran == [] and read == [] and not (tmp_path / "tl").exists()
 
     def test_timelines_of_first_cells_in_cell_id_order(self, tmp_path):
-        scenario = make_scenario(n_cells=3, n_scans=60)
-        scenario = replace(scenario, cells=scenario.cells[::-1])
-        reports = simulate_network(scenario, ("off", "on"), tmp_path, 2)
+        scenario, traces = make_scenario(n_cells=3, n_scans=60)
+        # neither the fleet's order nor the traces' decides which cells get timelines
+        scenario = replace(scenario, cells=[scenario.cells[i] for i in (1, 2, 0)])
+        tl = tmp_path / "tl"
+        reports = simulate_network(scenario, traces[::-1], ("off", "on"), tl, 2)
         assert list(reports) == ["off", "on"]
         assert list(reports["on"].per_cell) == ["cell_00", "cell_01", "cell_02"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
+        assert sorted(p.name for p in tl.iterdir()) == [
             "cell_00_off.csv", "cell_00_on.csv", "cell_01_off.csv", "cell_01_on.csv"]
-        cell_00, expected = scenario.cells[-1], io.StringIO()
-        write_timeline_csv(run_cell(cell_00, scenario.params_for("cell_00"),
-                                    scenario.traces["cell_00"]), expected)
-        assert (tmp_path / "cell_00_on.csv").read_text() == expected.getvalue()
+        assert [p.name for p in tmp_path.iterdir()] == ["tl"]  # no staging directory left
+        expected = io.StringIO()
+        write_timeline_csv(run_cell(scenario.cells[2], scenario.params_for("cell_00"),
+                                    traces[0]), expected)
+        assert (tl / "cell_00_on.csv").read_text() == expected.getvalue()
 
     def test_memory_holds_one_timeline_whatever_the_fleet_size(self):
         n_scans = 20_000
@@ -131,13 +152,12 @@ class TestSimulateNetwork:
 
         def peak(n_cells):
             rng = np.random.default_rng(5)
-            scenario = make_scenario(n_cells=n_cells, n_scans=n_scans, hysteresis=2)
-            scenario = replace(scenario, traces={  # traces exist before tracing starts
-                c: TrafficTrace(c, 10.0, np.round(rng.uniform(0, 12, n_scans), 3))
-                for c in scenario.traces})
+            scenario, _ = make_scenario(n_cells=n_cells, n_scans=n_scans, hysteresis=2)
+            traces = [TrafficTrace(c.cell_id, 10.0, np.round(rng.uniform(0, 12, n_scans), 3))
+                      for c in scenario.cells]  # traces exist before tracing starts
             tracemalloc.start()
             try:
-                simulate_network(scenario)
+                simulate_network(scenario, traces)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -148,17 +168,17 @@ class TestSimulateNetwork:
 
 class TestSummarize:
     def test_warmup_excludes_ramp(self):
-        scenario = make_scenario(n_cells=1, n_scans=300, hysteresis=3)
-        full = simulate_network(scenario, ("on",))["on"]
-        settled = simulate_network(replace(scenario, warmup_scans=150), ("on",))["on"]
+        scenario, traces = make_scenario(n_cells=1, n_scans=300, hysteresis=3)
+        full = simulate_network(scenario, traces, ("on",))["on"]
+        settled = simulate_network(replace(scenario, warmup_scans=150), traces, ("on",))["on"]
         assert full.per_cell["cell_00"].max_ts == 24   # includes the all-on start
         assert settled.per_cell["cell_00"].max_ts == 8  # one TRX holds after scan 130
 
     def test_warmup_longer_than_trace_rejected(self, tmp_path):
-        scenario = make_scenario(n_cells=2, n_scans=50, warmup=50)
+        scenario, traces = make_scenario(n_cells=2, n_scans=50, warmup=50)
         with pytest.raises(ConfigurationError, match="consumes the whole 50-scan trace"):
-            simulate_network(scenario, ("off", "on"), tmp_path / "tl", 2)
-        assert not (tmp_path / "tl").exists()
+            simulate_network(scenario, traces, ("off", "on"), tmp_path / "tl", 2)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompare:
@@ -174,8 +194,8 @@ class TestCompare:
         assert summary.reduction_pct == 0.0
 
     def test_saturated_cell_shows_no_reduction(self):
-        scenario = make_scenario(n_cells=1, n_scans=1200, hysteresis=3, level=30.0)
-        reports = simulate_network(scenario)
+        reports = simulate_network(*make_scenario(n_cells=1, n_scans=1200, hysteresis=3,
+                                                  level=30.0))
         summary = compare(reports["on"], reports["off"])
         row = summary.rows[0]
         assert row.ts_before == row.max_ts_after == 24
@@ -187,8 +207,8 @@ class TestCompare:
                     report_with_totals(10, cells=("a", "b"), ps=False))
 
     def test_rows_ordered_by_cell_id(self):
-        scenario = make_scenario(n_cells=4, n_scans=100)
-        reports = simulate_network(replace(scenario, cells=scenario.cells[::-1]))
+        scenario, traces = make_scenario(n_cells=4, n_scans=100)
+        reports = simulate_network(replace(scenario, cells=scenario.cells[::-1]), traces[::-1])
         summary = compare(reports["on"], reports["off"])
         ids = [r.cell_id for r in summary.rows]
         assert ids == sorted(ids)
@@ -196,8 +216,8 @@ class TestCompare:
 
 class TestEmission:
     def small_summary(self):
-        scenario = make_scenario(n_cells=2, n_scans=400, hysteresis=3, warmup=200)
-        reports = simulate_network(scenario)
+        reports = simulate_network(*make_scenario(n_cells=2, n_scans=400, hysteresis=3,
+                                                  warmup=200))
         return compare(reports["on"], reports["off"],
                        metadata={"seed": 0, "params": {"hysteresis": 3}})
 
@@ -227,9 +247,9 @@ class TestEmission:
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
     def test_timeline_csv_shape(self, tmp_path):
-        scenario = make_scenario(n_cells=1, n_scans=50)
-        tl = run_cell(scenario.cells[0], scenario.params_for("cell_00"),
-                      scenario.traces["cell_00"], ps_enabled=False)
+        scenario, traces = make_scenario(n_cells=1, n_scans=50)
+        tl = run_cell(scenario.cells[0], scenario.params_for("cell_00"), traces[0],
+                      ps_enabled=False)
         path = tmp_path / "tl.csv"
         write_timeline_csv(tl, path)
         lines = path.read_text().splitlines()

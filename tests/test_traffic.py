@@ -385,7 +385,7 @@ PARSE_CORPUS = {
     "empty_value": "a,0,\n",
 }
 FAST_PATH = {"plain", "exponent", "negative_zero", "empty_id", "long_id", "no_final_newline",
-             "header_only", "quoted_id", "space_id", "unicode_id", "space_ids", "utf8_ids",
+             "header_only", "header_no_newline", "quoted_id", "space_id", "unicode_id", "space_ids", "utf8_ids",
              "line_separator_ids"}
 WHOLE_FILE_CASES = {
     "empty": b"",
@@ -410,30 +410,56 @@ def sample_bytes(samples: dict) -> dict:
     return {cid: np.frombuffer(block).tobytes() for cid, block in samples.items()}
 
 
+def trace_bytes(traces) -> dict:
+    return {t.cell_id: t.samples.tobytes() for t in traces}
+
+
+def count_row_loop(monkeypatch) -> list[int]:
+    """Record, for each chunk the row loop reads, the rows read before it."""
+    chunks = []
+    read_rows = traffic._Blocks.read_rows
+
+    def counting(self, lines):
+        chunks.append(self.row)
+        return read_rows(self, lines)
+
+    monkeypatch.setattr(traffic._Blocks, "read_rows", counting)
+    return chunks
+
+
+def assert_same_as_row_loop(source) -> bool:
+    """``read_traffic_csv(source())`` gives the whole-file row loop's traces, or its
+    error; True when it gave traces."""
+    try:
+        rows = oracles.row_loop_traffic(source())
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            read_traffic_csv(source())
+        assert str(got.value) == str(exc)
+        return False
+    traces = read_traffic_csv(source())
+    assert [t.cell_id for t in traces] == list(rows)
+    assert trace_bytes(traces) == sample_bytes(rows)
+    return True
+
+
 class TestTrafficParsePaths:
-    """The chunked ``np.loadtxt`` path against the row loop it stands in for."""
+    """The chunked reader, ``np.loadtxt`` and row loop mixed, against a whole-file row loop."""
 
     @pytest.mark.parametrize("chunk", [16, traffic.PARSE_CHUNK], ids=["16B", "default"])
     @pytest.mark.parametrize("name", sorted(PARSE_CORPUS.keys() | WHOLE_FILE_CASES.keys()))
     def test_same_traces_or_same_error(self, tmp_path, monkeypatch, name, chunk):
         monkeypatch.setattr(traffic, "PARSE_CHUNK", chunk)  # 16 B: runs cross chunk edges
+        row_loop_chunks = count_row_loop(monkeypatch)
         path = corpus_file(tmp_path, name)
-        fast = traffic._read_plain_chunks(path)
-        assert (fast is not None) == (name in FAST_PATH)
-        try:
-            rows = traffic._read_rows(path)
-        except DataError as exc:
-            with pytest.raises(DataError) as got:
-                read_traffic_csv(path)
-            assert str(got.value) == str(exc)
-            return
-        if fast is not None:
-            assert list(fast) == list(rows)
-            assert sample_bytes(fast) == sample_bytes(rows)
-        traces = read_traffic_csv(path)
-        assert {t.cell_id: t.samples.tobytes() for t in traces} == sample_bytes(rows)
+        read_path = assert_same_as_row_loop(lambda: path)
+        if read_path:
+            assert (row_loop_chunks == []) == (name in FAST_PATH)
+        if isinstance(PARSE_CORPUS.get(name), str):  # a text stream is one row-loop chunk
+            assert_same_as_row_loop(lambda: io.StringIO(TRAFFIC_HEADER + PARSE_CORPUS[name]))
 
-    def test_generated_fleet_takes_the_fast_path_bit_identically(self, tmp_path):
+    def test_generated_fleet_takes_the_fast_path_bit_identically(self, tmp_path, monkeypatch):
+        row_loop_chunks = count_row_loop(monkeypatch)
         _, traces, _ = build_demo_fleet(6, 1, seed=11)
         # ids with spaces or non-ASCII letters keep the file on the fast path
         renamed = [TrafficTrace(name, t.scan_period_s, t.samples)
@@ -442,10 +468,38 @@ class TestTrafficParsePaths:
         path = tmp_path / "traffic.csv"
         for fleet in (traces, renamed):
             write_traffic_csv(fleet, path)
-            fast = traffic._read_plain_chunks(path)
-            assert fast is not None
-            assert sample_bytes(fast) == sample_bytes(traffic._read_rows(path))
-            assert sample_bytes(fast) == {t.cell_id: t.samples.tobytes() for t in fleet}
+            back = read_traffic_csv(path)
+            assert trace_bytes(back) == sample_bytes(oracles.row_loop_traffic(path))
+            assert trace_bytes(back) == trace_bytes(fleet)
+        assert row_loop_chunks == []
+
+    def test_one_odd_row_sends_only_its_chunk_to_the_row_loop(self, tmp_path, monkeypatch):
+        row_loop_chunks = count_row_loop(monkeypatch)
+        _, fleet, _ = build_demo_fleet(4, 1, seed=11)  # 34,560 rows, about 12 chunks
+        path = tmp_path / "traffic.csv"
+        write_traffic_csv(fleet, path)
+        lines = path.read_text().split("\n")
+        lines.insert(20_000, "")  # a blank row 20,000 in
+        path.write_text("\n".join(lines))
+        assert trace_bytes(read_traffic_csv(path)) == trace_bytes(fleet)
+        assert len(row_loop_chunks) == 1 and row_loop_chunks[0] < 20_000
+
+        # rows are counted on across both paths: a bad value later names its own row
+        cid, scan, _ = lines[30_000].split(",")
+        lines[30_000] = f"{cid},{scan},-1"
+        path.write_text("\n".join(lines))
+        with pytest.raises(DataError, match="^row 30000: offered_erlang must be finite"):
+            read_traffic_csv(path)
+        assert len(row_loop_chunks) == 3
+
+    def test_each_trace_comes_as_soon_as_its_block_ends(self, tmp_path):
+        path = tmp_path / "traffic.csv"
+        path.write_text(TRAFFIC_HEADER + "a,0,1\na,1,2\nb,0,3\nb,1,oops\n")
+        traces = traffic.iter_traffic_csv(path)
+        first = next(traces)
+        assert (first.cell_id, first.samples.tolist()) == ("a", [1.0, 2.0])
+        with pytest.raises(DataError, match="row 4: non-numeric field"):
+            next(traces)
 
     @pytest.mark.parametrize("name,message", [
         ("interleaved", "row 3: cell 'a' again after another cell"),
