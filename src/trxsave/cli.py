@@ -365,6 +365,8 @@ def _load_scenario(
     """The fleet's scenario and scan period; assignment.csv may name only fleet cells."""
     if not math.isfinite(warmup_days):
         raise ConfigurationError(f"--warmup-days must be a finite number, got {warmup_days}")
+    if warmup_days < 0:
+        raise ConfigurationError(f"--warmup-days must be >= 0, got {warmup_days}")
     fleet = read_fleet_json(Path(fleet_path))
     scan_period = float(fleet["scan_period_s"])
     cells = [CellConfig(c["cell_id"], c["num_trx"], c["cch_slots"]) for c in fleet["cells"]]

@@ -491,11 +491,10 @@ def write_rows(stream: IO[str], columns: Sequence[Union[str, np.ndarray]]) -> No
 # ---------------------------------------------------------------------------
 # Traffic CSV (one row per scan per cell, 0-based contiguous scan_index)
 
-# Bytes of whole rows per np.loadtxt call. Larger chunks parse a little faster but
-# leave more freed memory resident: 256 KB chunks raised the peak RSS of a
-# 1.7 M-row parse by 5 MB over 64 KB ones.
+# Bytes of whole rows decoded at a time. Larger chunks decode a little faster but
+# leave more freed memory resident: 256 KB chunks raised the peak RSS of
+# ``simulate`` by about 1 MiB over 64 KB ones.
 PARSE_CHUNK = 1 << 16
-_DECADES = 10 ** np.arange(1, 19)  # digits of n >= 0: 1 + the number of these <= n
 
 
 def write_traffic_csv(traces: Iterable[TrafficTrace], dest: Union[str, Path, IO[str]]) -> None:
@@ -524,10 +523,10 @@ def iter_traffic_csv(
 
     Each cell's rows form one contiguous block with scan_index 0, 1, 2, ...,
     and every offered_erlang is finite and >= 0. A file path is read in chunks
-    of whole rows: ``np.loadtxt`` parses a chunk of plain rows (see
-    ``_plain_runs``) and the row loop reads any other chunk, naming its first
-    bad row. A text stream is one chunk for the row loop. Memory holds the
-    current cell's samples and one chunk.
+    of whole rows: a chunk of plain rows is decoded eight digits at a time
+    (see ``_plain_runs``) and the row loop reads any other chunk, naming its
+    first bad row. A text stream is one chunk for the row loop. Memory holds
+    the current cell's samples and one chunk.
     """
     for cid, samples in _Blocks().read(source):
         yield TrafficTrace(cid, scan_period_s, np.frombuffer(samples)).validate()
@@ -584,7 +583,7 @@ class _Blocks:
                     if ended is not None:
                         yield ended
                     self.samples.frombytes(values.tobytes())
-                self.row += chunk.count(b"\n")
+                self.row += offset + len(values)  # the last run ends the chunk
 
     def read_rows(self, lines: Iterable[str]) -> Iterator[tuple[str, array]]:
         """The row loop: one row at a time; a bad row raises a ``DataError`` naming it."""
@@ -640,15 +639,46 @@ def _chunk_lines(path: Union[str, Path], chunk: bytes, row: int) -> IO[str]:
 def _row_chunks(raw: IO[bytes]) -> Iterator[bytes]:
     """Whole rows, about ``PARSE_CHUNK`` bytes at a time; a last row without a
     newline gets one."""
-    rest = b""
+    rest: list[bytes] = []  # the reads since the last newline, joined once one comes
     while data := raw.read(PARSE_CHUNK):
-        data = rest + data
         cut = data.rfind(b"\n") + 1
-        rest = data[cut:]
         if cut:
-            yield data[:cut]
-    if rest:
-        yield rest + b"\n"
+            yield b"".join([*rest, data[:cut]])
+            rest = []
+        rest.append(data[cut:])
+    if tail := b"".join(rest):
+        yield tail + b"\n"
+
+
+# A chunk is read as 8-byte little-endian words, one at each byte offset: words[e]
+# holds the 8 bytes before byte e, the first in its low byte. A field of n <= 8
+# bytes that ends before e is the high n bytes of words[e]. XOR with '0' bytes and
+# the low 8 - n bytes cleared, a field of digits becomes eight digit values with
+# leading zeros, which Lemire's SWAR steps turn into its integer.
+_U64 = np.uint64
+_HIGH = np.array([(2**64 - 1) ^ ((1 << 8 * (8 - n)) - 1) for n in range(9)], _U64)  # n bytes
+_ZEROS = _U64(0x3030303030303030)  # eight '0' bytes
+_POW10 = 10 ** np.arange(9, dtype=_U64)
+_EXACT = _U64(1 << 53)  # integers below this are exact doubles
+_NUMBER_BYTES = b"0123456789.eE+-"  # a value the words do not read may hold only these
+
+
+def _digits(words: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For fields of ``lengths`` <= 8 bytes that end ``words``: whether each is all
+    digits, and the integer it spells where it is."""
+    w = words ^ _ZEROS
+    w &= _HIGH[lengths]  # digit values 0-9 with leading zeros
+    ok = ((w + _U64(0x7676767676767676)) | w) & _U64(0x8080808080808080) == 0
+    pairs = w * _U64(10)
+    pairs += w >> _U64(8)  # 10 * digit + next digit, in the even bytes
+    low = _U64(0x000000FF000000FF)
+    w = (pairs & low) * _U64(100 + (1000000 << 32))
+    pairs >>= _U64(16)
+    pairs &= low
+    pairs *= _U64(1 + (10000 << 32))
+    w += pairs
+    w >>= _U64(32)
+    return ok, w
 
 
 def _plain_runs(chunk: bytes) -> Optional[list[tuple[int, bytes, int, np.ndarray]]]:
@@ -656,45 +686,99 @@ def _plain_runs(chunk: bytes) -> Optional[list[tuple[int, bytes, int, np.ndarray
     the chunk, id bytes, first scan_index, values).
 
     None unless every row is plain: UTF-8 with exactly two commas and no
-    control byte, a scan_index of digits without a leading zero that steps by
-    one within a run, and an offered_erlang that is finite and >= 0. Spaces
-    and non-ASCII bytes may stand only in the cell id, before the row's first
-    comma. Without them, ``np.loadtxt`` and ``int``/``float`` accept the same
-    field text and give the same value.
+    control byte, a scan_index of 1-8 digits without a leading zero that
+    steps by one within a run, and an offered_erlang that ``float`` reads as
+    finite and >= 0. Spaces and non-ASCII bytes may stand only in the cell id,
+    before the row's first comma.
+
+    Fields are read as words (see above). An offered_erlang of at most 8
+    digits, a point and at most 8 digits, k of them after the point, is N /
+    10**k with N the integer of all its digits: for N < 2**53 both are exact
+    doubles, so their correctly rounded quotient is ``float(text)`` bit for
+    bit. Any other offered_erlang that holds only ``0-9 . e E + -`` is read by
+    ``float`` itself, as the row loop reads it. A cell id of at most 16 bytes
+    is compared with the row before as its length, first 8 and last 8 bytes.
     """
     text = np.frombuffer(chunk, np.uint8)
-    ends = np.flatnonzero(text == ord("\n"))
-    commas = np.flatnonzero(text == ord(","))
+    marks = np.flatnonzero(text < ord("0"))  # row ends, commas, points, signs, spaces
+    kinds = text[marks]
+    at_comma = np.flatnonzero(kinds == ord(","))
+    ends, commas = marks[np.flatnonzero(kinds == ord("\n"))], marks[at_comma]
     starts = np.concatenate(([0], ends[:-1] + 1))
     first, second = commas[0::2], commas[1::2]
     if len(commas) != 2 * len(ends) or (first < starts).any() or (second > ends).any():
         return None
     # a space or a non-ASCII byte may stand only in a cell id; most files hold neither
-    if np.count_nonzero(text <= ord(" ")) != len(ends) or text.max() > 0x7F:
+    non_ascii = text.max() > 0x7F
+    if non_ascii or np.count_nonzero(kinds <= ord(" ")) != len(ends):
         loose = np.flatnonzero((text == ord(" ")) | (text > 0x7F))
-        if (np.count_nonzero(text < ord(" ")) != len(ends)
+        if (np.count_nonzero(kinds < ord(" ")) != len(ends)
                 or (loose > first[np.searchsorted(ends, loose)]).any()):
             return None
-    try:  # bytes that are not UTF-8 fail the decode with a ValueError too
-        rows = np.loadtxt(chunk.decode("utf-8").split("\n"), delimiter=",", usecols=(1, 2),
-                          comments=None, dtype=[("i", "i8"), ("v", "f8")], ndmin=1)
-    except ValueError:
+        if non_ascii:
+            try:
+                chunk.decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+
+    # offered_erlang is cut at a point right after its comma, else at its end
+    after = at_comma[1::2] + 1  # the mark after each second comma
+    point = np.where(kinds[after] == ord("."), marks[after], ends)
+    del marks, kinds, at_comma, after  # freed here to keep the peak memory of a chunk down
+
+    n = len(ends)
+    padded = np.zeros(len(chunk) + 16, np.uint8)
+    padded[8:-8] = text
+    words = np.ndarray((len(chunk) + 9,), "<u8", padded, 0, (1,))
+    scan_len = second - first - 1
+    scan_ok, scans = _digits(words[second], np.minimum(scan_len, 8))
+    if not (scan_ok & (scan_len > 0) & (scan_len <= 8)
+            & ((text[first + 1] != ord("0")) | (scan_len == 1))).all():  # no leading zero
         return None
-    scans, values = rows["i"], np.ascontiguousarray(rows["v"])
-    digits = np.searchsorted(_DECADES, scans, side="right") + 1
-    if (second - first - 1 != digits).any() or not ((values >= 0) & (values < np.inf)).all():
-        return None
-    # each row's cell_id bytes, zero-padded to the longest, against the row before
+    scans = scans.view(np.int64)
+
+    whole_len = point - second - 1
+    frac_len = np.maximum(ends - point - 1, 0)
+    plain = (whole_len <= 8) & (frac_len <= 8) & (whole_len + frac_len > 0)
+    frac_len = np.minimum(frac_len, 8)
+    whole_ok, whole = _digits(words[point], np.minimum(whole_len, 8))
+    frac_ok, frac = _digits(words[ends], frac_len)
+    plain &= whole_ok & frac_ok
+    whole *= _POW10[frac_len]
+    whole += frac  # every digit as one integer
+    plain &= whole < _EXACT
+    values = whole.astype(np.float64)
+    values /= _POW10[frac_len].astype(np.float64)
+    for row in np.flatnonzero(~plain).tolist():
+        field = chunk[second[row] + 1:ends[row]]
+        if field.translate(None, _NUMBER_BYTES):
+            return None
+        try:
+            value = float(field)
+        except ValueError:
+            return None
+        if not 0 <= value < math.inf:
+            return None
+        values[row] = value
+
     id_len = first - starts
-    width = max(1, int(id_len.max()))
-    if len(ends) * width > 8 * len(chunk):  # a few very long ids among short ones
+    same = np.zeros(n, bool)
+    if id_len.max() <= 16:
+        id_len8 = np.minimum(id_len, 8)
+        mask = _HIGH[id_len8]
+        head = words[starts + id_len8] & mask
+        tail = words[first] & mask
+        same[1:] = ((id_len[1:] == id_len[:-1]) & (head[1:] == head[:-1])
+                    & (tail[1:] == tail[:-1]))
+    else:  # each row's cell_id bytes, zero-padded to the longest, against the row before
+        width = int(id_len.max())
+        if n * width > 8 * len(chunk):  # a few very long ids among short ones
+            return None
+        ids = sliding_window_view(np.frombuffer(chunk + bytes(width), np.uint8), width)[starts]
+        ids[np.arange(width) >= id_len[:, None]] = 0
+        same[1:] = (id_len[1:] == id_len[:-1]) & (ids[1:] == ids[:-1]).all(axis=1)
+    if not ((np.diff(scans) == 1) | ~same[1:]).all():
         return None
-    ids = sliding_window_view(np.frombuffer(chunk + bytes(width), np.uint8), width)[starts]
-    ids[np.arange(width) >= id_len[:, None]] = 0
-    same = np.zeros(len(ends), bool)
-    same[1:] = (id_len[1:] == id_len[:-1]) & (ids[1:] == ids[:-1]).all(axis=1)
-    if not (np.diff(scans)[same[1:]] == 1).all():
-        return None
-    bounds = [*np.flatnonzero(~same).tolist(), len(ends)]
+    bounds = [*np.flatnonzero(~same).tolist(), n]
     return [(a, chunk[starts[a]:first[a]], int(scans[a]), values[a:b])
             for a, b in zip(bounds, bounds[1:])]

@@ -422,10 +422,12 @@ class TestSimulate:
         (["--timelines", "\u00b2"], "--timelines must be 'all' or a count >= 0, got '\u00b2'"),
         (["--warmup-days", "nan"], "--warmup-days must be a finite number, got nan"),
         (["--warmup-days", "inf"], "--warmup-days must be a finite number, got inf"),
+        (["--warmup-days", "-1"], "--warmup-days must be >= 0, got -1.0"),
+        (["--warmup-days", "-0.00001"], "--warmup-days must be >= 0, got -1e-05"),
         (["--warmup-days", "1"], "warmup_scans 8640 consumes the whole 8640-scan trace"),
         (["--hysteresis", "0"], "hysteresis must be in [1, 1014], got 0"),
     ], ids=["negative_timelines", "text_timelines", "superscript_timelines", "nan_warmup",
-            "inf_warmup",
+            "inf_warmup", "negative_warmup", "tiny_negative_warmup",
             "whole_trace_warmup", "zero_hysteresis"])
     def test_bad_option_exits_2_before_writing(self, runner, small_fleet, tmp_path,
                                                args, message):

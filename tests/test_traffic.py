@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -444,7 +445,7 @@ def assert_same_as_row_loop(source) -> bool:
 
 
 class TestTrafficParsePaths:
-    """The chunked reader, ``np.loadtxt`` and row loop mixed, against a whole-file row loop."""
+    """The chunked reader, word decoder and row loop mixed, against a whole-file row loop."""
 
     @pytest.mark.parametrize("chunk", [16, traffic.PARSE_CHUNK], ids=["16B", "default"])
     @pytest.mark.parametrize("name", sorted(PARSE_CORPUS.keys() | WHOLE_FILE_CASES.keys()))
@@ -465,8 +466,15 @@ class TestTrafficParsePaths:
         renamed = [TrafficTrace(name, t.scan_period_s, t.samples)
                    for name, t in zip(["cell 0000", "célula 1", "小区 2", " 3", "4 ", "x y z"],
                                       traces)]
+        # fmt_num prints a value below 1e-4 with an exponent; float() reads that field alone
+        rng = np.random.default_rng(10)
+        tiny = [TrafficTrace(t.cell_id, t.scan_period_s,
+                             np.where(rng.random(len(t.samples)) < 0.005,
+                                      rng.integers(1, 100, len(t.samples)) * 1e-6, t.samples))
+                for t in traces]
+        assert sum(np.count_nonzero((0 < t.samples) & (t.samples < 1e-4)) for t in tiny) > 200
         path = tmp_path / "traffic.csv"
-        for fleet in (traces, renamed):
+        for fleet in (traces, renamed, tiny):
             write_traffic_csv(fleet, path)
             back = read_traffic_csv(path)
             assert trace_bytes(back) == sample_bytes(oracles.row_loop_traffic(path))
@@ -527,6 +535,136 @@ class TestTrafficParsePaths:
                 tracemalloc.stop()
             samples = n_cells * 30_000 * 8  # array("d") over-allocates up to 1/16
             assert peak <= samples * 17 / 16 + 12 * traffic.PARSE_CHUNK, (n_cells, peak)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, np.float64).tobytes()
+
+
+def decode_values(texts) -> np.ndarray | None:
+    """offered_erlang of one row per text, all of one cell, as ``_plain_runs``
+    decodes them; None when it leaves the chunk to the row loop."""
+    chunk = b"".join(b"a,%d,%s\n" % (i, t.encode()) for i, t in enumerate(texts))
+    runs = traffic._plain_runs(chunk)
+    if runs is None:
+        return None
+    assert len(runs) == 1
+    return runs[0][3]
+
+
+EDGE_DECODED = ["0", "0.000001", "0.0001", "999999999.999999", "9007199254740993",
+                "12345678.12345678", "1e-05", ".5", "5.", "00.5", "-0", "+1"]
+EDGE_ROW_LOOP = [".", "1_0", "1.2.3", "inf", "nan"]
+
+
+class TestWordDecoder:
+    """``_plain_runs`` against ``float`` and ``int`` on the field text."""
+
+    def test_values_on_and_off_the_grid_are_float_bits(self):
+        rng = np.random.default_rng(7)
+        grid = rng.integers(0, 10**15, 3000) / 1e6
+        texts = [fmt_num(v) for v in grid.tolist()]  # as write_traffic_csv prints them
+        anywhere = rng.random(3000) * 10.0 ** rng.integers(-12, 12, 3000)
+        texts += [repr(v) for v in anywhere.tolist()]  # 17 digits, exponents
+        below_1e9 = rng.random(2000) * 10.0 ** rng.integers(0, 10, 2000)
+        places = rng.integers(0, 12, 2000)
+        texts += [f"{v:.{k}f}" for v, k in zip(below_1e9.tolist(), places.tolist())]
+        for _ in range(2000):  # any digits on either side of the point, leading and trailing zeros
+            whole, frac = ("".join(rng.choice(list("0123456789"), rng.integers(0, 11)))
+                           for _ in range(2))
+            texts.append(f"{whole or '0'}.{frac}" if rng.random() < 0.8 else whole or "0")
+        values = decode_values(texts)
+        assert values is not None
+        assert bits(values) == bits([float(t) for t in texts])
+
+    def test_scan_index_is_int(self):
+        rng = np.random.default_rng(8)
+        scans = [0, 1, 9, 10, 99_999_999, *rng.integers(0, 10**8, 500).tolist(),
+                 *(10 ** rng.integers(0, 8, 100)).tolist()]
+        texts = [str(s) for s in scans]
+        # one cell per row, so each row is a run of its own
+        chunk = b"".join(b"c%d,%s,1\n" % (i, t.encode()) for i, t in enumerate(texts))
+        runs = traffic._plain_runs(chunk)
+        assert [first_scan for _, _, first_scan, _ in runs] == [int(t) for t in texts]
+        for text in ["00", "01", "+1", "-0", "1e3", "", "123456789", "0_1", "1.0"]:
+            assert traffic._plain_runs(b"a,%s,1\n" % text.encode()) is None, text
+
+    @pytest.mark.parametrize("text", EDGE_DECODED + EDGE_ROW_LOOP)
+    def test_edge_text_is_float_bits_or_row_loop(self, tmp_path, text):
+        values = decode_values([text])
+        if text in EDGE_ROW_LOOP:
+            assert values is None
+        else:
+            assert values is not None and bits(values) == bits([float(text)])
+        path = tmp_path / "traffic.csv"
+        path.write_text(f"{TRAFFIC_HEADER}a,0,{text}\n")
+        if values is not None and values[0] >= traffic.MAX_ERLANG:  # read, then rejected as a trace
+            with pytest.raises(DataError, match="rounds to a call demand over"):
+                read_traffic_csv(path)
+        else:
+            assert_same_as_row_loop(lambda: path)
+
+    @pytest.mark.parametrize("chunk", [16, traffic.PARSE_CHUNK], ids=["16B", "default"])
+    def test_mutated_plain_rows_read_as_the_row_loop_reads_them(self, tmp_path, monkeypatch,
+                                                                 chunk):
+        monkeypatch.setattr(traffic, "PARSE_CHUNK", chunk)
+        rng = np.random.default_rng(9)
+        values = np.round(rng.uniform(0, 40, (3, 12)), 6)
+        values[0, 3], values[1, 5], values[2, 0] = 5e-05, 0.0, 12.0  # "5e-05", "0", "12"
+        base = "".join(f"{cid},{i},{fmt_num(v)}\n"
+                       for cid, row in zip(("cell_0", "cell_0001", "c"), values)
+                       for i, v in enumerate(row.tolist()))
+        # "é" goes in whole: the whole-file row loop reads text ahead of its rows, so
+        # it would name a stray UTF-8 byte before an earlier bad row
+        alphabet = [*"0123456789012345.,,\n\r eE+-_x".encode(), "é".encode()]
+        path = tmp_path / "traffic.csv"
+        data = base.encode()
+        for _ in range(200):
+            at = int(rng.integers(0, len(data)))
+            byte = alphabet[rng.integers(0, len(alphabet))]
+            byte = byte if isinstance(byte, bytes) else bytes([byte])
+            mutated = [data[:at] + byte + data[at + 1:],  # replaced
+                       data[:at] + byte + data[at:],  # inserted
+                       data[:at] + data[at + 1:]][rng.integers(0, 3)]  # deleted
+            path.write_bytes(TRAFFIC_HEADER.encode() + mutated)
+            assert_same_as_row_loop(lambda: path)
+
+
+def joined_row_chunks(data: bytes, size: int) -> list[bytes]:
+    """The reference: each read joined onto the remainder, cut after its last newline."""
+    chunks, rest = [], b""
+    for at in range(0, len(data), size):
+        joined = rest + data[at:at + size]
+        cut = joined.rfind(b"\n") + 1
+        if cut:
+            chunks.append(joined[:cut])
+        rest = joined[cut:]
+    return chunks + [rest + b"\n"] if rest else chunks
+
+
+class TestRowChunks:
+    @pytest.mark.parametrize("size", [1, 7, 16, 64])
+    def test_chunks_are_the_joined_reads(self, monkeypatch, size):
+        monkeypatch.setattr(traffic, "PARSE_CHUNK", size)
+        rng = np.random.default_rng(size)
+        for _ in range(50):
+            data = bytes(rng.choice(list(b"a,0.\r\n\n"), rng.integers(0, 400)).tolist())
+            assert list(traffic._row_chunks(io.BytesIO(data))) == joined_row_chunks(data, size)
+
+    def test_a_file_without_newline_is_read_in_linear_time(self, monkeypatch):
+        monkeypatch.setattr(traffic, "PARSE_CHUNK", 16)  # 131,072 reads of a 2 MB row
+
+        class Deadline(io.BytesIO):
+            """Fails a read that comes after the deadline; re-joining the whole
+            remainder on every read takes several seconds for a 2 MB row."""
+
+            def read(self, size=-1):
+                assert time.monotonic() < deadline, "row chunks re-copy what they hold"
+                return super().read(size)
+
+        data = b"a,0,1\r" * ((2 << 20) // 6)
+        deadline = time.monotonic() + 2.0
+        assert list(traffic._row_chunks(Deadline(data))) == [data + b"\n"]
 
 
 class TestReadJson:
