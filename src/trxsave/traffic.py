@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cell_model import CellConfig
 from .errors import ConfigurationError, DataError
@@ -658,7 +657,7 @@ def _row_chunks(raw: IO[bytes]) -> Iterator[bytes]:
 _U64 = np.uint64
 _HIGH = np.array([(2**64 - 1) ^ ((1 << 8 * (8 - n)) - 1) for n in range(9)], _U64)  # n bytes
 _ZEROS = _U64(0x3030303030303030)  # eight '0' bytes
-_POW10 = 10 ** np.arange(9, dtype=_U64)
+_POW10 = 10 ** np.arange(17, dtype=_U64)  # exact as doubles too
 _EXACT = _U64(1 << 53)  # integers below this are exact doubles
 _NUMBER_BYTES = b"0123456789.eE+-"  # a value the words do not read may hold only these
 
@@ -692,12 +691,12 @@ def _plain_runs(chunk: bytes) -> Optional[list[tuple[int, bytes, int, np.ndarray
     before the row's first comma.
 
     Fields are read as words (see above). An offered_erlang of at most 8
-    digits, a point and at most 8 digits, k of them after the point, is N /
+    digits, a point and at most 16 digits, k of them after the point, is N /
     10**k with N the integer of all its digits: for N < 2**53 both are exact
     doubles, so their correctly rounded quotient is ``float(text)`` bit for
-    bit. Any other offered_erlang that holds only ``0-9 . e E + -`` is read by
-    ``float`` itself, as the row loop reads it. A cell id of at most 16 bytes
-    is compared with the row before as its length, first 8 and last 8 bytes.
+    bit. The other offered_erlang fields of a chunk, if they hold only
+    ``0-9 . e E + -``, are gathered into one bytes object and read by
+    ``float``, as the row loop reads them.
     """
     text = np.frombuffer(chunk, np.uint8)
     marks = np.flatnonzero(text < ord("0"))  # row ends, commas, points, signs, spaces
@@ -739,44 +738,50 @@ def _plain_runs(chunk: bytes) -> Optional[list[tuple[int, bytes, int, np.ndarray
 
     whole_len = point - second - 1
     frac_len = np.maximum(ends - point - 1, 0)
-    plain = (whole_len <= 8) & (frac_len <= 8) & (whole_len + frac_len > 0)
-    frac_len = np.minimum(frac_len, 8)
+    # at most 19 digits in all, so that their integer fits one uint64
+    plain = ((whole_len <= 8) & (frac_len <= 16) & (whole_len + frac_len > 0)
+             & (whole_len + frac_len <= 19))
+    frac_len = np.minimum(frac_len, 16)
     whole_ok, whole = _digits(words[point], np.minimum(whole_len, 8))
-    frac_ok, frac = _digits(words[ends], frac_len)
+    frac_ok, frac = _digits(words[ends], np.minimum(frac_len, 8))
     plain &= whole_ok & frac_ok
+    long = np.flatnonzero(plain & (frac_len > 8))  # the digits before the last 8
+    if len(long):
+        high_ok, high = _digits(words[ends[long] - 8], frac_len[long] - 8)
+        plain[long] = high_ok
+        frac[long] += high * _POW10[8]
     whole *= _POW10[frac_len]
     whole += frac  # every digit as one integer
     plain &= whole < _EXACT
     values = whole.astype(np.float64)
     values /= _POW10[frac_len].astype(np.float64)
-    for row in np.flatnonzero(~plain).tolist():
-        field = chunk[second[row] + 1:ends[row]]
-        if field.translate(None, _NUMBER_BYTES):
+    odd = np.flatnonzero(~plain)
+    if len(odd):  # each such field with its newline, gathered and split in one go
+        edges = np.zeros(len(chunk) + 1, np.int8)
+        edges[second[odd] + 1], edges[ends[odd] + 1] = 1, -1
+        fields = text[np.cumsum(edges[:-1], dtype=np.int8).view(bool)].tobytes()
+        if fields.translate(None, _NUMBER_BYTES + b"\n"):
             return None
         try:
-            value = float(field)
+            odd_values = np.fromiter(map(float, fields.split(b"\n")[:-1]), np.float64, len(odd))
         except ValueError:
             return None
-        if not 0 <= value < math.inf:
+        if not ((odd_values >= 0) & (odd_values < np.inf)).all():
             return None
-        values[row] = value
+        values[odd] = odd_values
 
+    # each row's cell_id against the row before, a word at a time: word j holds id
+    # bytes 8j to 8j + 8, or to the id's comma if that comes first
     id_len = first - starts
+    longest = int(id_len.max())
+    if n * longest > 8 * len(chunk):  # a few very long ids among short ones
+        return None
     same = np.zeros(n, bool)
-    if id_len.max() <= 16:
-        id_len8 = np.minimum(id_len, 8)
-        mask = _HIGH[id_len8]
-        head = words[starts + id_len8] & mask
-        tail = words[first] & mask
-        same[1:] = ((id_len[1:] == id_len[:-1]) & (head[1:] == head[:-1])
-                    & (tail[1:] == tail[:-1]))
-    else:  # each row's cell_id bytes, zero-padded to the longest, against the row before
-        width = int(id_len.max())
-        if n * width > 8 * len(chunk):  # a few very long ids among short ones
-            return None
-        ids = sliding_window_view(np.frombuffer(chunk + bytes(width), np.uint8), width)[starts]
-        ids[np.arange(width) >= id_len[:, None]] = 0
-        same[1:] = (id_len[1:] == id_len[:-1]) & (ids[1:] == ids[:-1]).all(axis=1)
+    same[1:] = id_len[1:] == id_len[:-1]
+    for at in range(0, longest, 8):
+        word = words[np.minimum(starts + (at + 8), first)]
+        word &= _HIGH[np.clip(id_len - at, 0, 8)]
+        same[1:] &= word[1:] == word[:-1]
     if not ((np.diff(scans) == 1) | ~same[1:]).all():
         return None
     bounds = [*np.flatnonzero(~same).tolist(), n]

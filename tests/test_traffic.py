@@ -553,8 +553,14 @@ def decode_values(texts) -> np.ndarray | None:
 
 
 EDGE_DECODED = ["0", "0.000001", "0.0001", "999999999.999999", "9007199254740993",
-                "12345678.12345678", "1e-05", ".5", "5.", "00.5", "-0", "+1"]
-EDGE_ROW_LOOP = [".", "1_0", "1.2.3", "inf", "nan"]
+                "12345678.12345678", "1e-05", ".5", "5.", "00.5", "-0", "+1",
+                # 2**53 - 1 and 2**53 as all digits; 16 and 17 places; 19 and 20 digits;
+                # 24 digits whose integer wraps round a uint64 to below 2**53
+                "9.007199254740991", "9.007199254740992", "0.1234567890123456",
+                "0.12345678901234567", "123.4567890123456789", "1234.5678901234567890",
+                "10001825.0000000000000001",
+                "0.1e-456789012345"]  # not digits before the last 8 places
+EDGE_ROW_LOOP = [".", "1_0", "1.2.3", "inf", "nan", "0.1.34567890123456", "0.1e3456789012345"]
 
 
 class TestWordDecoder:
@@ -570,8 +576,8 @@ class TestWordDecoder:
         places = rng.integers(0, 12, 2000)
         texts += [f"{v:.{k}f}" for v, k in zip(below_1e9.tolist(), places.tolist())]
         for _ in range(2000):  # any digits on either side of the point, leading and trailing zeros
-            whole, frac = ("".join(rng.choice(list("0123456789"), rng.integers(0, 11)))
-                           for _ in range(2))
+            whole, frac = ("".join(rng.choice(list("0123456789"), rng.integers(0, n)))
+                           for n in (11, 19))
             texts.append(f"{whole or '0'}.{frac}" if rng.random() < 0.8 else whole or "0")
         values = decode_values(texts)
         assert values is not None
@@ -588,6 +594,20 @@ class TestWordDecoder:
         assert [first_scan for _, _, first_scan, _ in runs] == [int(t) for t in texts]
         for text in ["00", "01", "+1", "-0", "1e3", "", "123456789", "0_1", "1.0"]:
             assert traffic._plain_runs(b"a,%s,1\n" % text.encode()) is None, text
+
+    def test_cell_ids_differing_in_one_byte_are_two_runs(self):
+        for length in range(1, 26):
+            cid = bytes(range(ord("a"), ord("a") + length))
+            assert len(traffic._plain_runs(b"%s,0,1\n%s,1,2\n" % (cid, cid))) == 1
+            for at in range(length):
+                for byte in (b"A", b" ", "é".encode()):
+                    other = cid[:at] + byte + cid[at + 1:]
+                    # scan_index steps on by one, so only the ids tell the cells apart
+                    runs = traffic._plain_runs(b"%s,0,1\n%s,1,2\n" % (cid, other))
+                    assert [run[1] for run in runs] == [cid, other]
+            for other in (cid[:-1], cid + b"z", b"z" + cid):  # a byte short or over
+                runs = traffic._plain_runs(b"%s,0,1\n%s,1,2\n" % (cid, other))
+                assert [run[1] for run in runs] == [cid, other]
 
     @pytest.mark.parametrize("text", EDGE_DECODED + EDGE_ROW_LOOP)
     def test_edge_text_is_float_bits_or_row_loop(self, tmp_path, text):
@@ -652,19 +672,19 @@ class TestRowChunks:
             assert list(traffic._row_chunks(io.BytesIO(data))) == joined_row_chunks(data, size)
 
     def test_a_file_without_newline_is_read_in_linear_time(self, monkeypatch):
-        monkeypatch.setattr(traffic, "PARSE_CHUNK", 16)  # 131,072 reads of a 2 MB row
+        monkeypatch.setattr(traffic, "PARSE_CHUNK", 16)  # 65,536 reads of a 1 MB row
 
-        class Deadline(io.BytesIO):
-            """Fails a read that comes after the deadline; re-joining the whole
-            remainder on every read takes several seconds for a 2 MB row."""
+        def seconds(size: int) -> float:
+            data = b"a,0,1\r" * (size // 6)
+            start = time.perf_counter()
+            assert list(traffic._row_chunks(io.BytesIO(data))) == [data + b"\n"]
+            return time.perf_counter() - start
 
-            def read(self, size=-1):
-                assert time.monotonic() < deadline, "row chunks re-copy what they hold"
-                return super().read(size)
-
-        data = b"a,0,1\r" * ((2 << 20) // 6)
-        deadline = time.monotonic() + 2.0
-        assert list(traffic._row_chunks(Deadline(data))) == [data + b"\n"]
+        # best of five, the sizes interleaved so that a change of CPU speed meets both
+        small, large = (min(ts) for ts in zip(*[(seconds(256 << 10), seconds(1 << 20))
+                                                for _ in range(5)]))
+        # 4x the bytes: about 4x the time, but 25x when every read re-copies the remainder
+        assert large < 10 * small, (small, large)
 
 
 class TestReadJson:
