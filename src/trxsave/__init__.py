@@ -22,7 +22,6 @@ from .analytics import (
 from .cell_model import (
     CellConfig,
     CellState,
-    MappingStrategy,
     build_cell,
     idle_tch_count,
     place_calls,

@@ -5,17 +5,13 @@ A cell carries ``num_trx`` transceivers of 8 TDMA time slots each. The first
 slot is a traffic channel (TCH) that can hold one call. TRX 1 can never be
 switched off because the control channels live there.
 
-Call placement is stateless: each scan the current demand is re-placed onto
-the enabled TCH slots, either packed (lowest slot index first) or scattered
-(seeded uniform choice). Occupied/blocked counts are identical for both
-strategies; only the slot positions differ.
+Call placement is stateless capacity arithmetic; slot positions are not
+modelled, because occupancy and blocking depend only on the call count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .errors import ConfigurationError, DataError, InvariantError
 
@@ -53,108 +49,57 @@ class CellConfig:
         return self.total_slots - self.cch_slots
 
 
-@dataclass(frozen=True)
 class MappingStrategy:
-    """How calls map onto physical slots: ``packed`` or ``scattered``.
-
-    Scattered placement models slot choice by radio quality, which is not
-    observable here, as a seeded uniform pick over free TCH slots.
-    """
-
-    kind: str
-    seed: int = 0
+    """A field-less stub kept only because the benchmark's bursty-churn replay
+    (``bench/workloads.py``) imports it and passes ``MappingStrategy.packed()``
+    to :func:`place_calls`, which ignores it."""
 
     @classmethod
     def packed(cls) -> "MappingStrategy":
-        return cls("packed")
-
-    @classmethod
-    def scattered(cls, seed: int = 0) -> "MappingStrategy":
-        return cls("scattered", seed)
-
-    def validate(self) -> "MappingStrategy":
-        if self.kind not in ("packed", "scattered"):
-            raise ConfigurationError(f"unknown mapping strategy {self.kind!r}")
-        return self
+        return cls()
 
 
 @dataclass(frozen=True)
 class CellState:
-    """Live cell state: per-TRX enable flags, call count, slot occupancy.
+    """Live cell state: per-TRX enable flags and the call count.
 
     ``trx_enabled[i]`` covers TRX ``i + 1`` (TRX indices are 1-based in all
-    public APIs, matching radio-engineering convention). ``slot_map[s]`` is
-    True when global slot ``s`` holds a call; control slots are never mapped.
+    public APIs, matching radio-engineering convention).
     """
 
     config: CellConfig
     trx_enabled: tuple[bool, ...]
     occupied_tch: int
-    slot_map: tuple[bool, ...]
 
     @property
     def enabled_trx_count(self) -> int:
-        return sum(self.trx_enabled)
+        return self.trx_enabled.count(True)
 
     @property
     def enabled_tch_capacity(self) -> int:
         return self.enabled_trx_count * SLOTS_PER_TRX - self.config.cch_slots
 
-    def enabled_tch_slots(self) -> list[int]:
-        """Global indices of TCH slots on enabled TRXs, ascending.
-
-        Control channels occupy global slots 0..cch_slots-1 (on TRX 1).
-        """
-        slots = []
-        for trx in range(self.config.num_trx):
-            if not self.trx_enabled[trx]:
-                continue
-            start = trx * SLOTS_PER_TRX
-            for s in range(start, start + SLOTS_PER_TRX):
-                if s >= self.config.cch_slots:
-                    slots.append(s)
-        return slots
-
 
 def build_cell(config: CellConfig) -> CellState:
     """Create a fresh cell: all TRXs enabled, no calls."""
     config.validate()
-    return CellState(
-        config=config,
-        trx_enabled=(True,) * config.num_trx,
-        occupied_tch=0,
-        slot_map=(False,) * config.total_slots,
-    )
+    return CellState(config=config, trx_enabled=(True,) * config.num_trx, occupied_tch=0)
 
 
 def place_calls(
-    state: CellState, demand: int, strategy: MappingStrategy
+    state: CellState, demand: int, _strategy: object = None
 ) -> tuple[CellState, int]:
-    """Re-place ``demand`` calls onto the enabled TCH slots.
+    """Place ``demand`` calls on the enabled TCHs, up to their capacity.
 
     Returns the new state and the number of blocked calls. Overload is not an
-    error; calls that do not fit are counted as blocked.
+    error; calls that do not fit are counted as blocked. The optional third
+    argument is ignored: it is accepted only because the benchmark's replay
+    (``bench/workloads.py``) passes ``MappingStrategy.packed()``.
     """
     if demand < 0:
         raise DataError(f"demand must be >= 0, got {demand}")
-    strategy.validate()
-    capacity = state.enabled_tch_capacity
-    occupied = min(demand, capacity)
-    blocked = demand - occupied
-
-    free = state.enabled_tch_slots()
-    if strategy.kind == "packed":
-        taken = free[:occupied]
-    else:
-        rng = np.random.default_rng(strategy.seed)
-        idx = rng.choice(len(free), size=occupied, replace=False)
-        taken = [free[i] for i in idx]
-
-    slot_map = [False] * state.config.total_slots
-    for s in taken:
-        slot_map[s] = True
-    new_state = replace(state, occupied_tch=occupied, slot_map=tuple(slot_map))
-    return new_state, blocked
+    occupied = min(demand, state.enabled_tch_capacity)
+    return replace(state, occupied_tch=occupied), demand - occupied
 
 
 def idle_tch_count(state: CellState) -> int:
@@ -163,10 +108,10 @@ def idle_tch_count(state: CellState) -> int:
 
 
 def set_trx_enabled(state: CellState, trx_index: int, enabled: bool) -> CellState:
-    """Toggle one TRX's enable flag; keeps the slot map consistent.
+    """Toggle one TRX's enable flag.
 
-    TRX 1 cannot be disabled. Disabling a TRX re-packs the current calls onto
-    the remaining enabled TRXs in packed order.
+    TRX 1 cannot be disabled, and neither can a TRX whose loss would leave
+    fewer TCHs than calls.
     """
     if not 1 <= trx_index <= state.config.num_trx:
         raise InvariantError(
@@ -177,12 +122,9 @@ def set_trx_enabled(state: CellState, trx_index: int, enabled: bool) -> CellStat
     flags = list(state.trx_enabled)
     flags[trx_index - 1] = enabled
     new_state = replace(state, trx_enabled=tuple(flags))
-    if not enabled:
-        if state.occupied_tch > new_state.enabled_tch_capacity:
-            raise InvariantError(
-                f"disabling TRX {trx_index} would strand "
-                f"{state.occupied_tch - new_state.enabled_tch_capacity} call(s)"
-            )
-        # re-pack calls off the disabled TRX
-        new_state, _ = place_calls(new_state, state.occupied_tch, MappingStrategy.packed())
+    if not enabled and state.occupied_tch > new_state.enabled_tch_capacity:
+        raise InvariantError(
+            f"disabling TRX {trx_index} would strand "
+            f"{state.occupied_tch - new_state.enabled_tch_capacity} call(s)"
+        )
     return new_state

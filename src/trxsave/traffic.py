@@ -535,7 +535,7 @@ def _check_traffic_header(line: str) -> None:
     header = io.StringIO(line, newline="").readline().rstrip("\n")  # a text stream's first row
     if header.split(",") != TRAFFIC_CSV_HEADER:
         raise DataError(
-            f"traffic CSV header mismatch: expected {','.join(TRAFFIC_CSV_HEADER)}, got {header}"
+            f"traffic CSV header mismatch: expected {','.join(TRAFFIC_CSV_HEADER)}, got {header!r}"
         )
 
 
@@ -625,14 +625,20 @@ class _Blocks:
         return ended
 
 
-def _chunk_lines(path: Union[str, Path], chunk: bytes, row: int) -> IO[str]:
+def _chunk_lines(path: Union[str, Path], chunk: bytes, row: int) -> Iterator[str]:
     """A chunk's rows as a text stream reads them; ``row`` rows come before it.
-    A byte that is not UTF-8 is a ``DataError`` naming its row."""
+    A byte that is not UTF-8 is a ``DataError`` naming its row, raised after the
+    rows before that row, so an earlier bad row is named first whatever the
+    chunk size."""
     try:
-        return io.StringIO(chunk.decode("utf-8"), newline="")
+        text = chunk.decode("utf-8")
     except UnicodeDecodeError as exc:
-        where = row + 1 + chunk.count(b"\n", 0, exc.start)
+        good = chunk.rfind(b"\n", 0, exc.start) + 1
+        lines = io.StringIO(chunk[:good].decode("utf-8"), newline="").readlines()
+        yield from lines
+        where = row + 1 + len(lines)
         raise DataError(f"{path}: row {where}: not UTF-8 text ({exc.reason})") from None
+    yield from io.StringIO(text, newline="")
 
 
 def _row_chunks(raw: IO[bytes]) -> Iterator[bytes]:

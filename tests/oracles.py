@@ -54,8 +54,8 @@ def replay_with_step_functions(config, params, trace) -> dict[str, list[int]]:
     actions) and the spec's own (demand, occupied, both counters,
     delay_remaining).
 
-    Calls are placed by capacity arithmetic: the step functions read the call
-    count, never the slot map.
+    Calls are placed by capacity arithmetic: the step functions read only the
+    call count.
     """
     cell = build_cell(config)
     saving = SavingState()
@@ -262,55 +262,59 @@ def gaussian_blobs(centers, points_per_blob: int, scale: float, seed: int) -> np
 
 def row_loop_traffic(source) -> dict[str, array]:
     """Samples per cell id of a traffic CSV path or text stream, one row at a time
-    over the whole file; a bad row raises the ``DataError`` the reader must raise."""
+    over the whole file; a bad row raises the ``DataError`` the reader must raise.
+    A path is decoded one raw line at a time, so a byte that is not UTF-8 is
+    named only after every row before it has been read."""
     header_text = "cell_id,scan_index,offered_erlang"
-    stream = open(source, encoding="utf-8", newline="") if not isinstance(source, io.IOBase) \
-        else source
-    try:
-        header = stream.readline().rstrip("\n")
-        if header.split(",") != header_text.split(","):
-            raise DataError(f"traffic CSV header mismatch: expected {header_text}, got {header}")
-        samples: dict[str, array] = {}
-        cid, block = None, array("d")
-        for row_no, line in enumerate(stream, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"row {row_no}: expected 3 fields, got {len(parts)}")
-            row_cid, idx_s, val_s = parts
+    lines = iter(source) if isinstance(source, io.IOBase) else _decoded_lines(source)
+    header = next(lines, "").rstrip("\n")
+    if header.split(",") != header_text.split(","):
+        raise DataError(f"traffic CSV header mismatch: expected {header_text}, got {header!r}")
+    samples: dict[str, array] = {}
+    cid, block = None, array("d")
+    for row_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise DataError(f"row {row_no}: expected 3 fields, got {len(parts)}")
+        row_cid, idx_s, val_s = parts
+        try:
+            idx = int(idx_s)
+            val = float(val_s)
+        except ValueError as exc:
+            raise DataError(f"row {row_no}: non-numeric field ({exc})") from None
+        if row_cid != cid:
+            if row_cid in samples:
+                raise DataError(f"row {row_no}: cell {row_cid!r} again after another "
+                                f"cell; each cell's rows must form one contiguous block")
+            cid, block = row_cid, array("d")
+            samples[cid] = block
+        if idx != len(block):
+            raise DataError(f"row {row_no}: cell {cid!r} scan_index {idx} not contiguous "
+                            f"(expected {len(block)})")
+        if not math.isfinite(val) or val < 0:
+            raise DataError(f"row {row_no}: offered_erlang must be finite and >= 0")
+        block.append(val)
+    return samples
+
+
+def _decoded_lines(path):
+    """The header, then each row, as a text stream splits them, decoding one raw
+    line at a time; the first raw line that is not UTF-8 raises a ``DataError``
+    naming the row a text stream would give it. A last row without a newline is
+    read as if it had one, as the reader reads it."""
+    with open(path, "rb") as raw:
+        read = 0  # lines given so far, the header as line 0
+        for raw_line in raw:
+            if read and not raw_line.endswith(b"\n"):
+                raw_line += b"\n"
             try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError as exc:
-                raise DataError(f"row {row_no}: non-numeric field ({exc})") from None
-            if row_cid != cid:
-                if row_cid in samples:
-                    raise DataError(f"row {row_no}: cell {row_cid!r} again after another "
-                                    f"cell; each cell's rows must form one contiguous block")
-                cid, block = row_cid, array("d")
-                samples[cid] = block
-            if idx != len(block):
-                raise DataError(f"row {row_no}: cell {cid!r} scan_index {idx} not contiguous "
-                                f"(expected {len(block)})")
-            if not math.isfinite(val) or val < 0:
-                raise DataError(f"row {row_no}: offered_erlang must be finite and >= 0")
-            block.append(val)
-        return samples
-    except UnicodeDecodeError as exc:  # the first raw line that is not UTF-8 names the row
-        with open(source, "rb") as raw:
-            line_no = next(n for n, line in enumerate(raw) if not _is_utf8(line))
-        where = "header: " if line_no == 0 else f"row {line_no}: "
-        raise DataError(f"{source}: {where}not UTF-8 text ({exc.reason})") from None
-    finally:
-        if stream is not source:
-            stream.close()
-
-
-def _is_utf8(line: bytes) -> bool:
-    try:
-        line.decode("utf-8")
-    except UnicodeDecodeError:
-        return False
-    return True
+                text = raw_line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                where = "header: " if read == 0 else f"row {read}: "
+                raise DataError(f"{path}: {where}not UTF-8 text ({exc.reason})") from None
+            for line in io.StringIO(text, newline=""):
+                read += 1
+                yield line

@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,11 @@ from trxsave.cell_model import (
     set_trx_enabled,
 )
 from trxsave.errors import ConfigurationError, DataError, InvariantError
+from trxsave.saving_engine import run_cell
 
 import oracles
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def cell(num_trx=3, cch=3):
@@ -42,33 +48,23 @@ class TestBuildCell:
         state = cell()
         assert state.occupied_tch == 0
         assert all(state.trx_enabled)
-        assert not any(state.slot_map)
 
 
 class TestPlaceCalls:
-    def test_packed_fills_lowest_slots_first(self):
-        # 9 calls on a 3-TRX cell: TRX1's 5 TCHs plus 4 on TRX2, TRX3 empty
-        state, blocked = place_calls(cell(), 9, MappingStrategy.packed())
-        assert blocked == 0
-        assert state.occupied_tch == 9
-        occupied_slots = [i for i, used in enumerate(state.slot_map) if used]
-        assert occupied_slots == list(range(3, 12))
-        assert not any(state.slot_map[16:24])  # TRX3 carries no calls
-
     def test_zero_demand(self):
-        state, blocked = place_calls(cell(), 0, MappingStrategy.packed())
+        state, blocked = place_calls(cell(), 0)
         assert state.occupied_tch == 0
         assert blocked == 0
 
     def test_overload_blocks_excess(self):
         # single TRX: oracle says 5 occupied, 2 blocked for demand 7
         expect_occ, expect_blk = oracles.place(7, oracles.capacity(1, 3))
-        state, blocked = place_calls(cell(1, 3), 7, MappingStrategy.packed())
+        state, blocked = place_calls(cell(1, 3), 7)
         assert (state.occupied_tch, blocked) == (expect_occ, expect_blk) == (5, 2)
 
     def test_negative_demand_rejected(self):
         with pytest.raises(DataError):
-            place_calls(cell(), -1, MappingStrategy.packed())
+            place_calls(cell(), -1)
 
     def test_conservation_and_capacity(self):
         rng = np.random.default_rng(5)
@@ -76,31 +72,17 @@ class TestPlaceCalls:
             num_trx = int(rng.integers(1, 6))
             cch = int(rng.integers(1, 4))
             demand = int(rng.integers(0, 60))
-            state, blocked = place_calls(cell(num_trx, cch), demand, MappingStrategy.packed())
+            state, blocked = place_calls(cell(num_trx, cch), demand)
             assert state.occupied_tch + blocked == demand
             assert state.occupied_tch <= state.enabled_tch_capacity
-            assert sum(state.slot_map) == state.occupied_tch
 
-    def test_packed_is_deterministic(self):
-        a, _ = place_calls(cell(), 11, MappingStrategy.packed())
-        b, _ = place_calls(cell(), 11, MappingStrategy.packed())
-        assert a.slot_map == b.slot_map
-
-    def test_scattered_reproducible_and_count_equal(self):
-        a, blk_a = place_calls(cell(), 11, MappingStrategy.scattered(seed=3))
-        b, blk_b = place_calls(cell(), 11, MappingStrategy.scattered(seed=3))
-        c, blk_c = place_calls(cell(), 11, MappingStrategy.scattered(seed=4))
-        assert a.slot_map == b.slot_map
-        assert (a.occupied_tch, blk_a) == (c.occupied_tch, blk_c)
-        assert blk_a == blk_b == 0
-
-    def test_scattered_never_uses_cch_or_disabled_slots(self):
-        state = set_trx_enabled(cell(), 3, False)
-        for seed in range(20):
-            placed, _ = place_calls(state, 13, MappingStrategy.scattered(seed=seed))
-            used = {i for i, b in enumerate(placed.slot_map) if b}
-            assert not used & {0, 1, 2}            # control slots
-            assert not used & set(range(16, 24))   # disabled TRX3
+    def test_benchmark_three_argument_call_matches_two_argument_call(self):
+        # bench/workloads.py still passes MappingStrategy.packed(); it is ignored
+        for num_trx in (1, 3, 12):
+            state = cell(num_trx, 2)
+            for demand in (0, 5, 30, 200):
+                assert (place_calls(state, demand, MappingStrategy.packed())
+                        == place_calls(state, demand))
 
 
 class TestCounts:
@@ -111,13 +93,13 @@ class TestCounts:
         # two enabled TRXs with cch=3 give 13 TCHs; idle is capacity minus calls
         state = cell(2, 3)
         for occupied in (13, 10, 0):
-            placed, _ = place_calls(state, occupied, MappingStrategy.packed())
+            placed, _ = place_calls(state, occupied)
             assert idle_tch_count(placed) == oracles.capacity(2, 3) - occupied
-        full, _ = place_calls(state, 13, MappingStrategy.packed())
+        full, _ = place_calls(state, 13)
         assert idle_tch_count(full) == 0
 
     def test_idle_zero_at_full_occupancy(self):
-        state, _ = place_calls(cell(), 21, MappingStrategy.packed())
+        state, _ = place_calls(cell(), 21)
         assert idle_tch_count(state) == 0
 
     def test_active_trx_counts(self):
@@ -145,14 +127,21 @@ class TestEnableFlag:
         with pytest.raises(InvariantError):
             set_trx_enabled(cell(), 1, False)
 
-    def test_disable_repacks_calls(self):
-        state, _ = place_calls(cell(), 9, MappingStrategy.scattered(seed=1))
-        state = set_trx_enabled(state, 3, False)
-        occupied_slots = [i for i, used in enumerate(state.slot_map) if used]
-        assert occupied_slots == list(range(3, 12))
-        assert state.occupied_tch == 9
-
     def test_disable_that_strands_calls_is_rejected(self):
-        state, _ = place_calls(cell(), 15, MappingStrategy.packed())
+        state, _ = place_calls(cell(), 15)
         with pytest.raises(InvariantError):
             set_trx_enabled(state, 3, False)
+
+
+class TestBenchmarkReplay:
+    """The benchmark's bursty-churn check replays the step functions through this
+    module's import surface; a change here that breaks it fails here first."""
+
+    def test_replay_equals_run_cell(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        workloads = importlib.import_module("workloads")
+        (trace,) = workloads.bursty_traces(seed=3, n_cells=1, days=1 / 3)  # 2,880 scans
+        config = CellConfig(trace.cell_id, workloads.BURSTY_TRX, 3)
+        expected = run_cell(config, workloads.BURSTY_PARAMS, trace).active_ts.tolist()
+        assert len(set(expected)) > 1  # the trace switches TRXs
+        assert workloads._replay_active_ts(config, trace.samples) == expected

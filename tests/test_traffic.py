@@ -270,6 +270,32 @@ class TestTrafficCsv:
         with pytest.raises(DataError, match=re.escape(f"{path}: {where}not UTF-8 text")):
             read_traffic_csv(path)
 
+    @pytest.mark.parametrize("chunk", [16, 64, traffic.PARSE_CHUNK], ids=["16B", "64B", "default"])
+    def test_first_bad_row_wins_whatever_the_chunk_size(self, tmp_path, monkeypatch, chunk):
+        # rows 13 and 29 share a chunk at the default size, not at 16 B or 64 B
+        monkeypatch.setattr(traffic, "PARSE_CHUNK", chunk)
+        lines = [b"cell_id,scan_index,offered_erlang"] + [b"a,%d,1.5" % i for i in range(40)]
+        lines[13] += b",2"
+        lines[29] += b"\xc3"
+        path = tmp_path / "traffic.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DataError, match=re.escape("row 13: expected 3 fields, got 4")):
+            read_traffic_csv(path)
+        with pytest.raises(DataError, match=re.escape("row 13: expected 3 fields, got 4")):
+            oracles.row_loop_traffic(path)
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_header_error_shows_its_carriage_return(self, tmp_path, line_end):
+        text = TRAFFIC_HEADER.replace("\n", line_end) + f"a,0,1{line_end}"
+        expected = ("traffic CSV header mismatch: expected cell_id,scan_index,offered_erlang, "
+                    "got 'cell_id,scan_index,offered_erlang\\r'")
+        path = tmp_path / "traffic.csv"
+        path.write_bytes(text.encode())
+        for source in (io.StringIO(text, newline=""), path):
+            with pytest.raises(DataError) as got:
+                read_traffic_csv(source)
+            assert str(got.value) == expected
+
 
 def fmt_lines(values) -> str:
     """The reference: one ``fmt_num`` call per value."""
@@ -634,9 +660,9 @@ class TestWordDecoder:
         base = "".join(f"{cid},{i},{fmt_num(v)}\n"
                        for cid, row in zip(("cell_0", "cell_0001", "c"), values)
                        for i, v in enumerate(row.tolist()))
-        # "é" goes in whole: the whole-file row loop reads text ahead of its rows, so
-        # it would name a stray UTF-8 byte before an earlier bad row
-        alphabet = [*"0123456789012345.,,\n\r eE+-_x".encode(), "é".encode()]
+        # "é" whole and a stray first byte of it, which must be named only after
+        # every row before its own
+        alphabet = [*"0123456789012345.,,\n\r eE+-_x".encode(), "é".encode(), b"\xc3"]
         path = tmp_path / "traffic.csv"
         data = base.encode()
         for _ in range(200):
