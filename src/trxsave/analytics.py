@@ -25,9 +25,15 @@ block of points at a time (about ``PAIRS_PER_BLOCK`` distances) and each
 block serves every labeling, so memory stays bounded whatever the fleet size.
 A block is stored transposed, one column per block point, since distance is
 symmetric bit for bit. Each point's sum over a cluster's members is
-``np.cumsum`` down the member rows, which adds strictly in index order, and
-the running total is carried across blocks in point order; the score is
+``np.add.reduce`` down the member rows: on a C-contiguous block of two or
+more columns numpy adds the rows one after another in index order, but a
+one-column block is summed pairwise, so every block is at least two columns
+wide. The running total is carried across blocks in point order; the score is
 therefore bit-for-bit the naive pairwise one.
+
+Lloyd's centroid update sorts the points by label (stable, so each cluster
+keeps index order) and reduces each cluster's contiguous slice with the same
+``np.add.reduce`` and divide as ``x[labels == j].mean(axis=0)``, bit for bit.
 """
 
 from __future__ import annotations
@@ -376,11 +382,15 @@ def lloyd(
         labels = _assign(x, centroids)
         centroids, labels = _repair_empty(x, centroids, labels)
         sse_history.append(_sse(x, centroids, labels))
-        new_centroids = centroids.copy()
-        for j in range(k):
-            members = x[labels == j]
-            if len(members):
-                new_centroids[j] = members.mean(axis=0)
+        # each cluster's members, in index order, as one slice of xs; a stable
+        # sort has one result, and on labels of 16 bits or fewer numpy's is a radix sort
+        order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
+        xs = x.take(order, axis=0)
+        counts = np.bincount(labels, minlength=k)
+        stops = np.cumsum(counts).tolist()
+        new_centroids = np.array([np.add.reduce(xs[a:b], axis=0)
+                                  for a, b in zip([0, *stops], stops)])
+        new_centroids /= counts[:, None]
         shift = float(np.sqrt(np.max(np.sum((new_centroids - centroids) ** 2, axis=1))))
         centroids = new_centroids
         if shift < tol:
@@ -496,17 +506,26 @@ def _cluster_members(labels: np.ndarray, n: int) -> list[np.ndarray]:
     return members
 
 
+def _member_sums(dist: np.ndarray, members: Sequence[np.ndarray]) -> np.ndarray:
+    """(block, k) sums of each column of ``dist`` over each cluster's member rows.
+
+    ``dist[m]`` is C-contiguous, and numpy reduces its first axis row after row,
+    in index order, the same additions as a scalar ``acc += d[j]`` loop, as
+    long as the block has two or more columns; one column is summed pairwise.
+    """
+    return np.stack([np.add.reduce(dist[m], axis=0) for m in members], axis=1)
+
+
 def _block_silhouettes(
     dist: np.ndarray, own: np.ndarray, members: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Silhouette value of each column of a distance block (0 for singletons and a = b = 0).
 
     ``dist`` is n x block: column i holds every point's distance to block point i.
+    The block must be at least two columns wide (see ``_member_sums``).
     """
     counts = np.array([len(m) for m in members])
-    # cumsum down the member rows adds in index order, the same sequence as a
-    # scalar acc += d[j] loop
-    sums = np.stack([np.cumsum(dist[m], axis=0)[-1] for m in members], axis=1)
+    sums = _member_sums(dist, members)
     rows = np.arange(len(own))
     own_size = counts[own] - 1
     a = sums[rows, own] / np.maximum(own_size, 1)
@@ -532,9 +551,13 @@ def silhouette_scores(
     labelings = [np.asarray(labels) for labels in labelings]
     members = [_cluster_members(labels, n) for labels in labelings]
     totals = [0.0] * len(labelings)
-    step = max(1, PAIRS_PER_BLOCK // n) if n else 1
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
+    # blocks of at least two columns, a last one-column block joining the one
+    # before it: numpy would sum a single column pairwise, not in index order
+    step = max(2, PAIRS_PER_BLOCK // n) if n else 2
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and starts[-1] == n - 1:
+        del starts[-1]
+    for i0, i1 in zip(starts, [*starts[1:], n]):
         # transposed block: (x_j - x_i)^2 equals (x_i - x_j)^2 bit for bit
         dist = _squared_gaps(x[:, None, :], x[None, i0:i1, :])
         np.sqrt(dist, out=dist)

@@ -292,15 +292,17 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
 
     elbow = analytics.elbow_curve({j: fits[j] for j in elbow_ks})
     analytics.write_elbow_csv(elbow, out_dir / "elbow.csv")
-    selection = analytics.select_k(reduced, {j: fits[j] for j in sel_ks})
-    analytics.write_silhouette_csv(selection.curve, out_dir / "silhouette.csv")
+    # one distance pass scores the curve and a pinned k off it; a pinned k then
+    # overrides the selection, so the curve's argmax is taken only when none is
+    scored = {j: fits[j] for j in [*sel_ks, *pinned] if j >= 2}
+    selection = analytics.select_k(reduced, scored)
+    sil_of = dict(selection.curve)
+    analytics.write_silhouette_csv([(j, sil_of[j]) for j in sel_ks], out_dir / "silhouette.csv")
 
     chosen = selection.best_result if k is None else fits[k]
     analytics.write_clusters_csv(reduced.row_ids, chosen.labels, out_dir / "clusters.csv")
 
-    sil = dict(selection.curve).get(chosen.k)
-    if sil is None:  # a pinned k off the silhouette curve
-        sil = analytics.silhouette_score(reduced, chosen.labels) if chosen.k >= 2 else 0.0
+    sil = sil_of.get(chosen.k, 0.0)  # k = 1 has no silhouette
     traffic.write_json({
         "schema_version": 1,
         "seed": seed,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 from array import array
@@ -566,12 +567,20 @@ class _Blocks:
 
     def read_file(self, path: Union[str, Path]) -> Iterator[tuple[str, array]]:
         with open(path, "rb") as raw:
-            header = raw.readline()
+            chunks = _row_chunks(raw)
+            first = next(chunks, b"")
+            # the header is the first row, ended by \n, \r\n or a bare \r
+            line = first[:first.find(b"\n") + 1] or first
+            header = line.splitlines(keepends=True)[0] if line else b""
             try:
                 _check_traffic_header(header.decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise DataError(f"{path}: header: not UTF-8 text ({exc.reason})") from None
-            for chunk in _row_chunks(raw):
+            # the rows after the header first; no name holds a chunk past its turn
+            chunks = itertools.chain([first[len(header):]] if len(first) > len(header) else [],
+                                     chunks)
+            del first, line
+            for chunk in chunks:
                 runs = _plain_runs(chunk)
                 if runs is None:
                     yield from self.read_rows(_chunk_lines(path, chunk, self.row))
@@ -633,7 +642,7 @@ def _chunk_lines(path: Union[str, Path], chunk: bytes, row: int) -> Iterator[str
     try:
         text = chunk.decode("utf-8")
     except UnicodeDecodeError as exc:
-        good = chunk.rfind(b"\n", 0, exc.start) + 1
+        good = max(chunk.rfind(b"\n", 0, exc.start), chunk.rfind(b"\r", 0, exc.start)) + 1
         lines = io.StringIO(chunk[:good].decode("utf-8"), newline="").readlines()
         yield from lines
         where = row + 1 + len(lines)
@@ -642,17 +651,21 @@ def _chunk_lines(path: Union[str, Path], chunk: bytes, row: int) -> Iterator[str
 
 
 def _row_chunks(raw: IO[bytes]) -> Iterator[bytes]:
-    """Whole rows, about ``PARSE_CHUNK`` bytes at a time; a last row without a
-    newline gets one."""
-    rest: list[bytes] = []  # the reads since the last newline, joined once one comes
+    """Whole rows, about ``PARSE_CHUNK`` bytes at a time, as they are in the file.
+
+    A row ends at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as a text stream splits
+    rows. A read's last ``\\r`` may be the first half of ``\\r\\n``, so no cut
+    falls right after it.
+    """
+    rest: list[bytes] = []  # the reads since the last row end, joined once one comes
     while data := raw.read(PARSE_CHUNK):
-        cut = data.rfind(b"\n") + 1
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
         if cut:
             yield b"".join([*rest, data[:cut]])
             rest = []
         rest.append(data[cut:])
     if tail := b"".join(rest):
-        yield tail + b"\n"
+        yield tail
 
 
 # A chunk is read as 8-byte little-endian words, one at each byte offset: words[e]
@@ -704,6 +717,8 @@ def _plain_runs(chunk: bytes) -> Optional[list[tuple[int, bytes, int, np.ndarray
     ``0-9 . e E + -``, are gathered into one bytes object and read by
     ``float``, as the row loop reads them.
     """
+    if not chunk.endswith(b"\n"):  # a last row without one, or rows ending in \r (never plain)
+        chunk += b"\n"
     text = np.frombuffer(chunk, np.uint8)
     marks = np.flatnonzero(text < ord("0"))  # row ends, commas, points, signs, spaces
     kinds = text[marks]

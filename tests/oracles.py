@@ -5,8 +5,9 @@ the production code paths it checks: naive pairwise silhouette (scalar
 distances, and the full n x n matrix), exhaustive partition search for the
 k-means optimum, squared distances from the whole n x k x d difference tensor,
 k-means++ seeding that measures every point against every chosen centroid,
-power iteration with deflation for eigenpairs, direct
-capacity arithmetic for the channel model, a scan-by-scan replay of the
+Lloyd's centroid update as one mask and one ``mean`` per cluster, silhouette
+member sums as the last of every prefix sum, power iteration with deflation
+for eigenpairs, direct capacity arithmetic for the channel model, a scan-by-scan replay of the
 state machine's executable spec (``scan_step``/``apply_action``) for the
 event-jumping ``run_cell``, and a whole-file row loop for the chunked
 ``traffic.csv`` reader.
@@ -27,6 +28,7 @@ from array import array
 
 import numpy as np
 
+from trxsave.analytics import ClusteringResult, _assign, _repair_empty, _sse
 from trxsave.cell_model import build_cell
 from trxsave.errors import DataError
 from trxsave.saving_engine import SavingState, apply_action, scan_step
@@ -201,6 +203,38 @@ def rescan_kmeanspp_seed(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     return centroids
 
 
+def mask_mean_lloyd(x: np.ndarray, init_centroids: np.ndarray, max_iter: int = 300,
+                    tol: float = 1e-9, seed: int = 0) -> ClusteringResult:
+    """Lloyd iterations whose centroid update is one boolean mask and one ``mean``
+    per cluster. Assignment, empty-cluster repair and SSE are the production
+    ones, so only the update differs from ``analytics.lloyd``."""
+    centroids = np.array(init_centroids, dtype=np.float64, copy=True)
+    k = len(centroids)
+    sse_history: list[float] = []
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        labels = _assign(x, centroids)
+        centroids, labels = _repair_empty(x, centroids, labels)
+        sse_history.append(_sse(x, centroids, labels))
+        new_centroids = np.array([x[labels == j].mean(axis=0) for j in range(k)])
+        shift = float(np.sqrt(np.max(np.sum((new_centroids - centroids) ** 2, axis=1))))
+        centroids = new_centroids
+        if shift < tol:
+            break
+    labels = _assign(x, centroids)
+    centroids, labels = _repair_empty(x, centroids, labels)
+    return ClusteringResult(k=k, labels=labels, centroids=centroids,
+                            sse=_sse(x, centroids, labels), iterations=iterations,
+                            seed=seed, sse_history=sse_history)
+
+
+def cumsum_member_sums(dist: np.ndarray, members) -> np.ndarray:
+    """(block, k) member sums of each column of a distance block, each the last
+    of its prefix sums down the member rows: strictly in index order."""
+    return np.stack([np.cumsum(dist[m], axis=0)[-1] for m in members], axis=1)
+
+
 def power_iteration_eigs(matrix: np.ndarray, n_components: int,
                          iters: int = 500_000, tol: float = 1e-12):
     """Top eigenpairs of a symmetric PSD matrix via power iteration.
@@ -301,20 +335,18 @@ def row_loop_traffic(source) -> dict[str, array]:
 
 
 def _decoded_lines(path):
-    """The header, then each row, as a text stream splits them, decoding one raw
-    line at a time; the first raw line that is not UTF-8 raises a ``DataError``
-    naming the row a text stream would give it. A last row without a newline is
-    read as if it had one, as the reader reads it."""
+    """The header, then each row, as a text stream splits them (at ``\\n``,
+    ``\\r\\n`` or a bare ``\\r``), decoding one line at a time as its bytes stand
+    in the file; the first line that is not UTF-8 raises a ``DataError`` naming
+    its row."""
     with open(path, "rb") as raw:
         read = 0  # lines given so far, the header as line 0
         for raw_line in raw:
-            if read and not raw_line.endswith(b"\n"):
-                raw_line += b"\n"
-            try:
-                text = raw_line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                where = "header: " if read == 0 else f"row {read}: "
-                raise DataError(f"{path}: {where}not UTF-8 text ({exc.reason})") from None
-            for line in io.StringIO(text, newline=""):
+            for line in raw_line.splitlines(keepends=True):
+                try:
+                    text = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    where = "header: " if read == 0 else f"row {read}: "
+                    raise DataError(f"{path}: {where}not UTF-8 text ({exc.reason})") from None
                 read += 1
-                yield line
+                yield text

@@ -177,6 +177,33 @@ def duplicated_point_sets(count, seed):
         yield distinct[rng.integers(len(distinct), size=int(rng.integers(12, 41)))]
 
 
+def lloyd_cases(count):
+    """Seeded (points, initial centroids) with 1-5 features, cycling through five kinds."""
+    for i in range(count):
+        rng = np.random.default_rng(i)
+        d = 1 + (i // 5) % 5
+        kind = i % 5
+        n = int(rng.integers(2, 400))
+        pts = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+        k = int(rng.integers(1, min(n, 10) + 1))
+        if kind == 1:  # duplicated points: fewer distinct rows than clusters, often
+            distinct = rng.normal(size=(int(rng.integers(1, 6)), d))
+            pts = distinct[rng.integers(len(distinct), size=n)]
+        elif kind == 2:  # far outliers that end up as singleton clusters
+            outliers = int(rng.integers(1, 4))
+            pts[:outliers] *= 1e4
+            pts = rng.permutation(pts)
+            k = min(n, outliers + int(rng.integers(1, 4)))
+        elif kind == 3:  # k = n
+            pts = pts[:int(rng.integers(1, 30))]
+            k = len(pts)
+        if kind == 4:  # every centroid on one point: all but one cluster start empty
+            init = np.repeat(pts[rng.integers(len(pts))][None, :], k, axis=0)
+        else:
+            init = kmeanspp_seed(pts, k, seed=i)
+        yield pts, init
+
+
 class TestSquaredDistances:
     @pytest.mark.parametrize("d", range(1, 8))
     def test_equals_difference_tensor_sum(self, d):
@@ -297,6 +324,16 @@ class TestLloyd:
             pts, np.array([[0.0], [5.0], [0.5]]), np.array([0, 2, 2]))
         assert list(labels) == [1, 0, 2]
         assert list(centroids[:, 0]) == [0.0, 10.0, 0.5]
+
+    def test_matches_mask_and_mean_oracle(self):
+        # the sorted-slice update adds the same rows in the same order as
+        # x[labels == j].mean(axis=0), so every output is equal, not close
+        for i, (pts, init) in enumerate(lloyd_cases(320)):
+            got, want = lloyd(pts, init, seed=i), oracles.mask_mean_lloyd(pts, init, seed=i)
+            assert np.array_equal(got.labels, want.labels), i
+            assert got.centroids.tobytes() == want.centroids.tobytes(), i
+            assert (got.sse, got.sse_history, got.iterations) == (
+                want.sse, want.sse_history, want.iterations), i
 
     def test_more_centroids_than_points_rejected(self):
         with pytest.raises(DataError, match="k=3 exceeds 2 points"):
@@ -428,14 +465,39 @@ def thousand_points():
 
 
 class TestSilhouetteScores:
-    @pytest.mark.parametrize("block_rows", [1, 7, 1000, None],
-                             ids=["one_row", "seven_rows", "whole_matrix", "default"])
-    def test_block_size_invariant(self, thousand_points, monkeypatch, block_rows):
+    @pytest.mark.parametrize("block_rows,widths", [
+        (1, [2] * 500),  # the width floor: numpy sums a single column pairwise
+        (7, [7] * 142 + [6]),  # the last block is short
+        (333, [333, 333, 334]),  # a last one-column block joins the one before it
+        (1000, [1000]),
+        (None, [1000]),
+    ], ids=["one_row", "seven_rows", "333_rows", "whole_matrix", "default"])
+    def test_block_size_invariant(self, thousand_points, monkeypatch, block_rows, widths):
         pts, labelings, expected = thousand_points
-        assert len(pts) % 7 != 0  # the last seven-row block is short
         if block_rows is not None:
             monkeypatch.setattr(analytics, "PAIRS_PER_BLOCK", block_rows * len(pts))
+        seen = []
+        block_silhouettes = analytics._block_silhouettes
+
+        def recording(dist, own, members):
+            seen.append(dist.shape[1])
+            return block_silhouettes(dist, own, members)
+
+        monkeypatch.setattr(analytics, "_block_silhouettes", recording)
         assert silhouette_scores(pts, labelings) == expected
+        assert seen[::len(labelings)] == widths
+
+    @pytest.mark.parametrize("width", [*range(2, 10), None], ids=lambda w: f"w{w or 'default'}")
+    def test_member_sums_equal_the_cumsum_oracle(self, thousand_points, width):
+        pts, labelings, _ = thousand_points
+        n = len(pts)
+        width = width or min(n, analytics.PAIRS_PER_BLOCK // n)
+        for i0 in (0, 1, n // 2, n - width):
+            dist = np.sqrt(analytics._squared_gaps(pts[:, None, :], pts[None, i0:i0 + width, :]))
+            for labels in labelings:
+                members = analytics._cluster_members(labels, n)
+                assert (analytics._member_sums(dist, members).tobytes()
+                        == oracles.cumsum_member_sums(dist, members).tobytes())
 
     def test_one_labeling_equals_its_share_of_the_pass(self, thousand_points):
         pts, labelings, expected = thousand_points

@@ -223,8 +223,8 @@ class TestCluster:
         curve = list(range(2, 10))
         off_curve = [int(pin[1])] if pin and int(pin[1]) not in curve else []
         assert fitted == [*range(1, 11), *off_curve]
-        # one distance pass scores the whole curve; a pinned k off it gets its own
-        assert scored == [curve, *([off_curve] if off_curve else [])]
+        # one distance pass scores the whole curve and a pinned k off it
+        assert scored == [[*curve, *off_curve]]
 
     @pytest.mark.parametrize("pin", [None, 3, 1, 12])
     def test_clustering_json_silhouette_matches_curve(self, runner, tmp_path, pin):

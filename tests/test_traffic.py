@@ -562,6 +562,64 @@ class TestTrafficParsePaths:
             samples = n_cells * 30_000 * 8  # array("d") over-allocates up to 1/16
             assert peak <= samples * 17 / 16 + 12 * traffic.PARSE_CHUNK, (n_cells, peak)
 
+    @pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_carriage_return_rows_are_cut_into_chunks(self, tmp_path, monkeypatch, line_end):
+        monkeypatch.setattr(traffic, "PARSE_CHUNK", 16)
+        row_loop_chunks = count_row_loop(monkeypatch)
+        rows = [f"c{i // 25},{i % 25},{fmt_num(i * 0.37)}{line_end}" for i in range(100)]
+        data = (TRAFFIC_HEADER + "".join(rows)).encode()
+        if line_end == "\r\n":  # some \r\n straddles the edge between two reads
+            assert any(data[at - 1:at + 1] == b"\r\n" for at in range(16, len(data), 16))
+        path = tmp_path / "traffic.csv"
+        path.write_bytes(data)
+        assert assert_same_as_row_loop(lambda: path)
+        assert len(row_loop_chunks) > 50  # one chunk per read or two, not the whole file
+        # a byte that is not UTF-8 names its own row, counted across the chunks
+        rows[70] = rows[70].replace(",", "\udcff,", 1)
+        path.write_bytes((TRAFFIC_HEADER + "".join(rows)).encode("utf-8", "surrogateescape"))
+        with pytest.raises(DataError, match=re.escape(f"{path}: row 71: not UTF-8 text")):
+            read_traffic_csv(path)
+        assert not assert_same_as_row_loop(lambda: path)
+
+    def test_carriage_return_file_parses_in_bounded_memory(self, tmp_path):
+        samples = np.round(np.random.default_rng(2).uniform(0, 30, 60_000), 6)
+        rows = "".join(f"cell_{i // 30_000},{i % 30_000},{fmt_num(v)}\n"
+                       for i, v in enumerate(samples.tolist()))
+        files = {"lf": TRAFFIC_HEADER + rows,
+                 "cr_rows": TRAFFIC_HEADER + rows.replace("\n", "\r"),
+                 "cr_only": (TRAFFIC_HEADER + rows).replace("\n", "\r")}  # header rejected
+        peaks = {}
+        for name, text in files.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(text.encode())
+            tracemalloc.start()
+            try:
+                try:
+                    traces = read_traffic_csv(path)
+                except DataError:
+                    assert name == "cr_only"
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if name != "cr_only":
+                assert trace_bytes(traces) == sample_bytes(oracles.row_loop_traffic(path))
+        # the file is 1.2 MB: held whole, as bytes and text, it would double the peak
+        assert peaks["cr_rows"] <= 1.5 * peaks["lf"], peaks
+        assert peaks["cr_only"] <= 0.5 * peaks["lf"], peaks
+
+    def test_truncated_utf8_at_end_of_file_names_its_reason(self, tmp_path):
+        # the last row has no newline, so the decoder meets the end of the data
+        data = TRAFFIC_HEADER.encode() + b"a,0,1\xc3"
+        path = tmp_path / "traffic.csv"
+        path.write_bytes(data)
+        expected = f"{path}: row 1: not UTF-8 text (unexpected end of data)"
+        with pytest.raises(DataError) as got:
+            read_traffic_csv(path)
+        assert str(got.value) == expected
+        with open(path, encoding="utf-8", newline="") as stream, pytest.raises(DataError) as got:
+            read_traffic_csv(stream)
+        assert "(unexpected end of data)" in str(got.value)
+
 
 def bits(values) -> bytes:
     return np.asarray(values, np.float64).tobytes()
@@ -677,15 +735,19 @@ class TestWordDecoder:
 
 
 def joined_row_chunks(data: bytes, size: int) -> list[bytes]:
-    """The reference: each read joined onto the remainder, cut after its last newline."""
+    """The reference: each read joined onto the remainder, cut after its last row
+    end that lies in the read: a newline, or a carriage return that is not the
+    read's last byte (the next read may begin with its newline)."""
     chunks, rest = [], b""
     for at in range(0, len(data), size):
         joined = rest + data[at:at + size]
-        cut = joined.rfind(b"\n") + 1
+        ends = [i + 1 for i in range(len(rest), len(joined))
+                if joined[i:i + 1] == b"\n" or (joined[i:i + 1] == b"\r" and i + 1 < len(joined))]
+        cut = ends[-1] if ends else 0
         if cut:
             chunks.append(joined[:cut])
         rest = joined[cut:]
-    return chunks + [rest + b"\n"] if rest else chunks
+    return chunks + [rest] if rest else chunks
 
 
 class TestRowChunks:
@@ -695,15 +757,20 @@ class TestRowChunks:
         rng = np.random.default_rng(size)
         for _ in range(50):
             data = bytes(rng.choice(list(b"a,0.\r\n\n"), rng.integers(0, 400)).tolist())
-            assert list(traffic._row_chunks(io.BytesIO(data))) == joined_row_chunks(data, size)
+            chunks = list(traffic._row_chunks(io.BytesIO(data)))
+            assert chunks == joined_row_chunks(data, size)
+            # every chunk but the last ends a row, and no \r\n is split
+            assert all(c.endswith((b"\n", b"\r")) for c in chunks[:-1])
+            assert not any(a.endswith(b"\r") and b.startswith(b"\n")
+                           for a, b in zip(chunks, chunks[1:]))
 
     def test_a_file_without_newline_is_read_in_linear_time(self, monkeypatch):
         monkeypatch.setattr(traffic, "PARSE_CHUNK", 16)  # 65,536 reads of a 1 MB row
 
         def seconds(size: int) -> float:
-            data = b"a,0,1\r" * (size // 6)
+            data = b"a,0,1;" * (size // 6)
             start = time.perf_counter()
-            assert list(traffic._row_chunks(io.BytesIO(data))) == [data + b"\n"]
+            assert list(traffic._row_chunks(io.BytesIO(data))) == [data]
             return time.perf_counter() - start
 
         # best of five, the sizes interleaved so that a change of CPU speed meets both
