@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -64,10 +63,9 @@ def apply_config_file(ctx: click.Context, param: click.Parameter, value):
     if value is None:
         return None
     try:
-        with open(value, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise click.UsageError(f"cannot read config file {value}: {exc}")
+        data = traffic.read_json(value)
+    except (DataError, OSError) as exc:
+        raise click.UsageError(f"cannot read config file: {exc}")
     if not isinstance(data, dict):
         raise click.UsageError(f"config file {value} must hold a JSON object")
     # config keys may use either the flag spelling (--cells) or the parameter name

@@ -31,7 +31,7 @@ import numpy as np
 from .cell_model import CellConfig
 from .errors import ConfigurationError, DataError
 from .saving_engine import CellTimeline, PowerSavingParams, run_cell, validate_params
-from .traffic import TrafficTrace, open_text, read_json, write_csv, write_json, write_rows
+from .traffic import TrafficTrace, read_json, write_csv, write_json, write_rows
 
 SCHEMA_VERSION = 1
 
@@ -174,11 +174,15 @@ def simulate_network(
     The first ``n_timelines`` cells by cell_id get ``<cell_id>_<mode>.csv``
     timelines. They are staged in a new directory beside ``timeline_dir`` and
     moved into it only after the last check passes, so a failed run leaves
-    ``timeline_dir`` as it was.
+    ``timeline_dir`` as it was. A cell_id that is to name a timeline file may
+    not hold "/" or NUL; that is checked before any trace is read.
     """
     scenario.validate()
     configs = {c.cell_id: c for c in scenario.cells}
     kept = set(sorted(configs)[:n_timelines])
+    for cell_id in sorted(kept):
+        if "/" in cell_id or "\0" in cell_id:
+            raise DataError(f"cell {cell_id!r}: a timeline file name cannot hold '/' or NUL")
     staging = _staging_dir(Path(timeline_dir)) if kept else None
     parts: dict[str, list[NetworkReport]] = {mode: [] for mode in modes}
     ran: set[str] = set()
@@ -346,9 +350,8 @@ def emit_report(summary: ComparisonSummary, out_dir: Union[str, Path]) -> list[P
     return [csv_path, json_path]
 
 
-def write_timeline_csv(timeline: CellTimeline, dest: Union[str, Path, IO[str]]) -> None:
+def write_timeline_csv(timeline: CellTimeline, dest: Union[str, Path]) -> None:
     """Plot-ready per-scan series: scan index, offered Erlang, active slots."""
-    with open_text(dest, "w") as stream:
-        stream.write(",".join(TIMELINE_CSV_HEADER) + "\n")
-        offered = np.asarray(timeline.offered, np.float64)
-        write_rows(stream, [np.arange(timeline.n_scans), offered, timeline.active_ts])
+    offered = np.asarray(timeline.offered, np.float64)
+    write_rows(dest, TIMELINE_CSV_HEADER,
+               [[np.arange(timeline.n_scans), offered, timeline.active_ts]])

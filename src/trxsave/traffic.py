@@ -10,7 +10,15 @@ demand at a scan is the offered Erlang rounded to the nearest integer
 
 Small tables (KPIs, clusters, assignments, reports) are read and written only
 through ``read_csv``/``write_csv``/``read_json``/``write_json``, which own the
-framing and the strictness checks.
+framing and the strictness checks; they take a path or a text stream.
+
+Per-scan CSVs (``traffic.csv`` and the timelines) are bytes on paths:
+``write_rows`` writes the UTF-8 rows ``format_rows`` builds to a file opened
+``"wb"``, and ``iter_traffic_csv`` reads a path in chunks of whole rows.
+
+Every CSV read from a path is decoded by ``_decode``: the rows before the
+first one that holds a byte that is not UTF-8 are parsed, and only then is
+that row named, so the earliest bad row wins whatever the line ends.
 """
 
 from __future__ import annotations
@@ -202,27 +210,25 @@ def open_text(target: Union[str, Path, IO], mode: str = "r") -> Iterator[IO]:
         yield target
 
 
-@contextlib.contextmanager
-def _utf8_rows(source: Union[str, Path, IO[str]]) -> Iterator[None]:
-    """Turn a ``UnicodeDecodeError`` while reading rows into a ``DataError``.
+def _decode(data: bytes, where: Union[str, Path],
+            lines_before: int) -> tuple[str, Optional[DataError]]:
+    """``data`` as text up to the row that holds its first byte that is not UTF-8,
+    and the ``DataError`` that names that row (None when every byte is UTF-8).
 
-    The text stream decodes ahead in chunks, so for a file path the first line
-    that is not UTF-8 is found again in the raw bytes; line 0 is the header and
-    data rows count from 1, as in every other row error.
+    Rows end at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as a text stream splits
+    them. ``lines_before`` lines of the file come before ``data``; line 0 is
+    the header and data rows count from 1, as in every other row error. A
+    reader parses the text first and raises the error after it, so an earlier
+    bad row is named first.
     """
     try:
-        yield
+        return data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
-        where = ""
-        if isinstance(source, (str, Path)):
-            with open(source, "rb") as raw:
-                for line_no, line in enumerate(raw):
-                    try:
-                        line.decode("utf-8")
-                    except UnicodeDecodeError:
-                        where = "header: " if line_no == 0 else f"row {line_no}: "
-                        break
-        raise DataError(f"{source}: {where}not UTF-8 text ({exc.reason})") from None
+        good = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+        line = lines_before + len(data[:good].splitlines())
+        row = "header" if line == 0 else f"row {line}"
+        return (data[:good].decode("utf-8"),
+                DataError(f"{where}: {row}: not UTF-8 text ({exc.reason})"))
 
 
 def read_csv(
@@ -231,28 +237,38 @@ def read_csv(
     """Data rows of a table keyed by its first column, with 1-based row numbers.
 
     The first line must equal ``header``. Blank rows are skipped but still
-    counted; a row of another width or a repeated key is a ``DataError``.
+    counted; a row of another width or a repeated key is a ``DataError``. A
+    path is read as bytes: the rows before its first one that is not UTF-8
+    are checked before that row is named.
     """
-    with open_text(source) as stream, _utf8_rows(source):
-        reader = csv.reader(stream)
-        got = next(reader, None)
-        if got != list(header):
-            raise DataError(
-                f"CSV header mismatch: expected {','.join(header)}, "
-                f"got {','.join(got) if got else 'an empty file'}"
-            )
-        rows = []
-        seen: set[str] = set()
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
-            if row[0] in seen:
-                raise DataError(f"row {row_no}: duplicate cell_id {row[0]!r}")
-            seen.add(row[0])
-            rows.append((row_no, row))
-        return rows
+    lines = (_lines(*_decode(Path(source).read_bytes(), source, 0))
+             if isinstance(source, (str, Path)) else source)
+    reader = csv.reader(lines)
+    got = next(reader, None)
+    if got != list(header):
+        raise DataError(
+            f"CSV header mismatch: expected {','.join(header)}, "
+            f"got {','.join(got) if got else 'an empty file'}"
+        )
+    rows = []
+    seen: set[str] = set()
+    for row_no, row in enumerate(reader, start=1):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
+        if row[0] in seen:
+            raise DataError(f"row {row_no}: duplicate cell_id {row[0]!r}")
+        seen.add(row[0])
+        rows.append((row_no, row))
+    return rows
+
+
+def _lines(text: str, error: Optional[DataError]) -> Iterator[str]:
+    """The rows of ``text`` with their line ends, then ``error`` raised, if any."""
+    yield from io.StringIO(text, newline="")
+    if error is not None:
+        raise error
 
 
 def write_csv(
@@ -455,8 +471,8 @@ def _text_field(text: str) -> tuple[int, Callable[[np.ndarray, np.ndarray], None
     return len(data), fill
 
 
-def format_rows(columns: Sequence[Union[str, np.ndarray]]) -> str:
-    """CSV rows, fields joined by "," and each row ended by "\\n".
+def format_rows(columns: Sequence[Union[str, np.ndarray]]) -> bytes:
+    """CSV rows as UTF-8, fields joined by "," and each row ended by "\\n".
 
     A ``str`` column repeats its text on every row, an integer array prints
     its values (>= 0) in decimal, and a float array prints each value as
@@ -465,7 +481,7 @@ def format_rows(columns: Sequence[Union[str, np.ndarray]]) -> str:
     """
     n = next(len(c) for c in columns if not isinstance(c, str))
     if n == 0:
-        return ""
+        return b""
     fields = [_text_field(c) if isinstance(c, str)
               else _int_field(c) if c.dtype.kind in "iu"
               else _number_field(np.asarray(c, np.float64)) for c in columns]
@@ -477,15 +493,20 @@ def format_rows(columns: Sequence[Union[str, np.ndarray]]) -> str:
         rows[:, at + width] = ord(",")
         at += width + 1
     rows[:, -1] = ord("\n")
-    return rows[keep].tobytes().decode()
+    return rows[keep].tobytes()
 
 
-def write_rows(stream: IO[str], columns: Sequence[Union[str, np.ndarray]]) -> None:
-    """Write ``format_rows(columns)`` to ``stream``, ``ROW_BLOCK`` rows at a time."""
-    n = next(len(c) for c in columns if not isinstance(c, str))
-    for start in range(0, n, ROW_BLOCK):
-        stream.write(format_rows(
-            [c if isinstance(c, str) else c[start:start + ROW_BLOCK] for c in columns]))
+def write_rows(dest: Union[str, Path], header: Sequence[str],
+               tables: Iterable[Sequence[Union[str, np.ndarray]]]) -> None:
+    """Write ``header``, then ``format_rows`` of each table's columns, ``ROW_BLOCK``
+    rows at a time, to the file ``dest``. ``tables`` is read once, as it is written."""
+    with open(dest, "wb") as out:
+        out.write(",".join(header).encode() + b"\n")
+        for columns in tables:
+            n = next(len(c) for c in columns if not isinstance(c, str))
+            for start in range(0, n, ROW_BLOCK):
+                out.write(format_rows(
+                    [c if isinstance(c, str) else c[start:start + ROW_BLOCK] for c in columns]))
 
 
 # ---------------------------------------------------------------------------
@@ -497,47 +518,36 @@ def write_rows(stream: IO[str], columns: Sequence[Union[str, np.ndarray]]) -> No
 PARSE_CHUNK = 1 << 16
 
 
-def write_traffic_csv(traces: Iterable[TrafficTrace], dest: Union[str, Path, IO[str]]) -> None:
+def write_traffic_csv(traces: Iterable[TrafficTrace], dest: Union[str, Path]) -> None:
     """One ``cell_id,scan_index,offered_erlang`` row per scan, each cell's rows
     one block; values print as ``fmt_num`` prints them. ``traces`` is read once,
     so a generator's cells are written as it builds them."""
-    with open_text(dest, "w") as stream:
-        stream.write(",".join(TRAFFIC_CSV_HEADER) + "\n")
-        for trace in traces:
-            trace.validate()
-            samples = np.asarray(trace.samples, np.float64)  # integer samples print as fmt_num does
-            write_rows(stream, [trace.cell_id, np.arange(len(samples)), samples])
+    write_rows(dest, TRAFFIC_CSV_HEADER, (
+        # integer samples print as fmt_num does
+        [t.cell_id, np.arange(len(t.samples)), np.asarray(t.samples, np.float64)]
+        for t in map(TrafficTrace.validate, traces)))
 
 
 def read_traffic_csv(
-    source: Union[str, Path, IO[str]], scan_period_s: float = 10.0
+    source: Union[str, Path], scan_period_s: float = 10.0
 ) -> list[TrafficTrace]:
     """Every trace of ``iter_traffic_csv``, in file order."""
     return list(iter_traffic_csv(source, scan_period_s))
 
 
 def iter_traffic_csv(
-    source: Union[str, Path, IO[str]], scan_period_s: float = 10.0
+    source: Union[str, Path], scan_period_s: float = 10.0
 ) -> Iterator[TrafficTrace]:
     """Each cell's validated trace, in file order, as soon as its block of rows ends.
 
     Each cell's rows form one contiguous block with scan_index 0, 1, 2, ...,
-    and every offered_erlang is finite and >= 0. A file path is read in chunks
+    and every offered_erlang is finite and >= 0. The file is read in chunks
     of whole rows: a chunk of plain rows is decoded eight digits at a time
     (see ``_plain_runs``) and the row loop reads any other chunk, naming its
-    first bad row. A text stream is one chunk for the row loop. Memory holds
-    the current cell's samples and one chunk.
+    first bad row. Memory holds the current cell's samples and one chunk.
     """
     for cid, samples in _Blocks().read(source):
         yield TrafficTrace(cid, scan_period_s, np.frombuffer(samples)).validate()
-
-
-def _check_traffic_header(line: str) -> None:
-    header = io.StringIO(line, newline="").readline().rstrip("\n")  # a text stream's first row
-    if header.split(",") != TRAFFIC_CSV_HEADER:
-        raise DataError(
-            f"traffic CSV header mismatch: expected {','.join(TRAFFIC_CSV_HEADER)}, got {header!r}"
-        )
 
 
 class _Blocks:
@@ -554,36 +564,27 @@ class _Blocks:
         self.seen: set[str] = set()
         self.row = 0
 
-    def read(self, source: Union[str, Path, IO[str]]) -> Iterator[tuple[str, array]]:
+    def read(self, path: Union[str, Path]) -> Iterator[tuple[str, array]]:
         """(cell id, samples) of each block, as soon as the block ends."""
-        if isinstance(source, (str, Path)):
-            yield from self.read_file(source)
-        else:
-            with _utf8_rows(source):
-                _check_traffic_header(source.readline())
-                yield from self.read_rows(source)
-        if self.cid is not None:
-            yield self.cid, self.samples
-
-    def read_file(self, path: Union[str, Path]) -> Iterator[tuple[str, array]]:
         with open(path, "rb") as raw:
             chunks = _row_chunks(raw)
             first = next(chunks, b"")
             # the header is the first row, ended by \n, \r\n or a bare \r
             line = first[:first.find(b"\n") + 1] or first
-            header = line.splitlines(keepends=True)[0] if line else b""
-            try:
-                _check_traffic_header(header.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}: header: not UTF-8 text ({exc.reason})") from None
+            line = line.splitlines(keepends=True)[0] if line else b""
+            header = next(_lines(*_decode(line, path, 0)), "").rstrip("\n")
+            if header.split(",") != TRAFFIC_CSV_HEADER:
+                raise DataError(f"traffic CSV header mismatch: expected "
+                                f"{','.join(TRAFFIC_CSV_HEADER)}, got {header!r}")
             # the rows after the header first; no name holds a chunk past its turn
-            chunks = itertools.chain([first[len(header):]] if len(first) > len(header) else [],
+            chunks = itertools.chain([first[len(line):]] if len(first) > len(line) else [],
                                      chunks)
             del first, line
             for chunk in chunks:
                 runs = _plain_runs(chunk)
                 if runs is None:
-                    yield from self.read_rows(_chunk_lines(path, chunk, self.row))
+                    # the header and self.row rows come before the chunk
+                    yield from self.read_rows(_lines(*_decode(chunk, path, self.row + 1)))
                     continue
                 for offset, cid, first_scan, values in runs:
                     # _plain_runs took only UTF-8
@@ -592,6 +593,8 @@ class _Blocks:
                         yield ended
                     self.samples.frombytes(values.tobytes())
                 self.row += offset + len(values)  # the last run ends the chunk
+        if self.cid is not None:
+            yield self.cid, self.samples
 
     def read_rows(self, lines: Iterable[str]) -> Iterator[tuple[str, array]]:
         """The row loop: one row at a time; a bad row raises a ``DataError`` naming it."""
@@ -632,22 +635,6 @@ class _Blocks:
             raise DataError(f"row {row}: cell {cid!r} scan_index {first_scan} not contiguous "
                             f"(expected {len(self.samples)})")
         return ended
-
-
-def _chunk_lines(path: Union[str, Path], chunk: bytes, row: int) -> Iterator[str]:
-    """A chunk's rows as a text stream reads them; ``row`` rows come before it.
-    A byte that is not UTF-8 is a ``DataError`` naming its row, raised after the
-    rows before that row, so an earlier bad row is named first whatever the
-    chunk size."""
-    try:
-        text = chunk.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        good = max(chunk.rfind(b"\n", 0, exc.start), chunk.rfind(b"\r", 0, exc.start)) + 1
-        lines = io.StringIO(chunk[:good].decode("utf-8"), newline="").readlines()
-        yield from lines
-        where = row + 1 + len(lines)
-        raise DataError(f"{path}: row {where}: not UTF-8 text ({exc.reason})") from None
-    yield from io.StringIO(text, newline="")
 
 
 def _row_chunks(raw: IO[bytes]) -> Iterator[bytes]:

@@ -21,7 +21,6 @@ checked against it.
 from __future__ import annotations
 
 import dataclasses
-import io
 import itertools
 import math
 from array import array
@@ -294,13 +293,13 @@ def gaussian_blobs(centers, points_per_blob: int, scale: float, seed: int) -> np
     return np.vstack(chunks)
 
 
-def row_loop_traffic(source) -> dict[str, array]:
-    """Samples per cell id of a traffic CSV path or text stream, one row at a time
-    over the whole file; a bad row raises the ``DataError`` the reader must raise.
-    A path is decoded one raw line at a time, so a byte that is not UTF-8 is
-    named only after every row before it has been read."""
+def row_loop_traffic(path) -> dict[str, array]:
+    """Samples per cell id of a traffic CSV file, one row at a time over the whole
+    file; a bad row raises the ``DataError`` the reader must raise. The file is
+    decoded one raw line at a time, so a byte that is not UTF-8 is named only
+    after every row before it has been read."""
     header_text = "cell_id,scan_index,offered_erlang"
-    lines = iter(source) if isinstance(source, io.IOBase) else _decoded_lines(source)
+    lines = _decoded_lines(path)
     header = next(lines, "").rstrip("\n")
     if header.split(",") != header_text.split(","):
         raise DataError(f"traffic CSV header mismatch: expected {header_text}, got {header!r}")

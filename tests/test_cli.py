@@ -531,6 +531,21 @@ class TestSimulate:
         assert message in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.json", "traffic.csv"]
 
+    @pytest.mark.parametrize("cell_id", ["../../escaped", "a/b", "a\0b"],
+                             ids=["dot_dot", "slash", "nul"])
+    def test_cell_id_unfit_for_a_file_name_exits_3(self, runner, small_fleet, tmp_path, cell_id):
+        fleet = json.loads((small_fleet / "fleet.json").read_text())
+        fleet["cells"][0]["cell_id"] = cell_id
+        (tmp_path / "fleet.json").write_text(json.dumps(fleet))
+        (tmp_path / "traffic.csv").write_text(
+            (small_fleet / "traffic.csv").read_text().replace("cell_0000,", f"{cell_id},"))
+        result = self.simulate(runner, tmp_path, "--timelines", "all",
+                               "--out", str(tmp_path / "out"))
+        assert result.exit_code == 3, result.output
+        assert f"cell {cell_id!r}: a timeline file name cannot hold '/' or NUL" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.json", "traffic.csv"]
+        assert not list(tmp_path.parent.glob("escaped*"))
+
     def test_memory_holds_one_trace_whatever_the_fleet_size(self, runner, tmp_path):
         scans = 2 * 8640
         one_trace_and_timeline = 16 * scans  # 8 B of samples and 8 B of timeline per scan

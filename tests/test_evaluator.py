@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -130,6 +131,22 @@ class TestSimulateNetwork:
                              ("off", "on"), tmp_path / "tl", 3)
         assert ran == [] and read == [] and not (tmp_path / "tl").exists()
 
+    @pytest.mark.parametrize("cell_id", ["../../escaped", "a/b", "a\0b"],
+                             ids=["dot_dot", "slash", "nul"])
+    def test_cell_id_unfit_for_a_file_name_fails_before_any_trace(self, tmp_path, cell_id):
+        scenario, traces = make_scenario(n_scans=50)
+        scenario = replace(scenario, cells=[replace(scenario.cells[0], cell_id=cell_id),
+                                            *scenario.cells[1:]],
+                           hysteresis={**scenario.hysteresis, cell_id: 3})
+        read = []
+        with pytest.raises(DataError, match=re.escape(f"cell {cell_id!r}: a timeline file")):
+            simulate_network(scenario, (read.append(t) or t for t in traces), ("off", "on"),
+                             tmp_path / "tl", 3)
+        assert read == [] and list(tmp_path.iterdir()) == []
+        # a cell without a timeline may hold any id
+        simulate_network(scenario, [replace(traces[0], cell_id=cell_id), *traces[1:]],
+                         ("on",), tmp_path / "tl", 0)
+
     def test_timelines_of_first_cells_in_cell_id_order(self, tmp_path):
         scenario, traces = make_scenario(n_cells=3, n_scans=60)
         # neither the fleet's order nor the traces' decides which cells get timelines
@@ -141,10 +158,10 @@ class TestSimulateNetwork:
         assert sorted(p.name for p in tl.iterdir()) == [
             "cell_00_off.csv", "cell_00_on.csv", "cell_01_off.csv", "cell_01_on.csv"]
         assert [p.name for p in tmp_path.iterdir()] == ["tl"]  # no staging directory left
-        expected = io.StringIO()
+        expected = tmp_path / "expected.csv"
         write_timeline_csv(run_cell(scenario.cells[2], scenario.params_for("cell_00"),
                                     traces[0]), expected)
-        assert (tl / "cell_00_on.csv").read_text() == expected.getvalue()
+        assert (tl / "cell_00_on.csv").read_bytes() == expected.read_bytes()
 
     def test_memory_holds_one_timeline_whatever_the_fleet_size(self):
         n_scans = 20_000
