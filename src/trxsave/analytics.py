@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -603,27 +603,23 @@ def select_k(
 CLUSTERS_CSV_HEADER = ["cell_id", "cluster"]
 
 
-def write_elbow_csv(result: ElbowResult, dest: Union[str, Path, IO[str]]) -> None:
-    write_csv(dest, ["k", "sse"], [(k, fmt_num(v)) for k, v in result.points])
+def write_elbow_csv(result: ElbowResult, path: Union[str, Path]) -> None:
+    write_csv(path, ["k", "sse"], [(k, fmt_num(v)) for k, v in result.points])
 
 
-def write_silhouette_csv(
-    curve: Sequence[tuple[int, float]], dest: Union[str, Path, IO[str]]
-) -> None:
-    write_csv(dest, ["k", "silhouette"], [(k, fmt_num(v)) for k, v in curve])
+def write_silhouette_csv(curve: Sequence[tuple[int, float]], path: Union[str, Path]) -> None:
+    write_csv(path, ["k", "silhouette"], [(k, fmt_num(v)) for k, v in curve])
 
 
-def write_clusters_csv(
-    row_ids: Sequence[str], labels: np.ndarray, dest: Union[str, Path, IO[str]]
-) -> None:
-    write_csv(dest, CLUSTERS_CSV_HEADER, [(cid, int(lab)) for cid, lab in zip(row_ids, labels)])
+def write_clusters_csv(row_ids: Sequence[str], labels: np.ndarray, path: Union[str, Path]) -> None:
+    write_csv(path, CLUSTERS_CSV_HEADER, [(cid, int(lab)) for cid, lab in zip(row_ids, labels)])
 
 
-def read_clusters_csv(source: Union[str, Path, IO[str]]) -> dict[str, int]:
+def read_clusters_csv(path: Union[str, Path]) -> dict[str, int]:
     out: dict[str, int] = {}
-    for row_no, (cell_id, cluster) in read_csv(source, CLUSTERS_CSV_HEADER):
+    for row_no, (cell_id, cluster) in read_csv(path, CLUSTERS_CSV_HEADER):
         try:
             out[cell_id] = int(cluster)
         except ValueError:
-            raise DataError(f"row {row_no}: non-integer cluster {cluster!r}") from None
+            raise DataError(f"{path}: row {row_no}: non-integer cluster {cluster!r}") from None
     return out

@@ -20,6 +20,20 @@ SLOTS_PER_TRX = 8
 MAX_TRX = 12
 MAX_CCH = 3
 
+# a cell_id is one field of a bare-comma CSV row and names timeline files
+CELL_ID_FORBIDDEN = ',"\r\n/\0'
+
+
+def check_cell_id(cell_id: str, where: str) -> str:
+    """``cell_id`` if it is non-empty and holds none of ``CELL_ID_FORBIDDEN``;
+    otherwise a ``DataError`` naming ``where``."""
+    if not cell_id:
+        raise DataError(f"{where}: empty cell_id")
+    bad = next((c for c in CELL_ID_FORBIDDEN if c in cell_id), None)
+    if bad is not None:
+        raise DataError(f"{where}: cell_id {cell_id!r} may not hold {bad!r}")
+    return cell_id
+
 
 @dataclass(frozen=True)
 class CellConfig:
@@ -30,6 +44,7 @@ class CellConfig:
     cch_slots: int = 3
 
     def validate(self) -> "CellConfig":
+        check_cell_id(self.cell_id, "cell config")
         if not 1 <= self.num_trx <= MAX_TRX:
             raise ConfigurationError(
                 f"cell {self.cell_id!r}: num_trx must be in [1, {MAX_TRX}], got {self.num_trx}"

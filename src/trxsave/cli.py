@@ -10,7 +10,6 @@ invariant violation.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import math
@@ -22,7 +21,7 @@ import click
 import numpy as np
 
 from . import analytics, evaluator, traffic, tuner
-from .cell_model import CellConfig
+from .cell_model import CellConfig, check_cell_id
 from .errors import ConfigurationError, DataError, InvariantError
 from .saving_engine import PowerSavingParams, validate_params
 
@@ -192,7 +191,7 @@ def write_fleet_json(path: Path, cells: list[dict], seed: int, days: int,
 
 def read_fleet_json(path: Path) -> dict:
     """Read fleet.json: a finite scan_period_s > 0 (10 s when absent), and per cell a
-    unique string cell_id and integer num_trx, cch_slots."""
+    unique valid cell_id and integer num_trx, cch_slots."""
     doc = traffic.read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise DataError(f"{path}: missing 'cells' list")
@@ -205,6 +204,7 @@ def read_fleet_json(path: Path) -> dict:
         cell_id = cell.get("cell_id") if isinstance(cell, dict) else None
         if not isinstance(cell_id, str):
             raise DataError(f"{path}: cells[{index}] has no string 'cell_id'")
+        check_cell_id(cell_id, f"{path}: cells[{index}]")
         if cell_id in seen:
             raise DataError(f"{path}: duplicate cell_id {cell_id!r}")
         seen.add(cell_id)
@@ -426,15 +426,17 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
     n_timelines = len(scenario.cells) if timelines == "all" else int(timelines)
     out_dir = Path(out)
     modes = ("off", "on") if ps == "both" else (ps,)
-    with contextlib.closing(traffic.iter_traffic_csv(traffic_path, scan_period)) as traces:
-        try:
-            reports = evaluator.simulate_network(scenario, traces, modes, out_dir / "timelines",
-                                                 n_timelines)
-        except DataError as exc:  # a row, a trace or a cell of traffic.csv
-            message = str(exc)
-            if not message.startswith(f"{traffic_path}: "):
-                message = f"{traffic_path}: {message}"
-            raise DataError(message) from None
+    traces = traffic.iter_traffic_csv(traffic_path, scan_period)
+    try:
+        reports = evaluator.simulate_network(scenario, traces, modes, out_dir / "timelines",
+                                             n_timelines)
+    except DataError as exc:  # a row, a trace or a cell of traffic.csv
+        message = str(exc)
+        if not message.startswith(f"{traffic_path}: "):
+            message = f"{traffic_path}: {message}"
+        raise DataError(message) from None
+    finally:
+        traces.close()  # closes the file when simulate_network stops early
     out_dir.mkdir(parents=True, exist_ok=True)
 
     metadata = {

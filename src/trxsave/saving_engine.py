@@ -39,12 +39,12 @@ switch. Only integers enter this arithmetic, so every counter is exactly the
 value the scan-by-scan replay gives.
 
 A disable fires only at idle > hysteresis + 9 >= 10, so the calls always fit
-on one TRX fewer: the deferral in ``apply_action`` cannot happen in a run.
+on one TRX fewer: a disable that would strand calls, an ``InvariantError`` in
+``apply_action``, cannot happen in a run.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +58,6 @@ from .cell_model import (
 )
 from .errors import ConfigurationError, InvariantError
 from .traffic import TrafficTrace, demand_series
-
-log = logging.getLogger(__name__)
 
 FIXED_OFFSET = 9
 
@@ -197,8 +195,9 @@ def scan_step(
 def apply_action(cell: CellState, action: ScanAction) -> CellState:
     """Apply a scan action to the cell.
 
-    A disable that would strand calls is downgraded to no action and logged;
-    the stateless re-placement on the next scan would otherwise overflow.
+    A disable that would strand calls is an ``InvariantError``
+    (``set_trx_enabled``); the module docstring shows that a run never asks
+    for one.
     """
     if action.kind == ACTION_NONE:
         return cell
@@ -207,13 +206,6 @@ def apply_action(cell: CellState, action: ScanAction) -> CellState:
             raise InvariantError("refusing to disable TRX 1 (would take the cell down)")
         if not cell.trx_enabled[action.trx - 1]:
             raise InvariantError(f"TRX {action.trx} is already disabled")
-        capacity_after = (cell.enabled_trx_count - 1) * SLOTS_PER_TRX - cell.config.cch_slots
-        if cell.occupied_tch > capacity_after:
-            log.warning(
-                "cell %s: deferred disable of TRX %d (%d calls exceed %d TCH)",
-                cell.config.cell_id, action.trx, cell.occupied_tch, capacity_after,
-            )
-            return cell
         return set_trx_enabled(cell, action.trx, False)
     if action.kind == ACTION_ENABLE:
         if cell.trx_enabled[action.trx - 1]:

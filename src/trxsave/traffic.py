@@ -8,24 +8,30 @@ Erlang semantics: one Erlang is one continuously busy channel, so the call
 demand at a scan is the offered Erlang rounded to the nearest integer
 (half up).
 
+Every CSV the package reads or writes has one dialect, and only paths go in
+or out. A line ends at ``\n``, ``\r\n`` or a bare ``\r`` and its end is
+never part of a field; rows are physical lines, counted from 1 after the
+header; fields are split on a bare ``,`` and never quoted. A ``cell_id`` is
+non-empty and holds no ``,``, ``"``, ``\r``, ``\n``, ``/`` or NUL
+(``cell_model.check_cell_id``); a reader rejects any other with a
+``DataError`` naming the file and the row.
+
 Small tables (KPIs, clusters, assignments, reports) are read and written only
 through ``read_csv``/``write_csv``/``read_json``/``write_json``, which own the
-framing and the strictness checks; they take a path or a text stream.
+framing and the strictness checks.
 
-Per-scan CSVs (``traffic.csv`` and the timelines) are bytes on paths:
+Per-scan CSVs (``traffic.csv`` and the timelines) are bytes too:
 ``write_rows`` writes the UTF-8 rows ``format_rows`` builds to a file opened
 ``"wb"``, and ``iter_traffic_csv`` reads a path in chunks of whole rows.
 
-Every CSV read from a path is decoded by ``_decode``: the rows before the
-first one that holds a byte that is not UTF-8 are parsed, and only then is
-that row named, so the earliest bad row wins whatever the line ends.
+``_lines`` is the one line splitter: it serves ``read_csv``, the
+``traffic.csv`` header and the row loop. It yields the lines before the
+first one that holds a byte that is not UTF-8, and only then names that
+line, so the earliest bad row wins whatever the line ends.
 """
 
 from __future__ import annotations
 
-import contextlib
-import csv
-import io
 import itertools
 import json
 import math
@@ -36,7 +42,7 @@ from typing import IO, Any, Callable, Iterable, Iterator, Optional, Sequence, Un
 
 import numpy as np
 
-from .cell_model import CellConfig
+from .cell_model import CellConfig, check_cell_id
 from .errors import ConfigurationError, DataError
 
 KPI_CSV_HEADER = [
@@ -197,131 +203,108 @@ def demand_series(samples: np.ndarray) -> np.ndarray:
 # Table files
 
 
-@contextlib.contextmanager
-def open_text(target: Union[str, Path, IO], mode: str = "r") -> Iterator[IO]:
-    """Open a path as UTF-8 text without newline translation and close it after.
+def _lines(data: bytes, where: Union[str, Path], lines_before: int) -> Iterator[str]:
+    """The lines of ``data`` without their ends, then the ``DataError`` that names
+    the first line holding a byte that is not UTF-8, if there is one.
 
-    A stream the caller passes is yielded as is and left open.
-    """
-    if isinstance(target, (str, Path)):
-        with open(target, mode, encoding="utf-8", newline="") as stream:
-            yield stream
-    else:
-        yield target
-
-
-def _decode(data: bytes, where: Union[str, Path],
-            lines_before: int) -> tuple[str, Optional[DataError]]:
-    """``data`` as text up to the row that holds its first byte that is not UTF-8,
-    and the ``DataError`` that names that row (None when every byte is UTF-8).
-
-    Rows end at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as a text stream splits
-    them. ``lines_before`` lines of the file come before ``data``; line 0 is
-    the header and data rows count from 1, as in every other row error. A
-    reader parses the text first and raises the error after it, so an earlier
-    bad row is named first.
+    A line ends at ``\\n``, ``\\r\\n`` or a bare ``\\r``. ``lines_before`` lines of
+    the file come before ``data``; line 0 is the header and data rows count
+    from 1, as in every other row error. The good lines come first, so a
+    reader names an earlier bad row first.
     """
     try:
-        return data.decode("utf-8"), None
+        text, error = data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
         good = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
-        line = lines_before + len(data[:good].splitlines())
+        text, error = data[:good].decode("utf-8"), exc
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":  # the text ends with a line end, or is empty
+        lines.pop()
+    yield from lines
+    if error is not None:
+        line = lines_before + len(lines)
         row = "header" if line == 0 else f"row {line}"
-        return (data[:good].decode("utf-8"),
-                DataError(f"{where}: {row}: not UTF-8 text ({exc.reason})"))
+        raise DataError(f"{where}: {row}: not UTF-8 text ({error.reason})")
 
 
-def read_csv(
-    source: Union[str, Path, IO[str]], header: Sequence[str]
-) -> list[tuple[int, list[str]]]:
-    """Data rows of a table keyed by its first column, with 1-based row numbers.
+def read_csv(path: Union[str, Path], header: Sequence[str]) -> list[tuple[int, list[str]]]:
+    """Data rows of a table keyed by a ``cell_id`` in its first column, with 1-based
+    row numbers.
 
     The first line must equal ``header``. Blank rows are skipped but still
-    counted; a row of another width or a repeated key is a ``DataError``. A
-    path is read as bytes: the rows before its first one that is not UTF-8
-    are checked before that row is named.
+    counted; a ``"``, a row of another width, a bad or a repeated ``cell_id``
+    is a ``DataError`` naming the file and the row. The rows before the first
+    line that is not UTF-8 are checked before that line is named.
     """
-    lines = (_lines(*_decode(Path(source).read_bytes(), source, 0))
-             if isinstance(source, (str, Path)) else source)
-    reader = csv.reader(lines)
-    got = next(reader, None)
-    if got != list(header):
-        raise DataError(
-            f"CSV header mismatch: expected {','.join(header)}, "
-            f"got {','.join(got) if got else 'an empty file'}"
-        )
+    lines = _lines(Path(path).read_bytes(), path, 0)
+    got = next(lines, None)
+    if got != ",".join(header):
+        raise DataError(f"{path}: CSV header mismatch: expected {','.join(header)}, "
+                        f"got {got or 'an empty file'}")
     rows = []
     seen: set[str] = set()
-    for row_no, row in enumerate(reader, start=1):
-        if not row:
+    for row_no, line in enumerate(lines, start=1):
+        if not line:
             continue
+        where = f"{path}: row {row_no}"
+        if '"' in line:
+            raise DataError(f"{where}: a field holds '\"' (fields are never quoted)")
+        row = line.split(",")
         if len(row) != len(header):
-            raise DataError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
-        if row[0] in seen:
-            raise DataError(f"row {row_no}: duplicate cell_id {row[0]!r}")
+            raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        if check_cell_id(row[0], where) in seen:
+            raise DataError(f"{where}: duplicate cell_id {row[0]!r}")
         seen.add(row[0])
         rows.append((row_no, row))
     return rows
 
 
-def _lines(text: str, error: Optional[DataError]) -> Iterator[str]:
-    """The rows of ``text`` with their line ends, then ``error`` raised, if any."""
-    yield from io.StringIO(text, newline="")
-    if error is not None:
-        raise error
+def write_csv(path: Union[str, Path], header: Sequence[str],
+              rows: Iterable[Sequence[Any]]) -> None:
+    """Write ``header`` then ``rows``, fields joined by "," and each row ended by "\\n"."""
+    Path(path).write_bytes(
+        "".join(",".join(map(str, row)) + "\n" for row in [header, *rows]).encode())
 
 
-def write_csv(
-    dest: Union[str, Path, IO[str]], header: Sequence[str], rows: Iterable[Sequence[Any]]
-) -> None:
-    """Write ``header`` then ``rows`` with ``\\n`` line ends."""
-    with open_text(dest, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def read_json(path: Union[str, Path]) -> Any:
+    """Parse a JSON document; text that is not UTF-8 or not JSON is a ``DataError``
+    naming the file."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
 
 
-def read_json(source: Union[str, Path, IO[str]]) -> Any:
-    """Parse a JSON document; malformed text is a ``DataError`` naming the source."""
-    with open_text(source) as stream:
-        try:
-            return json.load(stream)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{source}: invalid JSON ({exc})") from None
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{source}: not UTF-8 text ({exc.reason})") from None
-
-
-def write_json(doc: Any, dest: Union[str, Path, IO[str]]) -> None:
+def write_json(doc: Any, path: Union[str, Path]) -> None:
     """Two-space indented JSON with a trailing newline."""
-    with open_text(dest, "w") as stream:
-        json.dump(doc, stream, indent=2)
-        stream.write("\n")
+    Path(path).write_bytes((json.dumps(doc, indent=2) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
 # KPI records
 
 
-def ingest_kpi_csv(source: Union[str, Path, IO[str]]) -> list[KpiRecord]:
-    """Parse a KPI CSV into records; errors carry 1-based data row numbers."""
+def ingest_kpi_csv(path: Union[str, Path]) -> list[KpiRecord]:
+    """Parse a KPI CSV into records; errors name the file and the 1-based data row."""
     records = []
-    for row_no, row in read_csv(source, KPI_CSV_HEADER):
+    for row_no, row in read_csv(path, KPI_CSV_HEADER):
         try:
             erl, thr, cong, pre = (float(v) for v in row[1:5])
             ts = int(row[5])
         except ValueError as exc:
-            raise DataError(f"row {row_no}: non-numeric field ({exc})") from None
+            raise DataError(f"{path}: row {row_no}: non-numeric field ({exc})") from None
         try:
             records.append(KpiRecord(row[0], erl, thr, cong, pre, ts).validate())
         except DataError as exc:
-            raise DataError(f"row {row_no}: {exc}") from None
+            raise DataError(f"{path}: row {row_no}: {exc}") from None
     return records
 
 
-def emit_kpi_csv(records: Sequence[KpiRecord], dest: Union[str, Path, IO[str]]) -> None:
+def emit_kpi_csv(records: Sequence[KpiRecord], path: Union[str, Path]) -> None:
     """Write records in the documented schema, preserving printed digits."""
-    write_csv(dest, KPI_CSV_HEADER, [
+    write_csv(path, KPI_CSV_HEADER, [
         [
             r.cell_id,
             fmt_num(r.tch_traffic_erl),
@@ -546,34 +529,35 @@ def iter_traffic_csv(
     (see ``_plain_runs``) and the row loop reads any other chunk, naming its
     first bad row. Memory holds the current cell's samples and one chunk.
     """
-    for cid, samples in _Blocks().read(source):
+    for cid, samples in _Blocks(source).read():
         yield TrafficTrace(cid, scan_period_s, np.frombuffer(samples)).validate()
 
 
 class _Blocks:
-    """Splits traffic rows into each cell's block of samples.
+    """Splits the traffic rows of ``path`` into each cell's block of samples.
 
     ``row`` counts the data rows read so far, blank ones too. Rows arrive a
     run at a time, a run being rows of one cell with scan_index stepping by
     one, so a run can break the block rules only at its first row.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
+        self.path = path
         self.cid: Optional[str] = None
         self.samples = array("d")
         self.seen: set[str] = set()
         self.row = 0
 
-    def read(self, path: Union[str, Path]) -> Iterator[tuple[str, array]]:
+    def read(self) -> Iterator[tuple[str, array]]:
         """(cell id, samples) of each block, as soon as the block ends."""
-        with open(path, "rb") as raw:
+        with open(self.path, "rb") as raw:
             chunks = _row_chunks(raw)
             first = next(chunks, b"")
-            # the header is the first row, ended by \n, \r\n or a bare \r
+            # the header is the first line, ended by \n, \r\n or a bare \r
             line = first[:first.find(b"\n") + 1] or first
             line = line.splitlines(keepends=True)[0] if line else b""
-            header = next(_lines(*_decode(line, path, 0)), "").rstrip("\n")
-            if header.split(",") != TRAFFIC_CSV_HEADER:
+            header = next(_lines(line, self.path, 0), "")
+            if header != ",".join(TRAFFIC_CSV_HEADER):
                 raise DataError(f"traffic CSV header mismatch: expected "
                                 f"{','.join(TRAFFIC_CSV_HEADER)}, got {header!r}")
             # the rows after the header first; no name holds a chunk past its turn
@@ -584,7 +568,7 @@ class _Blocks:
                 runs = _plain_runs(chunk)
                 if runs is None:
                     # the header and self.row rows come before the chunk
-                    yield from self.read_rows(_lines(*_decode(chunk, path, self.row + 1)))
+                    yield from self.read_rows(_lines(chunk, self.path, self.row + 1))
                     continue
                 for offset, cid, first_scan, values in runs:
                     # _plain_runs took only UTF-8
@@ -597,10 +581,9 @@ class _Blocks:
             yield self.cid, self.samples
 
     def read_rows(self, lines: Iterable[str]) -> Iterator[tuple[str, array]]:
-        """The row loop: one row at a time; a bad row raises a ``DataError`` naming it."""
+        """The row loop: one line at a time; a bad row raises a ``DataError`` naming it."""
         for line in lines:
             self.row += 1
-            line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split(",")
@@ -621,12 +604,14 @@ class _Blocks:
 
     def start_run(self, row: int, cid: str, first_scan: int) -> Optional[tuple[str, array]]:
         """Check that a run of ``cid`` from ``first_scan`` on, starting at ``row``,
-        continues the current block or opens a new one; returns the block it ends."""
+        continues the current block or opens a new one with a valid cell_id;
+        returns the block it ends."""
         ended = None
         if cid != self.cid:
             if cid in self.seen:
                 raise DataError(f"row {row}: cell {cid!r} again after another cell; "
                                 f"each cell's rows must form one contiguous block")
+            check_cell_id(cid, f"{self.path}: row {row}")
             if self.cid is not None:
                 ended = self.cid, self.samples
             self.cid, self.samples = cid, array("d")
@@ -640,8 +625,8 @@ class _Blocks:
 def _row_chunks(raw: IO[bytes]) -> Iterator[bytes]:
     """Whole rows, about ``PARSE_CHUNK`` bytes at a time, as they are in the file.
 
-    A row ends at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as a text stream splits
-    rows. A read's last ``\\r`` may be the first half of ``\\r\\n``, so no cut
+    A row ends at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as ``_lines`` splits rows.
+    A read's last ``\\r`` may be the first half of ``\\r\\n``, so no cut
     falls right after it.
     """
     rest: list[bytes] = []  # the reads since the last row end, joined once one comes

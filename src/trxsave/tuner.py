@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -154,31 +154,27 @@ ASSIGNMENT_CSV_HEADER = ["cell_id", "cluster", "hysteresis"]
 PUSH_CSV_HEADER = ["cell_id", "BTSPSHYST"]
 
 
-def write_assignment_csv(
-    assignment: HysteresisAssignment, dest: Union[str, Path, IO[str]]
-) -> None:
-    write_csv(dest, ASSIGNMENT_CSV_HEADER, [
+def write_assignment_csv(assignment: HysteresisAssignment, path: Union[str, Path]) -> None:
+    write_csv(path, ASSIGNMENT_CSV_HEADER, [
         (cell_id, assignment.cluster[cell_id], h) for cell_id, h in assignment.hysteresis.items()
     ])
 
 
-def write_push_csv(
-    assignment: HysteresisAssignment, dest: Union[str, Path, IO[str]]
-) -> None:
+def write_push_csv(assignment: HysteresisAssignment, path: Union[str, Path]) -> None:
     """Operator change-request sheet: one BTSPSHYST value per cell."""
-    write_csv(dest, PUSH_CSV_HEADER, assignment.hysteresis.items())
+    write_csv(path, PUSH_CSV_HEADER, assignment.hysteresis.items())
 
 
-def read_assignment_csv(source: Union[str, Path, IO[str]]) -> HysteresisAssignment:
+def read_assignment_csv(path: Union[str, Path]) -> HysteresisAssignment:
     hyst: dict[str, int] = {}
     clusters: dict[str, int] = {}
-    for row_no, (cell_id, cluster, h) in read_csv(source, ASSIGNMENT_CSV_HEADER):
+    for row_no, (cell_id, cluster, h) in read_csv(path, ASSIGNMENT_CSV_HEADER):
         try:
             clusters[cell_id] = int(cluster)
             hyst[cell_id] = int(h)
         except ValueError:
-            raise DataError(f"row {row_no}: non-integer cluster or hysteresis") from None
+            raise DataError(f"{path}: row {row_no}: non-integer cluster or hysteresis") from None
         if not HYSTERESIS_MIN <= hyst[cell_id] <= HYSTERESIS_MAX:
-            raise DataError(f"row {row_no}: hysteresis {hyst[cell_id]} outside "
+            raise DataError(f"{path}: row {row_no}: hysteresis {hyst[cell_id]} outside "
                             f"[{HYSTERESIS_MIN}, {HYSTERESIS_MAX}]")
     return HysteresisAssignment(hysteresis=hyst, cluster=clusters)

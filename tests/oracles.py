@@ -297,16 +297,17 @@ def row_loop_traffic(path) -> dict[str, array]:
     """Samples per cell id of a traffic CSV file, one row at a time over the whole
     file; a bad row raises the ``DataError`` the reader must raise. The file is
     decoded one raw line at a time, so a byte that is not UTF-8 is named only
-    after every row before it has been read."""
+    after every row before it has been read. A cell id is checked where its
+    block starts: split on commas and at line ends, an id can still be empty
+    or hold '"', '/' or NUL, which are named in that order."""
     header_text = "cell_id,scan_index,offered_erlang"
     lines = _decoded_lines(path)
-    header = next(lines, "").rstrip("\n")
+    header = next(lines, "")
     if header.split(",") != header_text.split(","):
         raise DataError(f"traffic CSV header mismatch: expected {header_text}, got {header!r}")
     samples: dict[str, array] = {}
     cid, block = None, array("d")
     for row_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split(",")
@@ -322,6 +323,12 @@ def row_loop_traffic(path) -> dict[str, array]:
             if row_cid in samples:
                 raise DataError(f"row {row_no}: cell {row_cid!r} again after another "
                                 f"cell; each cell's rows must form one contiguous block")
+            if row_cid == "":
+                raise DataError(f"{path}: row {row_no}: empty cell_id")
+            for bad in ('"', "/", "\0"):
+                if bad in row_cid:
+                    raise DataError(f"{path}: row {row_no}: cell_id {row_cid!r} "
+                                    f"may not hold {bad!r}")
             cid, block = row_cid, array("d")
             samples[cid] = block
         if idx != len(block):
@@ -334,16 +341,16 @@ def row_loop_traffic(path) -> dict[str, array]:
 
 
 def _decoded_lines(path):
-    """The header, then each row, as a text stream splits them (at ``\\n``,
-    ``\\r\\n`` or a bare ``\\r``), decoding one line at a time as its bytes stand
-    in the file; the first line that is not UTF-8 raises a ``DataError`` naming
-    its row."""
+    """The header, then each row, split at ``\\n``, ``\\r\\n`` or a bare ``\\r`` and
+    without its line end, decoding one line at a time, with its end, as its bytes
+    stand in the file; the first line that is not UTF-8 raises a ``DataError``
+    naming its row."""
     with open(path, "rb") as raw:
         read = 0  # lines given so far, the header as line 0
-        for raw_line in raw:
+        for raw_line in raw:  # ends at \n, so a \r\n stays whole
             for line in raw_line.splitlines(keepends=True):
                 try:
-                    text = line.decode("utf-8")
+                    text = line.decode("utf-8").rstrip("\r\n")
                 except UnicodeDecodeError as exc:
                     where = "header: " if read == 0 else f"row {read}: "
                     raise DataError(f"{path}: {where}not UTF-8 text ({exc.reason})") from None

@@ -6,7 +6,6 @@ lines; the suite is self-contained and uses only bundled synthetic data.
 
 import csv
 import functools
-import io
 import json
 import time
 
@@ -280,12 +279,12 @@ def test_criterion_9_cli_determinism(tmp_path):
 
 
 @criterion(10, "format fidelity: dataset sample rows round-trip digit for digit")
-def test_criterion_10_format_fidelity():
+def test_criterion_10_format_fidelity(tmp_path):
     source = KPI_HEADER + "\n" + "\n".join(SAMPLE_KPI_ROWS) + "\n"
-    records = ingest_kpi_csv(io.StringIO(source))
-    out = io.StringIO()
-    emit_kpi_csv(records, out)
-    assert out.getvalue() == source
+    (tmp_path / "kpis.csv").write_text(source)
+    records = ingest_kpi_csv(tmp_path / "kpis.csv")
+    emit_kpi_csv(records, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_text() == source
     # and a second pass is stable
-    again = ingest_kpi_csv(io.StringIO(out.getvalue()))
+    again = ingest_kpi_csv(tmp_path / "out.csv")
     assert again == records

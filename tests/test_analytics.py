@@ -1,4 +1,3 @@
-import io
 import math
 import tracemalloc
 
@@ -35,7 +34,7 @@ from trxsave.traffic import ingest_kpi_csv
 
 import oracles
 
-from test_traffic import sample_kpi_csv
+from test_traffic import sample_kpi_csv, text_file
 
 
 def raw(values):
@@ -54,8 +53,8 @@ class TestStandardize:
         assert np.all(std.values[:, 0] == 0.0)
         assert list(stats.constant_columns) == [True, False]
 
-    def test_dataset_sample_columns_have_unit_moments(self):
-        records = ingest_kpi_csv(sample_kpi_csv())
+    def test_dataset_sample_columns_have_unit_moments(self, tmp_path):
+        records = ingest_kpi_csv(sample_kpi_csv(tmp_path))
         std, _ = standardize(kpi_feature_matrix(records))
         # recompute moments independently
         for col in range(std.n_cols):
@@ -582,28 +581,27 @@ class TestCsvExports:
         back = read_clusters_csv(tmp_path / "clusters.csv")
         assert back == {i: int(l) for i, l in zip(ids, sel.best_result.labels)}
 
-    def test_duplicate_cell_id_names_row(self):
-        source = io.StringIO("cell_id,cluster\na,0\nb,1\na,1\n")
+    def test_duplicate_cell_id_names_row(self, tmp_path):
+        source = text_file(tmp_path, "cell_id,cluster\na,0\nb,1\na,1\n", "clusters.csv")
         with pytest.raises(DataError, match="row 3: duplicate cell_id 'a'"):
             read_clusters_csv(source)
 
     @pytest.mark.parametrize("row", ["a,1,zzz", "a"])
-    def test_row_of_wrong_width_names_row(self, row):
-        source = io.StringIO(f"cell_id,cluster\nb,0\n\n{row}\n")
+    def test_row_of_wrong_width_names_row(self, tmp_path, row):
+        source = text_file(tmp_path, f"cell_id,cluster\nb,0\n\n{row}\n", "clusters.csv")
         with pytest.raises(DataError, match=r"row 3: expected 2 fields, got \d"):
             read_clusters_csv(source)
 
-    def test_exact_bytes(self):
-        out = io.StringIO()
+    def test_exact_bytes(self, tmp_path):
+        out = tmp_path / "out.csv"
         write_elbow_csv(ElbowResult(points=[(1, 12.0), (2, 3.5), (3, 0.1 + 0.2)],
                                     suggested_knee=2), out)
-        assert out.getvalue() == "k,sse\n1,12\n2,3.5\n3,0.30000000000000004\n"
-        out = io.StringIO()
+        assert out.read_bytes() == b"k,sse\n1,12\n2,3.5\n3,0.30000000000000004\n"
         write_silhouette_csv([(2, 0.5), (3, 1 / 3)], out)
-        assert out.getvalue() == "k,silhouette\n2,0.5\n3,0.3333333333333333\n"
-        out = io.StringIO()
-        write_clusters_csv(["a", "b,c"], np.array([1, 0]), out)
-        assert out.getvalue() == 'cell_id,cluster\na,1\n"b,c",0\n'
+        assert out.read_bytes() == b"k,silhouette\n2,0.5\n3,0.3333333333333333\n"
+        # fields are joined by bare commas: no quoting
+        write_clusters_csv(["a", "b c", "é"], np.array([1, 0, 2]), out)
+        assert out.read_bytes() == "cell_id,cluster\na,1\nb c,0\né,2\n".encode()
 
 
 class TestChildSeed:

@@ -531,9 +531,10 @@ class TestSimulate:
         assert message in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.json", "traffic.csv"]
 
-    @pytest.mark.parametrize("cell_id", ["../../escaped", "a/b", "a\0b"],
-                             ids=["dot_dot", "slash", "nul"])
-    def test_cell_id_unfit_for_a_file_name_exits_3(self, runner, small_fleet, tmp_path, cell_id):
+    @pytest.mark.parametrize("cell_id,char", [("../../escaped", "/"), ("a/b", "/"),
+                                              ("a\0b", "\0")], ids=["dot_dot", "slash", "nul"])
+    def test_cell_id_unfit_for_a_file_name_exits_3(self, runner, small_fleet, tmp_path, cell_id,
+                                                   char):
         fleet = json.loads((small_fleet / "fleet.json").read_text())
         fleet["cells"][0]["cell_id"] = cell_id
         (tmp_path / "fleet.json").write_text(json.dumps(fleet))
@@ -542,7 +543,8 @@ class TestSimulate:
         result = self.simulate(runner, tmp_path, "--timelines", "all",
                                "--out", str(tmp_path / "out"))
         assert result.exit_code == 3, result.output
-        assert f"cell {cell_id!r}: a timeline file name cannot hold '/' or NUL" in result.output
+        assert (f"{tmp_path / 'fleet.json'}: cells[0]: cell_id {cell_id!r} may not hold {char!r}"
+                in result.output)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.json", "traffic.csv"]
         assert not list(tmp_path.parent.glob("escaped*"))
 

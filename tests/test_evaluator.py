@@ -1,4 +1,3 @@
-import io
 import json
 import re
 import tracemalloc
@@ -131,21 +130,23 @@ class TestSimulateNetwork:
                              ("off", "on"), tmp_path / "tl", 3)
         assert ran == [] and read == [] and not (tmp_path / "tl").exists()
 
-    @pytest.mark.parametrize("cell_id", ["../../escaped", "a/b", "a\0b"],
-                             ids=["dot_dot", "slash", "nul"])
-    def test_cell_id_unfit_for_a_file_name_fails_before_any_trace(self, tmp_path, cell_id):
+    @pytest.mark.parametrize("cell_id,char", [("../../escaped", "/"), ("a/b", "/"),
+                                              ("a\0b", "\0")], ids=["dot_dot", "slash", "nul"])
+    @pytest.mark.parametrize("n_timelines", [3, 0])
+    def test_cell_id_unfit_for_a_file_name_fails_before_any_trace(self, tmp_path, cell_id,
+                                                                  char, n_timelines):
         scenario, traces = make_scenario(n_scans=50)
         scenario = replace(scenario, cells=[replace(scenario.cells[0], cell_id=cell_id),
                                             *scenario.cells[1:]],
                            hysteresis={**scenario.hysteresis, cell_id: 3})
         read = []
-        with pytest.raises(DataError, match=re.escape(f"cell {cell_id!r}: a timeline file")):
+        # every cell_id is checked, whether or not it would name a timeline
+        message = f"cell config: cell_id {cell_id!r} may not hold {char!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             simulate_network(scenario, (read.append(t) or t for t in traces), ("off", "on"),
-                             tmp_path / "tl", 3)
+                             tmp_path / "tl", n_timelines)
         assert read == [] and list(tmp_path.iterdir()) == []
-        # a cell without a timeline may hold any id
-        simulate_network(scenario, [replace(traces[0], cell_id=cell_id), *traces[1:]],
-                         ("on",), tmp_path / "tl", 0)
+        assert not list(tmp_path.parent.glob("escaped*"))
 
     def test_timelines_of_first_cells_in_cell_id_order(self, tmp_path):
         scenario, traces = make_scenario(n_cells=3, n_scans=60)
@@ -238,10 +239,10 @@ class TestEmission:
         return compare(reports["on"], reports["off"],
                        metadata={"seed": 0, "params": {"hysteresis": 3}})
 
-    def test_comparison_csv_header_matches_operator_table(self):
-        out = io.StringIO()
+    def test_comparison_csv_header_matches_operator_table(self, tmp_path):
+        out = tmp_path / "comparison.csv"
         write_comparison_csv(self.small_summary(), out)
-        lines = out.getvalue().splitlines()
+        lines = out.read_text().splitlines()
         assert lines[0] == "cell_id,ts_before,max_ts_after"
         assert lines[1].startswith("cell_00,24,")
 

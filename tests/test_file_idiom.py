@@ -1,5 +1,6 @@
 """Every file is opened, and every JSON and CSV document read or written, in
-``trxsave.traffic``: the other modules go through its readers and writers."""
+``trxsave.traffic``: the other modules go through its readers and writers. No
+module imports ``csv``: the one CSV dialect is split and joined on bare commas."""
 
 import ast
 from pathlib import Path
@@ -10,18 +11,23 @@ import trxsave
 
 PACKAGE = Path(trxsave.__file__).parent
 # module name -> the functions that stay in traffic.py
-OWNED = {"json": {"load", "dump"}, "csv": {"reader", "writer"}}
+OWNED = {"json": {"load", "dump", "loads", "dumps"}}
+# methods of a path that read or write its file
+PATH_IO = {"read_bytes", "read_text", "write_bytes", "write_text"}
 
 
 def file_calls(tree: ast.AST) -> list[str]:
-    """The calls of builtin ``open``, ``json.load``/``dump`` and ``csv.reader``/``writer``
-    in ``tree``, and the imports that would hide them, as ``line: name``."""
+    """The calls of builtin ``open``, of a path's ``read_*``/``write_*`` and of
+    ``json.load``/``dump``/``loads``/``dumps`` in ``tree``, and the imports that
+    would hide them, as ``line: name``."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, ast.Name) and func.id == "open":
                 found.append(f"{node.lineno}: open")
+            elif isinstance(func, ast.Attribute) and func.attr in PATH_IO:
+                found.append(f"{node.lineno}: .{func.attr}")
             elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
                   and func.attr in OWNED.get(func.value.id, ())):
                 found.append(f"{node.lineno}: {func.value.id}.{func.attr}")
@@ -29,6 +35,13 @@ def file_calls(tree: ast.AST) -> list[str]:
             found += [f"{node.lineno}: from {node.module} import {alias.name}"
                       for alias in node.names if alias.name in OWNED[node.module]]
     return sorted(found, key=lambda call: int(call.split(":")[0]))
+
+
+def csv_imports(tree: ast.AST) -> list[str]:
+    """Every import of the ``csv`` module or of a name from it, as ``line: csv``."""
+    return [f"{node.lineno}: csv" for node in ast.walk(tree)
+            if (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == "csv")]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -40,9 +53,17 @@ def test_files_are_opened_only_in_traffic(path):
         assert calls == []
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_csv(path):
+    assert csv_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
 def test_the_guard_sees_each_call():
     source = ("open(p)\nimport json, csv\njson.load(f)\njson.dump(d, f)\n"
-              "csv.reader(f)\ncsv.writer(f)\nfrom json import load\njson.loads(s)\n")
+              "json.loads(s)\njson.dumps(d)\nfrom json import load\np.read_bytes()\n"
+              "Path(p).write_text(s)\njson.JSONDecodeError\nfrom csv import reader\n"
+              "import csv as c\n")
     assert file_calls(ast.parse(source)) == [
-        "1: open", "3: json.load", "4: json.dump", "5: csv.reader", "6: csv.writer",
-        "7: from json import load"]
+        "1: open", "3: json.load", "4: json.dump", "5: json.loads", "6: json.dumps",
+        "7: from json import load", "8: .read_bytes", "9: .write_text"]
+    assert csv_imports(ast.parse(source)) == ["2: csv", "11: csv", "12: csv"]

@@ -146,12 +146,10 @@ class TestApplyAction:
         with pytest.raises(InvariantError):
             apply_action(cell_with_occupancy(0), ScanAction(ACTION_DISABLE, 1))
 
-    def test_overloaded_disable_is_deferred(self, caplog):
+    def test_overloaded_disable_is_an_invariant_violation(self):
         cell = cell_with_occupancy(14)  # removal would leave 13 < 14
-        with caplog.at_level("WARNING"):
-            after = apply_action(cell, ScanAction.disable(3))
-        assert after == cell
-        assert any("deferred" in r.message for r in caplog.records)
+        with pytest.raises(InvariantError, match="disabling TRX 3 would strand 1 call"):
+            apply_action(cell, ScanAction.disable(3))
 
     def test_double_disable_rejected(self):
         cell = apply_action(cell_with_occupancy(0), ScanAction.disable(3))

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -16,6 +15,12 @@ from trxsave.tuner import (
     write_assignment_csv,
     write_push_csv,
 )
+
+from test_traffic import text_file
+
+
+def assignment_file(tmp_path, rows: str):
+    return text_file(tmp_path, "cell_id,cluster,hysteresis\n" + rows, "assignment.csv")
 
 # clustering sample: six cells in three clusters (labels 1,1,2,2,0,0)
 SAMPLE_KPIS = [
@@ -172,23 +177,23 @@ class TestAssignmentCsv:
         write_push_csv(assignment, push)
         assert push.read_bytes() == b"cell_id,BTSPSHYST\na,4\nb,12\n"
 
-    def test_duplicate_cell_id_names_row(self):
-        source = io.StringIO("cell_id,cluster,hysteresis\na,0,4\nb,1,12\na,1,12\n")
+    def test_duplicate_cell_id_names_row(self, tmp_path):
+        source = assignment_file(tmp_path, "a,0,4\nb,1,12\na,1,12\n")
         with pytest.raises(DataError, match="row 3: duplicate cell_id 'a'"):
             read_assignment_csv(source)
 
     @pytest.mark.parametrize("row", ["a,0,4,x", "a,0"])
-    def test_row_of_wrong_width_names_row(self, row):
-        source = io.StringIO(f"cell_id,cluster,hysteresis\nb,1,12\n{row}\n")
+    def test_row_of_wrong_width_names_row(self, tmp_path, row):
+        source = assignment_file(tmp_path, f"b,1,12\n{row}\n")
         with pytest.raises(DataError, match=r"row 2: expected 3 fields, got \d"):
             read_assignment_csv(source)
 
     @pytest.mark.parametrize("h", ["0", "1015", "-3"])
-    def test_hysteresis_out_of_range_names_row(self, h):
-        source = io.StringIO(f"cell_id,cluster,hysteresis\nb,1,1014\na,0,{h}\n")
+    def test_hysteresis_out_of_range_names_row(self, tmp_path, h):
+        source = assignment_file(tmp_path, f"b,1,1014\na,0,{h}\n")
         with pytest.raises(DataError, match=rf"row 2: hysteresis {h} outside \[1, 1014\]"):
             read_assignment_csv(source)
 
-    def test_hysteresis_range_ends_accepted(self):
-        source = io.StringIO("cell_id,cluster,hysteresis\na,0,1\nb,1,1014\n")
+    def test_hysteresis_range_ends_accepted(self, tmp_path):
+        source = assignment_file(tmp_path, "a,0,1\nb,1,1014\n")
         assert read_assignment_csv(source).hysteresis == {"a": 1, "b": 1014}
