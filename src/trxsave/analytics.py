@@ -46,6 +46,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from .cell_model import check_cell_id
 from .errors import ConfigurationError, DataError
 from .traffic import KpiRecord, fmt_num, read_csv, write_csv
 
@@ -612,7 +613,9 @@ def write_silhouette_csv(curve: Sequence[tuple[int, float]], path: Union[str, Pa
 
 
 def write_clusters_csv(row_ids: Sequence[str], labels: np.ndarray, path: Union[str, Path]) -> None:
-    write_csv(path, CLUSTERS_CSV_HEADER, [(cid, int(lab)) for cid, lab in zip(row_ids, labels)])
+    """One ``cell_id,cluster`` row per id; every id is checked before the file is opened."""
+    write_csv(path, CLUSTERS_CSV_HEADER,
+              [(check_cell_id(cid, str(path)), int(lab)) for cid, lab in zip(row_ids, labels)])
 
 
 def read_clusters_csv(path: Union[str, Path]) -> dict[str, int]:

@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 import click
 import numpy as np
 
-from . import analytics, evaluator, traffic, tuner
+from . import analytics, evaluator, parts, traffic, tuner
 from .cell_model import CellConfig, check_cell_id
 from .errors import ConfigurationError, DataError, InvariantError
 from .saving_engine import PowerSavingParams, validate_params
@@ -118,18 +118,24 @@ def demo_fleet(
     scan, modelling permanently congested sites. The arguments are checked
     before the first cell is built.
     """
+    _check_fleet_args(n_cells, days, scan_period_s)
+    return _demo_cells(n_cells, days, seed, scan_period_s, range(n_cells))
+
+
+def _check_fleet_args(n_cells: int, days: int, scan_period_s: float) -> None:
     if n_cells < 1:
         raise ConfigurationError(f"need at least 1 cell, got {n_cells}")
     if days < 1:
         raise ConfigurationError(f"need at least 1 day, got {days}")
     # every cell's profile shares the days and the scan period
     traffic.DiurnalProfileSpec(0.0, 0.0, days=days, scan_period_s=scan_period_s).validate()
-    return _demo_cells(n_cells, days, seed, scan_period_s)
 
 
 def _demo_cells(
-    n_cells: int, days: int, seed: int, scan_period_s: float
+    n_cells: int, days: int, seed: int, scan_period_s: float, indices: range
 ) -> Iterator[tuple[dict, traffic.TrafficTrace, traffic.KpiRecord]]:
+    """The cells ``indices`` of the ``n_cells`` fleet; each draws only from seeds of
+    its own index, so a cell is the same whichever range builds it."""
     counts = {}
     remaining = n_cells
     names = list(FLEET_TIERS)
@@ -137,31 +143,30 @@ def _demo_cells(
         counts[name] = int(round(FLEET_TIERS[name][0] * n_cells))
         remaining -= counts[name]
     counts[names[0]] = max(0, remaining)
+    tiers = [tier for tier in names for _ in range(counts[tier])]
 
-    index = 0
-    for tier in names:
+    for index in indices:
+        tier = tiers[index]
         share, num_trx, base_rng, peak_rng, sigma_rng = FLEET_TIERS[tier]
-        for _ in range(counts.get(tier, 0)):
-            cell_id = f"cell_{index:04d}"
-            rng = np.random.default_rng(analytics.child_seed(seed, _SEED_TIER, index))
-            base = float(rng.uniform(*base_rng))
-            peak = float(rng.uniform(*peak_rng))
-            sigma = float(rng.uniform(*sigma_rng))
-            spec = traffic.DiurnalProfileSpec(
-                base_erlang=base,
-                peak_erlang=peak,
-                peak_hour=int(rng.integers(11, 20)),
-                trough_hour=int(rng.integers(2, 5)),
-                noise_sigma=sigma,
-                days=days,
-                seed=analytics.child_seed(seed, _SEED_TRACE, index),
-                scan_period_s=scan_period_s,
-            )
-            config = CellConfig(cell_id=cell_id, num_trx=num_trx, cch_slots=3)
-            trace = traffic.generate_diurnal_trace(spec, cell_id=cell_id)
-            cell = {"cell_id": cell_id, "num_trx": num_trx, "cch_slots": 3, "tier": tier}
-            yield cell, trace, traffic.trace_to_kpis(trace, config)
-            index += 1
+        cell_id = f"cell_{index:04d}"
+        rng = np.random.default_rng(analytics.child_seed(seed, _SEED_TIER, index))
+        base = float(rng.uniform(*base_rng))
+        peak = float(rng.uniform(*peak_rng))
+        sigma = float(rng.uniform(*sigma_rng))
+        spec = traffic.DiurnalProfileSpec(
+            base_erlang=base,
+            peak_erlang=peak,
+            peak_hour=int(rng.integers(11, 20)),
+            trough_hour=int(rng.integers(2, 5)),
+            noise_sigma=sigma,
+            days=days,
+            seed=analytics.child_seed(seed, _SEED_TRACE, index),
+            scan_period_s=scan_period_s,
+        )
+        config = CellConfig(cell_id=cell_id, num_trx=num_trx, cch_slots=3)
+        trace = traffic.generate_diurnal_trace(spec, cell_id=cell_id)
+        cell = {"cell_id": cell_id, "num_trx": num_trx, "cch_slots": 3, "tier": tier}
+        yield cell, trace, traffic.trace_to_kpis(trace, config)
 
 
 def build_demo_fleet(
@@ -229,22 +234,48 @@ def read_fleet_json(path: Path) -> dict:
 @click.option("--out", type=click.Path(file_okay=False), default="out", show_default=True)
 @handle_errors
 def generate(n_cells: int, days: int, seed: int, scan_period: float, out: str) -> None:
-    """Write a synthetic fleet: traffic.csv one cell at a time, then fleet.json, kpis.csv."""
-    fleet = demo_fleet(n_cells, days, seed, scan_period)
+    """Write a synthetic fleet: traffic.csv, then fleet.json, kpis.csv.
+
+    The cells are cut into one contiguous range per usable CPU, each built and
+    written by its own process (``parts.run_parts``) one cell at a time: the
+    first range into traffic.csv, each other into a hidden part file in
+    --out whose rows are then appended in order. The files written, and any
+    error, do not depend on the CPU count.
+    """
+    _check_fleet_args(n_cells, days, scan_period)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells, kpis = [], []
+    dest = out_dir / "traffic.csv"
 
-    def traces() -> Iterator[traffic.TrafficTrace]:
-        for cell, trace, kpi in fleet:
-            cells.append(cell)
-            kpis.append(kpi)
-            yield trace
+    def part_file(cells: range) -> Path:
+        return dest if cells.start == 0 else out_dir / f".traffic.csv.part-{cells.start}"
 
-    traffic.write_traffic_csv(traces(), out_dir / "traffic.csv")
-    write_fleet_json(out_dir / "fleet.json", cells, seed, days, scan_period)
-    traffic.emit_kpi_csv(kpis, out_dir / "kpis.csv")
-    click.echo(f"wrote {len(cells)} cells x {days} day(s) to {out_dir}")
+    def write_part(cells: range) -> list[tuple[dict, traffic.KpiRecord]]:
+        built = []
+
+        def traces() -> Iterator[traffic.TrafficTrace]:
+            for cell, trace, kpi in _demo_cells(n_cells, days, seed, scan_period, cells):
+                built.append((cell, kpi))
+                yield trace
+
+        traffic.write_traffic_csv(traces(), part_file(cells))
+        return built
+
+    def write_parts(ranges: list[range]) -> list[tuple[dict, traffic.KpiRecord]]:
+        files = [part_file(cells) for cells in ranges[1:]]
+        try:
+            built = parts.run_parts(write_part, ranges)
+            traffic.append_traffic_rows(dest, files)
+        finally:
+            for path in files:
+                path.unlink(missing_ok=True)
+        return [cell for part in built for cell in part]
+
+    built = parts.serial_on_failure(write_parts, parts.ranges(n_cells, parts.cpus()),
+                                    range(n_cells))
+    write_fleet_json(out_dir / "fleet.json", [cell for cell, _ in built], seed, days, scan_period)
+    traffic.emit_kpi_csv([kpi for _, kpi in built], out_dir / "kpis.csv")
+    click.echo(f"wrote {len(built)} cells x {days} day(s) to {out_dir}")
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +457,8 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
     n_timelines = len(scenario.cells) if timelines == "all" else int(timelines)
     out_dir = Path(out)
     modes = ("off", "on") if ps == "both" else (ps,)
-    traces = traffic.iter_traffic_csv(traffic_path, scan_period)
-    try:
-        reports = evaluator.simulate_network(scenario, traces, modes, out_dir / "timelines",
-                                             n_timelines)
-    except DataError as exc:  # a row, a trace or a cell of traffic.csv
-        message = str(exc)
-        if not message.startswith(f"{traffic_path}: "):
-            message = f"{traffic_path}: {message}"
-        raise DataError(message) from None
-    finally:
-        traces.close()  # closes the file when simulate_network stops early
+    reports = evaluator.simulate_csv(scenario, traffic_path, scan_period, modes,
+                                     out_dir / "timelines", n_timelines)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     metadata = {

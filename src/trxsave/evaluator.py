@@ -15,6 +15,11 @@ as its trace arrives, each timeline folds into its mode's report, and the
 trace is dropped, so memory holds one trace and one timeline, never the
 fleet. Timeline CSVs are staged and moved into place only after the last
 check (no fleet cell untraced) passes, so a failed run leaves no output.
+
+``simulate_csv`` does the same for a traffic CSV on every usable CPU: the
+file is cut between cell blocks into one span per CPU, and each span is
+read and run by its own process, which holds one trace and one timeline at
+a time. Reports, timelines and errors do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -25,14 +30,16 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Generator, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from . import parts
 from .cell_model import CellConfig
 from .errors import ConfigurationError, DataError
 from .saving_engine import CellTimeline, PowerSavingParams, run_cell, validate_params
-from .traffic import TrafficTrace, read_json, write_csv, write_json, write_rows
+from .traffic import (TrafficTrace, iter_traffic_span, read_json, traffic_spans, write_csv,
+                      write_json, write_rows)
 
 SCHEMA_VERSION = 1
 
@@ -148,16 +155,17 @@ def summarize(
     )
 
 
-def _merge(parts: Sequence[NetworkReport], ps_enabled: bool, warmup_scans: int) -> NetworkReport:
-    """One report over the cells of ``parts``, per_cell in cell_id order."""
-    stats = sorted((s for part in parts for s in part.per_cell.values()), key=lambda s: s.cell_id)
+def _merge(reports: Sequence[NetworkReport], ps_enabled: bool,
+           warmup_scans: int) -> NetworkReport:
+    """One report over the cells of ``reports``, per_cell in cell_id order."""
+    stats = sorted((s for r in reports for s in r.per_cell.values()), key=lambda s: s.cell_id)
     return NetworkReport(
         ps_enabled=ps_enabled,
         warmup_scans=warmup_scans,
         per_cell={s.cell_id: s for s in stats},
-        trx_scans=sum(part.trx_scans for part in parts),
-        ts_scans=sum(part.ts_scans for part in parts),
-        blocked=sum(part.blocked for part in parts),
+        trx_scans=sum(r.trx_scans for r in reports),
+        ts_scans=sum(r.ts_scans for r in reports),
+        blocked=sum(r.blocked for r in reports),
     )
 
 
@@ -177,30 +185,85 @@ def simulate_network(
     moved into it only after the last check passes, so a failed run leaves
     ``timeline_dir`` as it was.
     """
+    # a generator, so each part's traces can be closed the same way
+    return _simulate(scenario, [traces], lambda part: (trace for trace in part), modes,
+                     timeline_dir, n_timelines, "")
+
+
+def simulate_csv(
+    scenario: NetworkScenario,
+    path: Union[str, Path],
+    scan_period_s: float,
+    modes: Sequence[str] = ("off", "on"),
+    timeline_dir: Union[str, Path, None] = None,
+    n_timelines: int = 0,
+) -> dict[str, NetworkReport]:
+    """``simulate_network`` of the traffic CSV ``path``, its cell blocks cut into
+    one span per usable CPU (``traffic_spans``), each span run in its own
+    process (``parts.run_parts``).
+
+    Reports and timelines are byte for byte those of one process. If any span
+    fails, or a cell is traced in two spans, the file is run again as one
+    span, so every error, with its row number, is the one a single process
+    raises. Every ``DataError`` about the traffic starts with ``path``.
+    """
+    scenario.validate()  # before the cut reads the file, as a single process does
+    spans = traffic_spans(path, min(parts.cpus(), len(scenario.cells)))
+    return parts.serial_on_failure(
+        lambda spans: _simulate(scenario, spans,
+                                lambda span: iter_traffic_span(path, scan_period_s, span),
+                                modes, timeline_dir, n_timelines, f"{path}: "),
+        spans, (0, None))
+
+
+def _simulate(scenario: NetworkScenario, sources: Sequence[Any],
+              read: Callable[[Any], Generator[TrafficTrace, None, None]], modes: Sequence[str],
+              timeline_dir: Union[str, Path, None], n_timelines: int,
+              where: str) -> dict[str, NetworkReport]:
+    """Run the traces ``read(source)`` of each source, each source in its own
+    process; ``where`` starts each error about the traces."""
     scenario.validate()
     configs = {c.cell_id: c for c in scenario.cells}
     kept = set(sorted(configs)[:n_timelines])
     staging = _staging_dir(Path(timeline_dir)) if kept else None
-    parts: dict[str, list[NetworkReport]] = {mode: [] for mode in modes}
-    ran: set[str] = set()
+
+    def run(source: Any) -> tuple[dict[str, NetworkReport], list[str]]:
+        """Each mode's report over the traces of ``source``, and their cell ids."""
+        traces = read(source)
+        reports: dict[str, list[NetworkReport]] = {mode: [] for mode in modes}
+        ran: dict[str, None] = {}  # in trace order
+        try:
+            for trace in traces:
+                config = configs.get(trace.cell_id)
+                if config is None:
+                    raise DataError(f"{where}cell {trace.cell_id!r} is not in the fleet")
+                if trace.cell_id in ran:
+                    raise DataError(f"{where}cell {trace.cell_id!r} has a second trace")
+                ran[trace.cell_id] = None
+                scenario.check_trace(trace)
+                for mode in modes:
+                    timeline = run_cell(config, scenario.params_for(config.cell_id), trace,
+                                        ps_enabled=mode == "on")
+                    if config.cell_id in kept:
+                        write_timeline_csv(timeline, staging / f"{config.cell_id}_{mode}.csv")
+                    reports[mode].append(summarize([timeline], mode == "on",
+                                                   scenario.warmup_scans))
+        finally:
+            traces.close()  # closes a traffic file when a part stops early
+        return ({mode: _merge(reports[mode], mode == "on", scenario.warmup_scans)
+                 for mode in modes}, list(ran))
+
     try:
-        for trace in traces:
-            config = configs.get(trace.cell_id)
-            if config is None:
-                raise DataError(f"cell {trace.cell_id!r} is not in the fleet")
-            if trace.cell_id in ran:
-                raise DataError(f"cell {trace.cell_id!r} has a second trace")
-            ran.add(trace.cell_id)
-            scenario.check_trace(trace)
-            for mode in modes:
-                timeline = run_cell(config, scenario.params_for(config.cell_id), trace,
-                                    ps_enabled=mode == "on")
-                if config.cell_id in kept:
-                    write_timeline_csv(timeline, staging / f"{config.cell_id}_{mode}.csv")
-                parts[mode].append(summarize([timeline], mode == "on", scenario.warmup_scans))
+        done = parts.run_parts(run, sources)
+        ran: set[str] = set()
+        for _, ids in done:
+            twice = ran.intersection(ids)
+            if twice:
+                raise DataError(f"{where}cell {min(twice)!r} has a second trace")
+            ran.update(ids)
         untraced = next((c.cell_id for c in scenario.cells if c.cell_id not in ran), None)
         if untraced is not None:
-            raise DataError(f"no trace for fleet cell {untraced!r}")
+            raise DataError(f"{where}no trace for fleet cell {untraced!r}")
         if staging is not None:
             Path(timeline_dir).mkdir(parents=True, exist_ok=True)
             for name in sorted(os.listdir(staging)):
@@ -208,7 +271,8 @@ def simulate_network(
     finally:
         if staging is not None:
             shutil.rmtree(staging)
-    return {mode: _merge(parts[mode], mode == "on", scenario.warmup_scans) for mode in modes}
+    return {mode: _merge([reports[mode] for reports, _ in done], mode == "on",
+                         scenario.warmup_scans) for mode in modes}
 
 
 def _staging_dir(timeline_dir: Path) -> Path:

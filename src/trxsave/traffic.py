@@ -23,6 +23,9 @@ framing and the strictness checks.
 Per-scan CSVs (``traffic.csv`` and the timelines) are bytes too:
 ``write_rows`` writes the UTF-8 rows ``format_rows`` builds to a file opened
 ``"wb"``, and ``iter_traffic_csv`` reads a path in chunks of whole rows.
+``traffic_spans`` cuts a ``traffic.csv`` between cell blocks into byte
+spans that separate processes read with ``iter_traffic_span``, and
+``append_traffic_rows`` joins traffic CSVs written by separate processes.
 
 ``_lines`` is the one line splitter: it serves ``read_csv``, the
 ``traffic.csv`` header and the row loop. It yields the lines before the
@@ -32,9 +35,9 @@ line, so the earliest bad row wins whatever the line ends.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+import os
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -303,10 +306,11 @@ def ingest_kpi_csv(path: Union[str, Path]) -> list[KpiRecord]:
 
 
 def emit_kpi_csv(records: Sequence[KpiRecord], path: Union[str, Path]) -> None:
-    """Write records in the documented schema, preserving printed digits."""
+    """Write records in the documented schema, preserving printed digits; every
+    record and its ``cell_id`` are checked before the file is opened."""
     write_csv(path, KPI_CSV_HEADER, [
         [
-            r.cell_id,
+            check_cell_id(r.cell_id, str(path)),
             fmt_num(r.tch_traffic_erl),
             fmt_num(r.dl_edge_throughput_kbps),
             fmt_num(r.pdch_congestion_pct),
@@ -504,11 +508,32 @@ PARSE_CHUNK = 1 << 16
 def write_traffic_csv(traces: Iterable[TrafficTrace], dest: Union[str, Path]) -> None:
     """One ``cell_id,scan_index,offered_erlang`` row per scan, each cell's rows
     one block; values print as ``fmt_num`` prints them. ``traces`` is read once,
-    so a generator's cells are written as it builds them."""
+    so a generator's cells are written as it builds them; each trace and its
+    ``cell_id`` are checked before its rows are written."""
     write_rows(dest, TRAFFIC_CSV_HEADER, (
         # integer samples print as fmt_num does
-        [t.cell_id, np.arange(len(t.samples)), np.asarray(t.samples, np.float64)]
+        [check_cell_id(t.cell_id, str(dest)), np.arange(len(t.samples)),
+         np.asarray(t.samples, np.float64)]
         for t in map(TrafficTrace.validate, traces)))
+
+
+def append_traffic_rows(dest: Union[str, Path], sources: Iterable[Union[str, Path]]) -> None:
+    """Append to the traffic CSV ``dest`` the rows of each traffic CSV of
+    ``sources``, in order, without their header lines. The bytes are copied
+    in the kernel (``os.copy_file_range``), at explicit offsets."""
+    skip = len(",".join(TRAFFIC_CSV_HEADER)) + 1
+    with open(dest, "r+b") as out:
+        at = out.seek(0, os.SEEK_END)
+        for source in sources:
+            with open(source, "rb") as src:
+                offset, size = skip, os.fstat(src.fileno()).st_size
+                while offset < size:
+                    copied = os.copy_file_range(src.fileno(), out.fileno(), size - offset,
+                                                offset, at)
+                    if not copied:
+                        raise DataError(f"{source}: ended at byte {offset} of {size}")
+                    offset += copied
+                    at += copied
 
 
 def read_traffic_csv(
@@ -528,9 +553,84 @@ def iter_traffic_csv(
     of whole rows: a chunk of plain rows is decoded eight digits at a time
     (see ``_plain_runs``) and the row loop reads any other chunk, naming its
     first bad row. Memory holds the current cell's samples and one chunk.
+    Every ``DataError`` starts with ``source``.
     """
-    for cid, samples in _Blocks(source).read():
-        yield TrafficTrace(cid, scan_period_s, np.frombuffer(samples)).validate()
+    return iter_traffic_span(source, scan_period_s, (0, None))
+
+
+def iter_traffic_span(
+    source: Union[str, Path], scan_period_s: float, span: tuple[int, Optional[int]]
+) -> Iterator[TrafficTrace]:
+    """``iter_traffic_csv`` over the bytes ``span`` = (start, end) of ``source``,
+    an end of None reading to the end of the file.
+
+    A span from 0 starts with the header. A span from a cut of
+    ``traffic_spans`` starts at a row and numbers its rows from 1, so only
+    the errors of a span from 0 name the rows of the file.
+    """
+    for cid, samples in _Blocks(source, *span).read():
+        try:
+            yield TrafficTrace(cid, scan_period_s, np.frombuffer(samples)).validate()
+        except DataError as exc:
+            raise DataError(f"{source}: {exc}") from None
+
+
+def traffic_spans(path: Union[str, Path], count: int) -> list[tuple[int, Optional[int]]]:
+    """At most ``count`` byte spans (start, end) of the traffic CSV ``path``, in
+    file order, that hold whole cell blocks; the last one ends at None, the
+    end of the file.
+
+    The i-th cut is found reading forward from ``size * i / count``: it falls
+    just after the first ``\n`` there whose next row does not start with the
+    cell id and comma of the row before it. A span with no such row merges
+    into the next one, so a file of very uneven blocks gets fewer spans. In a
+    file whose rows break the block rules a cut may split a block; the
+    spans' readers then fail or trace a cell twice.
+    """
+    cuts: list[int] = []
+    if count > 1:
+        with open(path, "rb") as raw:
+            size = os.fstat(raw.fileno()).st_size
+            for i in range(1, count):
+                cut = _block_start(raw.fileno(), max([size * i // count, *cuts[-1:]]), size)
+                if cut is None:
+                    break
+                cuts.append(cut)
+    bounds = [0, *cuts, None]
+    return list(zip(bounds, bounds[1:]))
+
+
+SPLIT_READ = 1 << 20  # bytes read at a time while looking for a cut
+
+
+def _block_start(fd: int, pos: int, size: int) -> Optional[int]:
+    """Offset of the first row that starts after a ``\n`` and does not start
+    with the cell id and comma of the row before it, searched from the second
+    row that starts after ``pos``; None if the file ends first, or if the
+    first row after ``pos`` holds no comma or does not end within one read."""
+    chunk = os.pread(fd, SPLIT_READ, pos)
+    first = chunk.find(b"\n")
+    end = chunk.find(b"\n", first + 1) if first >= 0 else -1
+    comma = chunk.find(b",", first + 1, end)
+    if end < 0 or comma < 0:
+        return None
+    key = chunk[first:comma + 1]  # b"\n" + the id and comma of the row after pos
+    pos += end
+    while pos < size:
+        chunk = os.pread(fd, SPLIT_READ, pos)
+        last = len(chunk) < SPLIT_READ
+        # the "\n"s followed by len(key) - 1 bytes in this read, or in the last
+        # read by at least one
+        whole = len(chunk) - 1 if last else len(chunk) - len(key) + 1
+        if chunk.count(key) < chunk.count(b"\n", 0, whole):
+            at = chunk.find(b"\n")
+            while chunk.startswith(key, at):
+                at = chunk.find(b"\n", at + 1)
+            return pos + at + 1
+        if last:
+            return None
+        pos += whole
+    return None
 
 
 class _Blocks:
@@ -541,8 +641,10 @@ class _Blocks:
     one, so a run can break the block rules only at its first row.
     """
 
-    def __init__(self, path: Union[str, Path]) -> None:
+    def __init__(self, path: Union[str, Path], start: int = 0,
+                 end: Optional[int] = None) -> None:
         self.path = path
+        self.start, self.end = start, end
         self.cid: Optional[str] = None
         self.samples = array("d")
         self.seen: set[str] = set()
@@ -551,19 +653,10 @@ class _Blocks:
     def read(self) -> Iterator[tuple[str, array]]:
         """(cell id, samples) of each block, as soon as the block ends."""
         with open(self.path, "rb") as raw:
-            chunks = _row_chunks(raw)
-            first = next(chunks, b"")
-            # the header is the first line, ended by \n, \r\n or a bare \r
-            line = first[:first.find(b"\n") + 1] or first
-            line = line.splitlines(keepends=True)[0] if line else b""
-            header = next(_lines(line, self.path, 0), "")
-            if header != ",".join(TRAFFIC_CSV_HEADER):
-                raise DataError(f"traffic CSV header mismatch: expected "
-                                f"{','.join(TRAFFIC_CSV_HEADER)}, got {header!r}")
-            # the rows after the header first; no name holds a chunk past its turn
-            chunks = itertools.chain([first[len(line):]] if len(first) > len(line) else [],
-                                     chunks)
-            del first, line
+            raw.seek(self.start)
+            chunks = _row_chunks(raw, None if self.end is None else self.end - self.start)
+            if self.start == 0:
+                chunks = self.after_header(chunks)
             for chunk in chunks:
                 runs = _plain_runs(chunk)
                 if runs is None:
@@ -580,6 +673,23 @@ class _Blocks:
         if self.cid is not None:
             yield self.cid, self.samples
 
+    def after_header(self, chunks: Iterator[bytes]) -> Iterator[bytes]:
+        """The chunks of rows after the header line, which is checked first."""
+        first = next(chunks, b"")
+        # the header is the first line, ended by \n, \r\n or a bare \r
+        line = first[:first.find(b"\n") + 1] or first
+        line = line.splitlines(keepends=True)[0] if line else b""
+        header = next(_lines(line, self.path, 0), "")
+        if header != ",".join(TRAFFIC_CSV_HEADER):
+            raise DataError(f"{self.path}: traffic CSV header mismatch: expected "
+                            f"{','.join(TRAFFIC_CSV_HEADER)}, got {header!r}")
+        rest = first[len(line):]
+        del first, line  # no name holds a chunk past its turn
+        if rest:
+            yield rest
+        del rest
+        yield from chunks
+
     def read_rows(self, lines: Iterable[str]) -> Iterator[tuple[str, array]]:
         """The row loop: one line at a time; a bad row raises a ``DataError`` naming it."""
         for line in lines:
@@ -588,18 +698,20 @@ class _Blocks:
                 continue
             parts = line.split(",")
             if len(parts) != 3:
-                raise DataError(f"row {self.row}: expected 3 fields, got {len(parts)}")
+                raise DataError(f"{self.path}: row {self.row}: expected 3 fields, "
+                                f"got {len(parts)}")
             cid, idx_s, val_s = parts
             try:
                 idx = int(idx_s)
                 val = float(val_s)
             except ValueError as exc:
-                raise DataError(f"row {self.row}: non-numeric field ({exc})") from None
+                raise DataError(f"{self.path}: row {self.row}: non-numeric field ({exc})") from None
             ended = self.start_run(self.row, cid, idx)
             if ended is not None:
                 yield ended
             if not math.isfinite(val) or val < 0:
-                raise DataError(f"row {self.row}: offered_erlang must be finite and >= 0")
+                raise DataError(f"{self.path}: row {self.row}: offered_erlang must be "
+                                f"finite and >= 0")
             self.samples.append(val)
 
     def start_run(self, row: int, cid: str, first_scan: int) -> Optional[tuple[str, array]]:
@@ -609,28 +721,31 @@ class _Blocks:
         ended = None
         if cid != self.cid:
             if cid in self.seen:
-                raise DataError(f"row {row}: cell {cid!r} again after another cell; "
-                                f"each cell's rows must form one contiguous block")
+                raise DataError(f"{self.path}: row {row}: cell {cid!r} again after another "
+                                f"cell; each cell's rows must form one contiguous block")
             check_cell_id(cid, f"{self.path}: row {row}")
             if self.cid is not None:
                 ended = self.cid, self.samples
             self.cid, self.samples = cid, array("d")
             self.seen.add(cid)
         if first_scan != len(self.samples):
-            raise DataError(f"row {row}: cell {cid!r} scan_index {first_scan} not contiguous "
-                            f"(expected {len(self.samples)})")
+            raise DataError(f"{self.path}: row {row}: cell {cid!r} scan_index {first_scan} "
+                            f"not contiguous (expected {len(self.samples)})")
         return ended
 
 
-def _row_chunks(raw: IO[bytes]) -> Iterator[bytes]:
-    """Whole rows, about ``PARSE_CHUNK`` bytes at a time, as they are in the file.
+def _row_chunks(raw: IO[bytes], left: Optional[int] = None) -> Iterator[bytes]:
+    """Whole rows, about ``PARSE_CHUNK`` bytes at a time, as they are in the file,
+    from its position on: ``left`` bytes, or to its end when None.
 
     A row ends at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as ``_lines`` splits rows.
     A read's last ``\\r`` may be the first half of ``\\r\\n``, so no cut
     falls right after it.
     """
     rest: list[bytes] = []  # the reads since the last row end, joined once one comes
-    while data := raw.read(PARSE_CHUNK):
+    while data := raw.read(PARSE_CHUNK if left is None else min(PARSE_CHUNK, left)):
+        if left is not None:
+            left -= len(data)
         cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
         if cut:
             yield b"".join([*rest, data[:cut]])

@@ -14,6 +14,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+from .cell_model import check_cell_id
 from .errors import ConfigurationError, DataError
 from .traffic import KpiRecord, read_csv, write_csv
 
@@ -155,14 +156,20 @@ PUSH_CSV_HEADER = ["cell_id", "BTSPSHYST"]
 
 
 def write_assignment_csv(assignment: HysteresisAssignment, path: Union[str, Path]) -> None:
+    """One ``cell_id,cluster,hysteresis`` row per cell; every id is checked before
+    the file is opened."""
     write_csv(path, ASSIGNMENT_CSV_HEADER, [
-        (cell_id, assignment.cluster[cell_id], h) for cell_id, h in assignment.hysteresis.items()
+        (check_cell_id(cell_id, str(path)), assignment.cluster[cell_id], h)
+        for cell_id, h in assignment.hysteresis.items()
     ])
 
 
 def write_push_csv(assignment: HysteresisAssignment, path: Union[str, Path]) -> None:
-    """Operator change-request sheet: one BTSPSHYST value per cell."""
-    write_csv(path, PUSH_CSV_HEADER, assignment.hysteresis.items())
+    """Operator change-request sheet: one BTSPSHYST value per cell; every id is
+    checked before the file is opened."""
+    write_csv(path, PUSH_CSV_HEADER,
+              [(check_cell_id(cell_id, str(path)), h)
+               for cell_id, h in assignment.hysteresis.items()])
 
 
 def read_assignment_csv(path: Union[str, Path]) -> HysteresisAssignment:

@@ -295,7 +295,8 @@ def gaussian_blobs(centers, points_per_blob: int, scale: float, seed: int) -> np
 
 def row_loop_traffic(path) -> dict[str, array]:
     """Samples per cell id of a traffic CSV file, one row at a time over the whole
-    file; a bad row raises the ``DataError`` the reader must raise. The file is
+    file; a bad row raises the ``DataError`` the reader must raise, which
+    starts with the path. The file is
     decoded one raw line at a time, so a byte that is not UTF-8 is named only
     after every row before it has been read. A cell id is checked where its
     block starts: split on commas and at line ends, an id can still be empty
@@ -304,7 +305,8 @@ def row_loop_traffic(path) -> dict[str, array]:
     lines = _decoded_lines(path)
     header = next(lines, "")
     if header.split(",") != header_text.split(","):
-        raise DataError(f"traffic CSV header mismatch: expected {header_text}, got {header!r}")
+        raise DataError(f"{path}: traffic CSV header mismatch: expected {header_text}, "
+                        f"got {header!r}")
     samples: dict[str, array] = {}
     cid, block = None, array("d")
     for row_no, line in enumerate(lines, start=1):
@@ -312,16 +314,16 @@ def row_loop_traffic(path) -> dict[str, array]:
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise DataError(f"row {row_no}: expected 3 fields, got {len(parts)}")
+            raise DataError(f"{path}: row {row_no}: expected 3 fields, got {len(parts)}")
         row_cid, idx_s, val_s = parts
         try:
             idx = int(idx_s)
             val = float(val_s)
         except ValueError as exc:
-            raise DataError(f"row {row_no}: non-numeric field ({exc})") from None
+            raise DataError(f"{path}: row {row_no}: non-numeric field ({exc})") from None
         if row_cid != cid:
             if row_cid in samples:
-                raise DataError(f"row {row_no}: cell {row_cid!r} again after another "
+                raise DataError(f"{path}: row {row_no}: cell {row_cid!r} again after another "
                                 f"cell; each cell's rows must form one contiguous block")
             if row_cid == "":
                 raise DataError(f"{path}: row {row_no}: empty cell_id")
@@ -332,10 +334,10 @@ def row_loop_traffic(path) -> dict[str, array]:
             cid, block = row_cid, array("d")
             samples[cid] = block
         if idx != len(block):
-            raise DataError(f"row {row_no}: cell {cid!r} scan_index {idx} not contiguous "
+            raise DataError(f"{path}: row {row_no}: cell {cid!r} scan_index {idx} not contiguous "
                             f"(expected {len(block)})")
         if not math.isfinite(val) or val < 0:
-            raise DataError(f"row {row_no}: offered_erlang must be finite and >= 0")
+            raise DataError(f"{path}: row {row_no}: offered_erlang must be finite and >= 0")
         block.append(val)
     return samples
 

@@ -27,6 +27,7 @@ from trxsave.saving_engine import PowerSavingParams, run_cell
 from trxsave.traffic import TrafficTrace, emit_kpi_csv, ingest_kpi_csv
 
 import oracles
+from test_golden import split_over
 from test_saving_engine import assert_counter_algebra, assert_replays
 from test_traffic import KPI_HEADER, SAMPLE_KPI_ROWS
 
@@ -251,8 +252,10 @@ def test_criterion_8_model_selection():
     assert hits >= 95, f"k=3 chosen only {hits}/100 times"
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @criterion(9, "determinism: the CLI pipeline is byte-identical for a fixed seed")
-def test_criterion_9_cli_determinism(tmp_path):
+def test_criterion_9_cli_determinism(tmp_path, monkeypatch, cpus):
+    split_over(monkeypatch, cpus)
     runner = CliRunner()
     for name in ("first", "second"):
         out = tmp_path / name

@@ -9,6 +9,7 @@ fields it wrote.
 
 import csv
 import json
+import re
 import shutil
 
 import numpy as np
@@ -94,13 +95,46 @@ class TestEveryReaderRejectsABadId:
                 CellConfig(cell_id, 2).validate()
 
 
+# writer -> a call that writes one row of the id to a path
+WRITERS = {
+    "kpis.csv": lambda cell_id, path: traffic.emit_kpi_csv([kpi_row(cell_id)], path),
+    "traffic.csv": lambda cell_id, path: traffic.write_traffic_csv(
+        [TrafficTrace("a", 10.0, np.ones(3)), TrafficTrace(cell_id, 10.0, np.ones(3))], path),
+    "clusters.csv": lambda cell_id, path: analytics.write_clusters_csv(
+        [cell_id], np.array([0]), path),
+    "assignment.csv": lambda cell_id, path: tuner.write_assignment_csv(
+        tuner.HysteresisAssignment({cell_id: 4}, {cell_id: 0}), path),
+    "param_push.csv": lambda cell_id, path: tuner.write_push_csv(
+        tuner.HysteresisAssignment({cell_id: 4}, {cell_id: 0}), path),
+}
+
+
+class TestEveryWriterRefusesABadId:
+    @pytest.mark.parametrize("bad", BAD_IDS, ids=list(BAD_IDS))
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_data_error_naming_the_file_and_no_row_written(self, tmp_path, name, bad):
+        path = tmp_path / name
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
+            WRITERS[name](BAD_IDS[bad], path)
+        if name == "traffic.csv":  # written as its traces come: the good cell only
+            assert path.read_text() == "cell_id,scan_index,offered_erlang\na,0,1\na,1,1\na,2,1\n"
+        else:  # checked before the file is opened
+            assert not path.exists()
+
+    def test_a_line_end_in_a_kpi_id_writes_no_file(self, tmp_path):
+        # "\r-0" would read back as the id "-0"
+        with pytest.raises(DataError, match=re.escape("may not hold '\\r'")):
+            traffic.emit_kpi_csv([kpi_row("\r-0")], tmp_path / "kpis.csv")
+        assert not (tmp_path / "kpis.csv").exists()
+
+
 def kpi_row(cell_id):
     return KpiRecord(cell_id, 1.5, 130.0, 0.5, 2.0, 24)
 
 
 def read_back(cell_id, root):
-    """The ids each reader reads from a file holding ``cell_id``, or None where it
-    rejects the file; each file is written by the program's writer of it."""
+    """The ids each reader reads from a file holding ``cell_id``, or None where the
+    program's writer of the file refuses the id or the reader rejects the file."""
     root.mkdir()
     got = {}
     readers = {
@@ -120,8 +154,8 @@ def read_back(cell_id, root):
     }
     for name, (write, read) in readers.items():
         path = root / name
-        write(path)
         try:
+            write(path)
             got[name] = read(path)
         except DataError:
             got[name] = None

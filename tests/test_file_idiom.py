@@ -1,6 +1,7 @@
 """Every file is opened, and every JSON and CSV document read or written, in
 ``trxsave.traffic``: the other modules go through its readers and writers. No
-module imports ``csv``: the one CSV dialect is split and joined on bare commas."""
+module imports ``csv``: the one CSV dialect is split and joined on bare commas.
+Processes are started only in ``trxsave.parts``."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,54 @@ def test_the_guard_sees_each_call():
         "1: open", "3: json.load", "4: json.dump", "5: json.loads", "6: json.dumps",
         "7: from json import load", "8: .read_bytes", "9: .write_text"]
     assert csv_imports(ast.parse(source)) == ["2: csv", "11: csv", "12: csv"]
+
+
+# modules that start processes, and the functions of os that do
+PROCESS_MODULES = {"multiprocessing", "concurrent.futures", "subprocess"}
+PROCESS_OS = {"fork", "forkpty", "system", "popen", "posix_spawn", "posix_spawnp"}
+
+
+def process_starts(tree: ast.AST) -> list[str]:
+    """Every use of ``os.fork`` (or another ``os`` function that starts a process)
+    and every import of ``multiprocessing``, ``concurrent.futures`` or
+    ``subprocess``, or of a name from them, as ``line: name``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in PROCESS_OS):
+            found.append(f"{node.lineno}: os.{node.attr}")
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno}: {alias.name}" for alias in node.names
+                      if alias.name.split(".")[0] in {"multiprocessing", "subprocess"}
+                      or alias.name.startswith("concurrent.futures")]
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            names = {f"{node.module}.{alias.name}" for alias in node.names}
+            if node.module == "os":
+                found += [f"{node.lineno}: os.{alias.name}" for alias in node.names
+                          if alias.name in PROCESS_OS]
+            elif (node.module.split(".")[0] in {"multiprocessing", "subprocess"}
+                  or node.module.startswith("concurrent.futures")
+                  or "concurrent.futures" in names):
+                found.append(f"{node.lineno}: {node.module}")
+    return sorted(found, key=lambda use: int(use.split(":")[0]))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_processes_are_started_only_in_parts(path):
+    uses = process_starts(ast.parse(path.read_text(encoding="utf-8")))
+    if path.name == "parts.py":
+        assert uses, "the guard no longer sees the fork it is meant to find"
+        assert all(use.endswith(": os.fork") for use in uses), uses
+    else:
+        assert uses == []
+
+
+def test_the_process_guard_sees_each_start():
+    source = ("import os\npid = os.fork()\nimport subprocess\nimport multiprocessing.pool\n"
+              "from concurrent.futures import ProcessPoolExecutor\nfrom concurrent import futures\n"
+              "import concurrent.futures as cf\nfrom os import fork, getpid\nos.system('x')\n"
+              "from subprocess import run\nos.getpid()\nimport concurrent\n")
+    assert process_starts(ast.parse(source)) == [
+        "2: os.fork", "3: subprocess", "4: multiprocessing.pool", "5: concurrent.futures",
+        "6: concurrent", "7: concurrent.futures", "8: os.fork", "9: os.system",
+        "10: subprocess"]

@@ -1,8 +1,10 @@
 """Golden digests: the sha256 of every artifact of a few small fixed runs.
 
 ``golden.json`` pins the bytes of every file the CLI writes in these runs, so
-a change that alters any output byte fails here. A change that alters output
-on purpose rewrites the file and says why:
+a change that alters any output byte fails here. The runs are made with
+``generate`` and ``simulate`` split over 1, 2 and 3 CPUs, and a split that
+fails is a failure here, not a reason to run as one part. A change that
+alters output on purpose rewrites the file and says why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -15,9 +17,10 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
-from trxsave import traffic
+from trxsave import parts, traffic
 from trxsave.cli import main, write_fleet_json
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -81,7 +84,15 @@ def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
-def test_every_artifact_matches_golden_digests(tmp_path):
+def split_over(monkeypatch, cpus: int) -> None:
+    """Run each stage as ``cpus`` parts, and give a split's own error."""
+    monkeypatch.setattr(parts, "cpus", lambda: cpus)
+    monkeypatch.setattr(parts, "serial_on_failure", lambda attempt, split, whole: attempt(split))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_every_artifact_matches_golden_digests(tmp_path, monkeypatch, cpus):
+    split_over(monkeypatch, cpus)
     golden = json.loads(GOLDEN.read_text())
     run_all(tmp_path)
     got = digests(tmp_path)

@@ -339,10 +339,11 @@ class TestTrafficCsv:
         assert (trace.cell_id, trace.samples.tolist()) == ("a", [1.0])
         # a header that differs is shown without its line end
         text = text.replace("offered_erlang", "erlang", 1)
-        expected = ("traffic CSV header mismatch: expected cell_id,scan_index,offered_erlang, "
-                    "got 'cell_id,scan_index,erlang'")
+        path = traffic_file(tmp_path, text)
+        expected = (f"{path}: traffic CSV header mismatch: expected "
+                    "cell_id,scan_index,offered_erlang, got 'cell_id,scan_index,erlang'")
         with pytest.raises(DataError) as got:
-            read_traffic_csv(traffic_file(tmp_path, text))
+            read_traffic_csv(path)
         assert str(got.value) == expected
 
     @pytest.mark.parametrize("line_end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
@@ -583,7 +584,8 @@ class TestTrafficParsePaths:
         cid, scan, _ = lines[30_000].split(",")
         lines[30_000] = f"{cid},{scan},-1"
         path.write_text("\n".join(lines))
-        with pytest.raises(DataError, match="^row 30000: offered_erlang must be finite"):
+        with pytest.raises(DataError,
+                           match=re.escape(f"{path}: row 30000: offered_erlang must be finite")):
             read_traffic_csv(path)
         assert len(row_loop_chunks) == 3
 
