@@ -48,7 +48,7 @@ import numpy as np
 
 from .cell_model import check_cell_id
 from .errors import ConfigurationError, DataError
-from .traffic import KpiRecord, fmt_num, read_csv, write_csv
+from .tables import CLUSTERS_CSV_HEADER, KpiRecord, fmt_num, write_csv
 
 FEATURE_COLUMNS = [
     "tch_traffic_erl",
@@ -601,9 +601,6 @@ def select_k(
 # CSV exports
 
 
-CLUSTERS_CSV_HEADER = ["cell_id", "cluster"]
-
-
 def write_elbow_csv(result: ElbowResult, path: Union[str, Path]) -> None:
     write_csv(path, ["k", "sse"], [(k, fmt_num(v)) for k, v in result.points])
 
@@ -616,13 +613,3 @@ def write_clusters_csv(row_ids: Sequence[str], labels: np.ndarray, path: Union[s
     """One ``cell_id,cluster`` row per id; every id is checked before the file is opened."""
     write_csv(path, CLUSTERS_CSV_HEADER,
               [(check_cell_id(cid, str(path)), int(lab)) for cid, lab in zip(row_ids, labels)])
-
-
-def read_clusters_csv(path: Union[str, Path]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for row_no, (cell_id, cluster) in read_csv(path, CLUSTERS_CSV_HEADER):
-        try:
-            out[cell_id] = int(cluster)
-        except ValueError:
-            raise DataError(f"{path}: row {row_no}: non-integer cluster {cluster!r}") from None
-    return out

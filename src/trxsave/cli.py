@@ -6,6 +6,10 @@ reproduces a whole study byte for byte.
 
 Exit codes: 0 success, 2 usage or configuration, 3 data or parse, 4 internal
 invariant violation.
+
+Each command imports the modules it runs inside its body, so a stage loads
+only its own code: ``assign`` never loads numpy, and ``cluster`` never loads
+the engine or the per-scan CSVs.
 """
 
 from __future__ import annotations
@@ -15,15 +19,17 @@ import functools
 import math
 import sys
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import click
-import numpy as np
 
-from . import analytics, evaluator, parts, traffic, tuner
+from . import __version__
 from .cell_model import CellConfig, check_cell_id
 from .errors import ConfigurationError, DataError, InvariantError
-from .saving_engine import PowerSavingParams, validate_params
+
+if TYPE_CHECKING:
+    from . import evaluator, tables, traffic
+    from .saving_engine import PowerSavingParams
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -61,8 +67,10 @@ def apply_config_file(ctx: click.Context, param: click.Parameter, value):
     """Fill defaults from a JSON config file; explicit flags win."""
     if value is None:
         return None
+    from . import tables
+
     try:
-        data = traffic.read_json(value)
+        data = tables.read_json(value)
     except (DataError, OSError) as exc:
         raise click.UsageError(f"cannot read config file: {exc}")
     if not isinstance(data, dict):
@@ -91,7 +99,7 @@ config_option = click.option(
 
 
 @click.group()
-@click.version_option(package_name="trxsave")
+@click.version_option(version=__version__)
 def main() -> None:
     """BTS power-saving simulator and hysteresis tuning pipeline."""
 
@@ -110,7 +118,7 @@ FLEET_TIERS = {
 
 def demo_fleet(
     n_cells: int, days: int, seed: int, scan_period_s: float = 10.0
-) -> Iterator[tuple[dict, traffic.TrafficTrace, traffic.KpiRecord]]:
+) -> Iterator[tuple[dict, traffic.TrafficTrace, tables.KpiRecord]]:
     """Deterministic desk-scale fleet, one (cell config, trace, synthetic KPIs) at a time.
 
     Cells fall into four traffic tiers (low, medium, high, saturated); the
@@ -123,6 +131,8 @@ def demo_fleet(
 
 
 def _check_fleet_args(n_cells: int, days: int, scan_period_s: float) -> None:
+    from . import traffic
+
     if n_cells < 1:
         raise ConfigurationError(f"need at least 1 cell, got {n_cells}")
     if days < 1:
@@ -133,9 +143,13 @@ def _check_fleet_args(n_cells: int, days: int, scan_period_s: float) -> None:
 
 def _demo_cells(
     n_cells: int, days: int, seed: int, scan_period_s: float, indices: range
-) -> Iterator[tuple[dict, traffic.TrafficTrace, traffic.KpiRecord]]:
+) -> Iterator[tuple[dict, traffic.TrafficTrace, tables.KpiRecord]]:
     """The cells ``indices`` of the ``n_cells`` fleet; each draws only from seeds of
     its own index, so a cell is the same whichever range builds it."""
+    import numpy as np
+
+    from . import analytics, traffic
+
     counts = {}
     remaining = n_cells
     names = list(FLEET_TIERS)
@@ -171,7 +185,7 @@ def _demo_cells(
 
 def build_demo_fleet(
     n_cells: int, days: int, seed: int, scan_period_s: float = 10.0
-) -> tuple[list[dict], list[traffic.TrafficTrace], list[traffic.KpiRecord]]:
+) -> tuple[list[dict], list[traffic.TrafficTrace], list[tables.KpiRecord]]:
     """``demo_fleet`` collected: cell configs, traces, synthetic KPIs."""
     cells, traces, kpis = [], [], []
     for cell, trace, kpi in demo_fleet(n_cells, days, seed, scan_period_s):
@@ -183,6 +197,8 @@ def build_demo_fleet(
 
 def write_fleet_json(path: Path, cells: list[dict], seed: int, days: int,
                      scan_period_s: float) -> None:
+    from . import tables
+
     doc = {
         "schema_version": FLEET_SCHEMA_VERSION,
         "synthetic": True,
@@ -191,13 +207,15 @@ def write_fleet_json(path: Path, cells: list[dict], seed: int, days: int,
         "scan_period_s": scan_period_s,
         "cells": cells,
     }
-    traffic.write_json(doc, path)
+    tables.write_json(doc, path)
 
 
 def read_fleet_json(path: Path) -> dict:
     """Read fleet.json: a finite scan_period_s > 0 (10 s when absent), and per cell a
     unique valid cell_id and integer num_trx, cch_slots."""
-    doc = traffic.read_json(path)
+    from . import tables
+
+    doc = tables.read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise DataError(f"{path}: missing 'cells' list")
     period = doc.setdefault("scan_period_s", 10.0)
@@ -242,6 +260,8 @@ def generate(n_cells: int, days: int, seed: int, scan_period: float, out: str) -
     --out whose rows are then appended in order. The files written, and any
     error, do not depend on the CPU count.
     """
+    from . import parts, tables, traffic
+
     _check_fleet_args(n_cells, days, scan_period)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -250,7 +270,7 @@ def generate(n_cells: int, days: int, seed: int, scan_period: float, out: str) -
     def part_file(cells: range) -> Path:
         return dest if cells.start == 0 else out_dir / f".traffic.csv.part-{cells.start}"
 
-    def write_part(cells: range) -> list[tuple[dict, traffic.KpiRecord]]:
+    def write_part(cells: range) -> list[tuple[dict, tables.KpiRecord]]:
         built = []
 
         def traces() -> Iterator[traffic.TrafficTrace]:
@@ -261,7 +281,7 @@ def generate(n_cells: int, days: int, seed: int, scan_period: float, out: str) -
         traffic.write_traffic_csv(traces(), part_file(cells))
         return built
 
-    def write_parts(ranges: list[range]) -> list[tuple[dict, traffic.KpiRecord]]:
+    def write_parts(ranges: list[range]) -> list[tuple[dict, tables.KpiRecord]]:
         files = [part_file(cells) for cells in ranges[1:]]
         try:
             built = parts.run_parts(write_part, ranges)
@@ -274,7 +294,7 @@ def generate(n_cells: int, days: int, seed: int, scan_period: float, out: str) -
     built = parts.serial_on_failure(write_parts, parts.ranges(n_cells, parts.cpus()),
                                     range(n_cells))
     write_fleet_json(out_dir / "fleet.json", [cell for cell, _ in built], seed, days, scan_period)
-    traffic.emit_kpi_csv([kpi for _, kpi in built], out_dir / "kpis.csv")
+    tables.emit_kpi_csv([kpi for _, kpi in built], out_dir / "kpis.csv")
     click.echo(f"wrote {len(built)} cells x {days} day(s) to {out_dir}")
 
 
@@ -297,9 +317,11 @@ def generate(n_cells: int, days: int, seed: int, scan_period: float, out: str) -
 def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
             restarts: int, seed: int, out: str) -> None:
     """Standardize, reduce to 3 features, cluster; write clusters/elbow/silhouette CSVs."""
+    from . import analytics, tables
+
     if restarts < 1:
         raise ConfigurationError(f"--restarts must be >= 1, got {restarts}")
-    records = traffic.ingest_kpi_csv(kpi_path)
+    records = tables.ingest_kpi_csv(kpi_path)
     matrix = analytics.kpi_feature_matrix(records)
     standardized, _ = analytics.standardize(matrix)
     reduced, _ = analytics.pca_reduce(standardized, n_components=3)
@@ -332,7 +354,7 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
     analytics.write_clusters_csv(reduced.row_ids, chosen.labels, out_dir / "clusters.csv")
 
     sil = sil_of.get(chosen.k, 0.0)  # k = 1 has no silhouette
-    traffic.write_json({
+    tables.write_json({
         "schema_version": 1,
         "seed": seed,
         "restarts": restarts,
@@ -358,19 +380,21 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
 @handle_errors
 def assign(clusters_path: str, kpi_path: str, policy: str, severity: str, out: str) -> None:
     """Map clusters to hysteresis values; write assignment.csv and param_push.csv."""
+    from . import tables, tuner
+
     try:
         values = tuple(int(v) for v in policy.split(","))
     except ValueError:
         raise ConfigurationError(f"bad --policy {policy!r}: expected comma-separated integers")
-    labels = analytics.read_clusters_csv(clusters_path)
-    records = traffic.ingest_kpi_csv(kpi_path)
+    labels = tables.read_clusters_csv(clusters_path)
+    records = tables.ingest_kpi_csv(kpi_path)
     by_id = {r.cell_id: r for r in records}
     missing = [c for c in labels if c not in by_id]
     if missing:
         raise DataError(f"cells in cluster CSV missing from KPI CSV: {missing[:5]}")
 
     ordered = [by_id[c] for c in labels]
-    profiles = tuner.profile_clusters(np.asarray([labels[r.cell_id] for r in ordered]), ordered)
+    profiles = tuner.profile_clusters([labels[r.cell_id] for r in ordered], ordered)
     assignment = tuner.rank_and_assign(
         profiles, tuner.HysteresisPolicy(values=values, severity=severity), labels
     )
@@ -394,6 +418,8 @@ def _load_scenario(
     warmup_days: float,
 ) -> tuple[evaluator.NetworkScenario, float]:
     """The fleet's scenario and scan period; assignment.csv may name only fleet cells."""
+    from . import evaluator, tuner
+
     if not math.isfinite(warmup_days):
         raise ConfigurationError(f"--warmup-days must be a finite number, got {warmup_days}")
     if warmup_days < 0:
@@ -443,6 +469,9 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
              hysteresis: Optional[int], off_target: int, on_target: int, off_delay: int,
              ps: str, warmup_days: float, timelines: str, seed: int, out: str) -> None:
     """Run the fleet with/without power saving and write comparison reports."""
+    from . import evaluator, tables
+    from .saving_engine import PowerSavingParams, validate_params
+
     if timelines != "all" and not timelines.isdecimal():  # what int() reads
         raise ConfigurationError(f"--timelines must be 'all' or a count >= 0, got {timelines!r}")
     if assignment_path is None and hysteresis is None:
@@ -475,8 +504,8 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
         click.echo(f"blocking delta: {summary.blocking_delta:+d}")
     else:
         report = reports[ps]
-        traffic.write_json({**dataclasses.asdict(report), "metadata": metadata},
-                           out_dir / f"report_{ps}.json")
+        tables.write_json({**dataclasses.asdict(report), "metadata": metadata},
+                          out_dir / f"report_{ps}.json")
         click.echo(f"ps={ps}: {report.trx_scans} active TRX-scans over {len(scenario.cells)} cells")
 
 
@@ -487,6 +516,8 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
 @handle_errors
 def report(summary_path: str) -> None:
     """Pretty-print a summary.json produced by simulate."""
+    from . import evaluator
+
     summary = evaluator.read_summary_json(summary_path)
     click.echo(f"{'cell_id':<12} {'ts_before':>9} {'max_ts_after':>12}")
     for row in summary.rows:

@@ -38,8 +38,8 @@ from . import parts
 from .cell_model import CellConfig
 from .errors import ConfigurationError, DataError
 from .saving_engine import CellTimeline, PowerSavingParams, run_cell, validate_params
-from .traffic import (TrafficTrace, iter_traffic_span, read_json, traffic_spans, write_csv,
-                      write_json, write_rows)
+from .tables import read_json, write_csv, write_json
+from .traffic import TrafficTrace, iter_traffic_span, traffic_spans, write_rows
 
 SCHEMA_VERSION = 1
 

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-import numpy as np
-
 from .cell_model import check_cell_id
 from .errors import ConfigurationError, DataError
-from .traffic import KpiRecord, read_csv, write_csv
+from .tables import KpiRecord, read_csv, write_csv
 
 HYSTERESIS_MIN = 1
 HYSTERESIS_MAX = 1014
@@ -68,19 +66,18 @@ class HysteresisAssignment:
     cluster: Mapping[str, int]
 
 
-def profile_clusters(labels: np.ndarray, kpis: Sequence[KpiRecord]) -> list[ClusterProfile]:
+def profile_clusters(labels: Sequence[int], kpis: Sequence[KpiRecord]) -> list[ClusterProfile]:
     """Per-cluster means of the original (pre-standardization) KPI values.
 
     ``labels[i]`` is the cluster of ``kpis[i]``; clusters are 0..max(labels).
     """
-    labels = np.asarray(labels)
     if len(labels) != len(kpis):
         raise DataError(f"label/KPI mismatch: {len(labels)} labels vs {len(kpis)} records")
     if len(labels) == 0:
         raise DataError("no cluster labels")
     profiles = []
-    for cluster_id in range(int(labels.max()) + 1):
-        members = [kpis[i] for i in np.flatnonzero(labels == cluster_id)]
+    for cluster_id in range(int(max(labels)) + 1):
+        members = [kpi for kpi, label in zip(kpis, labels) if label == cluster_id]
         if not members:
             raise DataError(f"cluster {cluster_id} has no members")
         n = len(members)
@@ -102,12 +99,14 @@ def severity_scores(
 
     ``traffic`` scores by mean Erlang alone. ``composite`` adds the congestion
     and preemption z-scores (across clusters) to the traffic z-score, standing
-    in for an engineer reviewing all three readings together.
+    in for an engineer reviewing all three readings together; only it loads
+    numpy.
     """
     if mode == "traffic":
         return [p.tch_traffic_erl for p in profiles]
     if mode != "composite":
         raise ConfigurationError(f"unknown severity scoring {mode!r}")
+    import numpy as np
 
     def zscores(values: list[float]) -> list[float]:
         arr = np.asarray(values)

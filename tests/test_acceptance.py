@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from trxsave import tables, tuner
 from trxsave.analytics import (
     fit_k_range,
     pca_reduce,
@@ -24,7 +25,8 @@ from trxsave.analytics import (
 from trxsave.cell_model import CellConfig
 from trxsave.cli import main
 from trxsave.saving_engine import PowerSavingParams, run_cell
-from trxsave.traffic import TrafficTrace, emit_kpi_csv, ingest_kpi_csv
+from trxsave.tables import emit_kpi_csv, ingest_kpi_csv
+from trxsave.traffic import TrafficTrace
 
 import oracles
 from test_golden import split_over
@@ -47,7 +49,7 @@ def criterion(number, title):
 
 
 # ---------------------------------------------------------------------------
-# Bundled fleet pipeline (shared by criteria 4 and 5)
+# Bundled fleet pipeline (shared by criteria 4 and 5 and the composite assign)
 
 FLEET_SEED = "11"
 
@@ -181,6 +183,24 @@ def test_criterion_5_per_cell_table(fleet_pipeline):
     for cell_id in quiet:
         ts_before, max_after = rows[cell_id]
         assert max_after < ts_before, f"{cell_id} shows no saving"
+
+
+def test_composite_assign_matches_the_library(fleet_pipeline, tmp_path):
+    """``assign --severity composite`` on the bundled fleet writes what
+    ``rank_and_assign`` with a composite policy writes."""
+    out, _ = fleet_pipeline
+    result = CliRunner().invoke(main, [
+        "assign", "--clusters", f"{out}/clusters.csv", "--kpi", f"{out}/kpis.csv",
+        "--policy", "4,6,12", "--severity", "composite", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+
+    labels = tables.read_clusters_csv(out / "clusters.csv")
+    by_id = {r.cell_id: r for r in ingest_kpi_csv(out / "kpis.csv")}
+    profiles = tuner.profile_clusters(list(labels.values()), [by_id[c] for c in labels])
+    policy = tuner.HysteresisPolicy((4, 6, 12), "composite")
+    tuner.write_assignment_csv(tuner.rank_and_assign(profiles, policy, labels),
+                               tmp_path / "library.csv")
+    assert (tmp_path / "assignment.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
 
 
 @criterion(6, "clustering oracles: silhouette, fixed point, SSE, exhaustive optimum")

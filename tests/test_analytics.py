@@ -17,7 +17,6 @@ from trxsave.analytics import (
     kpi_feature_matrix,
     lloyd,
     pca_reduce,
-    read_clusters_csv,
     run_kmeans,
     seeding_probabilities,
     select_k,
@@ -30,7 +29,7 @@ from trxsave.analytics import (
     write_silhouette_csv,
 )
 from trxsave.errors import ConfigurationError, DataError
-from trxsave.traffic import ingest_kpi_csv
+from trxsave.tables import ingest_kpi_csv, read_clusters_csv
 
 import oracles
 

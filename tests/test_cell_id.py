@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from trxsave import analytics, evaluator, traffic, tuner
+from trxsave import analytics, evaluator, tables, traffic, tuner
 from trxsave.cell_model import CellConfig
 from trxsave.cli import main, read_fleet_json, write_fleet_json
 from trxsave.errors import DataError
-from trxsave.traffic import KpiRecord, TrafficTrace
+from trxsave.tables import KpiRecord
+from trxsave.traffic import TrafficTrace
 
 BAD_IDS = {"comma": "a,b", "quote": 'a"b', "cr": "a\rb", "lf": "a\nb", "slash": "a/b",
            "nul": "a\0b", "empty": ""}
@@ -97,7 +98,7 @@ class TestEveryReaderRejectsABadId:
 
 # writer -> a call that writes one row of the id to a path
 WRITERS = {
-    "kpis.csv": lambda cell_id, path: traffic.emit_kpi_csv([kpi_row(cell_id)], path),
+    "kpis.csv": lambda cell_id, path: tables.emit_kpi_csv([kpi_row(cell_id)], path),
     "traffic.csv": lambda cell_id, path: traffic.write_traffic_csv(
         [TrafficTrace("a", 10.0, np.ones(3)), TrafficTrace(cell_id, 10.0, np.ones(3))], path),
     "clusters.csv": lambda cell_id, path: analytics.write_clusters_csv(
@@ -124,7 +125,7 @@ class TestEveryWriterRefusesABadId:
     def test_a_line_end_in_a_kpi_id_writes_no_file(self, tmp_path):
         # "\r-0" would read back as the id "-0"
         with pytest.raises(DataError, match=re.escape("may not hold '\\r'")):
-            traffic.emit_kpi_csv([kpi_row("\r-0")], tmp_path / "kpis.csv")
+            tables.emit_kpi_csv([kpi_row("\r-0")], tmp_path / "kpis.csv")
         assert not (tmp_path / "kpis.csv").exists()
 
 
@@ -141,10 +142,10 @@ def read_back(cell_id, root):
         "fleet.json": (lambda p: write_fleet_json(p, [{"cell_id": cell_id, "num_trx": 2,
                                                         "cch_slots": 3}], 0, 1, 10.0),
                        lambda p: [c["cell_id"] for c in read_fleet_json(p)["cells"]]),
-        "kpis.csv": (lambda p: traffic.emit_kpi_csv([kpi_row(cell_id)], p),
-                     lambda p: [r.cell_id for r in traffic.ingest_kpi_csv(p)]),
+        "kpis.csv": (lambda p: tables.emit_kpi_csv([kpi_row(cell_id)], p),
+                     lambda p: [r.cell_id for r in tables.ingest_kpi_csv(p)]),
         "clusters.csv": (lambda p: analytics.write_clusters_csv([cell_id], np.array([0]), p),
-                         lambda p: list(analytics.read_clusters_csv(p))),
+                         lambda p: list(tables.read_clusters_csv(p))),
         "assignment.csv": (lambda p: tuner.write_assignment_csv(
                                tuner.HysteresisAssignment({cell_id: 4}, {cell_id: 0}), p),
                            lambda p: list(tuner.read_assignment_csv(p).hysteresis)),
@@ -208,7 +209,7 @@ class TestOneIdRuleEverywhere:
         tuner.write_assignment_csv(
             tuner.HysteresisAssignment(dict.fromkeys(odd, 4), dict.fromkeys(odd, 1)),
             tmp_path / "odd_assignment.csv")
-        traffic.emit_kpi_csv([kpi_row(c) for c in odd], tmp_path / "odd_kpis.csv")
+        tables.emit_kpi_csv([kpi_row(c) for c in odd], tmp_path / "odd_kpis.csv")
         summary = evaluator.read_summary_json(tmp_path / "summary.json")
         rows = tuple(evaluator.CellComparison(c, 24, 16, 12.5, 0, 0) for c in odd)
         evaluator.write_comparison_csv(evaluator.ComparisonSummary(

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import trxsave
 from trxsave import analytics
 from trxsave.cli import build_demo_fleet, main
 from trxsave.errors import ConfigurationError
 from trxsave.evaluator import CellComparison, ComparisonSummary, summary_to_dict
-from trxsave.traffic import (KPI_CSV_HEADER, KpiRecord, emit_kpi_csv, read_traffic_csv,
-                             write_traffic_csv)
+from trxsave.tables import (CLUSTERS_CSV_HEADER, KPI_CSV_HEADER, KpiRecord, emit_kpi_csv,
+                            write_csv)
+from trxsave.traffic import read_traffic_csv, write_traffic_csv
 
 
 @pytest.fixture
@@ -49,6 +51,11 @@ def blob_kpi_csv(path: Path, per_blob=12, seed=3):
             i += 1
     emit_kpi_csv(records, path)
     return records
+
+
+def test_version(runner):
+    result = run_ok(runner, ["--version"])
+    assert result.output.split()[-1] == trxsave.__version__ == "0.1.0"
 
 
 class TestGenerate:
@@ -273,6 +280,22 @@ class TestAssign:
         # cells 0..11 form the low blob, 24..35 the heavy one
         assert all(by_cell[f"cell_{i:03d}"] == 4 for i in range(12))
         assert all(by_cell[f"cell_{i:03d}"] == 12 for i in range(24, 36))
+
+    @pytest.mark.parametrize("severity, busier", [("traffic", "erl"), ("composite", "cong")])
+    def test_severity_option_picks_the_ranking(self, runner, tmp_path, severity, busier):
+        # cluster 0 carries more Erlang, cluster 1 more congestion and preemption
+        emit_kpi_csv([KpiRecord("erl_a", 9.0, 130.0, 0.01, 1.0, 24),
+                      KpiRecord("erl_b", 9.5, 130.0, 0.01, 1.0, 24),
+                      KpiRecord("cong_a", 5.0, 120.0, 0.40, 30.0, 24),
+                      KpiRecord("cong_b", 5.5, 120.0, 0.50, 35.0, 24)], tmp_path / "kpis.csv")
+        write_csv(tmp_path / "clusters.csv", CLUSTERS_CSV_HEADER,
+                  [("erl_a", 0), ("erl_b", 0), ("cong_a", 1), ("cong_b", 1)])
+        run_ok(runner, ["assign", "--clusters", str(tmp_path / "clusters.csv"),
+                        "--kpi", str(tmp_path / "kpis.csv"), "--policy", "4,12",
+                        "--severity", severity, "--out", str(tmp_path)])
+        rows = [line.split(",") for line in
+                (tmp_path / "assignment.csv").read_text().splitlines()[1:]]
+        assert {r[0] for r in rows if r[2] == "12"} == {f"{busier}_a", f"{busier}_b"}
 
     def test_policy_size_mismatch_exits_2(self, runner, tmp_path):
         self.prepare(runner, tmp_path, k="2")

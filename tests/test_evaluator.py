@@ -26,7 +26,8 @@ from trxsave.evaluator import (
     write_timeline_csv,
 )
 from trxsave.saving_engine import PowerSavingParams, run_cell
-from trxsave.traffic import TrafficTrace, fmt_num
+from trxsave.tables import fmt_num
+from trxsave.traffic import TrafficTrace
 
 
 def make_scenario(n_cells=3, n_scans=400, hysteresis=3, num_trx=3, level=0.0, warmup=0):

@@ -1,7 +1,9 @@
 """Every file is opened, and every JSON and CSV document read or written, in
-``trxsave.traffic``: the other modules go through its readers and writers. No
-module imports ``csv``: the one CSV dialect is split and joined on bare commas.
-Processes are started only in ``trxsave.parts``."""
+the two I/O modules: ``trxsave.traffic`` for the per-scan CSVs and
+``trxsave.tables`` for small tables and JSON. The other modules go through
+their readers and writers. No module imports ``csv``: the one CSV dialect is
+split and joined on bare commas. Processes are started only in
+``trxsave.parts``."""
 
 import ast
 from pathlib import Path
@@ -11,7 +13,9 @@ import pytest
 import trxsave
 
 PACKAGE = Path(trxsave.__file__).parent
-# module name -> the functions that stay in traffic.py
+# the modules that own file I/O
+IO_OWNERS = {"traffic.py", "tables.py"}
+# module name -> the functions that stay in the I/O modules
 OWNED = {"json": {"load", "dump", "loads", "dumps"}}
 # methods of a path that read or write its file
 PATH_IO = {"read_bytes", "read_text", "write_bytes", "write_text"}
@@ -46,9 +50,9 @@ def csv_imports(tree: ast.AST) -> list[str]:
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_files_are_opened_only_in_traffic(path):
+def test_files_are_opened_only_in_the_io_modules(path):
     calls = file_calls(ast.parse(path.read_text(encoding="utf-8")))
-    if path.name == "traffic.py":
+    if path.name in IO_OWNERS:
         assert calls, "the guard no longer sees the calls it is meant to find"
     else:
         assert calls == []

@@ -11,18 +11,14 @@ from trxsave import traffic
 from trxsave.cell_model import CellConfig
 from trxsave.cli import build_demo_fleet
 from trxsave.errors import ConfigurationError, DataError
+from trxsave.tables import KpiRecord, emit_kpi_csv, fmt_num, ingest_kpi_csv, read_json
 from trxsave.traffic import (
     DiurnalProfileSpec,
-    KpiRecord,
     TrafficTrace,
     busy_hour_erlang,
     demand_series,
-    emit_kpi_csv,
-    fmt_num,
     format_rows,
     generate_diurnal_trace,
-    ingest_kpi_csv,
-    read_json,
     read_traffic_csv,
     trace_to_kpis,
     write_traffic_csv,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trxsave.errors import ConfigurationError, DataError
-from trxsave.traffic import KpiRecord
+from trxsave.tables import KpiRecord
 from trxsave.tuner import (
     HysteresisAssignment,
     HysteresisPolicy,
