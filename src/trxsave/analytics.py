@@ -5,8 +5,11 @@ Stages: z-score standardization, PCA onto the top 3 covariance eigenvectors
 curve, and silhouette scoring for model selection.
 
 Everything is deterministic: all randomness flows through
-``numpy.random.default_rng`` seeded from explicit integers, restarts are
-merged in index order, and ties break toward the lower index.
+``numpy.random.default_rng`` seeded from explicit integers, and ties break
+toward the lower index. The k-means restarts and the silhouette blocks run
+on every usable CPU (``trxsave.parts``) without changing a bit: each restart
+seeds from its own index, and the restarts are merged in index order across
+parts (lowest SSE, ties to the lowest restart).
 
 Summation order is part of the contract. Every squared distance adds the
 per-feature squares one feature at a time, left to right, into one output
@@ -28,8 +31,9 @@ symmetric bit for bit. Each point's sum over a cluster's members is
 ``np.add.reduce`` down the member rows: on a C-contiguous block of two or
 more columns numpy adds the rows one after another in index order, but a
 one-column block is summed pairwise, so every block is at least two columns
-wide. The running total is carried across blocks in point order; the score is
-therefore bit-for-bit the naive pairwise one.
+wide. The parts return their blocks' values, and the stage process carries
+each running total across the blocks in point order; the score is therefore
+bit-for-bit the naive pairwise one at any CPU count.
 
 Lloyd's centroid update sorts the points by label (stable, so each cluster
 keeps index order) and reduces each cluster's contiguous slice with the same
@@ -42,10 +46,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from . import parts
 from .cell_model import check_cell_id
 from .errors import ConfigurationError, DataError
 from .tables import CLUSTERS_CSV_HEADER, KpiRecord, fmt_num, write_csv
@@ -416,6 +421,29 @@ def child_seed(root: int, *key: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+# one restart's outcome: (sse, restart index r, fit)
+_Restart = tuple[float, int, ClusteringResult]
+
+
+def _best_restart(
+    x: np.ndarray, k: int, seed: int, restarts: Iterable[int],
+    max_iter: int = 300, tol: float = 1e-9,
+) -> _Restart:
+    """The best k-means++ restart of k among ``restarts`` (see ``_best``)."""
+    def fits() -> Iterator[_Restart]:
+        for r in restarts:
+            s = child_seed(seed, k, r)
+            fit = lloyd(x, kmeanspp_seed(x, k, s), max_iter=max_iter, tol=tol, seed=s)
+            yield fit.sse, r, fit
+
+    return _best(fits())
+
+
+def _best(restarts: Iterable[_Restart]) -> _Restart:
+    """The restart of lowest SSE, ties going to the lowest restart index."""
+    return min(restarts, key=lambda restart: restart[:2])
+
+
 def run_kmeans(
     points: Union[FeatureMatrix, np.ndarray],
     k: int,
@@ -427,15 +455,7 @@ def run_kmeans(
     """Best of ``restarts`` k-means++ runs by SSE (ties keep the earliest)."""
     if restarts < 1:
         raise ConfigurationError(f"restarts must be >= 1, got {restarts}")
-    best: Optional[ClusteringResult] = None
-    for r in range(restarts):
-        s = child_seed(seed, k, r)
-        init = kmeanspp_seed(points, k, s)
-        result = lloyd(points, init, max_iter=max_iter, tol=tol, seed=s)
-        if best is None or result.sse < best.sse:
-            best = result
-    assert best is not None
-    return best
+    return _best_restart(_points_of(points), k, seed, range(restarts), max_iter, tol)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +478,13 @@ def fit_k_range(
 
     This is the one place a k range is checked and fitted: the elbow curve,
     silhouette selection and a pinned k all read their results from this table.
+
+    The restarts are dealt to one part per usable CPU (at most one per restart):
+    part p fits the restarts r = p, p + P, ... of every k in its own process
+    (``parts.run_parts``) and returns its best per k. Each restart draws from
+    its own (seed, k, r) seed, and the best of the parts' bests is the best of
+    all restarts, so the table is that of one process. If any part fails, the
+    range is fitted again as one part, which raises the one-process error.
     """
     x = _points_of(points)
     ordered = sorted(set(int(k) for k in ks))
@@ -465,7 +492,19 @@ def fit_k_range(
         raise ConfigurationError(f"bad k range {ordered!r}")
     if ordered[-1] > len(x):
         raise ConfigurationError(f"max k {ordered[-1]} exceeds {len(x)} points")
-    return {k: run_kmeans(x, k, seed=seed, restarts=restarts) for k in ordered}
+    if restarts < 1:
+        raise ConfigurationError(f"restarts must be >= 1, got {restarts}")
+
+    def fit_part(rs: range) -> dict[int, _Restart]:
+        return {k: _best_restart(x, k, seed, rs) for k in ordered}
+
+    def fit(split: Sequence[range]) -> dict[int, ClusteringResult]:
+        done = parts.run_parts(fit_part, split)
+        return {k: _best(part[k] for part in done)[2] for k in ordered}
+
+    count = min(parts.cpus(), restarts)
+    return parts.serial_on_failure(fit, [range(p, restarts, count) for p in range(count)],
+                                   range(restarts))
 
 
 def elbow_curve(fits: Mapping[int, ClusteringResult]) -> ElbowResult:
@@ -546,28 +585,48 @@ def silhouette_scores(
     One pass over row blocks of the distance matrix serves every labeling.
     Singleton-cluster points score 0, as do points where both means vanish
     (coincident data). Each labeling needs at least 2 clusters, all non-empty.
+
+    The blocks are cut into one contiguous run per usable CPU, each run scored
+    in its own process (``parts.run_parts``) one block at a time; this process
+    then carries each labeling's total across the blocks' values in point
+    order, so the scores are those of one process. If any run fails, the
+    blocks are scored again as one run, which raises the one-process error.
     """
     x = _points_of(points)
     n = len(x)
     labelings = [np.asarray(labels) for labels in labelings]
     members = [_cluster_members(labels, n) for labels in labelings]
-    totals = [0.0] * len(labelings)
     # blocks of at least two columns, a last one-column block joining the one
     # before it: numpy would sum a single column pairwise, not in index order
     step = max(2, PAIRS_PER_BLOCK // n) if n else 2
     starts = list(range(0, n, step))
     if len(starts) > 1 and starts[-1] == n - 1:
         del starts[-1]
-    for i0, i1 in zip(starts, [*starts[1:], n]):
-        # transposed block: (x_j - x_i)^2 equals (x_i - x_j)^2 bit for bit
-        dist = _squared_gaps(x[:, None, :], x[None, i0:i1, :])
-        np.sqrt(dist, out=dist)
-        for t, labels in enumerate(labelings):
-            values = _block_silhouettes(dist, labels[i0:i1], members[t])
-            # carry the running total across blocks in row order
-            totals[t] = float(np.cumsum(np.append(totals[t], values))[-1])
-        del dist  # freed before the next block is built
-    return [total / n for total in totals]
+    blocks = list(zip(starts, [*starts[1:], n]))
+
+    def score_part(run: range) -> list[list[np.ndarray]]:
+        """Per block of ``run``, each labeling's silhouette values of the block points."""
+        values = []
+        for i0, i1 in blocks[run.start:run.stop]:
+            # transposed block: (x_j - x_i)^2 equals (x_i - x_j)^2 bit for bit
+            dist = _squared_gaps(x[:, None, :], x[None, i0:i1, :])
+            np.sqrt(dist, out=dist)
+            values.append([_block_silhouettes(dist, labels[i0:i1], members[t])
+                           for t, labels in enumerate(labelings)])
+            del dist  # freed before the next block is built
+        return values
+
+    def score(runs: Sequence[range]) -> list[float]:
+        totals = [0.0] * len(labelings)
+        for part in parts.run_parts(score_part, runs):
+            for block in part:
+                for t, values in enumerate(block):
+                    # carry the running total across blocks in row order
+                    totals[t] = float(np.cumsum(np.append(totals[t], values))[-1])
+        return [total / n for total in totals]
+
+    return parts.serial_on_failure(score, parts.ranges(len(blocks), parts.cpus()),
+                                   range(len(blocks)))
 
 
 def silhouette_score(

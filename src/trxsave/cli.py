@@ -316,7 +316,12 @@ def generate(n_cells: int, days: int, seed: int, scan_period: float, out: str) -
 @handle_errors
 def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
             restarts: int, seed: int, out: str) -> None:
-    """Standardize, reduce to 3 features, cluster; write clusters/elbow/silhouette CSVs."""
+    """Standardize, reduce to 3 features, cluster; write clusters/elbow/silhouette CSVs.
+
+    The k-means restarts and the silhouette row blocks each run as one part per
+    usable CPU (``analytics.fit_k_range``, ``analytics.silhouette_scores``).
+    The files written, and any error, do not depend on the CPU count.
+    """
     from . import analytics, tables
 
     if restarts < 1:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trxsave import analytics
+from trxsave import analytics, parts
 from trxsave.analytics import (
     ElbowResult,
     FeatureMatrix,
@@ -361,6 +361,42 @@ class TestFitKRange:
             assert result.sse == direct.sse
             assert np.array_equal(result.labels, direct.labels)
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("ks,restarts", [
+        (range(2, 10), 2),  # the thousand_points labelings: fewer restarts than CPUs at 3
+        ([5], 7),
+        (range(1, 11), 10),
+    ], ids=["thousand_points", "single_k", "elbow_range"])
+    def test_every_part_count_fits_what_one_part_fits(self, thousand_points, monkeypatch,
+                                                      part_counts, cpus, ks, restarts):
+        pts = thousand_points[0]
+        fits = {}
+        for count in (1, cpus):
+            monkeypatch.setattr(parts, "cpus", lambda: count)
+            fits[count] = fit_k_range(pts, ks, restarts=restarts, seed=4)
+        assert part_counts == [1, min(cpus, restarts)]
+        assert list(fits[cpus]) == list(fits[1]) == list(ks)
+        for k, one in fits[1].items():
+            split = fits[cpus][k]
+            assert (split.k, split.seed, split.sse, split.iterations, split.sse_history) == \
+                (one.k, one.seed, one.sse, one.iterations, one.sse_history)
+            assert split.labels.tobytes() == one.labels.tobytes()
+            assert split.centroids.tobytes() == one.centroids.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_an_sse_tie_across_parts_goes_to_the_lower_restart(self, monkeypatch, cpus):
+        pts = oracles.gaussian_blobs([[0, 0], [9, 9], [0, 9], [9, 0]], 6, 0.8, seed=0)
+        seeds = [child_seed(10, 4, r) for r in range(4)]
+        each = [lloyd(pts, kmeanspp_seed(pts, 4, s), seed=s) for s in seeds]
+        # restart 0 is worse and 1, 2, 3 tie with different labelings, so at 2 or 3
+        # parts the part that holds restart 0 has restart 2 or 3 as its own best
+        assert each[0].sse > each[1].sse == each[2].sse == each[3].sse
+        assert len({fit.labels.tobytes() for fit in each[1:]}) == 3
+        monkeypatch.setattr(parts, "cpus", lambda: cpus)
+        fit = fit_k_range(pts, [4], restarts=4, seed=10)[4]
+        assert fit.seed == seeds[1]
+        assert fit.labels.tobytes() == each[1].labels.tobytes()
+
     @pytest.mark.parametrize("ks", [[], [0, 1, 2]])
     def test_k_below_one_rejected(self, ks):
         with pytest.raises(ConfigurationError):
@@ -462,16 +498,20 @@ def thousand_points():
     return pts, labelings, [oracles.pairwise_silhouette(pts, labels) for labels in labelings]
 
 
+BLOCK_CASES = pytest.mark.parametrize("block_rows,widths", [
+    (1, [2] * 500),  # the width floor: numpy sums a single column pairwise
+    (7, [7] * 142 + [6]),  # the last block is short
+    (333, [333, 333, 334]),  # a last one-column block joins the one before it
+    (1000, [1000]),
+    (None, [1000]),
+], ids=["one_row", "seven_rows", "333_rows", "whole_matrix", "default"])
+
+
 class TestSilhouetteScores:
-    @pytest.mark.parametrize("block_rows,widths", [
-        (1, [2] * 500),  # the width floor: numpy sums a single column pairwise
-        (7, [7] * 142 + [6]),  # the last block is short
-        (333, [333, 333, 334]),  # a last one-column block joins the one before it
-        (1000, [1000]),
-        (None, [1000]),
-    ], ids=["one_row", "seven_rows", "333_rows", "whole_matrix", "default"])
+    @BLOCK_CASES
     def test_block_size_invariant(self, thousand_points, monkeypatch, block_rows, widths):
         pts, labelings, expected = thousand_points
+        monkeypatch.setattr(parts, "cpus", lambda: 1)  # every block is seen in this process
         if block_rows is not None:
             monkeypatch.setattr(analytics, "PAIRS_PER_BLOCK", block_rows * len(pts))
         seen = []
@@ -484,6 +524,17 @@ class TestSilhouetteScores:
         monkeypatch.setattr(analytics, "_block_silhouettes", recording)
         assert silhouette_scores(pts, labelings) == expected
         assert seen[::len(labelings)] == widths
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @BLOCK_CASES
+    def test_every_part_count_scores_the_oracle(self, thousand_points, monkeypatch,
+                                                part_counts, block_rows, widths, cpus):
+        pts, labelings, expected = thousand_points
+        if block_rows is not None:
+            monkeypatch.setattr(analytics, "PAIRS_PER_BLOCK", block_rows * len(pts))
+        monkeypatch.setattr(parts, "cpus", lambda: cpus)
+        assert silhouette_scores(pts, labelings) == expected
+        assert part_counts == [min(cpus, len(widths))]
 
     @pytest.mark.parametrize("width", [*range(2, 10), None], ids=lambda w: f"w{w or 'default'}")
     def test_member_sums_equal_the_cumsum_oracle(self, thousand_points, width):

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import trxsave
-from trxsave import analytics
+from trxsave import analytics, parts
 from trxsave.cli import build_demo_fleet, main
 from trxsave.errors import ConfigurationError
 from trxsave.evaluator import CellComparison, ComparisonSummary, summary_to_dict
@@ -212,17 +212,19 @@ class TestCluster:
     @pytest.mark.parametrize("pin", [[], ["--k", "3"], ["--k", "12"]])
     def test_each_k_fitted_once(self, runner, tmp_path, monkeypatch, pin):
         fitted, scored = [], []
-        run_kmeans, silhouette_scores = analytics.run_kmeans, analytics.silhouette_scores
+        best_restart, silhouette_scores = analytics._best_restart, analytics.silhouette_scores
 
-        def counting_run_kmeans(points, k, **kwargs):
+        def counting_best_restart(points, k, *args):
             fitted.append(k)
-            return run_kmeans(points, k, **kwargs)
+            return best_restart(points, k, *args)
 
         def counting_silhouette_scores(points, labelings):
             scored.append([int(labels.max()) + 1 for labels in labelings])
             return silhouette_scores(points, labelings)
 
-        monkeypatch.setattr(analytics, "run_kmeans", counting_run_kmeans)
+        # one part, so every restart loop runs in this process and is counted
+        monkeypatch.setattr(parts, "cpus", lambda: 1)
+        monkeypatch.setattr(analytics, "_best_restart", counting_best_restart)
         monkeypatch.setattr(analytics, "silhouette_scores", counting_silhouette_scores)
         blob_kpi_csv(tmp_path / "kpis.csv")
         run_ok(runner, ["cluster", "--kpi", str(tmp_path / "kpis.csv"), *pin,

@@ -1,9 +1,9 @@
 """Stages split over CPUs: ``trxsave.parts`` and the cut of ``traffic.csv``.
 
-``generate`` and ``simulate`` run one part per usable CPU. Their files must
-be byte for byte those of one part, and a failing input must give the same
-exit code and message at every part count, leaving no child process, part
-file or staging directory behind. The CPU count is set by patching
+``generate``, ``cluster`` and ``simulate`` run one part per usable CPU. Their
+files must be byte for byte those of one part, and a failing input must give
+the same exit code and message at every part count, leaving no child process,
+part file or staging directory behind. The CPU count is set by patching
 ``parts.cpus``.
 """
 
@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from trxsave import parts, traffic
+from trxsave import analytics, parts, traffic
 from trxsave.cli import main, write_fleet_json
+from trxsave.errors import DataError
+from trxsave.tables import KpiRecord, emit_kpi_csv
 from trxsave.traffic import TrafficTrace
 
 import oracles
@@ -38,20 +40,6 @@ def no_leftovers(root: Path) -> None:
     no_children()
     left = [p for p in root.rglob("*") if ".part-" in p.name or ".staging-" in p.name]
     assert left == []
-
-
-@pytest.fixture
-def part_counts(monkeypatch):
-    """The part counts ``run_parts`` is called with, in call order."""
-    counts = []
-    real = parts.run_parts
-
-    def counting(fn, split):
-        counts.append(len(split))
-        return real(fn, split)
-
-    monkeypatch.setattr(parts, "run_parts", counting)
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +301,40 @@ class TestSameFilesAtEveryPartCount:
         no_leftovers(tmp_path)
 
 
+@pytest.fixture(scope="module")
+def kpis(tmp_path_factory):
+    """1,100 KPI rows in four loose groups: the silhouette pass takes two blocks."""
+    path = tmp_path_factory.mktemp("kpis") / "kpis.csv"
+    rng = np.random.default_rng(13)
+    group = rng.integers(0, 4, size=1_100)
+    emit_kpi_csv([KpiRecord(f"cell_{i:04d}", round(abs(1.0 + 4 * g + rng.normal(0, 1)), 4),
+                            round(140.0 - 5 * g + rng.normal(0, 2), 4),
+                            round(abs(0.1 * g + rng.normal(0, 0.05)), 4),
+                            round(abs(3.0 * g + rng.normal(0, 1.5)), 4), 24 + 8 * int(g > 2))
+                  for i, g in enumerate(group.tolist())], path)
+    return path
+
+
+def cluster_args(path: Path, out: Path):
+    return "cluster", "--kpi", path, "--restarts", 3, "--seed", 6, "--out", out
+
+
+def test_cluster_writes_the_files_of_one_part(kpis, tmp_path, monkeypatch, part_counts):
+    outputs = {}
+    for cpus in CPU_COUNTS:
+        monkeypatch.setattr(parts, "cpus", lambda: cpus)
+        part_counts.clear()
+        result = run(*cluster_args(kpis, tmp_path / f"out{cpus}"))
+        assert result.exit_code == 0, result.output
+        outputs[cpus] = (result.output, files_of(tmp_path / f"out{cpus}"))
+        assert part_counts == [cpus, min(cpus, 2)]  # restart parts, then block parts
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
+    assert sorted(outputs[1][1]) == ["clustering.json", "clusters.csv", "elbow.csv",
+                                     "silhouette.csv"]
+    no_children()
+
+
 # ---------------------------------------------------------------------------
 # Error parity: one message and exit code whatever the part count
 
@@ -399,6 +421,50 @@ class TestErrorParity:
             assert sorted(p.name for p in out.iterdir()) == ["traffic.csv"]
             no_leftovers(tmp_path)
         assert len(outputs) == 1, outputs
+
+    def test_cluster_fails_alike_when_a_restart_fails(self, kpis, tmp_path, monkeypatch,
+                                                      part_counts):
+        seed = analytics.kmeanspp_seed
+        failing = analytics.child_seed(6, 1, 1)  # restart 1 of k = 1: part 1 fits it
+
+        def seed_or_fail(x, k, s):
+            if s == failing:
+                raise DataError("restart 1 failed")
+            return seed(x, k, s)
+
+        monkeypatch.setattr(analytics, "kmeanspp_seed", seed_or_fail)
+        self.fails_alike(kpis, tmp_path, monkeypatch, part_counts, "error: restart 1 failed",
+                         lambda cpus: [1] if cpus == 1 else [cpus, 1])
+
+    def test_cluster_fails_alike_when_a_block_fails(self, kpis, tmp_path, monkeypatch,
+                                                    part_counts):
+        block_silhouettes = analytics._block_silhouettes
+
+        def score_or_fail(dist, own, members):
+            if dist[-1, -1] == 0.0:  # the block of the last point: the last part scores it
+                raise DataError("last block failed")
+            return block_silhouettes(dist, own, members)
+
+        monkeypatch.setattr(analytics, "_block_silhouettes", score_or_fail)
+        self.fails_alike(kpis, tmp_path, monkeypatch, part_counts, "error: last block failed",
+                         lambda cpus: [1, 1] if cpus == 1 else [cpus, 2, 1])
+
+    @staticmethod
+    def fails_alike(kpis, tmp_path, monkeypatch, part_counts, message, counts):
+        """``cluster`` exits 3 with ``message`` at every part count, after the
+        part runs ``counts(cpus)``, and leaves the same files and no child."""
+        results = {}
+        for cpus in CPU_COUNTS:
+            monkeypatch.setattr(parts, "cpus", lambda: cpus)
+            part_counts.clear()
+            out = tmp_path / f"out{cpus}"
+            result = run(*cluster_args(kpis, out))
+            results[cpus] = (result.exit_code, result.output, files_of(out))
+            assert part_counts == counts(cpus)
+            no_children()
+        assert results[1][:2] == (3, message + "\n")
+        assert results[2] == results[1]
+        assert results[3] == results[1]
 
 
 def test_oracle_reads_what_the_parts_read(fleet):

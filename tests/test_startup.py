@@ -92,7 +92,8 @@ def test_cluster_loads_no_engine(tmp_path):
     modules = loaded(tmp_path, "cluster", "--kpi", str(kpis), "--k", "2", "--out", str(tmp_path))
     assert (tmp_path / "clusters.csv").is_file()
     assert "trxsave.analytics" in modules
-    assert modules & ENGINE == set()
+    # its k-means restarts and silhouette blocks run as parts
+    assert modules & ENGINE == {"trxsave.parts"}
 
 
 def test_version_from_a_checkout():
