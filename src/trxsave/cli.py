@@ -212,7 +212,8 @@ def write_fleet_json(path: Path, cells: list[dict], seed: int, days: int,
 
 def read_fleet_json(path: Path) -> dict:
     """Read fleet.json: a finite scan_period_s > 0 (10 s when absent), and per cell a
-    unique valid cell_id and integer num_trx, cch_slots."""
+    unique valid cell_id and integer num_trx, cch_slots in the ranges of
+    ``CellConfig.validate``."""
     from . import tables
 
     doc = tables.read_json(path)
@@ -237,6 +238,10 @@ def read_fleet_json(path: Path) -> dict:
                 raise DataError(
                     f"{path}: cell {cell_id!r}: {key} must be an integer, got {value!r}"
                 )
+        try:
+            CellConfig(cell_id, cell["num_trx"], cell["cch_slots"]).validate()
+        except ConfigurationError as exc:
+            raise DataError(f"{path}: {exc}") from None
     return doc
 
 
@@ -378,13 +383,12 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
               required=True)
 @click.option("--kpi", "kpi_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--policy", default="4,6,12", show_default=True,
-              help="Comma-separated hysteresis values, least severe cluster first.")
-@click.option("--severity", type=click.Choice(["traffic", "composite"]), default="traffic",
-              show_default=True)
+              help="Comma-separated hysteresis values, quietest cluster first.")
 @click.option("--out", type=click.Path(file_okay=False), default="out", show_default=True)
 @handle_errors
-def assign(clusters_path: str, kpi_path: str, policy: str, severity: str, out: str) -> None:
-    """Map clusters to hysteresis values; write assignment.csv and param_push.csv."""
+def assign(clusters_path: str, kpi_path: str, policy: str, out: str) -> None:
+    """Map clusters, ranked by mean traffic, to hysteresis values; write
+    assignment.csv and param_push.csv."""
     from . import tables, tuner
 
     try:
@@ -400,9 +404,7 @@ def assign(clusters_path: str, kpi_path: str, policy: str, severity: str, out: s
 
     ordered = [by_id[c] for c in labels]
     profiles = tuner.profile_clusters([labels[r.cell_id] for r in ordered], ordered)
-    assignment = tuner.rank_and_assign(
-        profiles, tuner.HysteresisPolicy(values=values, severity=severity), labels
-    )
+    assignment = tuner.rank_and_assign(profiles, tuner.HysteresisPolicy(values=values), labels)
 
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -461,7 +463,6 @@ def _load_scenario(
 @click.option("--off-target", type=int, default=50, show_default=True)
 @click.option("--on-target", type=int, default=49, show_default=True)
 @click.option("--off-delay", type=int, default=30, show_default=True)
-@click.option("--ps", type=click.Choice(["both", "on", "off"]), default="both", show_default=True)
 @click.option("--warmup-days", type=float, default=0.0, show_default=True,
               help="Days excluded from statistics (cold-start ramp).")
 @click.option("--timelines", default="8", show_default=True,
@@ -472,9 +473,10 @@ def _load_scenario(
 @handle_errors
 def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
              hysteresis: Optional[int], off_target: int, on_target: int, off_delay: int,
-             ps: str, warmup_days: float, timelines: str, seed: int, out: str) -> None:
-    """Run the fleet with/without power saving and write comparison reports."""
-    from . import evaluator, tables
+             warmup_days: float, timelines: str, seed: int, out: str) -> None:
+    """Run the fleet without, then with power saving; write comparison.csv and
+    summary.json."""
+    from . import evaluator
     from .saving_engine import PowerSavingParams, validate_params
 
     if timelines != "all" and not timelines.isdecimal():  # what int() reads
@@ -490,28 +492,22 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
     )
     n_timelines = len(scenario.cells) if timelines == "all" else int(timelines)
     out_dir = Path(out)
-    modes = ("off", "on") if ps == "both" else (ps,)
-    reports = evaluator.simulate_csv(scenario, traffic_path, scan_period, modes,
+    reports = evaluator.simulate_csv(scenario, traffic_path, scan_period,
                                      out_dir / "timelines", n_timelines)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     metadata = {
         "seed": seed,
         "warmup_scans": scenario.warmup_scans,
-        "params": dataclasses.asdict(params),
+        "scan_period_s": scan_period,
+        # each cell ran with its assignment.csv hysteresis or default_hysteresis
+        "params": {k: v for k, v in dataclasses.asdict(params).items() if k != "hysteresis"},
         "default_hysteresis": hysteresis,
         "n_cells": len(scenario.cells),
     }
-    if ps == "both":
-        summary = evaluator.compare(reports["on"], reports["off"], metadata)
-        evaluator.emit_report(summary, out_dir)
-        click.echo(f"active TRX reduction: {summary.reduction_pct:.1f}%")
-        click.echo(f"blocking delta: {summary.blocking_delta:+d}")
-    else:
-        report = reports[ps]
-        tables.write_json({**dataclasses.asdict(report), "metadata": metadata},
-                          out_dir / f"report_{ps}.json")
-        click.echo(f"ps={ps}: {report.trx_scans} active TRX-scans over {len(scenario.cells)} cells")
+    summary = evaluator.compare(reports["on"], reports["off"], metadata)
+    evaluator.emit_report(summary, out_dir)
+    click.echo(f"active TRX reduction: {summary.reduction_pct:.1f}%")
+    click.echo(f"blocking delta: {summary.blocking_delta:+d}")
 
 
 @main.command()

@@ -11,10 +11,11 @@ already be converged.
 ``simulate_network`` first checks everything that needs no trace, each
 ``cell_id`` included, so no timeline file name can hold "/" or NUL. It then
 reads the traces once, in file order: each cell runs with saving off and on
-as its trace arrives, each timeline folds into its mode's report, and the
-trace is dropped, so memory holds one trace and one timeline, never the
-fleet. Timeline CSVs are staged and moved into place only after the last
-check (no fleet cell untraced) passes, so a failed run leaves no output.
+as its trace arrives, each timeline is reduced to the cell's statistics,
+and the trace is dropped, so memory holds one trace and one timeline, never
+the fleet. One fold of the cells' statistics makes each mode's report.
+Timeline CSVs are staged and moved into place only after the last check
+(no fleet cell untraced) passes, so a failed run leaves no output.
 
 ``simulate_csv`` does the same for a traffic CSV on every usable CPU: the
 file is cut between cell blocks into one span per CPU, and each span is
@@ -35,7 +36,7 @@ from typing import Any, Callable, Generator, Iterable, Mapping, Optional, Sequen
 import numpy as np
 
 from . import parts
-from .cell_model import CellConfig
+from .cell_model import SLOTS_PER_TRX, CellConfig
 from .errors import ConfigurationError, DataError
 from .saving_engine import CellTimeline, PowerSavingParams, run_cell, validate_params
 from .tables import read_json, write_csv, write_json
@@ -92,101 +93,68 @@ class NetworkScenario:
 
 @dataclass(frozen=True)
 class CellStats:
+    """What ``compare`` reads of one cell's run, over its measured scans."""
+
     cell_id: str
-    num_trx: int
-    hysteresis: Optional[int]
     max_ts: int
     mean_ts: float
-    max_trx: int
-    mean_trx: float
     blocked: int
     n_scans: int
+    trx_scans: int
 
 
 @dataclass(frozen=True)
 class NetworkReport:
-    """Aggregated view of one run mode (saving on or off)."""
+    """One run mode (saving on or off) over the fleet, per_cell in cell_id order."""
 
-    ps_enabled: bool
-    warmup_scans: int
     per_cell: dict[str, CellStats]
     trx_scans: int
     ts_scans: int
     blocked: int
 
 
-def summarize(
-    timelines: Iterable[CellTimeline],
-    ps_enabled: bool,
-    warmup_scans: int = 0,
-) -> NetworkReport:
-    """Fold timelines, in the order given, into per-cell and aggregate statistics
-    over scans >= warmup_scans (``NetworkScenario.check_trace`` checks each is longer)."""
-    per_cell: dict[str, CellStats] = {}
-    trx_scans = 0
-    ts_scans = 0
-    blocked_total = 0
-    for tl in timelines:
-        trx = tl.active_trx[warmup_scans:]
-        ts = tl.active_ts[warmup_scans:]
-        blk = tl.blocked[warmup_scans:]
-        stats = CellStats(
-            cell_id=tl.cell_id,
-            num_trx=tl.config.num_trx,
-            hysteresis=tl.params.hysteresis if ps_enabled else None,
-            max_ts=int(ts.max()),
-            mean_ts=float(ts.mean()),
-            max_trx=int(trx.max()),
-            mean_trx=float(trx.mean()),
-            blocked=int(blk.sum()),
-            n_scans=len(trx),
-        )
-        per_cell[tl.cell_id] = stats
-        trx_scans += int(trx.sum())
-        ts_scans += int(ts.sum())
-        blocked_total += stats.blocked
-    return NetworkReport(
-        ps_enabled=ps_enabled,
-        warmup_scans=warmup_scans,
-        per_cell=per_cell,
-        trx_scans=trx_scans,
-        ts_scans=ts_scans,
-        blocked=blocked_total,
+def summarize(timeline: CellTimeline, warmup_scans: int = 0) -> CellStats:
+    """One cell's statistics over scans >= warmup_scans
+    (``NetworkScenario.check_trace`` checks the trace is longer)."""
+    ts = timeline.active_ts[warmup_scans:]
+    return CellStats(
+        cell_id=timeline.cell_id,
+        max_ts=int(ts.max()),
+        mean_ts=float(ts.mean()),
+        blocked=int(timeline.blocked[warmup_scans:].sum()),
+        n_scans=len(ts),
+        trx_scans=int(timeline.active_trx[warmup_scans:].sum()),
     )
 
 
-def _merge(reports: Sequence[NetworkReport], ps_enabled: bool,
-           warmup_scans: int) -> NetworkReport:
-    """One report over the cells of ``reports``, per_cell in cell_id order."""
-    stats = sorted((s for r in reports for s in r.per_cell.values()), key=lambda s: s.cell_id)
-    return NetworkReport(
-        ps_enabled=ps_enabled,
-        warmup_scans=warmup_scans,
-        per_cell={s.cell_id: s for s in stats},
-        trx_scans=sum(r.trx_scans for r in reports),
-        ts_scans=sum(r.ts_scans for r in reports),
-        blocked=sum(r.blocked for r in reports),
-    )
+def _report(stats: Iterable[CellStats]) -> NetworkReport:
+    """The fleet report of the cells' ``stats``, in any order."""
+    per_cell = {s.cell_id: s for s in sorted(stats, key=lambda s: s.cell_id)}
+    trx_scans = sum(s.trx_scans for s in per_cell.values())
+    return NetworkReport(per_cell=per_cell, trx_scans=trx_scans,
+                         ts_scans=trx_scans * SLOTS_PER_TRX,
+                         blocked=sum(s.blocked for s in per_cell.values()))
 
 
 def simulate_network(
     scenario: NetworkScenario,
     traces: Iterable[TrafficTrace],
-    modes: Sequence[str] = ("off", "on"),
     timeline_dir: Union[str, Path, None] = None,
     n_timelines: int = 0,
 ) -> dict[str, NetworkReport]:
-    """Run each cell once per mode ("off", "on") as its trace arrives and fold each
-    timeline into its mode's report. ``traces`` is read once, in its own order, and
-    must trace exactly the scenario's cells; memory holds one trace and one timeline.
+    """Run each cell with saving off, then on, as its trace arrives; the reports
+    of both modes, keyed "off" and "on". ``traces`` is read once, in its own
+    order, and must trace exactly the scenario's cells; memory holds one trace
+    and one timeline.
 
     The first ``n_timelines`` cells by cell_id get ``<cell_id>_<mode>.csv``
     timelines. They are staged in a new directory beside ``timeline_dir`` and
     moved into it only after the last check passes, so a failed run leaves
     ``timeline_dir`` as it was.
     """
+    scenario.validate()
     # a generator, so each part's traces can be closed the same way
-    return _simulate(scenario, [traces], lambda part: (trace for trace in part), modes,
+    return _simulate(scenario, [traces], lambda part: (trace for trace in part),
                      timeline_dir, n_timelines, "")
 
 
@@ -194,7 +162,6 @@ def simulate_csv(
     scenario: NetworkScenario,
     path: Union[str, Path],
     scan_period_s: float,
-    modes: Sequence[str] = ("off", "on"),
     timeline_dir: Union[str, Path, None] = None,
     n_timelines: int = 0,
 ) -> dict[str, NetworkReport]:
@@ -212,26 +179,24 @@ def simulate_csv(
     return parts.serial_on_failure(
         lambda spans: _simulate(scenario, spans,
                                 lambda span: iter_traffic_span(path, scan_period_s, span),
-                                modes, timeline_dir, n_timelines, f"{path}: "),
+                                timeline_dir, n_timelines, f"{path}: "),
         spans, (0, None))
 
 
 def _simulate(scenario: NetworkScenario, sources: Sequence[Any],
-              read: Callable[[Any], Generator[TrafficTrace, None, None]], modes: Sequence[str],
+              read: Callable[[Any], Generator[TrafficTrace, None, None]],
               timeline_dir: Union[str, Path, None], n_timelines: int,
               where: str) -> dict[str, NetworkReport]:
-    """Run the traces ``read(source)`` of each source, each source in its own
-    process; ``where`` starts each error about the traces."""
-    scenario.validate()
+    """Run the traces ``read(source)`` of each source of a validated scenario,
+    each source in its own process; ``where`` starts each error about the traces."""
     configs = {c.cell_id: c for c in scenario.cells}
     kept = set(sorted(configs)[:n_timelines])
     staging = _staging_dir(Path(timeline_dir)) if kept else None
 
-    def run(source: Any) -> tuple[dict[str, NetworkReport], list[str]]:
-        """Each mode's report over the traces of ``source``, and their cell ids."""
+    def run(source: Any) -> list[tuple[CellStats, CellStats]]:
+        """Each traced cell's statistics with saving off and on, in trace order."""
         traces = read(source)
-        reports: dict[str, list[NetworkReport]] = {mode: [] for mode in modes}
-        ran: dict[str, None] = {}  # in trace order
+        ran: dict[str, tuple[CellStats, CellStats]] = {}
         try:
             for trace in traces:
                 config = configs.get(trace.cell_id)
@@ -239,28 +204,28 @@ def _simulate(scenario: NetworkScenario, sources: Sequence[Any],
                     raise DataError(f"{where}cell {trace.cell_id!r} is not in the fleet")
                 if trace.cell_id in ran:
                     raise DataError(f"{where}cell {trace.cell_id!r} has a second trace")
-                ran[trace.cell_id] = None
                 scenario.check_trace(trace)
-                for mode in modes:
+                stats = []
+                for mode in ("off", "on"):
                     timeline = run_cell(config, scenario.params_for(config.cell_id), trace,
                                         ps_enabled=mode == "on")
                     if config.cell_id in kept:
                         write_timeline_csv(timeline, staging / f"{config.cell_id}_{mode}.csv")
-                    reports[mode].append(summarize([timeline], mode == "on",
-                                                   scenario.warmup_scans))
+                    stats.append(summarize(timeline, scenario.warmup_scans))
+                ran[trace.cell_id] = tuple(stats)
         finally:
             traces.close()  # closes a traffic file when a part stops early
-        return ({mode: _merge(reports[mode], mode == "on", scenario.warmup_scans)
-                 for mode in modes}, list(ran))
+        return list(ran.values())
 
     try:
         done = parts.run_parts(run, sources)
         ran: set[str] = set()
-        for _, ids in done:
-            twice = ran.intersection(ids)
+        for part in done:
+            ids = {off.cell_id for off, _ in part}
+            twice = ran & ids
             if twice:
                 raise DataError(f"{where}cell {min(twice)!r} has a second trace")
-            ran.update(ids)
+            ran |= ids
         untraced = next((c.cell_id for c in scenario.cells if c.cell_id not in ran), None)
         if untraced is not None:
             raise DataError(f"{where}no trace for fleet cell {untraced!r}")
@@ -271,8 +236,8 @@ def _simulate(scenario: NetworkScenario, sources: Sequence[Any],
     finally:
         if staging is not None:
             shutil.rmtree(staging)
-    return {mode: _merge([reports[mode] for reports, _ in done], mode == "on",
-                         scenario.warmup_scans) for mode in modes}
+    cells = [cell for part in done for cell in part]
+    return {"off": _report(off for off, _ in cells), "on": _report(on for _, on in cells)}
 
 
 def _staging_dir(timeline_dir: Path) -> Path:

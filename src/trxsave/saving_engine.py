@@ -64,17 +64,16 @@ FIXED_OFFSET = 9
 
 @dataclass(frozen=True)
 class PowerSavingParams:
-    """The four tunable feature parameters plus the fixed constants.
+    """The four tunable feature parameters plus the counter decay.
 
-    Vendor names: TRXOFFTARGET, TRXONTARGET, TRXOFFDELAY, BTSPSHYST.
+    Vendor names: TRXOFFTARGET, TRXONTARGET, TRXOFFDELAY, BTSPSHYST. The
+    switch-off offset is the constant ``FIXED_OFFSET``.
     """
 
     trx_off_target: int = 50
     trx_on_target: int = 49
     trx_off_delay: int = 30
     hysteresis: int = 5
-    fixed_offset: int = FIXED_OFFSET
-    scan_period_s: float = 10.0
     decay_step: int = 3
 
 
@@ -88,10 +87,6 @@ def validate_params(p: PowerSavingParams) -> PowerSavingParams:
         raise ConfigurationError(f"trx_off_delay must be in [6, 90], got {p.trx_off_delay}")
     if not 1 <= p.hysteresis <= 1014:
         raise ConfigurationError(f"hysteresis must be in [1, 1014], got {p.hysteresis}")
-    if p.fixed_offset != FIXED_OFFSET:
-        raise ConfigurationError(f"fixed_offset is the constant {FIXED_OFFSET}, got {p.fixed_offset}")
-    if p.scan_period_s <= 0:
-        raise ConfigurationError(f"scan_period_s must be > 0, got {p.scan_period_s}")
     if p.decay_step < 1:
         raise ConfigurationError(f"decay_step must be >= 1, got {p.decay_step}")
     return p
@@ -146,7 +141,7 @@ def scan_step(
     :func:`apply_action`.
     """
     idle = idle_tch_count(cell)
-    off_threshold = p.hysteresis + p.fixed_offset
+    off_threshold = p.hysteresis + FIXED_OFFSET
     on_threshold = p.hysteresis
 
     enabled = cell.enabled_trx_count
@@ -336,7 +331,7 @@ def _walk_counters(
             if side == "on":  # idle < h, with idle = max(cap - demand, 0) and h >= 1
                 up, down = demand > cap - h, min(params.decay_step, on_target)
             else:  # idle > h + 9
-                up, down = demand < cap - h - params.fixed_offset, min(params.decay_step, off_target)
+                up, down = demand < cap - h - FIXED_OFFSET, min(params.decay_step, off_target)
             # a counter is below its target before every scan, so a decay larger than
             # the target floors it at 0 just as the target does
             sums = np.zeros(n + 1, dtype)

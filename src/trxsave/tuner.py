@@ -1,8 +1,8 @@
 """Cluster-to-hysteresis policy mapping.
 
-Clusters are ranked by traffic severity (busiest last) and each rank gets a
-hysteresis value from the policy, so heavy clusters keep a wide idle margin
-and quiet clusters are allowed to save aggressively.
+Clusters are ranked by mean busy-hour traffic (busiest last) and each rank
+gets a hysteresis value from the policy, so heavy clusters keep a wide idle
+margin and quiet clusters are allowed to save aggressively.
 """
 
 from __future__ import annotations
@@ -24,22 +24,18 @@ DEFAULT_POLICY_VALUES = (4, 6, 12)
 
 @dataclass(frozen=True)
 class ClusterProfile:
-    """Per-cluster KPI means in original units."""
+    """A cluster's mean busy-hour TCH traffic, in Erlang, and its size."""
 
     cluster_id: int
     tch_traffic_erl: float
-    dl_edge_throughput_kbps: float
-    pdch_congestion_pct: float
-    preempt_pdch: float
     member_count: int
 
 
 @dataclass(frozen=True)
 class HysteresisPolicy:
-    """Hysteresis per severity rank, least severe first."""
+    """Hysteresis per traffic rank, quietest cluster first."""
 
     values: tuple[int, ...] = DEFAULT_POLICY_VALUES
-    severity: str = "traffic"  # "traffic" or "composite"
 
     def validate(self) -> "HysteresisPolicy":
         if not self.values:
@@ -51,10 +47,8 @@ class HysteresisPolicy:
                 )
         if list(self.values) != sorted(self.values):
             raise ConfigurationError(
-                "policy values must be non-decreasing (higher severity never gets a smaller margin)"
+                "policy values must be non-decreasing (busier clusters never get a smaller margin)"
             )
-        if self.severity not in ("traffic", "composite"):
-            raise ConfigurationError(f"unknown severity scoring {self.severity!r}")
         return self
 
 
@@ -67,7 +61,7 @@ class HysteresisAssignment:
 
 
 def profile_clusters(labels: Sequence[int], kpis: Sequence[KpiRecord]) -> list[ClusterProfile]:
-    """Per-cluster means of the original (pre-standardization) KPI values.
+    """Per-cluster mean of the original (pre-standardization) TCH traffic.
 
     ``labels[i]`` is the cluster of ``kpis[i]``; clusters are 0..max(labels).
     """
@@ -84,41 +78,9 @@ def profile_clusters(labels: Sequence[int], kpis: Sequence[KpiRecord]) -> list[C
         profiles.append(ClusterProfile(
             cluster_id=cluster_id,
             tch_traffic_erl=math.fsum(m.tch_traffic_erl for m in members) / n,
-            dl_edge_throughput_kbps=math.fsum(m.dl_edge_throughput_kbps for m in members) / n,
-            pdch_congestion_pct=math.fsum(m.pdch_congestion_pct for m in members) / n,
-            preempt_pdch=math.fsum(m.preempt_pdch for m in members) / n,
             member_count=n,
         ))
     return profiles
-
-
-def severity_scores(
-    profiles: Sequence[ClusterProfile], mode: str = "traffic"
-) -> list[float]:
-    """Traffic severity per cluster.
-
-    ``traffic`` scores by mean Erlang alone. ``composite`` adds the congestion
-    and preemption z-scores (across clusters) to the traffic z-score, standing
-    in for an engineer reviewing all three readings together; only it loads
-    numpy.
-    """
-    if mode == "traffic":
-        return [p.tch_traffic_erl for p in profiles]
-    if mode != "composite":
-        raise ConfigurationError(f"unknown severity scoring {mode!r}")
-    import numpy as np
-
-    def zscores(values: list[float]) -> list[float]:
-        arr = np.asarray(values)
-        std = arr.std()
-        if std == 0:
-            return [0.0] * len(values)
-        return list((arr - arr.mean()) / std)
-
-    z_erl = zscores([p.tch_traffic_erl for p in profiles])
-    z_cong = zscores([p.pdch_congestion_pct for p in profiles])
-    z_pre = zscores([p.preempt_pdch for p in profiles])
-    return [a + b + c for a, b, c in zip(z_erl, z_cong, z_pre)]
 
 
 def rank_and_assign(
@@ -128,19 +90,16 @@ def rank_and_assign(
 ) -> HysteresisAssignment:
     """Give every cell its cluster's hysteresis.
 
-    Clusters sort ascending by severity (ties toward the smaller cluster id);
-    rank r gets ``policy.values[r]``.
+    Clusters sort ascending by mean traffic (ties toward the smaller cluster
+    id); rank r gets ``policy.values[r]``.
     """
     policy.validate()
     if len(profiles) != len(policy.values):
         raise ConfigurationError(
             f"policy has {len(policy.values)} values but there are {len(profiles)} clusters"
         )
-    scores = severity_scores(profiles, policy.severity)
-    order = sorted(range(len(profiles)), key=lambda i: (scores[i], profiles[i].cluster_id))
-    cluster_to_hyst = {
-        profiles[i].cluster_id: policy.values[rank] for rank, i in enumerate(order)
-    }
+    order = sorted(profiles, key=lambda p: (p.tch_traffic_erl, p.cluster_id))
+    cluster_to_hyst = {p.cluster_id: policy.values[rank] for rank, p in enumerate(order)}
     known = {p.cluster_id for p in profiles}
     hysteresis = {}
     for cell_id, cluster in labels.items():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from trxsave import tables, tuner
+from trxsave import tuner
 from trxsave.analytics import (
     fit_k_range,
     pca_reduce,
@@ -26,7 +26,7 @@ from trxsave.cell_model import CellConfig
 from trxsave.cli import main
 from trxsave.saving_engine import PowerSavingParams, run_cell
 from trxsave.tables import emit_kpi_csv, ingest_kpi_csv
-from trxsave.traffic import TrafficTrace
+from trxsave.traffic import TrafficTrace, iter_traffic_csv
 
 import oracles
 from test_golden import split_over
@@ -49,7 +49,7 @@ def criterion(number, title):
 
 
 # ---------------------------------------------------------------------------
-# Bundled fleet pipeline (shared by criteria 4 and 5 and the composite assign)
+# Bundled fleet pipeline (shared by criteria 4 and 5 and the counting identity)
 
 FLEET_SEED = "11"
 
@@ -185,22 +185,33 @@ def test_criterion_5_per_cell_table(fleet_pipeline):
         assert max_after < ts_before, f"{cell_id} shows no saving"
 
 
-def test_composite_assign_matches_the_library(fleet_pipeline, tmp_path):
-    """``assign --severity composite`` on the bundled fleet writes what
-    ``rank_and_assign`` with a composite policy writes."""
+def test_headline_is_a_counting_identity(fleet_pipeline):
+    """Under policy 4,6,12 the bundled headline counts TRXs, not traffic: each
+    non-saturated cell sheds one TRX on its ``trx_off_target``-th scan and never
+    switches again, and saturated cells never switch. ``trx_scans_with`` is then
+    the measured scans times the TRXs each cell keeps on."""
     out, _ = fleet_pipeline
-    result = CliRunner().invoke(main, [
-        "assign", "--clusters", f"{out}/clusters.csv", "--kpi", f"{out}/kpis.csv",
-        "--policy", "4,6,12", "--severity", "composite", "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
-
-    labels = tables.read_clusters_csv(out / "clusters.csv")
-    by_id = {r.cell_id: r for r in ingest_kpi_csv(out / "kpis.csv")}
-    profiles = tuner.profile_clusters(list(labels.values()), [by_id[c] for c in labels])
-    policy = tuner.HysteresisPolicy((4, 6, 12), "composite")
-    tuner.write_assignment_csv(tuner.rank_and_assign(profiles, policy, labels),
-                               tmp_path / "library.csv")
-    assert (tmp_path / "assignment.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+    summary = json.loads((out / "summary.json").read_text())
+    metadata = summary["metadata"]
+    fleet = json.loads((out / "fleet.json").read_text())
+    cells = {c["cell_id"]: c for c in fleet["cells"]}
+    hysteresis = tuner.read_assignment_csv(out / "assignment.csv").hysteresis
+    shedding = kept_trx_scans = 0
+    for trace in iter_traffic_csv(out / "traffic.csv", fleet["scan_period_s"]):
+        cell = cells[trace.cell_id]
+        params = PowerSavingParams(**metadata["params"], hysteresis=hysteresis[trace.cell_id])
+        timeline = run_cell(CellConfig(trace.cell_id, cell["num_trx"], cell["cch_slots"]),
+                            params, trace)
+        sheds = cell["tier"] != "saturated"
+        actions = {int(i): int(timeline.actions[i]) for i in np.flatnonzero(timeline.actions)}
+        assert actions == ({params.trx_off_target - 1: -cell["num_trx"]} if sheds else {}), \
+            trace.cell_id
+        shedding += sheds
+        measured = len(trace.samples) - metadata["warmup_scans"]
+        kept_trx_scans += measured * (cell["num_trx"] - sheds)
+    assert shedding == 84 and len(cells) == 100
+    assert summary["trx_scans_with"] == kept_trx_scans == 11_059_200
+    assert summary["trx_scans_without"] == 14_688_000
 
 
 @criterion(6, "clustering oracles: silhouette, fixed point, SSE, exhaustive optimum")

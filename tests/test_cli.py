@@ -283,8 +283,7 @@ class TestAssign:
         assert all(by_cell[f"cell_{i:03d}"] == 4 for i in range(12))
         assert all(by_cell[f"cell_{i:03d}"] == 12 for i in range(24, 36))
 
-    @pytest.mark.parametrize("severity, busier", [("traffic", "erl"), ("composite", "cong")])
-    def test_severity_option_picks_the_ranking(self, runner, tmp_path, severity, busier):
+    def test_clusters_rank_by_traffic_alone(self, runner, tmp_path):
         # cluster 0 carries more Erlang, cluster 1 more congestion and preemption
         emit_kpi_csv([KpiRecord("erl_a", 9.0, 130.0, 0.01, 1.0, 24),
                       KpiRecord("erl_b", 9.5, 130.0, 0.01, 1.0, 24),
@@ -294,10 +293,10 @@ class TestAssign:
                   [("erl_a", 0), ("erl_b", 0), ("cong_a", 1), ("cong_b", 1)])
         run_ok(runner, ["assign", "--clusters", str(tmp_path / "clusters.csv"),
                         "--kpi", str(tmp_path / "kpis.csv"), "--policy", "4,12",
-                        "--severity", severity, "--out", str(tmp_path)])
+                        "--out", str(tmp_path)])
         rows = [line.split(",") for line in
                 (tmp_path / "assignment.csv").read_text().splitlines()[1:]]
-        assert {r[0] for r in rows if r[2] == "12"} == {f"{busier}_a", f"{busier}_b"}
+        assert {r[0] for r in rows if r[2] == "12"} == {"erl_a", "erl_b"}
 
     def test_policy_size_mismatch_exits_2(self, runner, tmp_path):
         self.prepare(runner, tmp_path, k="2")
@@ -338,18 +337,18 @@ class TestSimulate:
         float(pct[:-1])  # parses
         assert "." in pct and len(pct.split(".")[1]) == 2  # one decimal plus '%'
 
-    def test_ps_off_writes_timelines_but_no_comparison(self, runner, tmp_path):
+    def test_metadata_records_what_ran(self, runner, tmp_path):
         out = tmp_path / "run"
-        run_ok(runner, ["generate", "--cells", "4", "--days", "1", "--seed", "2",
+        run_ok(runner, ["generate", "--cells", "2", "--days", "1", "--scan-period", "20",
                         "--out", str(out)])
         run_ok(runner, ["simulate", "--fleet", f"{out}/fleet.json",
-                        "--traffic", f"{out}/traffic.csv", "--hysteresis", "5",
-                        "--ps", "off", "--out", str(out)])
-        assert not (out / "comparison.csv").exists()
-        assert not (out / "summary.json").exists()
-        assert (out / "report_off.json").exists()
-        timelines = sorted(p.name for p in (out / "timelines").iterdir())
-        assert timelines == [f"cell_{i:04d}_off.csv" for i in range(4)]
+                        "--traffic", f"{out}/traffic.csv", "--hysteresis", "1",
+                        "--off-target", "40", "--timelines", "0", "--out", str(out)])
+        metadata = json.loads((out / "summary.json").read_text())["metadata"]
+        assert metadata["scan_period_s"] == 20
+        assert metadata["default_hysteresis"] == 1
+        assert metadata["params"] == {"trx_off_target": 40, "trx_on_target": 49,
+                                      "trx_off_delay": 30, "decay_step": 3}
 
     def test_corrupt_traffic_exits_3(self, runner, tmp_path):
         out = tmp_path / "run"
@@ -373,8 +372,16 @@ class TestSimulate:
         (lambda c: c.pop("cch_slots"), "cell 'cell_0001': cch_slots must be an integer"),
         (lambda c: c.pop("cell_id"), r"cells\[1\] has no string 'cell_id'"),
         (lambda c: c.update(cell_id="cell_0000"), "duplicate cell_id 'cell_0000'"),
+        (lambda c: c.update(num_trx=0),
+         r"fleet.json: cell 'cell_0001': num_trx must be in \[1, 12\], got 0"),
+        (lambda c: c.update(num_trx=13),
+         r"fleet.json: cell 'cell_0001': num_trx must be in \[1, 12\], got 13"),
+        (lambda c: c.update(cch_slots=0),
+         r"fleet.json: cell 'cell_0001': cch_slots must be in \[1, 3\], got 0"),
+        (lambda c: c.update(cch_slots=4),
+         r"fleet.json: cell 'cell_0001': cch_slots must be in \[1, 3\], got 4"),
     ], ids=["no_num_trx", "str_num_trx", "float_num_trx", "no_cch_slots", "no_cell_id",
-            "duplicate_cell_id"])
+            "duplicate_cell_id", "zero_num_trx", "num_trx_13", "zero_cch_slots", "cch_slots_4"])
     def test_malformed_fleet_cell_exits_3(self, runner, tmp_path, edit, message):
         out = tmp_path / "run"
         run_ok(runner, ["generate", "--cells", "3", "--days", "1", "--out", str(out)])
@@ -499,19 +506,17 @@ class TestSimulate:
         fleet["cells"].reverse()
         (tmp_path / "fleet.json").write_text(json.dumps(fleet))
         for name, fleet_dir in (("sorted", small_fleet), ("reversed", tmp_path)):
-            for ps in ("both", "on"):
-                run_ok(runner, ["simulate", "--fleet", f"{fleet_dir}/fleet.json",
-                                "--traffic", f"{small_fleet}/traffic.csv", "--hysteresis", "3",
-                                "--warmup-days", "0.25", "--timelines", "2", "--ps", ps,
-                                "--out", str(tmp_path / name / ps)])
-        outputs = [Path("both/summary.json"), Path("on/report_on.json"),
-                   *(Path(ps, "timelines", f"cell_000{i}_{mode}.csv")
-                     for ps, modes in (("both", ("off", "on")), ("on", ("on",)))
-                     for i in range(2) for mode in modes)]
+            run_ok(runner, ["simulate", "--fleet", f"{fleet_dir}/fleet.json",
+                            "--traffic", f"{small_fleet}/traffic.csv", "--hysteresis", "3",
+                            "--warmup-days", "0.25", "--timelines", "2",
+                            "--out", str(tmp_path / name)])
+        outputs = [Path("summary.json"),
+                   *(Path("timelines", f"cell_000{i}_{mode}.csv")
+                     for i in range(2) for mode in ("off", "on"))]
         for rel in outputs:
             assert (tmp_path / "sorted" / rel).read_bytes() == \
                 (tmp_path / "reversed" / rel).read_bytes(), rel
-        names = sorted(p.name for p in (tmp_path / "reversed/both/timelines").iterdir())
+        names = sorted(p.name for p in (tmp_path / "reversed/timelines").iterdir())
         assert names == ["cell_0000_off.csv", "cell_0000_on.csv",
                          "cell_0001_off.csv", "cell_0001_on.csv"]
 
@@ -519,22 +524,20 @@ class TestSimulate:
         traces = read_traffic_csv(small_fleet / "traffic.csv")
         write_traffic_csv(traces[::-1], tmp_path / "traffic.csv")
         for name, traffic_dir in (("sorted", small_fleet), ("reversed", tmp_path)):
-            for ps in ("both", "on"):
-                run_ok(runner, ["simulate", "--fleet", f"{small_fleet}/fleet.json",
-                                "--traffic", f"{traffic_dir}/traffic.csv", "--hysteresis", "3",
-                                "--warmup-days", "0.25", "--timelines", "2", "--ps", ps,
-                                "--out", str(tmp_path / name / ps)])
+            run_ok(runner, ["simulate", "--fleet", f"{small_fleet}/fleet.json",
+                            "--traffic", f"{traffic_dir}/traffic.csv", "--hysteresis", "3",
+                            "--warmup-days", "0.25", "--timelines", "2",
+                            "--out", str(tmp_path / name)])
         files = sorted(p.relative_to(tmp_path / "sorted")
                        for p in (tmp_path / "sorted").rglob("*") if p.is_file())
         assert [str(p) for p in files] == [
-            "both/comparison.csv", "both/summary.json",
-            *(f"both/timelines/cell_000{i}_{mode}.csv" for i in range(2) for mode in ("off", "on")),
-            "on/report_on.json", "on/timelines/cell_0000_on.csv", "on/timelines/cell_0001_on.csv"]
+            "comparison.csv", "summary.json",
+            *(f"timelines/cell_000{i}_{mode}.csv" for i in range(2) for mode in ("off", "on"))]
         for rel in files:
             assert (tmp_path / "sorted" / rel).read_bytes() == \
                 (tmp_path / "reversed" / rel).read_bytes(), rel
-        per_cell = json.loads((tmp_path / "reversed/on/report_on.json").read_text())["per_cell"]
-        assert list(per_cell) == ["cell_0000", "cell_0001", "cell_0002"]
+        rows = json.loads((tmp_path / "reversed/summary.json").read_text())["rows"]
+        assert [row["cell_id"] for row in rows] == ["cell_0000", "cell_0001", "cell_0002"]
 
     @pytest.mark.parametrize("edit,message", [
         (lambda fleet, rows: (fleet, rows.replace("cell_0002,8639,", "cell_0002,8639,x")),

@@ -19,6 +19,7 @@ from trxsave.evaluator import (
     emit_report,
     read_summary_json,
     simulate_network,
+    summarize,
     summary_from_dict,
     summary_to_dict,
     write_comparison_csv,
@@ -43,33 +44,32 @@ def make_scenario(n_cells=3, n_scans=400, hysteresis=3, num_trx=3, level=0.0, wa
     return scenario, traces
 
 
-def report_with_totals(trx_scans, ts_scans=0, blocked=0, cells=("a",), ps=True):
+def report_with_totals(trx_scans, ts_scans=0, blocked=0, cells=("a",)):
     per_cell = {
-        c: CellStats(cell_id=c, num_trx=3, hysteresis=5 if ps else None,
-                     max_ts=24, mean_ts=24.0, max_trx=3, mean_trx=3.0,
-                     blocked=blocked, n_scans=10)
+        c: CellStats(cell_id=c, max_ts=24, mean_ts=24.0, blocked=blocked, n_scans=10,
+                     trx_scans=30)
         for c in cells
     }
-    return NetworkReport(ps_enabled=ps, warmup_scans=0, per_cell=per_cell,
-                         trx_scans=trx_scans, ts_scans=ts_scans, blocked=blocked)
+    return NetworkReport(per_cell=per_cell, trx_scans=trx_scans, ts_scans=ts_scans,
+                         blocked=blocked)
 
 
 class TestSimulateNetwork:
     def test_saving_off_keeps_full_slot_count(self):
-        report = simulate_network(*make_scenario(n_scans=400), ("off",))["off"]
+        report = simulate_network(*make_scenario(n_scans=400))["off"]
         for stats in report.per_cell.values():
             assert (stats.max_ts, stats.mean_ts) == (24, 24.0)  # every scan at 24
-            assert (stats.max_trx, stats.mean_trx) == (3, 3.0)
-        assert report.ts_scans == 3 * 400 * 24
+            assert (stats.n_scans, stats.trx_scans) == (400, 400 * 3)
+        assert (report.trx_scans, report.ts_scans) == (3 * 400 * 3, 3 * 400 * 24)
 
     def test_low_traffic_cell_converges_at_or_below_two_trx(self):
         scenario = make_scenario(n_cells=1, n_scans=2000, hysteresis=3, level=0.3, warmup=1000)
-        stats = simulate_network(*scenario, ("on",))["on"].per_cell["cell_00"]
+        stats = simulate_network(*scenario)["on"].per_cell["cell_00"]
         assert stats.max_ts <= 16
 
     def test_empty_network_gives_empty_report(self):
         scenario = NetworkScenario(cells=[], base_params=PowerSavingParams())
-        report = simulate_network(scenario, [], ("on",))["on"]
+        report = simulate_network(scenario, [])["on"]
         assert report.per_cell == {}
         assert report.trx_scans == 0
 
@@ -78,7 +78,7 @@ class TestSimulateNetwork:
             cells=[CellConfig("a", 3, 3)], base_params=PowerSavingParams(), default_hysteresis=5,
         )
         with pytest.raises(DataError, match="no trace for fleet cell 'a'"):
-            simulate_network(scenario, [], ("on",))
+            simulate_network(scenario, [])
 
     @pytest.mark.parametrize("extra,match", [
         (TrafficTrace("zz", 10.0, np.zeros(50)), "cell 'zz' is not in the fleet"),
@@ -95,27 +95,26 @@ class TestSimulateNetwork:
         tl.mkdir()
         (tl / "cell_00_on.csv").write_text("old")
         with pytest.raises(DataError, match="no trace for fleet cell 'cell_02'"):
-            simulate_network(scenario, traces[:2], ("on",), tl, 3)  # cell_00 was staged
+            simulate_network(scenario, traces[:2], tl, 3)  # cell_00 was staged
         assert [p.name for p in tmp_path.iterdir()] == ["tl"]
         assert [p.name for p in tl.iterdir()] == ["cell_00_on.csv"]
         assert (tl / "cell_00_on.csv").read_text() == "old"
-        simulate_network(scenario, traces, ("on",), tl, 3)
+        simulate_network(scenario, traces, tl, 3)
         assert (tl / "cell_00_on.csv").read_text().startswith("scan,erlang,active_ts\n")
 
     def test_missing_hysteresis_without_default_rejected(self):
         scenario = NetworkScenario(cells=[CellConfig("a", 3, 3)], base_params=PowerSavingParams())
         with pytest.raises(ConfigurationError, match="hysteresis"):
-            simulate_network(scenario, [TrafficTrace("a", 10.0, np.zeros(10))], ("on",))
+            simulate_network(scenario, [TrafficTrace("a", 10.0, np.zeros(10))])
 
     def test_per_cell_hysteresis_override(self):
         scenario, traces = make_scenario(n_cells=2, n_scans=300, warmup=150)
         scenario = replace(scenario, hysteresis={"cell_00": 3, "cell_01": 5})
-        per_cell = simulate_network(scenario, traces, ("on",))["on"].per_cell
-        assert per_cell["cell_00"].hysteresis == 3
-        assert per_cell["cell_01"].hysteresis == 5
+        reports = simulate_network(scenario, traces)
+        rows = compare(reports["on"], reports["off"]).rows
         # h=3 reaches one TRX by scan 130; h=5 parks at two
-        assert (per_cell["cell_00"].max_trx, per_cell["cell_00"].mean_trx) == (1, 1.0)
-        assert (per_cell["cell_01"].max_trx, per_cell["cell_01"].mean_trx) == (2, 2.0)
+        assert [(r.cell_id, r.max_ts_after, r.mean_ts_after) for r in rows] == [
+            ("cell_00", 8, 8.0), ("cell_01", 16, 16.0)]
 
     @pytest.mark.parametrize("edit", [
         lambda s: replace(s, hysteresis={**s.hysteresis, "cell_01": 0}),
@@ -128,7 +127,7 @@ class TestSimulateNetwork:
         read = []
         with pytest.raises(ConfigurationError, match="hysteresis must be in"):
             simulate_network(edit(scenario), (read.append(t) or t for t in traces),
-                             ("off", "on"), tmp_path / "tl", 3)
+                             tmp_path / "tl", 3)
         assert ran == [] and read == [] and not (tmp_path / "tl").exists()
 
     @pytest.mark.parametrize("cell_id,char", [("../../escaped", "/"), ("a/b", "/"),
@@ -144,7 +143,7 @@ class TestSimulateNetwork:
         # every cell_id is checked, whether or not it would name a timeline
         message = f"cell config: cell_id {cell_id!r} may not hold {char!r}"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            simulate_network(scenario, (read.append(t) or t for t in traces), ("off", "on"),
+            simulate_network(scenario, (read.append(t) or t for t in traces),
                              tmp_path / "tl", n_timelines)
         assert read == [] and list(tmp_path.iterdir()) == []
         assert not list(tmp_path.parent.glob("escaped*"))
@@ -154,7 +153,7 @@ class TestSimulateNetwork:
         # neither the fleet's order nor the traces' decides which cells get timelines
         scenario = replace(scenario, cells=[scenario.cells[i] for i in (1, 2, 0)])
         tl = tmp_path / "tl"
-        reports = simulate_network(scenario, traces[::-1], ("off", "on"), tl, 2)
+        reports = simulate_network(scenario, traces[::-1], tl, 2)
         assert list(reports) == ["off", "on"]
         assert list(reports["on"].per_cell) == ["cell_00", "cell_01", "cell_02"]
         assert sorted(p.name for p in tl.iterdir()) == [
@@ -186,30 +185,37 @@ class TestSimulateNetwork:
 
 
 class TestSummarize:
+    def test_one_cell_over_its_measured_scans(self):
+        scenario, traces = make_scenario(n_cells=1, n_scans=300, hysteresis=3)
+        timeline = run_cell(scenario.cells[0], scenario.params_for("cell_00"), traces[0])
+        # one TRX holds from scan 129 on
+        assert summarize(timeline, 150) == CellStats(
+            cell_id="cell_00", max_ts=8, mean_ts=8.0, blocked=0, n_scans=150, trx_scans=150)
+
     def test_warmup_excludes_ramp(self):
         scenario, traces = make_scenario(n_cells=1, n_scans=300, hysteresis=3)
-        full = simulate_network(scenario, traces, ("on",))["on"]
-        settled = simulate_network(replace(scenario, warmup_scans=150), traces, ("on",))["on"]
+        full = simulate_network(scenario, traces)["on"]
+        settled = simulate_network(replace(scenario, warmup_scans=150), traces)["on"]
         assert full.per_cell["cell_00"].max_ts == 24   # includes the all-on start
         assert settled.per_cell["cell_00"].max_ts == 8  # one TRX holds after scan 130
 
     def test_warmup_longer_than_trace_rejected(self, tmp_path):
         scenario, traces = make_scenario(n_cells=2, n_scans=50, warmup=50)
         with pytest.raises(ConfigurationError, match="consumes the whole 50-scan trace"):
-            simulate_network(scenario, traces, ("off", "on"), tmp_path / "tl", 2)
+            simulate_network(scenario, traces, tmp_path / "tl", 2)
         assert list(tmp_path.iterdir()) == []
 
 
 class TestCompare:
     def test_published_totals_reduce_by_20_9_pct(self):
         # 5754 active TRX-scans without saving vs 4550 with
-        summary = compare(report_with_totals(4550), report_with_totals(5754, ps=False))
+        summary = compare(report_with_totals(4550), report_with_totals(5754))
         assert summary.trx_scans_without == 5754
         assert summary.trx_scans_with == 4550
         assert f"{summary.reduction_pct:.1f}" == "20.9"
 
     def test_identical_reports_zero_reduction(self):
-        summary = compare(report_with_totals(100), report_with_totals(100, ps=False))
+        summary = compare(report_with_totals(100), report_with_totals(100))
         assert summary.reduction_pct == 0.0
 
     def test_saturated_cell_shows_no_reduction(self):
@@ -223,7 +229,7 @@ class TestCompare:
     def test_cell_set_mismatch_rejected(self):
         with pytest.raises(DataError):
             compare(report_with_totals(10, cells=("a",)),
-                    report_with_totals(10, cells=("a", "b"), ps=False))
+                    report_with_totals(10, cells=("a", "b")))
 
     def test_rows_ordered_by_cell_id(self):
         scenario, traces = make_scenario(n_cells=4, n_scans=100)

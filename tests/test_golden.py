@@ -59,8 +59,6 @@ def run_all(root: Path) -> None:
     inputs = ("--fleet", pipe / "fleet.json", "--traffic", pipe / "traffic.csv",
               "--assignment", pipe / "assignment.csv", "--seed", SEED)
     cli("simulate", *inputs, "--timelines", "all", "--out", pipe)
-    for ps in ("on", "off"):
-        cli("simulate", *inputs, "--ps", ps, "--timelines", 0, "--out", root / f"ps-{ps}")
     cli("cluster", "--kpi", pipe / "kpis.csv", "--seed", SEED, "--out", root / "cluster-auto")
 
     bursty = root / "bursty"

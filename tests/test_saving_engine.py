@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -52,11 +54,25 @@ class TestValidateParams:
     @pytest.mark.parametrize("field,value", [
         ("trx_off_target", 19), ("trx_off_target", 101),
         ("trx_on_target", 119), ("hysteresis", 0), ("hysteresis", 1015),
-        ("fixed_offset", 8), ("decay_step", 0),
+        ("decay_step", 0),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
             validate_params(dataclasses.replace(PowerSavingParams(), **{field: value}))
+
+    @pytest.mark.parametrize("engine", ["scan_step", "_walk_counters"])
+    def test_every_field_is_read_by_the_engine(self, engine):
+        # a field that the spec or the event walker never reads changes none of its
+        # outputs, or makes the two disagree
+        tree = ast.parse(inspect.getsource(saving_engine))
+        fn = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == engine)
+        name = next(arg.arg for arg in fn.args.args
+                    if ast.unparse(arg.annotation) == "PowerSavingParams")
+        read = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == name}
+        fields = {f.name for f in dataclasses.fields(PowerSavingParams)}
+        assert fields - read == set()
 
 
 class TestScanStep:
@@ -359,12 +375,12 @@ class TestReplayEquivalence:
         assert_replays(CellConfig("c1", num_trx, cch), PowerSavingParams(**fields), samples)
 
     def test_enable_wins_a_tie_as_in_scan_step(self, monkeypatch):
-        # fixed_offset 9 keeps the two triggers disjoint, so no valid run meets a
+        # FIXED_OFFSET 9 keeps the two triggers disjoint, so no valid run meets a
         # tie; at -11 a scan with 8 or 9 idle TCHs bumps both counters, and with a
         # 2-TRX cell enabled both counters reach their targets on scan 45
-        monkeypatch.setattr(saving_engine, "validate_params", lambda p: p)
+        monkeypatch.setattr(saving_engine, "FIXED_OFFSET", -11)
         params = PowerSavingParams(trx_off_target=20, trx_on_target=26, trx_off_delay=6,
-                                   hysteresis=10, fixed_offset=-11)
+                                   hysteresis=10)
         tl, spec = assert_replays(CellConfig("c1", 3, 3), params, np.full(200, 4.0))
         assert tl.actions[45] == 3 and spec["off_counter"][45] == 20
 

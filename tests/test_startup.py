@@ -79,14 +79,6 @@ def test_assign_loads_no_numpy(tmp_path):
     assert modules & PIPELINE == set()
 
 
-def test_composite_assign_loads_numpy_for_its_z_scores(tmp_path):
-    kpis, clusters = small_tables(tmp_path)
-    modules = loaded(tmp_path, "assign", "--clusters", str(clusters), "--kpi", str(kpis),
-                     "--policy", "4,12", "--severity", "composite", "--out", str(tmp_path))
-    assert "numpy" in modules
-    assert modules & ENGINE == set()
-
-
 def test_cluster_loads_no_engine(tmp_path):
     kpis, _ = small_tables(tmp_path)
     modules = loaded(tmp_path, "cluster", "--kpi", str(kpis), "--k", "2", "--out", str(tmp_path))

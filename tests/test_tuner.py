@@ -11,7 +11,6 @@ from trxsave.tuner import (
     profile_clusters,
     rank_and_assign,
     read_assignment_csv,
-    severity_scores,
     write_assignment_csv,
     write_push_csv,
 )
@@ -45,16 +44,16 @@ class TestProfileClusters:
         expected_c2 = math.fsum([7.31606, 5.25773]) / 2
         assert profiles[2].tch_traffic_erl == pytest.approx(expected_c2, abs=1e-12)
         assert round(profiles[2].tch_traffic_erl, 2) == 6.29
-        # cluster 0 preemption: mean of 2.04396 and 3.91209
-        expected_c0 = math.fsum([2.04396, 3.91209]) / 2
-        assert profiles[0].preempt_pdch == pytest.approx(expected_c0, abs=1e-12)
-        assert round(profiles[0].preempt_pdch, 2) == 2.98
+        # cluster 0 traffic: mean of 4.42022 and 4.86402
+        expected_c0 = math.fsum([4.42022, 4.86402]) / 2
+        assert profiles[0].tch_traffic_erl == pytest.approx(expected_c0, abs=1e-12)
+        assert round(profiles[0].tch_traffic_erl, 2) == 4.64
         assert all(p.member_count == 2 for p in profiles.values())
 
     def test_single_member_cluster_is_that_cell(self):
         profiles = profile_clusters(np.array([0, 1]), SAMPLE_KPIS[:2])
         assert profiles[0].tch_traffic_erl == SAMPLE_KPIS[0].tch_traffic_erl
-        assert profiles[1].dl_edge_throughput_kbps == SAMPLE_KPIS[1].dl_edge_throughput_kbps
+        assert profiles[1].tch_traffic_erl == SAMPLE_KPIS[1].tch_traffic_erl
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError, match="mismatch"):
@@ -135,13 +134,6 @@ class TestRankAndAssign:
                 for b in scores:
                     if scores[a] > scores[b]:
                         assert hyst_of[a] >= hyst_of[b]
-
-    def test_composite_severity_orders_by_combined_zscores(self):
-        profiles = profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS)
-        traffic_scores = severity_scores(profiles, "traffic")
-        composite = severity_scores(profiles, "composite")
-        # cluster 2 dominates every feature, so it stays the most severe
-        assert np.argmax(traffic_scores) == np.argmax(composite)
 
 
 class TestPolicyValidation:
