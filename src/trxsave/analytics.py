@@ -63,6 +63,8 @@ FEATURE_COLUMNS = [
     "ts_count",
 ]
 
+N_COMPONENTS = 3  # columns of a reduced matrix
+
 
 class Stage(Enum):
     RAW = "raw"
@@ -70,24 +72,25 @@ class Stage(Enum):
     REDUCED = "reduced"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureMatrix:
-    """Rectangular numeric feature table with row identities and a stage tag."""
+    """Rectangular numeric feature table with row identities and a stage tag,
+    checked when built."""
 
     row_ids: list[str]
     values: np.ndarray
     stage: Stage = Stage.RAW
 
-    def validate(self) -> "FeatureMatrix":
+    def __post_init__(self) -> None:
         if self.values.ndim != 2:
             raise DataError(f"feature matrix must be 2-D, got shape {self.values.shape}")
         if len(self.row_ids) != self.values.shape[0]:
             raise DataError("row_ids length does not match the matrix")
         if not np.all(np.isfinite(self.values)):
             raise DataError("feature matrix contains NaN or Inf")
-        if self.stage is Stage.REDUCED and self.values.shape[1] != 3:
-            raise DataError(f"reduced matrix must have 3 columns, got {self.values.shape[1]}")
-        return self
+        if self.stage is Stage.REDUCED and self.values.shape[1] != N_COMPONENTS:
+            raise DataError(f"reduced matrix must have {N_COMPONENTS} columns, "
+                            f"got {self.values.shape[1]}")
 
     @property
     def n_rows(self) -> int:
@@ -108,7 +111,7 @@ def kpi_feature_matrix(records: Sequence[KpiRecord]) -> FeatureMatrix:
         row_ids=[r.cell_id for r in records],
         values=np.asarray(rows, dtype=np.float64),
         stage=Stage.RAW,
-    ).validate()
+    )
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,6 @@ class StandardizationStats:
 
 def standardize(m: FeatureMatrix) -> tuple[FeatureMatrix, StandardizationStats]:
     """Z-score each column with the population std; constant columns map to 0."""
-    m.validate()
     if m.stage is not Stage.RAW:
         raise DataError(f"standardize expects a raw matrix, got {m.stage.value}")
     if m.n_rows < 2:
@@ -196,18 +198,16 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     return eigenvalues[order], v[:, order]
 
 
-def pca_reduce(m: FeatureMatrix, n_components: int = 3) -> tuple[FeatureMatrix, PcaModel]:
-    """Project onto the top principal components of the sample covariance.
+def pca_reduce(m: FeatureMatrix) -> tuple[FeatureMatrix, PcaModel]:
+    """Project onto the top ``N_COMPONENTS`` principal components of the sample
+    covariance.
 
     Sign convention: each component's largest-magnitude entry is positive.
     """
-    m.validate()
     if m.stage is not Stage.STANDARDIZED:
         raise DataError(f"pca_reduce expects a standardized matrix, got {m.stage.value}")
-    if n_components > m.n_cols:
-        raise DataError(f"n_components={n_components} exceeds {m.n_cols} features")
-    if n_components < 1:
-        raise DataError(f"n_components must be >= 1, got {n_components}")
+    if N_COMPONENTS > m.n_cols:
+        raise DataError(f"n_components={N_COMPONENTS} exceeds {m.n_cols} features")
     if m.n_rows < 2:
         raise DataError("pca_reduce needs at least 2 rows")
 
@@ -217,8 +217,8 @@ def pca_reduce(m: FeatureMatrix, n_components: int = 3) -> tuple[FeatureMatrix, 
     eigenvalues, eigenvectors = jacobi_eigh(cov)
     eigenvalues = np.maximum(eigenvalues, 0.0)  # clamp round-off negatives
 
-    components = eigenvectors[:, :n_components].copy()
-    for j in range(n_components):
+    components = eigenvectors[:, :N_COMPONENTS].copy()
+    for j in range(N_COMPONENTS):
         lead = np.argmax(np.abs(components[:, j]))
         if components[lead, j] < 0:
             components[:, j] = -components[:, j]
@@ -226,7 +226,7 @@ def pca_reduce(m: FeatureMatrix, n_components: int = 3) -> tuple[FeatureMatrix, 
     model = PcaModel(
         means=means,
         component_matrix=components,
-        explained_variance=eigenvalues[:n_components].copy(),
+        explained_variance=eigenvalues[:N_COMPONENTS].copy(),
         all_variances=eigenvalues,
         total_variance=float(np.trace(cov)),
     )
@@ -251,7 +251,6 @@ class ClusteringResult:
 
 def _points_of(points: Union[FeatureMatrix, np.ndarray]) -> np.ndarray:
     if isinstance(points, FeatureMatrix):
-        points.validate()
         return points.values
     return np.asarray(points, dtype=np.float64)
 

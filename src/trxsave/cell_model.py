@@ -20,6 +20,10 @@ SLOTS_PER_TRX = 8
 MAX_TRX = 12
 MAX_CCH = 3
 
+# BTSPSHYST, the idle-TCH margin of the power-saving feature
+HYSTERESIS_MIN = 1
+HYSTERESIS_MAX = 1014
+
 # a cell_id is one field of a bare-comma CSV row and names timeline files
 CELL_ID_FORBIDDEN = ',"\r\n/\0'
 
@@ -37,13 +41,14 @@ def check_cell_id(cell_id: str, where: str) -> str:
 
 @dataclass(frozen=True)
 class CellConfig:
-    """Static cell layout: transceiver count and control-channel reservation."""
+    """Static cell layout: transceiver count and control-channel reservation,
+    checked when built."""
 
     cell_id: str
     num_trx: int
     cch_slots: int = 3
 
-    def validate(self) -> "CellConfig":
+    def __post_init__(self) -> None:
         check_cell_id(self.cell_id, "cell config")
         if not 1 <= self.num_trx <= MAX_TRX:
             raise ConfigurationError(
@@ -53,7 +58,6 @@ class CellConfig:
             raise ConfigurationError(
                 f"cell {self.cell_id!r}: cch_slots must be in [1, {MAX_CCH}], got {self.cch_slots}"
             )
-        return self
 
     @property
     def total_slots(self) -> int:
@@ -97,7 +101,6 @@ class CellState:
 
 def build_cell(config: CellConfig) -> CellState:
     """Create a fresh cell: all TRXs enabled, no calls."""
-    config.validate()
     return CellState(config=config, trx_enabled=(True,) * config.num_trx, occupied_tch=0)
 
 

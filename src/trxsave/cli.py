@@ -116,20 +116,6 @@ FLEET_TIERS = {
 }
 
 
-def demo_fleet(
-    n_cells: int, days: int, seed: int, scan_period_s: float = 10.0
-) -> Iterator[tuple[dict, traffic.TrafficTrace, tables.KpiRecord]]:
-    """Deterministic desk-scale fleet, one (cell config, trace, synthetic KPIs) at a time.
-
-    Cells fall into four traffic tiers (low, medium, high, saturated); the
-    saturated tier offers more Erlang than it has traffic channels at every
-    scan, modelling permanently congested sites. The arguments are checked
-    before the first cell is built.
-    """
-    _check_fleet_args(n_cells, days, scan_period_s)
-    return _demo_cells(n_cells, days, seed, scan_period_s, range(n_cells))
-
-
 def _check_fleet_args(n_cells: int, days: int, scan_period_s: float) -> None:
     from . import traffic
 
@@ -138,7 +124,7 @@ def _check_fleet_args(n_cells: int, days: int, scan_period_s: float) -> None:
     if days < 1:
         raise ConfigurationError(f"need at least 1 day, got {days}")
     # every cell's profile shares the days and the scan period
-    traffic.DiurnalProfileSpec(0.0, 0.0, days=days, scan_period_s=scan_period_s).validate()
+    traffic.DiurnalProfileSpec(0.0, 0.0, days=days, scan_period_s=scan_period_s)
 
 
 def _demo_cells(
@@ -186,9 +172,16 @@ def _demo_cells(
 def build_demo_fleet(
     n_cells: int, days: int, seed: int, scan_period_s: float = 10.0
 ) -> tuple[list[dict], list[traffic.TrafficTrace], list[tables.KpiRecord]]:
-    """``demo_fleet`` collected: cell configs, traces, synthetic KPIs."""
+    """Deterministic desk-scale fleet: cell configs, traces, synthetic KPIs.
+
+    Cells fall into four traffic tiers (low, medium, high, saturated); the
+    saturated tier offers more Erlang than it has traffic channels at every
+    scan, modelling permanently congested sites. The arguments are checked
+    before the first cell is built.
+    """
+    _check_fleet_args(n_cells, days, scan_period_s)
     cells, traces, kpis = [], [], []
-    for cell, trace, kpi in demo_fleet(n_cells, days, seed, scan_period_s):
+    for cell, trace, kpi in _demo_cells(n_cells, days, seed, scan_period_s, range(n_cells)):
         cells.append(cell)
         traces.append(trace)
         kpis.append(kpi)
@@ -210,20 +203,21 @@ def write_fleet_json(path: Path, cells: list[dict], seed: int, days: int,
     tables.write_json(doc, path)
 
 
-def read_fleet_json(path: Path) -> dict:
-    """Read fleet.json: a finite scan_period_s > 0 (10 s when absent), and per cell a
-    unique valid cell_id and integer num_trx, cch_slots in the ranges of
-    ``CellConfig.validate``."""
+def read_fleet_json(path: Path) -> tuple[float, list[CellConfig]]:
+    """The scan period and the cells of fleet.json: a finite scan_period_s > 0
+    (10 s when absent), and per cell a unique valid cell_id and integer
+    num_trx, cch_slots in the ranges ``CellConfig`` checks."""
     from . import tables
 
     doc = tables.read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise DataError(f"{path}: missing 'cells' list")
-    period = doc.setdefault("scan_period_s", 10.0)
+    period = doc.get("scan_period_s", 10.0)
     if (not isinstance(period, (int, float)) or isinstance(period, bool)
             or not math.isfinite(period) or period <= 0):
         raise DataError(f"{path}: scan_period_s must be a finite number > 0, got {period!r}")
     seen = set()
+    configs = []
     for index, cell in enumerate(doc["cells"]):
         cell_id = cell.get("cell_id") if isinstance(cell, dict) else None
         if not isinstance(cell_id, str):
@@ -239,10 +233,10 @@ def read_fleet_json(path: Path) -> dict:
                     f"{path}: cell {cell_id!r}: {key} must be an integer, got {value!r}"
                 )
         try:
-            CellConfig(cell_id, cell["num_trx"], cell["cch_slots"]).validate()
+            configs.append(CellConfig(cell_id, cell["num_trx"], cell["cch_slots"]))
         except ConfigurationError as exc:
             raise DataError(f"{path}: {exc}") from None
-    return doc
+    return float(period), configs
 
 
 @main.command()
@@ -334,7 +328,7 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
     records = tables.ingest_kpi_csv(kpi_path)
     matrix = analytics.kpi_feature_matrix(records)
     standardized, _ = analytics.standardize(matrix)
-    reduced, _ = analytics.pca_reduce(standardized, n_components=3)
+    reduced, _ = analytics.pca_reduce(standardized)
 
     n = reduced.n_rows
     if k is not None and not 1 <= k <= n:
@@ -424,28 +418,37 @@ def _load_scenario(
     params: PowerSavingParams,
     warmup_days: float,
 ) -> tuple[evaluator.NetworkScenario, float]:
-    """The fleet's scenario and scan period; assignment.csv may name only fleet cells."""
+    """The fleet's scenario and scan period; assignment.csv may name only fleet cells.
+
+    Each cell runs with ``params`` and the hysteresis assignment.csv gives it,
+    else ``default_hysteresis``, which is checked even when every cell is
+    assigned.
+    """
     from . import evaluator, tuner
 
     if not math.isfinite(warmup_days):
         raise ConfigurationError(f"--warmup-days must be a finite number, got {warmup_days}")
     if warmup_days < 0:
         raise ConfigurationError(f"--warmup-days must be >= 0, got {warmup_days}")
-    fleet = read_fleet_json(Path(fleet_path))
-    scan_period = float(fleet["scan_period_s"])
-    cells = [CellConfig(c["cell_id"], c["num_trx"], c["cch_slots"]) for c in fleet["cells"]]
-    hysteresis = {}
+    scan_period, cells = read_fleet_json(Path(fleet_path))
+    assigned = {}
     if assignment_path:
-        hysteresis = dict(tuner.read_assignment_csv(assignment_path).hysteresis)
+        assigned = tuner.read_assignment_csv(assignment_path).hysteresis
         fleet_ids = {c.cell_id for c in cells}
-        stray = next((c for c in hysteresis if c not in fleet_ids), None)
+        stray = next((c for c in assigned if c not in fleet_ids), None)
         if stray is not None:
             raise DataError(f"{assignment_path}: cell {stray!r} is not in {fleet_path}")
+    default = (None if default_hysteresis is None
+               else dataclasses.replace(params, hysteresis=default_hysteresis))
+    cell_params = {}
+    for c in cells:
+        if c.cell_id in assigned:
+            cell_params[c.cell_id] = dataclasses.replace(params, hysteresis=assigned[c.cell_id])
+        elif default is not None:
+            cell_params[c.cell_id] = default
     scenario = evaluator.NetworkScenario(
         cells=cells,
-        base_params=params,
-        hysteresis=hysteresis,
-        default_hysteresis=default_hysteresis,
+        params=cell_params,
         warmup_scans=int(round(warmup_days * 86400 / scan_period)),
     )
     return scenario, scan_period
@@ -477,16 +480,16 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
     """Run the fleet without, then with power saving; write comparison.csv and
     summary.json."""
     from . import evaluator
-    from .saving_engine import PowerSavingParams, validate_params
+    from .saving_engine import PowerSavingParams
 
     if timelines != "all" and not timelines.isdecimal():  # what int() reads
         raise ConfigurationError(f"--timelines must be 'all' or a count >= 0, got {timelines!r}")
     if assignment_path is None and hysteresis is None:
         hysteresis = PowerSavingParams().hysteresis
-    params = validate_params(PowerSavingParams(
+    # the fields every cell shares; _load_scenario gives each cell its hysteresis
+    params = PowerSavingParams(
         trx_off_target=off_target, trx_on_target=on_target, trx_off_delay=off_delay,
-        hysteresis=PowerSavingParams().hysteresis,
-    ))
+    )
     scenario, scan_period = _load_scenario(
         fleet_path, assignment_path, hysteresis, params, warmup_days,
     )

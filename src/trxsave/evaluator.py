@@ -8,14 +8,15 @@ active slots after). An optional warmup window excludes the cold-start ramp,
 during which every TRX is still on, from the statistics; a live network would
 already be converged.
 
-``simulate_network`` first checks everything that needs no trace, each
-``cell_id`` included, so no timeline file name can hold "/" or NUL. It then
-reads the traces once, in file order: each cell runs with saving off and on
-as its trace arrives, each timeline is reduced to the cell's statistics,
-and the trace is dropped, so memory holds one trace and one timeline, never
-the fleet. One fold of the cells' statistics makes each mode's report.
-Timeline CSVs are staged and moved into place only after the last check
-(no fleet cell untraced) passes, so a failed run leaves no output.
+A ``NetworkScenario`` and each value in it check everything that needs no
+trace when they are built, each ``cell_id`` included, so no timeline file
+name can hold "/" or NUL. ``simulate_network`` reads the traces once, in
+file order: each cell runs with saving off and on as its trace arrives,
+each timeline is reduced to the cell's statistics, and the trace is
+dropped, so memory holds one trace and one timeline, never the fleet. One
+fold of the cells' statistics makes each mode's report. Timeline CSVs are
+staged and moved into place only after the last check (no fleet cell
+untraced) passes, so a failed run leaves no output.
 
 ``simulate_csv`` does the same for a traffic CSV on every usable CPU: the
 file is cut between cell blocks into one span per CPU, and each span is
@@ -29,7 +30,7 @@ import dataclasses
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Generator, Iterable, Mapping, Optional, Sequence, Union
 
@@ -38,7 +39,7 @@ import numpy as np
 from . import parts
 from .cell_model import SLOTS_PER_TRX, CellConfig
 from .errors import ConfigurationError, DataError
-from .saving_engine import CellTimeline, PowerSavingParams, run_cell, validate_params
+from .saving_engine import CellTimeline, PowerSavingParams, run_cell
 from .tables import read_json, write_csv, write_json
 from .traffic import TrafficTrace, iter_traffic_span, traffic_spans, write_rows
 
@@ -50,32 +51,28 @@ TIMELINE_CSV_HEADER = ["scan", "erlang", "active_ts"]
 
 @dataclass(frozen=True)
 class NetworkScenario:
-    """Everything needed to run a fleet but its traffic: cells, hysteresis, knobs."""
+    """Everything needed to run a fleet but its traffic: the cells, each cell's
+    parameters by ``cell_id``, and the warm-up.
+
+    It checks itself when built, so a run fails before reading any trace.
+    """
 
     cells: Sequence[CellConfig]
-    base_params: PowerSavingParams
-    hysteresis: Mapping[str, int] = field(default_factory=dict)
-    default_hysteresis: Optional[int] = None
+    params: Mapping[str, PowerSavingParams]
     warmup_scans: int = 0
 
-    def validate(self) -> "NetworkScenario":
-        """Check every cell's inputs but its trace, so a run fails before reading any trace."""
+    def __post_init__(self) -> None:
         if self.warmup_scans < 0:
             raise ConfigurationError(f"warmup_scans must be >= 0, got {self.warmup_scans}")
-        if self.default_hysteresis is not None:
-            validate_params(replace(self.base_params, hysteresis=self.default_hysteresis))
         seen = set()
         for config in self.cells:
-            config.validate()
             if config.cell_id in seen:
                 raise ConfigurationError(f"duplicate cell_id {config.cell_id!r}")
             seen.add(config.cell_id)
-            if config.cell_id not in self.hysteresis and self.default_hysteresis is None:
+            if config.cell_id not in self.params:
                 raise ConfigurationError(
                     f"cell {config.cell_id!r} has no hysteresis assignment and no default"
                 )
-            validate_params(self.params_for(config.cell_id))
-        return self
 
     def check_trace(self, trace: TrafficTrace) -> None:
         """A trace must be longer than the warm-up, so every cell has a measured scan."""
@@ -85,10 +82,6 @@ class NetworkScenario:
                 f"warmup_scans {self.warmup_scans} consumes the whole "
                 f"{n_scans}-scan trace of cell {trace.cell_id!r}"
             )
-
-    def params_for(self, cell_id: str) -> PowerSavingParams:
-        h = self.hysteresis.get(cell_id, self.default_hysteresis)
-        return replace(self.base_params, hysteresis=h)
 
 
 @dataclass(frozen=True)
@@ -152,7 +145,6 @@ def simulate_network(
     moved into it only after the last check passes, so a failed run leaves
     ``timeline_dir`` as it was.
     """
-    scenario.validate()
     # a generator, so each part's traces can be closed the same way
     return _simulate(scenario, [traces], lambda part: (trace for trace in part),
                      timeline_dir, n_timelines, "")
@@ -174,7 +166,6 @@ def simulate_csv(
     span, so every error, with its row number, is the one a single process
     raises. Every ``DataError`` about the traffic starts with ``path``.
     """
-    scenario.validate()  # before the cut reads the file, as a single process does
     spans = traffic_spans(path, min(parts.cpus(), len(scenario.cells)))
     return parts.serial_on_failure(
         lambda spans: _simulate(scenario, spans,
@@ -187,8 +178,8 @@ def _simulate(scenario: NetworkScenario, sources: Sequence[Any],
               read: Callable[[Any], Generator[TrafficTrace, None, None]],
               timeline_dir: Union[str, Path, None], n_timelines: int,
               where: str) -> dict[str, NetworkReport]:
-    """Run the traces ``read(source)`` of each source of a validated scenario,
-    each source in its own process; ``where`` starts each error about the traces."""
+    """Run the traces ``read(source)`` of each source of the scenario, each
+    source in its own process; ``where`` starts each error about the traces."""
     configs = {c.cell_id: c for c in scenario.cells}
     kept = set(sorted(configs)[:n_timelines])
     staging = _staging_dir(Path(timeline_dir)) if kept else None
@@ -207,7 +198,7 @@ def _simulate(scenario: NetworkScenario, sources: Sequence[Any],
                 scenario.check_trace(trace)
                 stats = []
                 for mode in ("off", "on"):
-                    timeline = run_cell(config, scenario.params_for(config.cell_id), trace,
+                    timeline = run_cell(config, scenario.params[config.cell_id], trace,
                                         ps_enabled=mode == "on")
                     if config.cell_id in kept:
                         write_timeline_csv(timeline, staging / f"{config.cell_id}_{mode}.csv")

@@ -50,6 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell_model import (
+    HYSTERESIS_MAX,
+    HYSTERESIS_MIN,
     SLOTS_PER_TRX,
     CellConfig,
     CellState,
@@ -64,7 +66,8 @@ FIXED_OFFSET = 9
 
 @dataclass(frozen=True)
 class PowerSavingParams:
-    """The four tunable feature parameters plus the counter decay.
+    """The four tunable feature parameters plus the counter decay, each checked
+    against its allowed range when built.
 
     Vendor names: TRXOFFTARGET, TRXONTARGET, TRXOFFDELAY, BTSPSHYST. The
     switch-off offset is the constant ``FIXED_OFFSET``.
@@ -76,20 +79,20 @@ class PowerSavingParams:
     hysteresis: int = 5
     decay_step: int = 3
 
-
-def validate_params(p: PowerSavingParams) -> PowerSavingParams:
-    """Check every parameter against its allowed range; return p unchanged."""
-    if not 20 <= p.trx_off_target <= 100:
-        raise ConfigurationError(f"trx_off_target must be in [20, 100], got {p.trx_off_target}")
-    if not 20 <= p.trx_on_target <= 100:
-        raise ConfigurationError(f"trx_on_target must be in [20, 100], got {p.trx_on_target}")
-    if not 6 <= p.trx_off_delay <= 90:
-        raise ConfigurationError(f"trx_off_delay must be in [6, 90], got {p.trx_off_delay}")
-    if not 1 <= p.hysteresis <= 1014:
-        raise ConfigurationError(f"hysteresis must be in [1, 1014], got {p.hysteresis}")
-    if p.decay_step < 1:
-        raise ConfigurationError(f"decay_step must be >= 1, got {p.decay_step}")
-    return p
+    def __post_init__(self) -> None:
+        if not 20 <= self.trx_off_target <= 100:
+            raise ConfigurationError(
+                f"trx_off_target must be in [20, 100], got {self.trx_off_target}")
+        if not 20 <= self.trx_on_target <= 100:
+            raise ConfigurationError(
+                f"trx_on_target must be in [20, 100], got {self.trx_on_target}")
+        if not 6 <= self.trx_off_delay <= 90:
+            raise ConfigurationError(f"trx_off_delay must be in [6, 90], got {self.trx_off_delay}")
+        if not HYSTERESIS_MIN <= self.hysteresis <= HYSTERESIS_MAX:
+            raise ConfigurationError(f"hysteresis must be in [{HYSTERESIS_MIN}, "
+                                     f"{HYSTERESIS_MAX}], got {self.hysteresis}")
+        if self.decay_step < 1:
+            raise ConfigurationError(f"decay_step must be >= 1, got {self.decay_step}")
 
 
 @dataclass(frozen=True)
@@ -224,8 +227,6 @@ class CellTimeline:
     """
 
     cell_id: str
-    config: CellConfig
-    params: PowerSavingParams
     offered: np.ndarray
     blocked: np.ndarray
     active_trx: np.ndarray
@@ -260,10 +261,6 @@ def run_cell(
     count before each scan's action. Saving off is the same pass with no
     actions. The timeline keeps no counter or delay array.
     """
-    config.validate()
-    validate_params(params)
-    trace.validate()
-
     demand = demand_series(trace.samples)
     n = len(demand)
     num_trx = config.num_trx
@@ -284,8 +281,6 @@ def run_cell(
     np.maximum(blocked, 0, out=blocked)
     return CellTimeline(
         cell_id=config.cell_id,
-        config=config,
-        params=params,
         offered=trace.samples,
         blocked=blocked,
         active_trx=active_trx,

@@ -52,7 +52,8 @@ def fmt_num(value: float) -> str:
 
 @dataclass(frozen=True)
 class KpiRecord:
-    """One cell's busy-hour KPI row (the five clustering features plus id)."""
+    """One cell's busy-hour KPI row (the five clustering features plus id),
+    checked when built; the ``cell_id`` is checked where a file names it."""
 
     cell_id: str
     tch_traffic_erl: float
@@ -61,7 +62,7 @@ class KpiRecord:
     preempt_pdch: float
     ts_count: int
 
-    def validate(self) -> "KpiRecord":
+    def __post_init__(self) -> None:
         for name in ("tch_traffic_erl", "dl_edge_throughput_kbps", "preempt_pdch"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
@@ -71,7 +72,6 @@ class KpiRecord:
             raise DataError(f"cell {self.cell_id!r}: pdch_congestion_pct must be in [0, 100], got {c}")
         if self.ts_count <= 0:
             raise DataError(f"cell {self.cell_id!r}: ts_count must be > 0, got {self.ts_count}")
-        return self
 
 
 def _lines(data: bytes, where: Union[str, Path], lines_before: int) -> Iterator[str]:
@@ -167,7 +167,7 @@ def ingest_kpi_csv(path: Union[str, Path]) -> list[KpiRecord]:
         except ValueError as exc:
             raise DataError(f"{path}: row {row_no}: non-numeric field ({exc})") from None
         try:
-            records.append(KpiRecord(row[0], erl, thr, cong, pre, ts).validate())
+            records.append(KpiRecord(row[0], erl, thr, cong, pre, ts))
         except DataError as exc:
             raise DataError(f"{path}: row {row_no}: {exc}") from None
     return records
@@ -175,7 +175,7 @@ def ingest_kpi_csv(path: Union[str, Path]) -> list[KpiRecord]:
 
 def emit_kpi_csv(records: Sequence[KpiRecord], path: Union[str, Path]) -> None:
     """Write records in the documented schema, preserving printed digits; every
-    record and its ``cell_id`` are checked before the file is opened."""
+    ``cell_id`` is checked before the file is opened."""
     write_csv(path, KPI_CSV_HEADER, [
         [
             check_cell_id(r.cell_id, str(path)),
@@ -185,7 +185,7 @@ def emit_kpi_csv(records: Sequence[KpiRecord], path: Union[str, Path]) -> None:
             fmt_num(r.preempt_pdch),
             r.ts_count,
         ]
-        for r in (rec.validate() for rec in records)
+        for r in records
     ])
 
 

@@ -45,13 +45,14 @@ MAX_ERLANG = MAX_DEMAND + 0.5
 
 @dataclass(frozen=True)
 class TrafficTrace:
-    """Offered Erlang per scan for one cell."""
+    """Offered Erlang per scan for one cell, checked when built; the ``cell_id``
+    is checked where a file names it."""
 
     cell_id: str
     scan_period_s: float
     samples: np.ndarray
 
-    def validate(self) -> "TrafficTrace":
+    def __post_init__(self) -> None:
         if self.scan_period_s <= 0:
             raise DataError(f"trace {self.cell_id!r}: scan_period_s must be > 0")
         if len(self.samples) == 0:
@@ -66,12 +67,11 @@ class TrafficTrace:
                 f"trace {self.cell_id!r}: scan {scan}: offered Erlang "
                 f"{fmt_num(self.samples[scan])} rounds to a call demand over {MAX_DEMAND}"
             )
-        return self
 
 
 @dataclass(frozen=True)
 class DiurnalProfileSpec:
-    """Shape parameters for a synthetic daily traffic profile."""
+    """Shape parameters for a synthetic daily traffic profile, checked when built."""
 
     base_erlang: float
     peak_erlang: float
@@ -82,7 +82,7 @@ class DiurnalProfileSpec:
     seed: int = 0
     scan_period_s: float = 10.0
 
-    def validate(self) -> "DiurnalProfileSpec":
+    def __post_init__(self) -> None:
         if not 0 <= self.base_erlang <= self.peak_erlang:
             raise ConfigurationError(
                 f"need 0 <= base <= peak, got base={self.base_erlang} peak={self.peak_erlang}"
@@ -101,7 +101,6 @@ class DiurnalProfileSpec:
             raise ConfigurationError(
                 f"scan_period_s must divide one hour evenly, got {self.scan_period_s}"
             )
-        return self
 
 
 def _hourly_template(spec: DiurnalProfileSpec) -> np.ndarray:
@@ -125,7 +124,6 @@ def generate_diurnal_trace(spec: DiurnalProfileSpec, cell_id: str = "cell") -> T
     Samples are quantized to 6 decimals so CSV output stays compact and the
     in-memory series matches the emitted file exactly.
     """
-    spec.validate()
     period = spec.scan_period_s
     scans_per_day = int(round(86400 / period))
     template = _hourly_template(spec)
@@ -142,7 +140,7 @@ def generate_diurnal_trace(spec: DiurnalProfileSpec, cell_id: str = "cell") -> T
         samples = samples + rng.normal(0.0, spec.noise_sigma, size=len(samples))
     samples = np.maximum(samples, 0.0)
     samples = np.round(samples, 6)
-    return TrafficTrace(cell_id=cell_id, scan_period_s=period, samples=samples).validate()
+    return TrafficTrace(cell_id=cell_id, scan_period_s=period, samples=samples)
 
 
 def demand_series(samples: np.ndarray) -> np.ndarray:
@@ -161,7 +159,6 @@ def busy_hour_erlang(trace: TrafficTrace) -> float:
     shorter than one day are treated as a single day; shorter than one hour,
     the whole series is the window.
     """
-    trace.validate()
     period = trace.scan_period_s
     per_hour = max(1, int(round(3600 / period)))
     per_day = max(per_hour, int(round(86400 / period)))
@@ -194,7 +191,6 @@ def trace_to_kpis(trace: TrafficTrace, config: CellConfig) -> KpiRecord:
     Throughput falls linearly with load; congestion grows cubically and
     preemption quadratically. Load is busy-hour Erlang over TCH capacity.
     """
-    config.validate()
     erl = busy_hour_erlang(trace)
     load = erl / config.total_tch
     throughput = max(0.0, THROUGHPUT_BASE_KBPS - THROUGHPUT_SLOPE_KBPS * load)
@@ -207,7 +203,7 @@ def trace_to_kpis(trace: TrafficTrace, config: CellConfig) -> KpiRecord:
         pdch_congestion_pct=congestion,
         preempt_pdch=preempt,
         ts_count=config.total_slots,
-    ).validate()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +337,13 @@ PARSE_CHUNK = 1 << 16
 def write_traffic_csv(traces: Iterable[TrafficTrace], dest: Union[str, Path]) -> None:
     """One ``cell_id,scan_index,offered_erlang`` row per scan, each cell's rows
     one block; values print as ``fmt_num`` prints them. ``traces`` is read once,
-    so a generator's cells are written as it builds them; each trace and its
-    ``cell_id`` are checked before its rows are written."""
+    so a generator's cells are written as it builds them; each ``cell_id`` is
+    checked before its rows are written."""
     write_rows(dest, TRAFFIC_CSV_HEADER, (
         # integer samples print as fmt_num does
         [check_cell_id(t.cell_id, str(dest)), np.arange(len(t.samples)),
          np.asarray(t.samples, np.float64)]
-        for t in map(TrafficTrace.validate, traces)))
+        for t in traces))
 
 
 def append_traffic_rows(dest: Union[str, Path], sources: Iterable[Union[str, Path]]) -> None:
@@ -379,7 +375,7 @@ def read_traffic_csv(
 def iter_traffic_csv(
     source: Union[str, Path], scan_period_s: float = 10.0
 ) -> Iterator[TrafficTrace]:
-    """Each cell's validated trace, in file order, as soon as its block of rows ends.
+    """Each cell's trace, in file order, as soon as its block of rows ends.
 
     Each cell's rows form one contiguous block with scan_index 0, 1, 2, ...,
     and every offered_erlang is finite and >= 0. The file is read in chunks
@@ -403,7 +399,7 @@ def iter_traffic_span(
     """
     for cid, samples in _Blocks(source, *span).read():
         try:
-            yield TrafficTrace(cid, scan_period_s, np.frombuffer(samples)).validate()
+            yield TrafficTrace(cid, scan_period_s, np.frombuffer(samples))
         except DataError as exc:
             raise DataError(f"{source}: {exc}") from None
 

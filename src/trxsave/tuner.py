@@ -12,12 +12,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-from .cell_model import check_cell_id
+from .cell_model import HYSTERESIS_MAX, HYSTERESIS_MIN, check_cell_id
 from .errors import ConfigurationError, DataError
 from .tables import KpiRecord, read_csv, write_csv
-
-HYSTERESIS_MIN = 1
-HYSTERESIS_MAX = 1014
 
 DEFAULT_POLICY_VALUES = (4, 6, 12)
 
@@ -33,11 +30,11 @@ class ClusterProfile:
 
 @dataclass(frozen=True)
 class HysteresisPolicy:
-    """Hysteresis per traffic rank, quietest cluster first."""
+    """Hysteresis per traffic rank, quietest cluster first; checked when built."""
 
     values: tuple[int, ...] = DEFAULT_POLICY_VALUES
 
-    def validate(self) -> "HysteresisPolicy":
+    def __post_init__(self) -> None:
         if not self.values:
             raise ConfigurationError("policy needs at least one hysteresis value")
         for v in self.values:
@@ -49,7 +46,6 @@ class HysteresisPolicy:
             raise ConfigurationError(
                 "policy values must be non-decreasing (busier clusters never get a smaller margin)"
             )
-        return self
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,6 @@ def rank_and_assign(
     Clusters sort ascending by mean traffic (ties toward the smaller cluster
     id); rank r gets ``policy.values[r]``.
     """
-    policy.validate()
     if len(profiles) != len(policy.values):
         raise ConfigurationError(
             f"policy has {len(policy.values)} values but there are {len(profiles)} clusters"

@@ -246,7 +246,7 @@ def test_criterion_7_pca_checks():
     for trial in range(5):
         x = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 5))
         std, _ = standardize(kpi_like_matrix(x))
-        reduced, model = pca_reduce(std, n_components=3)
+        reduced, model = pca_reduce(std)
 
         gram = model.component_matrix.T @ model.component_matrix
         assert np.abs(gram - np.eye(3)).max() < 1e-8

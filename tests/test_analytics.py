@@ -100,14 +100,14 @@ class TestPca:
 
     def test_full_rank_rotation_keeps_all_variance(self):
         std = self.std3d()
-        _, model = pca_reduce(std, n_components=3)
+        _, model = pca_reduce(std)
         assert model.explained_variance.sum() == pytest.approx(model.total_variance, abs=1e-8)
 
     def test_collinear_data_is_rank_one(self):
         t = np.linspace(-2, 2, 30)
         x = np.stack([t, 2 * t, -t], axis=1)
         std, _ = standardize(raw(x))
-        _, model = pca_reduce(std, n_components=3)
+        _, model = pca_reduce(std)
         assert model.explained_variance[0] == pytest.approx(model.total_variance, abs=1e-8)
         assert model.explained_variance[1] == pytest.approx(0.0, abs=1e-8)
         assert model.explained_variance[2] == pytest.approx(0.0, abs=1e-8)
@@ -115,7 +115,7 @@ class TestPca:
     def test_orthonormal_components(self):
         rng = np.random.default_rng(19)
         std, _ = standardize(raw(rng.normal(size=(40, 5)) * [1, 2, 3, 4, 5]))
-        _, model = pca_reduce(std, n_components=3)
+        _, model = pca_reduce(std)
         gram = model.component_matrix.T @ model.component_matrix
         assert np.abs(gram - np.eye(3)).max() < 1e-8
 
@@ -123,7 +123,7 @@ class TestPca:
         rng = np.random.default_rng(29)
         x = rng.normal(size=(80, 5)) @ rng.normal(size=(5, 5))
         std, _ = standardize(raw(x))
-        reduced, model = pca_reduce(std, n_components=3)
+        reduced, model = pca_reduce(std)
 
         cov = (std.values - std.values.mean(0)).T @ (std.values - std.values.mean(0))
         cov /= len(x) - 1
@@ -141,7 +141,7 @@ class TestPca:
     def test_sign_convention_largest_entry_positive(self):
         rng = np.random.default_rng(31)
         std, _ = standardize(raw(rng.normal(size=(50, 4))))
-        _, model = pca_reduce(std, n_components=3)
+        _, model = pca_reduce(std)
         for j in range(3):
             col = model.component_matrix[:, j]
             assert col[np.argmax(np.abs(col))] > 0
@@ -149,7 +149,7 @@ class TestPca:
     def test_reconstruction_error_is_minimal_among_rank3_maps(self):
         rng = np.random.default_rng(37)
         std, _ = standardize(raw(rng.normal(size=(45, 6)) * [1, 2, 3, 4, 5, 6]))
-        reduced, model = pca_reduce(std, n_components=3)
+        reduced, model = pca_reduce(std)
         centered = std.values - model.means
         recon = reduced.values @ model.component_matrix.T
         err = float(np.sum((centered - recon) ** 2))
@@ -158,13 +158,13 @@ class TestPca:
         assert err == pytest.approx(float(scatter_vals[3:].sum()), abs=1e-8)
 
     def test_too_many_components_rejected(self):
-        std, _ = standardize(raw(np.random.default_rng(1).normal(size=(10, 3))))
-        with pytest.raises(DataError):
-            pca_reduce(std, n_components=4)
+        std, _ = standardize(raw(np.random.default_rng(1).normal(size=(10, 2))))
+        with pytest.raises(DataError, match="n_components=3 exceeds 2 features"):
+            pca_reduce(std)
 
     def test_requires_standardized_stage(self):
         with pytest.raises(DataError):
-            pca_reduce(raw([[1.0, 2.0], [3.0, 4.0]]), 2)
+            pca_reduce(raw([[1.0, 2.0], [3.0, 4.0]]))
 
 
 def duplicated_point_sets(count, seed):

@@ -93,7 +93,7 @@ class TestEveryReaderRejectsABadId:
     def test_the_rule_holds_in_library_calls(self):
         for cell_id in ("a/b", "a\0b", "", 'a"b', "a,b", "a\nb"):
             with pytest.raises(DataError, match="^cell config: "):
-                CellConfig(cell_id, 2).validate()
+                CellConfig(cell_id, 2)
 
 
 # writer -> a call that writes one row of the id to a path
@@ -141,7 +141,7 @@ def read_back(cell_id, root):
     readers = {
         "fleet.json": (lambda p: write_fleet_json(p, [{"cell_id": cell_id, "num_trx": 2,
                                                         "cch_slots": 3}], 0, 1, 10.0),
-                       lambda p: [c["cell_id"] for c in read_fleet_json(p)["cells"]]),
+                       lambda p: [c.cell_id for c in read_fleet_json(p)[1]]),
         "kpis.csv": (lambda p: tables.emit_kpi_csv([kpi_row(cell_id)], p),
                      lambda p: [r.cell_id for r in tables.ingest_kpi_csv(p)]),
         "clusters.csv": (lambda p: analytics.write_clusters_csv([cell_id], np.array([0]), p),
@@ -161,7 +161,7 @@ def read_back(cell_id, root):
         except DataError:
             got[name] = None
     try:
-        CellConfig(cell_id, 2).validate()
+        CellConfig(cell_id, 2)
         got["CellConfig"] = [cell_id]
     except DataError:
         got["CellConfig"] = None

@@ -37,8 +37,7 @@ def make_scenario(n_cells=3, n_scans=400, hysteresis=3, num_trx=3, level=0.0, wa
     traces = [TrafficTrace(c.cell_id, 10.0, np.full(n_scans, level)) for c in cells]
     scenario = NetworkScenario(
         cells=cells,
-        base_params=PowerSavingParams(),
-        hysteresis={c.cell_id: hysteresis for c in cells},
+        params={c.cell_id: PowerSavingParams(hysteresis=hysteresis) for c in cells},
         warmup_scans=warmup,
     )
     return scenario, traces
@@ -68,15 +67,13 @@ class TestSimulateNetwork:
         assert stats.max_ts <= 16
 
     def test_empty_network_gives_empty_report(self):
-        scenario = NetworkScenario(cells=[], base_params=PowerSavingParams())
+        scenario = NetworkScenario(cells=[], params={})
         report = simulate_network(scenario, [])["on"]
         assert report.per_cell == {}
         assert report.trx_scans == 0
 
     def test_missing_trace_rejected(self):
-        scenario = NetworkScenario(
-            cells=[CellConfig("a", 3, 3)], base_params=PowerSavingParams(), default_hysteresis=5,
-        )
+        scenario = NetworkScenario(cells=[CellConfig("a", 3, 3)], params={"a": PowerSavingParams()})
         with pytest.raises(DataError, match="no trace for fleet cell 'a'"):
             simulate_network(scenario, [])
 
@@ -103,13 +100,13 @@ class TestSimulateNetwork:
         assert (tl / "cell_00_on.csv").read_text().startswith("scan,erlang,active_ts\n")
 
     def test_missing_hysteresis_without_default_rejected(self):
-        scenario = NetworkScenario(cells=[CellConfig("a", 3, 3)], base_params=PowerSavingParams())
         with pytest.raises(ConfigurationError, match="hysteresis"):
-            simulate_network(scenario, [TrafficTrace("a", 10.0, np.zeros(10))])
+            NetworkScenario(cells=[CellConfig("a", 3, 3)], params={})
 
     def test_per_cell_hysteresis_override(self):
         scenario, traces = make_scenario(n_cells=2, n_scans=300, warmup=150)
-        scenario = replace(scenario, hysteresis={"cell_00": 3, "cell_01": 5})
+        scenario = replace(scenario, params={"cell_00": PowerSavingParams(hysteresis=3),
+                                             "cell_01": PowerSavingParams(hysteresis=5)})
         reports = simulate_network(scenario, traces)
         rows = compare(reports["on"], reports["off"]).rows
         # h=3 reaches one TRX by scan 130; h=5 parks at two
@@ -117,8 +114,10 @@ class TestSimulateNetwork:
             ("cell_00", 8, 8.0), ("cell_01", 16, 16.0)]
 
     @pytest.mark.parametrize("edit", [
-        lambda s: replace(s, hysteresis={**s.hysteresis, "cell_01": 0}),
-        lambda s: replace(s, hysteresis={}, default_hysteresis=1015),
+        lambda s: replace(s, params={**s.params,
+                                     "cell_01": replace(s.params["cell_01"], hysteresis=0)}),
+        lambda s: replace(s, params={c.cell_id: PowerSavingParams(hysteresis=1015)
+                                     for c in s.cells}),
     ], ids=["assigned", "default"])
     def test_bad_hysteresis_fails_before_any_cell_runs(self, tmp_path, monkeypatch, edit):
         ran = []
@@ -136,13 +135,14 @@ class TestSimulateNetwork:
     def test_cell_id_unfit_for_a_file_name_fails_before_any_trace(self, tmp_path, cell_id,
                                                                   char, n_timelines):
         scenario, traces = make_scenario(n_scans=50)
-        scenario = replace(scenario, cells=[replace(scenario.cells[0], cell_id=cell_id),
-                                            *scenario.cells[1:]],
-                           hysteresis={**scenario.hysteresis, cell_id: 3})
         read = []
-        # every cell_id is checked, whether or not it would name a timeline
+        # every cell_id is checked when its config is built, whether or not it would
+        # name a timeline
         message = f"cell config: cell_id {cell_id!r} may not hold {char!r}"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            scenario = replace(scenario, cells=[replace(scenario.cells[0], cell_id=cell_id),
+                                                *scenario.cells[1:]],
+                               params={**scenario.params, cell_id: scenario.params["cell_00"]})
             simulate_network(scenario, (read.append(t) or t for t in traces),
                              tmp_path / "tl", n_timelines)
         assert read == [] and list(tmp_path.iterdir()) == []
@@ -160,7 +160,7 @@ class TestSimulateNetwork:
             "cell_00_off.csv", "cell_00_on.csv", "cell_01_off.csv", "cell_01_on.csv"]
         assert [p.name for p in tmp_path.iterdir()] == ["tl"]  # no staging directory left
         expected = tmp_path / "expected.csv"
-        write_timeline_csv(run_cell(scenario.cells[2], scenario.params_for("cell_00"),
+        write_timeline_csv(run_cell(scenario.cells[2], scenario.params["cell_00"],
                                     traces[0]), expected)
         assert (tl / "cell_00_on.csv").read_bytes() == expected.read_bytes()
 
@@ -187,7 +187,7 @@ class TestSimulateNetwork:
 class TestSummarize:
     def test_one_cell_over_its_measured_scans(self):
         scenario, traces = make_scenario(n_cells=1, n_scans=300, hysteresis=3)
-        timeline = run_cell(scenario.cells[0], scenario.params_for("cell_00"), traces[0])
+        timeline = run_cell(scenario.cells[0], scenario.params["cell_00"], traces[0])
         # one TRX holds from scan 129 on
         assert summarize(timeline, 150) == CellStats(
             cell_id="cell_00", max_ts=8, mean_ts=8.0, blocked=0, n_scans=150, trx_scans=150)
@@ -273,7 +273,7 @@ class TestEmission:
 
     def test_timeline_csv_shape(self, tmp_path):
         scenario, traces = make_scenario(n_cells=1, n_scans=50)
-        tl = run_cell(scenario.cells[0], scenario.params_for("cell_00"), traces[0],
+        tl = run_cell(scenario.cells[0], scenario.params["cell_00"], traces[0],
                       ps_enabled=False)
         path = tmp_path / "tl.csv"
         write_timeline_csv(tl, path)

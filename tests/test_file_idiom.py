@@ -3,7 +3,8 @@ the two I/O modules: ``trxsave.traffic`` for the per-scan CSVs and
 ``trxsave.tables`` for small tables and JSON. The other modules go through
 their readers and writers. No module imports ``csv``: the one CSV dialect is
 split and joined on bare commas. Processes are started only in
-``trxsave.parts``."""
+``trxsave.parts``. A value type checks itself once, when it is built: no
+module defines or calls a ``validate`` or names ``validate_params``."""
 
 import ast
 from pathlib import Path
@@ -123,3 +124,34 @@ def test_the_process_guard_sees_each_start():
         "2: os.fork", "3: subprocess", "4: multiprocessing.pool", "5: concurrent.futures",
         "6: concurrent", "7: concurrent.futures", "8: os.fork", "9: os.system",
         "10: subprocess"]
+
+
+# the names of checks that a value type's __post_init__ runs when it is built
+RECHECKS = {"validate", "validate_params"}
+
+
+def rechecks(tree: ast.AST) -> list[str]:
+    """Every definition, call, import or other use of a ``validate`` or of
+    ``validate_params``, as ``line: name``."""
+    found = []
+    for node in ast.walk(tree):
+        name = (node.name if isinstance(node, (ast.FunctionDef, ast.alias))
+                else node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in RECHECKS:
+            found.append(f"{node.lineno}: {name}")
+    return sorted(found, key=lambda use: int(use.split(":")[0]))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_values_are_checked_only_when_built(path):
+    assert rechecks(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_recheck_guard_sees_each_use():
+    source = ("class C:\n    def validate(self):\n        pass\nc.validate()\n"
+              "from m import validate_params\nvalidate_params(p)\nmap(C.validate, cs)\n"
+              "validated = validate_all(p)\nm.validate_params\n")
+    assert rechecks(ast.parse(source)) == [
+        "2: validate", "4: validate", "5: validate_params", "6: validate_params",
+        "7: validate", "9: validate_params"]

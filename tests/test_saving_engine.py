@@ -22,7 +22,6 @@ from trxsave.saving_engine import (
     apply_action,
     run_cell,
     scan_step,
-    validate_params,
 )
 from trxsave.traffic import DiurnalProfileSpec, TrafficTrace, demand_series, generate_diurnal_trace
 
@@ -42,14 +41,13 @@ class TestValidateParams:
     def test_defaults_are_valid(self):
         p = PowerSavingParams()
         assert (p.trx_off_target, p.trx_on_target, p.trx_off_delay, p.hysteresis) == (50, 49, 30, 5)
-        assert validate_params(p) is p
 
     def test_hysteresis_upper_bound(self):
-        validate_params(PowerSavingParams(hysteresis=1014))
+        assert PowerSavingParams(hysteresis=1014).hysteresis == 1014
 
     def test_off_delay_below_range(self):
         with pytest.raises(ConfigurationError, match="trx_off_delay"):
-            validate_params(PowerSavingParams(trx_off_delay=5))
+            PowerSavingParams(trx_off_delay=5)
 
     @pytest.mark.parametrize("field,value", [
         ("trx_off_target", 19), ("trx_off_target", 101),
@@ -58,7 +56,7 @@ class TestValidateParams:
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
-            validate_params(dataclasses.replace(PowerSavingParams(), **{field: value}))
+            dataclasses.replace(PowerSavingParams(), **{field: value})
 
     @pytest.mark.parametrize("engine", ["scan_step", "_walk_counters"])
     def test_every_field_is_read_by_the_engine(self, engine):

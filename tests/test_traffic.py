@@ -117,10 +117,9 @@ class TestDemandSeries:
     def test_demand_past_int32_rejected(self):
         largest = np.nextafter(traffic.MAX_ERLANG, 0)
         assert demand_series(np.array([largest]))[0] == traffic.MAX_DEMAND
-        TrafficTrace("c9", 10.0, np.array([1.0, largest])).validate()
-        trace = TrafficTrace("c9", 10.0, np.array([1.0, largest, traffic.MAX_ERLANG, 3e9]))
+        TrafficTrace("c9", 10.0, np.array([1.0, largest]))
         with pytest.raises(DataError, match=r"trace 'c9': scan 2: offered Erlang 2147483647\.5 "):
-            trace.validate()
+            TrafficTrace("c9", 10.0, np.array([1.0, largest, traffic.MAX_ERLANG, 3e9]))
 
 
 class TestKpiCsv:

@@ -138,17 +138,17 @@ class TestRankAndAssign:
 
 class TestPolicyValidation:
     def test_default_policy_valid(self):
-        HysteresisPolicy().validate()
+        assert HysteresisPolicy().values == (4, 6, 12)
 
     def test_out_of_range_value(self):
         with pytest.raises(ConfigurationError):
-            HysteresisPolicy(values=(0, 6, 12)).validate()
+            HysteresisPolicy(values=(0, 6, 12))
         with pytest.raises(ConfigurationError):
-            HysteresisPolicy(values=(4, 6, 1015)).validate()
+            HysteresisPolicy(values=(4, 6, 1015))
 
     def test_decreasing_values_rejected(self):
         with pytest.raises(ConfigurationError):
-            HysteresisPolicy(values=(12, 6, 4)).validate()
+            HysteresisPolicy(values=(12, 6, 4))
 
 
 class TestAssignmentCsv:
