@@ -122,13 +122,23 @@ class StandardizationStats:
 
 
 def standardize(m: FeatureMatrix) -> tuple[FeatureMatrix, StandardizationStats]:
-    """Z-score each column with the population std; constant columns map to 0."""
+    """Z-score each column with the population std; constant columns map to 0.
+
+    Finite values can still overflow the mean or std (three values of 1e308);
+    such a column is a ``DataError`` that names it (``FEATURE_COLUMNS`` when the
+    matrix has those columns, else its index).
+    """
     if m.stage is not Stage.RAW:
         raise DataError(f"standardize expects a raw matrix, got {m.stage.value}")
     if m.n_rows < 2:
         raise DataError(f"standardize needs at least 2 rows, got {m.n_rows}")
-    means = m.values.mean(axis=0)
-    stds = m.values.std(axis=0)  # population, ddof=0
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = m.values.mean(axis=0)
+        stds = m.values.std(axis=0)  # population, ddof=0
+    if not np.isfinite(stds).all():  # an infinite mean makes its std NaN
+        j = int(np.flatnonzero(~np.isfinite(stds))[0])
+        name = FEATURE_COLUMNS[j] if m.n_cols == len(FEATURE_COLUMNS) else f"column {j}"
+        raise DataError(f"feature {name}: mean or standard deviation overflows a float64")
     constant = stds == 0.0
     safe = np.where(constant, 1.0, stds)
     out = (m.values - means) / safe
@@ -527,9 +537,15 @@ def elbow_curve(fits: Mapping[int, ClusteringResult]) -> ElbowResult:
     return ElbowResult(points=curve, suggested_knee=knee)
 
 
-# Distances one silhouette block holds at once: the pass keeps O(PAIRS_PER_BLOCK)
-# floats in memory instead of the whole n x n matrix.
-PAIRS_PER_BLOCK = 1 << 20
+# Distances one silhouette block holds at once: 2^18 float64, 2 MiB. A block
+# and its ``_squared_gaps`` temporary are live together, so the pass peaks at
+# a little over two blocks (4.8 MB traced at n = 3,000, nine labelings)
+# instead of the whole n x n matrix, and that peak stops growing with n once
+# n >= 512. On 2,000 demo-fleet cells (2 vCPUs, 12 runs each) ``cluster``
+# peaked at 41.3, 43.2, 47.3 and 55.3 MB RSS with 2^17, 2^18, 2^19 and 2^20,
+# in 0.60, 0.58, 0.57 and 0.57 s (quartile spread about 0.04 s); below 2^18
+# the saving shrinks and the per-block numpy calls start to cost time.
+PAIRS_PER_BLOCK = 1 << 18
 
 
 def _cluster_members(labels: np.ndarray, n: int) -> list[np.ndarray]:

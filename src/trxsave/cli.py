@@ -326,8 +326,10 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
     if restarts < 1:
         raise ConfigurationError(f"--restarts must be >= 1, got {restarts}")
     records = tables.ingest_kpi_csv(kpi_path)
-    matrix = analytics.kpi_feature_matrix(records)
-    standardized, _ = analytics.standardize(matrix)
+    try:
+        standardized, _ = analytics.standardize(analytics.kpi_feature_matrix(records))
+    except DataError as exc:
+        raise DataError(f"{kpi_path}: {exc}") from None
     reduced, _ = analytics.pca_reduce(standardized)
 
     n = reduced.n_rows
@@ -484,12 +486,12 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
 
     if timelines != "all" and not timelines.isdecimal():  # what int() reads
         raise ConfigurationError(f"--timelines must be 'all' or a count >= 0, got {timelines!r}")
-    if assignment_path is None and hysteresis is None:
-        hysteresis = PowerSavingParams().hysteresis
     # the fields every cell shares; _load_scenario gives each cell its hysteresis
     params = PowerSavingParams(
         trx_off_target=off_target, trx_on_target=on_target, trx_off_delay=off_delay,
     )
+    if assignment_path is None and hysteresis is None:
+        hysteresis = params.hysteresis
     scenario, scan_period = _load_scenario(
         fleet_path, assignment_path, hysteresis, params, warmup_days,
     )

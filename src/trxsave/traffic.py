@@ -209,7 +209,15 @@ def trace_to_kpis(trace: TrafficTrace, config: CellConfig) -> KpiRecord:
 # ---------------------------------------------------------------------------
 # Per-scan rows: one array-built formatter for traffic.csv and timeline CSVs
 
-ROW_BLOCK = 1 << 16  # rows formatted at a time, so memory does not grow with a trace
+# Rows formatted at a time. ``format_rows`` holds about 115 bytes per
+# ``traffic.csv`` row (the byte matrix, its mask, the joined text and the digit
+# temporaries), so a block of 8,192 rows peaks under 1 MB traced whatever the
+# trace's length. ``generate`` on the 100-cell x 6-day fleet (51,840 scans a
+# cell, 2 vCPUs, 8 runs each) peaked at 39.2, 39.2, 40.0 and 44.6 MB RSS with
+# 4,096, 8,192, 16,384 and 65,536 rows, in 1.05, 1.04, 1.05 and 1.09 s. In
+# process, a 51,840-row trace and timeline format in 21 ms at 8,192 rows,
+# 23 ms at 4,096 and 26 ms at 65,536.
+ROW_BLOCK = 1 << 13
 
 
 def _unsigned(values: np.ndarray) -> np.ndarray:

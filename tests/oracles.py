@@ -234,6 +234,17 @@ def cumsum_member_sums(dist: np.ndarray, members) -> np.ndarray:
     return np.stack([np.cumsum(dist[m], axis=0)[-1] for m in members], axis=1)
 
 
+def silhouette_block_widths(n: int, pairs_per_block: int) -> list[int]:
+    """Column widths of the silhouette pass's blocks over n points: each block
+    ``pairs_per_block // n`` columns (at least 2), the last one shorter, and a
+    last block of one column joined to the one before it."""
+    width = max(2, pairs_per_block // n)
+    widths = [width] * (n // width) + ([n % width] if n % width else [])
+    if len(widths) > 1 and widths[-1] == 1:
+        widths[-2:] = [width + 1]
+    return widths
+
+
 def power_iteration_eigs(matrix: np.ndarray, n_components: int,
                          iters: int = 500_000, tol: float = 1e-12):
     """Top eigenpairs of a symmetric PSD matrix via power iteration.

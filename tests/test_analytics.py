@@ -1,5 +1,5 @@
 import math
-import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +33,7 @@ from trxsave.tables import ingest_kpi_csv, read_clusters_csv
 
 import oracles
 
-from test_traffic import sample_kpi_csv, text_file
+from test_traffic import sample_kpi_csv, text_file, traced_peak
 
 
 def raw(values):
@@ -71,6 +71,17 @@ class TestStandardize:
         std, _ = standardize(raw([[1.0], [2.0]]))
         with pytest.raises(DataError):
             standardize(std)
+
+    @pytest.mark.parametrize("values,name", [
+        ([[1.0, 1e308, 2.0, 3.0, 24.0]] * 3, "dl_edge_throughput_kbps"),  # the mean overflows
+        ([[1e200, 1.0], [-1e200, 2.0]], "column 0"),  # only the squares overflow
+    ], ids=["kpi_mean", "unnamed_std"])
+    def test_overflowing_column_named_without_warnings(self, values, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            with pytest.raises(DataError, match=f"^feature {name}: mean or standard "
+                                                "deviation overflows a float64$"):
+                standardize(raw(values))
 
 
 class TestJacobi:
@@ -503,7 +514,7 @@ BLOCK_CASES = pytest.mark.parametrize("block_rows,widths", [
     (7, [7] * 142 + [6]),  # the last block is short
     (333, [333, 333, 334]),  # a last one-column block joins the one before it
     (1000, [1000]),
-    (None, [1000]),
+    (None, oracles.silhouette_block_widths(1000, analytics.PAIRS_PER_BLOCK)),
 ], ids=["one_row", "seven_rows", "333_rows", "whole_matrix", "default"])
 
 
@@ -564,19 +575,23 @@ class TestSilhouetteScores:
         with pytest.raises(DataError, match=match):
             silhouette_score(pts, np.array(labels))
 
-    def test_peak_memory_bounded(self):
-        pts = np.random.default_rng(8).normal(size=(3000, 3))
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            silhouette_scores(pts, [np.arange(3000) % 4])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        # the n x n x 3 difference tensor alone would take 216 MB
-        assert peak < 40_000_000
+    @staticmethod
+    def pass_peak(n: int) -> int:
+        """Bytes the pass over n points allocates at its peak, in this process."""
+        pts = np.random.default_rng(8).normal(size=(n, 3))
+        labelings = [np.arange(n) % k for k in (2, 4)]
+        return traced_peak(lambda: silhouette_scores(pts, labelings))
+
+    def test_peak_memory_bounded(self, monkeypatch):
+        monkeypatch.setattr(parts, "cpus", lambda: 1)  # every block is built in this process
+        block = analytics.PAIRS_PER_BLOCK * 8
+        # a block and its _squared_gaps temporary; the n x n matrix would take 72 MB
+        assert self.pass_peak(3000) < 3 * block
+
+    def test_peak_memory_does_not_grow_with_n(self, monkeypatch):
+        monkeypatch.setattr(parts, "cpus", lambda: 1)
+        block = analytics.PAIRS_PER_BLOCK * 8
+        assert abs(self.pass_peak(3000) - self.pass_peak(1000)) < block
 
 
 class TestSelectK:

@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -15,6 +17,8 @@ from trxsave.evaluator import CellComparison, ComparisonSummary, summary_to_dict
 from trxsave.tables import (CLUSTERS_CSV_HEADER, KPI_CSV_HEADER, KpiRecord, emit_kpi_csv,
                             write_csv)
 from trxsave.traffic import read_traffic_csv, write_traffic_csv
+
+from test_startup import ENV
 
 
 @pytest.fixture
@@ -156,6 +160,18 @@ class TestCluster:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
         assert "row 1" in result.output
+
+    def test_overflowing_kpi_column_named_on_one_stderr_line(self, tmp_path):
+        path = tmp_path / "kpis.csv"
+        path.write_text(",".join(KPI_CSV_HEADER) + "\n" + "".join(
+            f"c{i},1e308,{100 + i},0.1,1,24\n" for i in range(3)))
+        # a fresh interpreter, so numpy's warnings reach stderr as they do for a user
+        proc = subprocess.run([sys.executable, "-m", "trxsave.cli", "cluster", "--kpi",
+                               str(path), "--out", str(tmp_path / "out")],
+                              env=ENV, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == (f"error: {path}: feature tch_traffic_erl: mean or standard "
+                               "deviation overflows a float64\n")
 
     def test_non_utf8_kpi_exits_3(self, runner, tmp_path):
         path = tmp_path / "kpis.csv"

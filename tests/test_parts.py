@@ -301,12 +301,17 @@ class TestSameFilesAtEveryPartCount:
         no_leftovers(tmp_path)
 
 
+KPI_ROWS = 1_100
+# how many silhouette blocks the pass over the kpis fixture takes
+KPI_BLOCKS = len(oracles.silhouette_block_widths(KPI_ROWS, analytics.PAIRS_PER_BLOCK))
+
+
 @pytest.fixture(scope="module")
 def kpis(tmp_path_factory):
-    """1,100 KPI rows in four loose groups: the silhouette pass takes two blocks."""
+    """1,100 KPI rows in four loose groups: the silhouette pass takes ``KPI_BLOCKS`` blocks."""
     path = tmp_path_factory.mktemp("kpis") / "kpis.csv"
     rng = np.random.default_rng(13)
-    group = rng.integers(0, 4, size=1_100)
+    group = rng.integers(0, 4, size=KPI_ROWS)
     emit_kpi_csv([KpiRecord(f"cell_{i:04d}", round(abs(1.0 + 4 * g + rng.normal(0, 1)), 4),
                             round(140.0 - 5 * g + rng.normal(0, 2), 4),
                             round(abs(0.1 * g + rng.normal(0, 0.05)), 4),
@@ -327,7 +332,7 @@ def test_cluster_writes_the_files_of_one_part(kpis, tmp_path, monkeypatch, part_
         result = run(*cluster_args(kpis, tmp_path / f"out{cpus}"))
         assert result.exit_code == 0, result.output
         outputs[cpus] = (result.output, files_of(tmp_path / f"out{cpus}"))
-        assert part_counts == [cpus, min(cpus, 2)]  # restart parts, then block parts
+        assert part_counts == [cpus, min(cpus, KPI_BLOCKS)]  # restart parts, then block parts
     assert outputs[2] == outputs[1]
     assert outputs[3] == outputs[1]
     assert sorted(outputs[1][1]) == ["clustering.json", "clusters.csv", "elbow.csv",
@@ -447,7 +452,7 @@ class TestErrorParity:
 
         monkeypatch.setattr(analytics, "_block_silhouettes", score_or_fail)
         self.fails_alike(kpis, tmp_path, monkeypatch, part_counts, "error: last block failed",
-                         lambda cpus: [1, 1] if cpus == 1 else [cpus, 2, 1])
+                         lambda cpus: [1, 1] if cpus == 1 else [cpus, min(cpus, KPI_BLOCKS), 1])
 
     @staticmethod
     def fails_alike(kpis, tmp_path, monkeypatch, part_counts, message, counts):

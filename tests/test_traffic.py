@@ -37,6 +37,20 @@ SAMPLE_KPI_ROWS = [
 KPI_HEADER = "cell_id,tch_traffic_erl,dl_edge_throughput_kbps,pdch_congestion_pct,preempt_pdch,ts_count"
 
 
+def traced_peak(run) -> int:
+    """Bytes allocated at the peak of ``run()``, above what was allocated before it."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def text_file(tmp_path, text: str, name: str = "kpis.csv"):
     path = tmp_path / name
     path.write_bytes(text.encode())
@@ -414,6 +428,17 @@ class TestFormatRows:
     def test_negative_integers_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             format_rows([np.array([3, -1])])
+
+    def test_write_peak_does_not_grow_with_the_table(self, tmp_path):
+        rng = np.random.default_rng(5)
+        peaks = {}
+        for n in (20_000, 200_000):
+            columns = ["cell_0001", np.arange(n), np.round(rng.uniform(0, 30, n), 6)]
+            peaks[n] = traced_peak(lambda: traffic.write_rows(
+                tmp_path / "rows.csv", ["cell_id", "scan_index", "offered_erlang"], [columns]))
+        block = len(format_rows([c if isinstance(c, str) else c[:traffic.ROW_BLOCK]
+                                 for c in columns]))  # one block of formatted rows
+        assert abs(peaks[200_000] - peaks[20_000]) < block, (peaks, block)
 
 
 TRAFFIC_HEADER = "cell_id,scan_index,offered_erlang\n"
