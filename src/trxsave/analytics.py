@@ -165,12 +165,17 @@ class PcaModel:
         return (values - self.means) @ self.component_matrix
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
+JACOBI_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 100
+
+
+def jacobi_eigh(matrix: np.ndarray):
     """Eigen-decompose a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps rotate away every off-diagonal pair until the largest off-diagonal
-    magnitude drops below ``tol``. Returns (eigenvalues, eigenvectors) sorted
-    by descending eigenvalue; eigenvectors are the columns.
+    magnitude drops below ``JACOBI_TOL``, for at most ``JACOBI_MAX_SWEEPS``
+    sweeps. Returns (eigenvalues, eigenvectors) sorted by descending
+    eigenvalue; eigenvectors are the columns.
     """
     a = np.array(matrix, dtype=np.float64, copy=True)
     n = a.shape[0]
@@ -179,13 +184,13 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     if not np.allclose(a, a.T, atol=1e-10):
         raise DataError("matrix is not symmetric")
     v = np.eye(n)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = 0.0
         for p in range(n - 1):
             row_max = np.max(np.abs(a[p, p + 1:]))
             if row_max > off:
                 off = row_max
-        if off < tol:
+        if off < JACOBI_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -369,11 +374,14 @@ def _repair_empty(
     return centroids, labels
 
 
+# Lloyd's iterations stop once no centroid moves by TOL, or after MAX_ITER
+MAX_ITER = 300
+TOL = 1e-9
+
+
 def lloyd(
     points: Union[FeatureMatrix, np.ndarray],
     init_centroids: np.ndarray,
-    max_iter: int = 300,
-    tol: float = 1e-9,
     seed: int = 0,
 ) -> ClusteringResult:
     """Alternate assignment and centroid updates until centroids stop moving.
@@ -392,7 +400,7 @@ def lloyd(
 
     sse_history: list[float] = []
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         iterations += 1
         labels = _assign(x, centroids)
         centroids, labels = _repair_empty(x, centroids, labels)
@@ -408,7 +416,7 @@ def lloyd(
         new_centroids /= counts[:, None]
         shift = float(np.sqrt(np.max(np.sum((new_centroids - centroids) ** 2, axis=1))))
         centroids = new_centroids
-        if shift < tol:
+        if shift < TOL:
             break
 
     labels = _assign(x, centroids)
@@ -434,15 +442,12 @@ def child_seed(root: int, *key: int) -> int:
 _Restart = tuple[float, int, ClusteringResult]
 
 
-def _best_restart(
-    x: np.ndarray, k: int, seed: int, restarts: Iterable[int],
-    max_iter: int = 300, tol: float = 1e-9,
-) -> _Restart:
+def _best_restart(x: np.ndarray, k: int, seed: int, restarts: Iterable[int]) -> _Restart:
     """The best k-means++ restart of k among ``restarts`` (see ``_best``)."""
     def fits() -> Iterator[_Restart]:
         for r in restarts:
             s = child_seed(seed, k, r)
-            fit = lloyd(x, kmeanspp_seed(x, k, s), max_iter=max_iter, tol=tol, seed=s)
+            fit = lloyd(x, kmeanspp_seed(x, k, s), seed=s)
             yield fit.sse, r, fit
 
     return _best(fits())
@@ -458,13 +463,11 @@ def run_kmeans(
     k: int,
     seed: int = 0,
     restarts: int = 10,
-    max_iter: int = 300,
-    tol: float = 1e-9,
 ) -> ClusteringResult:
     """Best of ``restarts`` k-means++ runs by SSE (ties keep the earliest)."""
     if restarts < 1:
         raise ConfigurationError(f"restarts must be >= 1, got {restarts}")
-    return _best_restart(_points_of(points), k, seed, range(restarts), max_iter, tol)[2]
+    return _best_restart(_points_of(points), k, seed, range(restarts))[2]
 
 
 # ---------------------------------------------------------------------------

@@ -123,8 +123,8 @@ def _check_fleet_args(n_cells: int, days: int, scan_period_s: float) -> None:
         raise ConfigurationError(f"need at least 1 cell, got {n_cells}")
     if days < 1:
         raise ConfigurationError(f"need at least 1 day, got {days}")
-    # every cell's profile shares the days and the scan period
-    traffic.DiurnalProfileSpec(0.0, 0.0, days=days, scan_period_s=scan_period_s)
+    # every cell's profile shares the scan period, which the spec checks
+    traffic.DiurnalProfileSpec(0.0, 0.0, scan_period_s=scan_period_s)
 
 
 def _demo_cells(
@@ -170,18 +170,19 @@ def _demo_cells(
 
 
 def build_demo_fleet(
-    n_cells: int, days: int, seed: int, scan_period_s: float = 10.0
+    n_cells: int, days: int, seed: int
 ) -> tuple[list[dict], list[traffic.TrafficTrace], list[tables.KpiRecord]]:
-    """Deterministic desk-scale fleet: cell configs, traces, synthetic KPIs.
+    """Deterministic desk-scale fleet: cell configs, traces, synthetic KPIs,
+    one scan every 10 s.
 
     Cells fall into four traffic tiers (low, medium, high, saturated); the
     saturated tier offers more Erlang than it has traffic channels at every
     scan, modelling permanently congested sites. The arguments are checked
     before the first cell is built.
     """
-    _check_fleet_args(n_cells, days, scan_period_s)
+    _check_fleet_args(n_cells, days, 10.0)
     cells, traces, kpis = [], [], []
-    for cell, trace, kpi in _demo_cells(n_cells, days, seed, scan_period_s, range(n_cells)):
+    for cell, trace, kpi in _demo_cells(n_cells, days, seed, 10.0, range(n_cells)):
         cells.append(cell)
         traces.append(trace)
         kpis.append(kpi)
@@ -330,6 +331,7 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
         standardized, _ = analytics.standardize(analytics.kpi_feature_matrix(records))
     except DataError as exc:
         raise DataError(f"{kpi_path}: {exc}") from None
+    del records  # only the features are read from here on: free the rows before fitting
     reduced, _ = analytics.pca_reduce(standardized)
 
     n = reduced.n_rows
@@ -497,8 +499,8 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
     )
     n_timelines = len(scenario.cells) if timelines == "all" else int(timelines)
     out_dir = Path(out)
-    reports = evaluator.simulate_csv(scenario, traffic_path, scan_period,
-                                     out_dir / "timelines", n_timelines)
+    cells = evaluator.simulate_csv(scenario, traffic_path, scan_period,
+                                   out_dir / "timelines", n_timelines)
 
     metadata = {
         "seed": seed,
@@ -509,7 +511,7 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
         "default_hysteresis": hysteresis,
         "n_cells": len(scenario.cells),
     }
-    summary = evaluator.compare(reports["on"], reports["off"], metadata)
+    summary = evaluator.compare(cells, metadata)
     evaluator.emit_report(summary, out_dir)
     click.echo(f"active TRX reduction: {summary.reduction_pct:.1f}%")
     click.echo(f"blocking delta: {summary.blocking_delta:+d}")

@@ -13,15 +13,16 @@ trace when they are built, each ``cell_id`` included, so no timeline file
 name can hold "/" or NUL. ``simulate_network`` reads the traces once, in
 file order: each cell runs with saving off and on as its trace arrives,
 each timeline is reduced to the cell's statistics, and the trace is
-dropped, so memory holds one trace and one timeline, never the fleet. One
-fold of the cells' statistics makes each mode's report. Timeline CSVs are
-staged and moved into place only after the last check (no fleet cell
-untraced) passes, so a failed run leaves no output.
+dropped, so memory holds one trace and one timeline, never the fleet. The
+run returns each cell's (off, on) statistics, which ``compare`` folds once
+into the summary. Timeline CSVs are staged and moved into place only after
+the last check (no fleet cell untraced) passes, so a failed run leaves no
+output.
 
 ``simulate_csv`` does the same for a traffic CSV on every usable CPU: the
 file is cut between cell blocks into one span per CPU, and each span is
 read and run by its own process, which holds one trace and one timeline at
-a time. Reports, timelines and errors do not depend on the CPU count.
+a time. Statistics, timelines and errors do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -92,18 +93,7 @@ class CellStats:
     max_ts: int
     mean_ts: float
     blocked: int
-    n_scans: int
     trx_scans: int
-
-
-@dataclass(frozen=True)
-class NetworkReport:
-    """One run mode (saving on or off) over the fleet, per_cell in cell_id order."""
-
-    per_cell: dict[str, CellStats]
-    trx_scans: int
-    ts_scans: int
-    blocked: int
 
 
 def summarize(timeline: CellTimeline, warmup_scans: int = 0) -> CellStats:
@@ -115,18 +105,8 @@ def summarize(timeline: CellTimeline, warmup_scans: int = 0) -> CellStats:
         max_ts=int(ts.max()),
         mean_ts=float(ts.mean()),
         blocked=int(timeline.blocked[warmup_scans:].sum()),
-        n_scans=len(ts),
         trx_scans=int(timeline.active_trx[warmup_scans:].sum()),
     )
-
-
-def _report(stats: Iterable[CellStats]) -> NetworkReport:
-    """The fleet report of the cells' ``stats``, in any order."""
-    per_cell = {s.cell_id: s for s in sorted(stats, key=lambda s: s.cell_id)}
-    trx_scans = sum(s.trx_scans for s in per_cell.values())
-    return NetworkReport(per_cell=per_cell, trx_scans=trx_scans,
-                         ts_scans=trx_scans * SLOTS_PER_TRX,
-                         blocked=sum(s.blocked for s in per_cell.values()))
 
 
 def simulate_network(
@@ -134,9 +114,9 @@ def simulate_network(
     traces: Iterable[TrafficTrace],
     timeline_dir: Union[str, Path, None] = None,
     n_timelines: int = 0,
-) -> dict[str, NetworkReport]:
-    """Run each cell with saving off, then on, as its trace arrives; the reports
-    of both modes, keyed "off" and "on". ``traces`` is read once, in its own
+) -> list[tuple[CellStats, CellStats]]:
+    """Run each cell with saving off, then on, as its trace arrives; each cell's
+    (off, on) statistics, in cell_id order. ``traces`` is read once, in its own
     order, and must trace exactly the scenario's cells; memory holds one trace
     and one timeline.
 
@@ -156,12 +136,12 @@ def simulate_csv(
     scan_period_s: float,
     timeline_dir: Union[str, Path, None] = None,
     n_timelines: int = 0,
-) -> dict[str, NetworkReport]:
+) -> list[tuple[CellStats, CellStats]]:
     """``simulate_network`` of the traffic CSV ``path``, its cell blocks cut into
     one span per usable CPU (``traffic_spans``), each span run in its own
     process (``parts.run_parts``).
 
-    Reports and timelines are byte for byte those of one process. If any span
+    Statistics and timelines are byte for byte those of one process. If any span
     fails, or a cell is traced in two spans, the file is run again as one
     span, so every error, with its row number, is the one a single process
     raises. Every ``DataError`` about the traffic starts with ``path``.
@@ -177,7 +157,7 @@ def simulate_csv(
 def _simulate(scenario: NetworkScenario, sources: Sequence[Any],
               read: Callable[[Any], Generator[TrafficTrace, None, None]],
               timeline_dir: Union[str, Path, None], n_timelines: int,
-              where: str) -> dict[str, NetworkReport]:
+              where: str) -> list[tuple[CellStats, CellStats]]:
     """Run the traces ``read(source)`` of each source of the scenario, each
     source in its own process; ``where`` starts each error about the traces."""
     configs = {c.cell_id: c for c in scenario.cells}
@@ -227,8 +207,7 @@ def _simulate(scenario: NetworkScenario, sources: Sequence[Any],
     finally:
         if staging is not None:
             shutil.rmtree(staging)
-    cells = [cell for part in done for cell in part]
-    return {"off": _report(off for off, _ in cells), "on": _report(on for _, on in cells)}
+    return sorted((cell for part in done for cell in part), key=lambda cell: cell[0].cell_id)
 
 
 def _staging_dir(timeline_dir: Path) -> Path:
@@ -264,44 +243,41 @@ class ComparisonSummary:
 
 
 def compare(
-    report_on: NetworkReport,
-    report_off: NetworkReport,
+    cells: Sequence[tuple[CellStats, CellStats]],
     metadata: Optional[dict] = None,
 ) -> ComparisonSummary:
-    """Build the before/after comparison from the two run modes."""
-    if set(report_on.per_cell) != set(report_off.per_cell):
-        raise DataError("comparison needs the same cell set in both reports")
-    for cell_id, off_stats in report_off.per_cell.items():
-        if report_on.per_cell[cell_id].n_scans != off_stats.n_scans:
-            raise DataError(f"cell {cell_id!r}: scan counts differ between runs")
-
+    """Build the before/after comparison from each cell's (off, on) statistics;
+    the rows keep the cells' order."""
     rows = []
-    for cell_id in sorted(report_off.per_cell):
-        off_stats = report_off.per_cell[cell_id]
-        on_stats = report_on.per_cell[cell_id]
+    trx_off = trx_on = blocked_off = blocked_on = 0
+    for off, on in cells:
         rows.append(CellComparison(
-            cell_id=cell_id,
-            ts_before=off_stats.max_ts,
-            max_ts_after=on_stats.max_ts,
-            mean_ts_after=on_stats.mean_ts,
-            blocked_before=off_stats.blocked,
-            blocked_after=on_stats.blocked,
+            cell_id=off.cell_id,
+            ts_before=off.max_ts,
+            max_ts_after=on.max_ts,
+            mean_ts_after=on.mean_ts,
+            blocked_before=off.blocked,
+            blocked_after=on.blocked,
         ))
+        trx_off += off.trx_scans
+        trx_on += on.trx_scans
+        blocked_off += off.blocked
+        blocked_on += on.blocked
     reduction = 0.0
-    if report_off.trx_scans > 0:
-        reduction = (report_off.trx_scans - report_on.trx_scans) / report_off.trx_scans * 100.0
+    if trx_off > 0:
+        reduction = (trx_off - trx_on) / trx_off * 100.0
     return ComparisonSummary(
         schema_version=SCHEMA_VERSION,
         metadata=dict(metadata or {}),
         rows=tuple(rows),
-        trx_scans_without=report_off.trx_scans,
-        trx_scans_with=report_on.trx_scans,
-        ts_scans_without=report_off.ts_scans,
-        ts_scans_with=report_on.ts_scans,
+        trx_scans_without=trx_off,
+        trx_scans_with=trx_on,
+        ts_scans_without=trx_off * SLOTS_PER_TRX,
+        ts_scans_with=trx_on * SLOTS_PER_TRX,
         reduction_pct=reduction,
-        blocked_without=report_off.blocked,
-        blocked_with=report_on.blocked,
-        blocking_delta=report_on.blocked - report_off.blocked,
+        blocked_without=blocked_off,
+        blocked_with=blocked_on,
+        blocking_delta=blocked_on - blocked_off,
     )
 
 

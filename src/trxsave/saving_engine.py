@@ -104,44 +104,18 @@ class SavingState:
     delay_remaining: int = 0
 
 
-ACTION_NONE = "none"
-ACTION_DISABLE = "disable"
-ACTION_ENABLE = "enable"
-
-
-@dataclass(frozen=True)
-class ScanAction:
-    """Outcome of one scan: nothing, or toggle one TRX."""
-
-    kind: str = ACTION_NONE
-    trx: int = 0
-
-    @classmethod
-    def none(cls) -> "ScanAction":
-        return cls()
-
-    @classmethod
-    def disable(cls, trx: int) -> "ScanAction":
-        if trx <= 1:
-            raise InvariantError("TRX 1 cannot be targeted for disable")
-        return cls(ACTION_DISABLE, trx)
-
-    @classmethod
-    def enable(cls, trx: int) -> "ScanAction":
-        return cls(ACTION_ENABLE, trx)
-
-
 def _decay(counter: int, step: int) -> int:
     return counter - step if counter > step else 0
 
 
 def scan_step(
     cell: CellState, saving: SavingState, p: PowerSavingParams
-) -> tuple[SavingState, ScanAction]:
+) -> tuple[SavingState, int]:
     """Evaluate one scan: update counters, decide on a switch action.
 
-    Pure function over value types; the caller applies the action with
-    :func:`apply_action`.
+    Pure function over value types. The action is an int, as in
+    ``CellTimeline.actions``: 0 none, +i enable TRX i, -i disable TRX i. The
+    caller applies it with :func:`apply_action`.
     """
     idle = idle_tch_count(cell)
     off_threshold = p.hysteresis + FIXED_OFFSET
@@ -176,43 +150,33 @@ def scan_step(
         else:
             off_c = _decay(off_c, p.decay_step)
 
-    action = ScanAction.none()
+    action = 0
     if enable_fires:
         # switch-on takes priority over a simultaneous switch-off
-        lowest_disabled = next(i + 1 for i, on in enumerate(cell.trx_enabled) if not on)
-        action = ScanAction.enable(lowest_disabled)
+        action = next(i + 1 for i, on in enumerate(cell.trx_enabled) if not on)
     elif disable_fires:
-        highest_enabled = max(i + 1 for i, on in enumerate(cell.trx_enabled) if on)
-        action = ScanAction.disable(highest_enabled)
+        action = -max(i + 1 for i, on in enumerate(cell.trx_enabled) if on)
         off_c = 0
         delay = p.trx_off_delay
 
     return SavingState(off_counter=off_c, on_counter=on_c, delay_remaining=delay), action
 
 
-def apply_action(cell: CellState, action: ScanAction) -> CellState:
-    """Apply a scan action to the cell.
+def apply_action(cell: CellState, action: int) -> CellState:
+    """Apply a scan action code (see :func:`scan_step`) to the cell.
 
-    A disable that would strand calls is an ``InvariantError``
+    The TRX must exist and not already be in the requested state. Disabling
+    TRX 1, or a disable that would strand calls, is an ``InvariantError``
     (``set_trx_enabled``); the module docstring shows that a run never asks
     for one.
     """
-    if action.kind == ACTION_NONE:
+    if action == 0:
         return cell
-    if action.kind == ACTION_DISABLE:
-        if action.trx == 1:
-            raise InvariantError("refusing to disable TRX 1 (would take the cell down)")
-        if not cell.trx_enabled[action.trx - 1]:
-            raise InvariantError(f"TRX {action.trx} is already disabled")
-        return set_trx_enabled(cell, action.trx, False)
-    if action.kind == ACTION_ENABLE:
-        if cell.trx_enabled[action.trx - 1]:
-            raise InvariantError(f"TRX {action.trx} is already enabled")
-        return set_trx_enabled(cell, action.trx, True)
-    raise InvariantError(f"unknown action kind {action.kind!r}")
-
-
-# action codes in CellTimeline.actions: 0 none, +i enable TRX i, -i disable TRX i
+    trx, enable = abs(action), action > 0
+    # set_trx_enabled refuses a TRX out of range
+    if trx <= cell.config.num_trx and cell.trx_enabled[trx - 1] == enable:
+        raise InvariantError(f"TRX {trx} is already {'enabled' if enable else 'disabled'}")
+    return set_trx_enabled(cell, trx, enable)
 
 
 @dataclass
@@ -221,7 +185,8 @@ class CellTimeline:
 
     ``offered`` is the trace's own array; ``blocked`` counts the calls that did
     not fit on the TRXs the scan before left enabled; ``active_trx`` is the
-    enabled count after the scan's action, and ``actions`` the action itself.
+    enabled count after the scan's action, and ``actions`` the action itself,
+    coded as ``scan_step`` returns it.
     The counters and the delay window are not kept: only the
     ``scan_step``/``apply_action`` replay has them per scan.
     """

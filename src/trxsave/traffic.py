@@ -478,8 +478,7 @@ class _Blocks:
     one, so a run can break the block rules only at its first row.
     """
 
-    def __init__(self, path: Union[str, Path], start: int = 0,
-                 end: Optional[int] = None) -> None:
+    def __init__(self, path: Union[str, Path], start: int, end: Optional[int]) -> None:
         self.path = path
         self.start, self.end = start, end
         self.cid: Optional[str] = None

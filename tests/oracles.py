@@ -60,7 +60,6 @@ def replay_with_step_functions(config, params, trace) -> dict[str, list[int]]:
     """
     cell = build_cell(config)
     saving = SavingState()
-    before = cell.enabled_trx_count
     rows = []
     for sample in trace.samples.tolist():
         demand = math.floor(sample + 0.5)
@@ -70,9 +69,7 @@ def replay_with_step_functions(config, params, trace) -> dict[str, list[int]]:
         cell = apply_action(cell, action)
         after = cell.enabled_trx_count
         rows.append((demand, occupied, blocked, after, after * SLOTS_PER_TRX,
-                     saving.off_counter, saving.on_counter, saving.delay_remaining,
-                     action.trx if after > before else -action.trx if after < before else 0))
-        before = after
+                     saving.off_counter, saving.on_counter, saving.delay_remaining, action))
     return {name: list(column) for name, column in zip(REPLAY_ARRAYS, zip(*rows))}
 
 

@@ -1,4 +1,6 @@
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from trxsave.saving_engine import run_cell
 import oracles
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = BENCH.parent / "src"
 
 
 def cell(num_trx=3, cch=3):
@@ -135,7 +138,8 @@ class TestEnableFlag:
 
 class TestBenchmarkReplay:
     """The benchmark's bursty-churn check replays the step functions through this
-    module's import surface; a change here that breaks it fails here first."""
+    module's import surface, and its tracer wraps the pipeline's functions by
+    name; a change here that breaks either fails here first."""
 
     def test_replay_equals_run_cell(self, monkeypatch):
         monkeypatch.syspath_prepend(str(BENCH))
@@ -145,3 +149,14 @@ class TestBenchmarkReplay:
         expected = run_cell(config, workloads.BURSTY_PARAMS, trace).active_ts.tolist()
         assert len(set(expected)) > 1  # the trace switches TRXs
         assert workloads._replay_active_ts(config, trace.samples) == expected
+
+    def test_tracer_wraps_every_stage(self):
+        # a fresh interpreter, since install replaces module attributes for good; a
+        # renamed function the tracer wraps fails here, not only in a traced run
+        code = (f"import sys\nsys.path[:0] = [{str(BENCH)!r}, {str(SRC)!r}]\n"
+                "import tracing\n"
+                "for stage in tracing.STAGES:\n"
+                "    tracing.install(tracing.Tracer(), stage)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -13,7 +13,6 @@ from trxsave.evaluator import (
     CellComparison,
     CellStats,
     ComparisonSummary,
-    NetworkReport,
     NetworkScenario,
     compare,
     emit_report,
@@ -43,34 +42,34 @@ def make_scenario(n_cells=3, n_scans=400, hysteresis=3, num_trx=3, level=0.0, wa
     return scenario, traces
 
 
-def report_with_totals(trx_scans, ts_scans=0, blocked=0, cells=("a",)):
-    per_cell = {
-        c: CellStats(cell_id=c, max_ts=24, mean_ts=24.0, blocked=blocked, n_scans=10,
-                     trx_scans=30)
-        for c in cells
-    }
-    return NetworkReport(per_cell=per_cell, trx_scans=trx_scans, ts_scans=ts_scans,
-                         blocked=blocked)
+def pair(cell_id, trx_off, trx_on, blocked_off=0, blocked_on=0):
+    """One cell's hand-built (off, on) statistics."""
+    return (CellStats(cell_id=cell_id, max_ts=24, mean_ts=24.0, blocked=blocked_off,
+                      trx_scans=trx_off),
+            CellStats(cell_id=cell_id, max_ts=16, mean_ts=12.5, blocked=blocked_on,
+                      trx_scans=trx_on))
 
 
 class TestSimulateNetwork:
     def test_saving_off_keeps_full_slot_count(self):
-        report = simulate_network(*make_scenario(n_scans=400))["off"]
-        for stats in report.per_cell.values():
-            assert (stats.max_ts, stats.mean_ts) == (24, 24.0)  # every scan at 24
-            assert (stats.n_scans, stats.trx_scans) == (400, 400 * 3)
-        assert (report.trx_scans, report.ts_scans) == (3 * 400 * 3, 3 * 400 * 24)
+        cells = simulate_network(*make_scenario(n_scans=400))
+        for off, _ in cells:
+            assert (off.max_ts, off.mean_ts) == (24, 24.0)  # every scan at 24
+            assert off.trx_scans == 400 * 3
+        summary = compare(cells)
+        assert (summary.trx_scans_without, summary.ts_scans_without) == (3 * 400 * 3,
+                                                                         3 * 400 * 24)
 
     def test_low_traffic_cell_converges_at_or_below_two_trx(self):
         scenario = make_scenario(n_cells=1, n_scans=2000, hysteresis=3, level=0.3, warmup=1000)
-        stats = simulate_network(*scenario)["on"].per_cell["cell_00"]
-        assert stats.max_ts <= 16
+        ((_, on),) = simulate_network(*scenario)
+        assert on.max_ts <= 16
 
     def test_empty_network_gives_empty_report(self):
         scenario = NetworkScenario(cells=[], params={})
-        report = simulate_network(scenario, [])["on"]
-        assert report.per_cell == {}
-        assert report.trx_scans == 0
+        assert simulate_network(scenario, []) == []
+        summary = compare([])
+        assert (summary.rows, summary.trx_scans_with, summary.reduction_pct) == ((), 0, 0.0)
 
     def test_missing_trace_rejected(self):
         scenario = NetworkScenario(cells=[CellConfig("a", 3, 3)], params={"a": PowerSavingParams()})
@@ -107,8 +106,7 @@ class TestSimulateNetwork:
         scenario, traces = make_scenario(n_cells=2, n_scans=300, warmup=150)
         scenario = replace(scenario, params={"cell_00": PowerSavingParams(hysteresis=3),
                                              "cell_01": PowerSavingParams(hysteresis=5)})
-        reports = simulate_network(scenario, traces)
-        rows = compare(reports["on"], reports["off"]).rows
+        rows = compare(simulate_network(scenario, traces)).rows
         # h=3 reaches one TRX by scan 130; h=5 parks at two
         assert [(r.cell_id, r.max_ts_after, r.mean_ts_after) for r in rows] == [
             ("cell_00", 8, 8.0), ("cell_01", 16, 16.0)]
@@ -153,9 +151,9 @@ class TestSimulateNetwork:
         # neither the fleet's order nor the traces' decides which cells get timelines
         scenario = replace(scenario, cells=[scenario.cells[i] for i in (1, 2, 0)])
         tl = tmp_path / "tl"
-        reports = simulate_network(scenario, traces[::-1], tl, 2)
-        assert list(reports) == ["off", "on"]
-        assert list(reports["on"].per_cell) == ["cell_00", "cell_01", "cell_02"]
+        cells = simulate_network(scenario, traces[::-1], tl, 2)
+        assert [(off.cell_id, on.cell_id) for off, on in cells] == [
+            ("cell_00", "cell_00"), ("cell_01", "cell_01"), ("cell_02", "cell_02")]
         assert sorted(p.name for p in tl.iterdir()) == [
             "cell_00_off.csv", "cell_00_on.csv", "cell_01_off.csv", "cell_01_on.csv"]
         assert [p.name for p in tmp_path.iterdir()] == ["tl"]  # no staging directory left
@@ -190,14 +188,14 @@ class TestSummarize:
         timeline = run_cell(scenario.cells[0], scenario.params["cell_00"], traces[0])
         # one TRX holds from scan 129 on
         assert summarize(timeline, 150) == CellStats(
-            cell_id="cell_00", max_ts=8, mean_ts=8.0, blocked=0, n_scans=150, trx_scans=150)
+            cell_id="cell_00", max_ts=8, mean_ts=8.0, blocked=0, trx_scans=150)
 
     def test_warmup_excludes_ramp(self):
         scenario, traces = make_scenario(n_cells=1, n_scans=300, hysteresis=3)
-        full = simulate_network(scenario, traces)["on"]
-        settled = simulate_network(replace(scenario, warmup_scans=150), traces)["on"]
-        assert full.per_cell["cell_00"].max_ts == 24   # includes the all-on start
-        assert settled.per_cell["cell_00"].max_ts == 8  # one TRX holds after scan 130
+        ((_, full),) = simulate_network(scenario, traces)
+        ((_, settled),) = simulate_network(replace(scenario, warmup_scans=150), traces)
+        assert full.max_ts == 24   # includes the all-on start
+        assert settled.max_ts == 8  # one TRX holds after scan 130
 
     def test_warmup_longer_than_trace_rejected(self, tmp_path):
         scenario, traces = make_scenario(n_cells=2, n_scans=50, warmup=50)
@@ -209,42 +207,40 @@ class TestSummarize:
 class TestCompare:
     def test_published_totals_reduce_by_20_9_pct(self):
         # 5754 active TRX-scans without saving vs 4550 with
-        summary = compare(report_with_totals(4550), report_with_totals(5754))
+        summary = compare([pair("a", 2877, 2400, 1, 2), pair("b", 2877, 2150, 0, 4)])
         assert summary.trx_scans_without == 5754
         assert summary.trx_scans_with == 4550
+        assert (summary.ts_scans_without, summary.ts_scans_with) == (5754 * 8, 4550 * 8)
         assert f"{summary.reduction_pct:.1f}" == "20.9"
+        assert summary.reduction_pct == (5754 - 4550) / 5754 * 100.0
+        assert (summary.blocked_without, summary.blocked_with, summary.blocking_delta) == (1, 6, 5)
+        assert summary.rows == (CellComparison("a", 24, 16, 12.5, 1, 2),
+                                CellComparison("b", 24, 16, 12.5, 0, 4))
 
-    def test_identical_reports_zero_reduction(self):
-        summary = compare(report_with_totals(100), report_with_totals(100))
+    def test_identical_runs_zero_reduction(self):
+        summary = compare([pair("a", 100, 100)])
         assert summary.reduction_pct == 0.0
 
     def test_saturated_cell_shows_no_reduction(self):
-        reports = simulate_network(*make_scenario(n_cells=1, n_scans=1200, hysteresis=3,
-                                                  level=30.0))
-        summary = compare(reports["on"], reports["off"])
+        summary = compare(simulate_network(*make_scenario(n_cells=1, n_scans=1200,
+                                                          hysteresis=3, level=30.0)))
         row = summary.rows[0]
         assert row.ts_before == row.max_ts_after == 24
         assert summary.blocking_delta == 0
 
-    def test_cell_set_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            compare(report_with_totals(10, cells=("a",)),
-                    report_with_totals(10, cells=("a", "b")))
-
     def test_rows_ordered_by_cell_id(self):
         scenario, traces = make_scenario(n_cells=4, n_scans=100)
-        reports = simulate_network(replace(scenario, cells=scenario.cells[::-1]), traces[::-1])
-        summary = compare(reports["on"], reports["off"])
+        summary = compare(simulate_network(replace(scenario, cells=scenario.cells[::-1]),
+                                           traces[::-1]))
         ids = [r.cell_id for r in summary.rows]
         assert ids == sorted(ids)
 
 
 class TestEmission:
     def small_summary(self):
-        reports = simulate_network(*make_scenario(n_cells=2, n_scans=400, hysteresis=3,
-                                                  warmup=200))
-        return compare(reports["on"], reports["off"],
-                       metadata={"seed": 0, "params": {"hysteresis": 3}})
+        cells = simulate_network(*make_scenario(n_cells=2, n_scans=400, hysteresis=3,
+                                                warmup=200))
+        return compare(cells, metadata={"seed": 0, "params": {"hysteresis": 3}})
 
     def test_comparison_csv_header_matches_operator_table(self, tmp_path):
         out = tmp_path / "comparison.csv"

@@ -11,14 +11,10 @@ from trxsave import saving_engine
 from trxsave.cell_model import MAX_TRX, CellConfig, build_cell, place_calls
 from trxsave.errors import ConfigurationError, DataError, InvariantError
 from trxsave.saving_engine import (
-    ACTION_DISABLE,
-    ACTION_ENABLE,
-    ACTION_NONE,
     FIRST_WINDOW,
     MAX_WINDOW,
     PowerSavingParams,
     SavingState,
-    ScanAction,
     apply_action,
     run_cell,
     scan_step,
@@ -79,21 +75,21 @@ class TestScanStep:
         cell = cell_with_occupancy(1)
         saving, action = scan_step(cell, SavingState(), PowerSavingParams(hysteresis=5))
         assert saving.off_counter == 1
-        assert action.kind == ACTION_NONE
+        assert action == 0
 
     def test_idle_at_or_below_threshold_decays_counter(self):
         # idle 10 < 14: counter 2 drops to max(2 - 3, 0) = 0
         cell = cell_with_occupancy(11)
         saving, action = scan_step(cell, SavingState(off_counter=2), PowerSavingParams(hysteresis=5))
         assert saving.off_counter == 0
-        assert action.kind == ACTION_NONE
+        assert action == 0
 
     def test_reaching_off_target_disables_highest_trx(self):
         cell = cell_with_occupancy(0)  # idle 21 > 14
         saving, action = scan_step(
             cell, SavingState(off_counter=49), PowerSavingParams(hysteresis=5)
         )
-        assert action == ScanAction.disable(3)
+        assert action == -3  # disable TRX 3
         assert saving.off_counter == 0
         assert saving.delay_remaining == 30
 
@@ -102,7 +98,7 @@ class TestScanStep:
         saving, action = scan_step(
             cell, SavingState(off_counter=0, delay_remaining=4), PowerSavingParams()
         )
-        assert action.kind == ACTION_NONE
+        assert action == 0
         assert saving.off_counter == 0
         assert saving.delay_remaining == 3
 
@@ -112,7 +108,7 @@ class TestScanStep:
         cell = cell_with_occupancy(21 - 14)  # idle = 14
         saving, action = scan_step(cell, SavingState(off_counter=5, on_counter=0), p)
         assert saving.off_counter == 2
-        assert action.kind == ACTION_NONE
+        assert action == 0
 
     def test_on_counter_counts_when_margin_below_hysteresis(self):
         from trxsave.cell_model import set_trx_enabled
@@ -121,9 +117,9 @@ class TestScanStep:
         cell, _ = place_calls(cell, 9)  # idle 4 < 5
         saving, action = scan_step(cell, SavingState(on_counter=0), p)
         assert saving.on_counter == 1
-        assert action.kind == ACTION_NONE
+        assert action == 0
         saving, action = scan_step(cell, SavingState(on_counter=48), p)
-        assert action == ScanAction.enable(3)
+        assert action == 3  # enable TRX 3
         assert saving.on_counter == 0
 
     def test_enable_ignores_delay_window(self):
@@ -132,47 +128,54 @@ class TestScanStep:
         cell = set_trx_enabled(build_cell(CellConfig("c1", 3, 3)), 3, False)
         cell, _ = place_calls(cell, 13)  # idle 0
         saving, action = scan_step(cell, SavingState(on_counter=48, delay_remaining=10), p)
-        assert action == ScanAction.enable(3)
+        assert action == 3  # enable TRX 3
         assert saving.delay_remaining == 9
 
     def test_on_path_silent_when_all_enabled(self):
         cell = cell_with_occupancy(21)  # idle 0 but nothing to enable
         saving, action = scan_step(cell, SavingState(), PowerSavingParams())
         assert saving.on_counter == 0
-        assert action.kind == ACTION_NONE
+        assert action == 0
 
 
 class TestApplyAction:
     def test_disable_shrinks_capacity(self):
         cell = cell_with_occupancy(0)
-        cell = apply_action(cell, ScanAction.disable(3))
+        cell = apply_action(cell, -3)
         assert cell.enabled_trx_count == 2
         assert cell.enabled_tch_capacity == 13
 
     def test_enable_restores_capacity(self):
-        cell = apply_action(cell_with_occupancy(0), ScanAction.disable(3))
-        cell = apply_action(cell, ScanAction.enable(3))
+        cell = apply_action(cell_with_occupancy(0), -3)
+        cell = apply_action(cell, 3)
         assert cell.enabled_tch_capacity == 21
 
+    def test_no_action_returns_the_cell(self):
+        cell = cell_with_occupancy(5)
+        assert apply_action(cell, 0) is cell
+
     def test_disable_trx1_is_an_invariant_violation(self):
-        with pytest.raises(InvariantError):
-            ScanAction.disable(1)
-        with pytest.raises(InvariantError):
-            apply_action(cell_with_occupancy(0), ScanAction(ACTION_DISABLE, 1))
+        with pytest.raises(InvariantError, match="TRX 1 carries the control channels"):
+            apply_action(cell_with_occupancy(0), -1)
+
+    @pytest.mark.parametrize("action", [4, -4])
+    def test_trx_past_num_trx_is_an_invariant_violation(self, action):
+        with pytest.raises(InvariantError, match="TRX index 4 out of range for 3-TRX cell"):
+            apply_action(cell_with_occupancy(0), action)
 
     def test_overloaded_disable_is_an_invariant_violation(self):
         cell = cell_with_occupancy(14)  # removal would leave 13 < 14
         with pytest.raises(InvariantError, match="disabling TRX 3 would strand 1 call"):
-            apply_action(cell, ScanAction.disable(3))
+            apply_action(cell, -3)
 
     def test_double_disable_rejected(self):
-        cell = apply_action(cell_with_occupancy(0), ScanAction.disable(3))
-        with pytest.raises(InvariantError):
-            apply_action(cell, ScanAction.disable(3))
+        cell = apply_action(cell_with_occupancy(0), -3)
+        with pytest.raises(InvariantError, match="TRX 3 is already disabled"):
+            apply_action(cell, -3)
 
     def test_enable_of_enabled_trx_rejected(self):
-        with pytest.raises(InvariantError):
-            apply_action(cell_with_occupancy(0), ScanAction(ACTION_ENABLE, 2))
+        with pytest.raises(InvariantError, match="TRX 2 is already enabled"):
+            apply_action(cell_with_occupancy(0), 2)
 
 
 class TestRunCell:
