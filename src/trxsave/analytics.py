@@ -260,7 +260,6 @@ class ClusteringResult:
     centroids: np.ndarray
     sse: float
     iterations: int
-    seed: int
     sse_history: list[float] = field(default_factory=list)
 
 
@@ -382,7 +381,6 @@ TOL = 1e-9
 def lloyd(
     points: Union[FeatureMatrix, np.ndarray],
     init_centroids: np.ndarray,
-    seed: int = 0,
 ) -> ClusteringResult:
     """Alternate assignment and centroid updates until centroids stop moving.
 
@@ -427,7 +425,6 @@ def lloyd(
         centroids=centroids,
         sse=_sse(x, centroids, labels),
         iterations=iterations,
-        seed=seed,
         sse_history=sse_history,
     )
 
@@ -446,8 +443,7 @@ def _best_restart(x: np.ndarray, k: int, seed: int, restarts: Iterable[int]) -> 
     """The best k-means++ restart of k among ``restarts`` (see ``_best``)."""
     def fits() -> Iterator[_Restart]:
         for r in restarts:
-            s = child_seed(seed, k, r)
-            fit = lloyd(x, kmeanspp_seed(x, k, s), seed=s)
+            fit = lloyd(x, kmeanspp_seed(x, k, child_seed(seed, k, r)))
             yield fit.sse, r, fit
 
     return _best(fits())

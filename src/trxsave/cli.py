@@ -63,41 +63,6 @@ def handle_errors(fn):
     return wrapper
 
 
-def apply_config_file(ctx: click.Context, param: click.Parameter, value):
-    """Fill defaults from a JSON config file; explicit flags win."""
-    if value is None:
-        return None
-    from . import tables
-
-    try:
-        data = tables.read_json(value)
-    except (DataError, OSError) as exc:
-        raise click.UsageError(f"cannot read config file: {exc}")
-    if not isinstance(data, dict):
-        raise click.UsageError(f"config file {value} must hold a JSON object")
-    # config keys may use either the flag spelling (--cells) or the parameter name
-    key_to_name = {}
-    for p in ctx.command.params:
-        key_to_name[p.name] = p.name
-        for opt in getattr(p, "opts", []):
-            key_to_name[opt.lstrip("-").replace("-", "_")] = p.name
-    defaults = dict(ctx.default_map or {})
-    for key, val in data.items():
-        name = key_to_name.get(key.replace("-", "_"))
-        if name is None:
-            raise click.UsageError(f"unknown config key {key!r} in {value}")
-        defaults.setdefault(name, val)
-    ctx.default_map = defaults
-    return value
-
-
-config_option = click.option(
-    "--config", type=click.Path(exists=True, dir_okay=False), callback=apply_config_file,
-    is_eager=True, expose_value=False,
-    help="JSON file with default option values (explicit flags win).",
-)
-
-
 @click.group()
 @click.version_option(version=__version__)
 def main() -> None:
@@ -241,7 +206,6 @@ def read_fleet_json(path: Path) -> tuple[float, list[CellConfig]]:
 
 
 @main.command()
-@config_option
 @click.option("--cells", "n_cells", type=int, default=12, show_default=True,
               help="Number of cells in the fleet.")
 @click.option("--days", type=int, default=2, show_default=True,
@@ -303,7 +267,6 @@ def generate(n_cells: int, days: int, seed: int, scan_period: float, out: str) -
 
 
 @main.command()
-@config_option
 @click.option("--kpi", "kpi_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--k", type=int, default=None,
               help="Pin the cluster count instead of taking the silhouette argmax; "
@@ -376,7 +339,6 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
 
 
 @main.command()
-@config_option
 @click.option("--clusters", "clusters_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
 @click.option("--kpi", "kpi_path", type=click.Path(exists=True, dir_okay=False), required=True)
@@ -396,12 +358,15 @@ def assign(clusters_path: str, kpi_path: str, policy: str, out: str) -> None:
     labels = tables.read_clusters_csv(clusters_path)
     records = tables.ingest_kpi_csv(kpi_path)
     by_id = {r.cell_id: r for r in records}
-    missing = [c for c in labels if c not in by_id]
-    if missing:
-        raise DataError(f"cells in cluster CSV missing from KPI CSV: {missing[:5]}")
+    missing = next((c for c in labels if c not in by_id), None)
+    if missing is not None:
+        raise DataError(f"{clusters_path}: cell {missing!r} is not in {kpi_path}")
 
     ordered = [by_id[c] for c in labels]
-    profiles = tuner.profile_clusters([labels[r.cell_id] for r in ordered], ordered)
+    try:
+        profiles = tuner.profile_clusters([labels[r.cell_id] for r in ordered], ordered)
+    except DataError as exc:  # a gap in the cluster ids, or no rows
+        raise DataError(f"{clusters_path}: {exc}") from None
     assignment = tuner.rank_and_assign(profiles, tuner.HysteresisPolicy(values=values), labels)
 
     out_dir = Path(out)
@@ -459,7 +424,6 @@ def _load_scenario(
 
 
 @main.command()
-@config_option
 @click.option("--fleet", "fleet_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--traffic", "traffic_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
@@ -484,7 +448,7 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
     """Run the fleet without, then with power saving; write comparison.csv and
     summary.json."""
     from . import evaluator
-    from .saving_engine import PowerSavingParams
+    from .saving_engine import DECAY_STEP, PowerSavingParams
 
     if timelines != "all" and not timelines.isdecimal():  # what int() reads
         raise ConfigurationError(f"--timelines must be 'all' or a count >= 0, got {timelines!r}")
@@ -507,7 +471,8 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
         "warmup_scans": scenario.warmup_scans,
         "scan_period_s": scan_period,
         # each cell ran with its assignment.csv hysteresis or default_hysteresis
-        "params": {k: v for k, v in dataclasses.asdict(params).items() if k != "hysteresis"},
+        "params": {**{k: v for k, v in dataclasses.asdict(params).items() if k != "hysteresis"},
+                   "decay_step": DECAY_STEP},
         "default_hysteresis": hysteresis,
         "n_cells": len(scenario.cells),
     }
@@ -518,7 +483,6 @@ def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
 
 
 @main.command()
-@config_option
 @click.option("--summary", "summary_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
 @handle_errors

@@ -4,7 +4,7 @@ The feature scans the cell every ~10 seconds and keeps two counters.
 
 Switch-off: when more than one TRX is enabled and the post-disable delay
 window is closed, a scan with ``idle > hysteresis + FIXED_OFFSET`` bumps the
-off-counter by one; otherwise the counter drops by ``decay_step`` (floored at
+off-counter by one; otherwise the counter drops by ``DECAY_STEP`` (floored at
 zero). When the counter reaches ``trx_off_target`` the highest-index enabled
 TRX is switched off, the counter resets and off-checking is suspended for
 ``trx_off_delay`` scans. The offset of 9 (one TRX of slots plus one) makes
@@ -62,22 +62,23 @@ from .errors import ConfigurationError, InvariantError
 from .traffic import TrafficTrace, demand_series
 
 FIXED_OFFSET = 9
+DECAY_STEP = 3
 
 
 @dataclass(frozen=True)
 class PowerSavingParams:
-    """The four tunable feature parameters plus the counter decay, each checked
-    against its allowed range when built.
+    """The four tunable feature parameters, each checked against its allowed
+    range when built.
 
     Vendor names: TRXOFFTARGET, TRXONTARGET, TRXOFFDELAY, BTSPSHYST. The
-    switch-off offset is the constant ``FIXED_OFFSET``.
+    switch-off offset is the constant ``FIXED_OFFSET`` and the counter decay
+    the constant ``DECAY_STEP``.
     """
 
     trx_off_target: int = 50
     trx_on_target: int = 49
     trx_off_delay: int = 30
     hysteresis: int = 5
-    decay_step: int = 3
 
     def __post_init__(self) -> None:
         if not 20 <= self.trx_off_target <= 100:
@@ -91,8 +92,6 @@ class PowerSavingParams:
         if not HYSTERESIS_MIN <= self.hysteresis <= HYSTERESIS_MAX:
             raise ConfigurationError(f"hysteresis must be in [{HYSTERESIS_MIN}, "
                                      f"{HYSTERESIS_MAX}], got {self.hysteresis}")
-        if self.decay_step < 1:
-            raise ConfigurationError(f"decay_step must be >= 1, got {self.decay_step}")
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,6 @@ class SavingState:
     off_counter: int = 0
     on_counter: int = 0
     delay_remaining: int = 0
-
-
-def _decay(counter: int, step: int) -> int:
-    return counter - step if counter > step else 0
 
 
 def scan_step(
@@ -139,7 +134,7 @@ def scan_step(
                 enable_fires = True
                 on_c = 0
         else:
-            on_c = _decay(on_c, p.decay_step)
+            on_c = max(on_c - DECAY_STEP, 0)
 
     disable_fires = False
     if enabled > 1 and delay_was_open:
@@ -148,7 +143,7 @@ def scan_step(
             if off_c >= p.trx_off_target:
                 disable_fires = True
         else:
-            off_c = _decay(off_c, p.decay_step)
+            off_c = max(off_c - DECAY_STEP, 0)
 
     action = 0
     if enable_fires:
@@ -279,7 +274,7 @@ def _walk_counters(
     n = len(demand)
     num_trx, cch, h = config.num_trx, config.cch_slots, params.hysteresis
     on_target, off_target = params.trx_on_target, params.trx_off_target
-    dtype = np.int32 if (n + 1) * 100 < 2**31 else np.int64  # every step is in [-100, 1]
+    dtype = np.int32 if (n + 1) * DECAY_STEP < 2**31 else np.int64  # steps are +1 or -DECAY_STEP
     kept: dict[tuple[str, int], np.ndarray] = {}
 
     def prefix_sums(side: str, enabled: int) -> np.ndarray:
@@ -289,13 +284,11 @@ def _walk_counters(
         if sums is None:
             cap = enabled * SLOTS_PER_TRX - cch
             if side == "on":  # idle < h, with idle = max(cap - demand, 0) and h >= 1
-                up, down = demand > cap - h, min(params.decay_step, on_target)
+                up = demand > cap - h
             else:  # idle > h + 9
-                up, down = demand < cap - h - FIXED_OFFSET, min(params.decay_step, off_target)
-            # a counter is below its target before every scan, so a decay larger than
-            # the target floors it at 0 just as the target does
+                up = demand < cap - h - FIXED_OFFSET
             sums = np.zeros(n + 1, dtype)
-            np.cumsum(np.where(up, np.int8(1), np.int8(-down)), dtype=dtype, out=sums[1:])
+            np.cumsum(np.where(up, np.int8(1), np.int8(-DECAY_STEP)), dtype=dtype, out=sums[1:])
             kept[side, enabled] = sums
         return sums
 

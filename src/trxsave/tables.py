@@ -190,11 +190,14 @@ def emit_kpi_csv(records: Sequence[KpiRecord], path: Union[str, Path]) -> None:
 
 
 def read_clusters_csv(path: Union[str, Path]) -> dict[str, int]:
-    """cell_id -> cluster of each row of a ``clusters.csv``, in file order."""
+    """cell_id -> cluster of each row of a ``clusters.csv``, in file order; every
+    cluster is an integer >= 0."""
     out: dict[str, int] = {}
     for row_no, (cell_id, cluster) in read_csv(path, CLUSTERS_CSV_HEADER):
         try:
             out[cell_id] = int(cluster)
         except ValueError:
             raise DataError(f"{path}: row {row_no}: non-integer cluster {cluster!r}") from None
+        if out[cell_id] < 0:
+            raise DataError(f"{path}: row {row_no}: cluster {out[cell_id]} is below 0")
     return out

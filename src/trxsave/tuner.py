@@ -16,8 +16,6 @@ from .cell_model import HYSTERESIS_MAX, HYSTERESIS_MIN, check_cell_id
 from .errors import ConfigurationError, DataError
 from .tables import KpiRecord, read_csv, write_csv
 
-DEFAULT_POLICY_VALUES = (4, 6, 12)
-
 
 @dataclass(frozen=True)
 class ClusterProfile:
@@ -32,7 +30,7 @@ class ClusterProfile:
 class HysteresisPolicy:
     """Hysteresis per traffic rank, quietest cluster first; checked when built."""
 
-    values: tuple[int, ...] = DEFAULT_POLICY_VALUES
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.values:

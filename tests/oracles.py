@@ -200,7 +200,7 @@ def rescan_kmeanspp_seed(x: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def mask_mean_lloyd(x: np.ndarray, init_centroids: np.ndarray, max_iter: int = 300,
-                    tol: float = 1e-9, seed: int = 0) -> ClusteringResult:
+                    tol: float = 1e-9) -> ClusteringResult:
     """Lloyd iterations whose centroid update is one boolean mask and one ``mean``
     per cluster. Assignment, empty-cluster repair and SSE are the production
     ones, so only the update differs from ``analytics.lloyd``."""
@@ -222,7 +222,7 @@ def mask_mean_lloyd(x: np.ndarray, init_centroids: np.ndarray, max_iter: int = 3
     centroids, labels = _repair_empty(x, centroids, labels)
     return ClusteringResult(k=k, labels=labels, centroids=centroids,
                             sse=_sse(x, centroids, labels), iterations=iterations,
-                            seed=seed, sse_history=sse_history)
+                            sse_history=sse_history)
 
 
 def cumsum_member_sums(dist: np.ndarray, members) -> np.ndarray:

@@ -24,7 +24,7 @@ from trxsave.analytics import (
 )
 from trxsave.cell_model import CellConfig
 from trxsave.cli import main
-from trxsave.saving_engine import PowerSavingParams, run_cell
+from trxsave.saving_engine import DECAY_STEP, PowerSavingParams, run_cell
 from trxsave.tables import emit_kpi_csv, ingest_kpi_csv
 from trxsave.traffic import TrafficTrace, iter_traffic_csv
 
@@ -193,13 +193,15 @@ def test_headline_is_a_counting_identity(fleet_pipeline):
     out, _ = fleet_pipeline
     summary = json.loads((out / "summary.json").read_text())
     metadata = summary["metadata"]
+    shared = dict(metadata["params"])
+    assert shared.pop("decay_step") == DECAY_STEP
     fleet = json.loads((out / "fleet.json").read_text())
     cells = {c["cell_id"]: c for c in fleet["cells"]}
     hysteresis = tuner.read_assignment_csv(out / "assignment.csv").hysteresis
     shedding = kept_trx_scans = 0
     for trace in iter_traffic_csv(out / "traffic.csv", fleet["scan_period_s"]):
         cell = cells[trace.cell_id]
-        params = PowerSavingParams(**metadata["params"], hysteresis=hysteresis[trace.cell_id])
+        params = PowerSavingParams(**shared, hysteresis=hysteresis[trace.cell_id])
         timeline = run_cell(CellConfig(trace.cell_id, cell["num_trx"], cell["cch_slots"]),
                             params, trace)
         sheds = cell["tier"] != "saturated"

@@ -321,6 +321,22 @@ class TestAssign:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("rows,error", [
+        ([("a", 0), ("b", 2), ("c", 2)], "{clusters}: cluster 1 has no members"),
+        ([("a", 0), ("b", -1), ("c", 1)], "{clusters}: row 2: cluster -1 is below 0"),
+        ([("a", 0), ("b", 1), ("d", 1)], "{clusters}: cell 'd' is not in {kpis}"),
+    ], ids=["gap", "negative", "not_in_kpis"])
+    def test_bad_clusters_csv_named_in_the_error(self, runner, tmp_path, rows, error):
+        kpis, clusters = tmp_path / "kpis.csv", tmp_path / "clusters.csv"
+        emit_kpi_csv([KpiRecord(c, 1.0 + i, 130.0, 0.01, 1.0, 24)
+                      for i, c in enumerate("abc")], kpis)
+        write_csv(clusters, CLUSTERS_CSV_HEADER, rows)
+        result = runner.invoke(main, ["assign", "--clusters", str(clusters), "--kpi", str(kpis),
+                                      "--policy", "4,12", "--out", str(tmp_path)])
+        assert result.exit_code == 3
+        assert result.output == f"error: {error.format(clusters=clusters, kpis=kpis)}\n"
+        assert not (tmp_path / "assignment.csv").exists()
+
 
 def run_pipeline(runner, root, seed="3", cells="8", days="1", extra_sim=()):
     out = str(root)
@@ -649,27 +665,19 @@ class TestReport:
         assert result.output.startswith("error: ")
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults_flags_win(self, runner, tmp_path):
+class TestConfigFileRemoved:
+    # every option has one way in, its flag: a leftover config file is a usage
+    # error, not silently ignored
+    @pytest.mark.parametrize("command", ["generate", "cluster", "assign", "simulate", "report"])
+    def test_config_is_not_an_option(self, runner, tmp_path, command):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cells": 5, "days": 1, "seed": 21}))
-        out_a = tmp_path / "a"
-        run_ok(runner, ["generate", "--config", str(cfg), "--out", str(out_a)])
-        fleet = json.loads((out_a / "fleet.json").read_text())
-        assert len(fleet["cells"]) == 5 and fleet["seed"] == 21
-        out_b = tmp_path / "b"
-        run_ok(runner, ["generate", "--config", str(cfg), "--cells", "3",
-                        "--out", str(out_b)])
-        fleet_b = json.loads((out_b / "fleet.json").read_text())
-        assert len(fleet_b["cells"]) == 3 and fleet_b["seed"] == 21
-
-    def test_non_utf8_config_exits_2(self, runner, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_bytes(b'{"cells": 5, "note": "\xff"}')
-        result = runner.invoke(main, ["generate", "--config", str(cfg),
+        result = runner.invoke(main, [command, "--config", str(cfg),
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
-        assert "cannot read config file" in result.output
+        assert result.output.splitlines()[-1].startswith("Error: No such option")
+        assert "--config" in result.output.splitlines()[-1]
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

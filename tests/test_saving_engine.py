@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from trxsave import saving_engine
+from trxsave import cli, saving_engine
 from trxsave.cell_model import MAX_TRX, CellConfig, build_cell, place_calls
 from trxsave.errors import ConfigurationError, DataError, InvariantError
 from trxsave.saving_engine import (
@@ -48,7 +48,6 @@ class TestValidateParams:
     @pytest.mark.parametrize("field,value", [
         ("trx_off_target", 19), ("trx_off_target", 101),
         ("trx_on_target", 119), ("hysteresis", 0), ("hysteresis", 1015),
-        ("decay_step", 0),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
@@ -67,6 +66,15 @@ class TestValidateParams:
                 and isinstance(node.value, ast.Name) and node.value.id == name}
         fields = {f.name for f in dataclasses.fields(PowerSavingParams)}
         assert fields - read == set()
+
+    def test_every_field_has_a_way_in(self):
+        # simulate builds the shared fields from its options and _load_scenario sets
+        # each cell's hysteresis; a field set by neither keeps its default in every run
+        tree = ast.parse(inspect.getsource(cli.simulate.callback))
+        call = next(node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "PowerSavingParams")
+        set_by_cli = {keyword.arg for keyword in call.keywords} | {"hysteresis"}
+        assert set_by_cli == {f.name for f in dataclasses.fields(PowerSavingParams)}
 
 
 class TestScanStep:
@@ -321,9 +329,6 @@ EDGE_CASES = {
     "targets_100_delay_90": lambda: (6, 3, dict(trx_off_target=100, trx_on_target=100,
                                                 trx_off_delay=90, hysteresis=2),
                                      regimes(np.random.default_rng(4), 4000, 0, 50, 300)),
-    "decay_above_target": lambda: (4, 3, dict(trx_off_target=20, trx_on_target=20,
-                                              trx_off_delay=6, hysteresis=3, decay_step=150),
-                                   regimes(np.random.default_rng(5), 3000, 0, 32, 25)),
 }
 WINDOWS = {"default": (FIRST_WINDOW, MAX_WINDOW), "one": (1, 1), "three_to_seven": (3, 7)}
 
@@ -358,7 +363,6 @@ class TestReplayEquivalence:
             trx_on_target=(100, 20)[seed % 2] if seed < 4 else int(rng.integers(20, 101)),
             trx_off_delay=(6, 90)[seed % 2] if seed < 4 else int(rng.integers(6, 91)),
             hysteresis=(1, 1014)[seed % 2] if seed < 2 else int(rng.integers(1, max(2, 8 * num_trx - cch - 9))),
-            decay_step=int(rng.integers(1, 5)),
         )
         n = 17_280
         samples = regimes(rng, n, -num_trx * 4, num_trx * 8 + 4, 150)  # zero to saturated
@@ -404,7 +408,7 @@ def assert_counter_algebra(spec, config, params):
         prev = np.concatenate(([0], c[:-1]))
         allowed = (
             (c == prev + 1)
-            | (c == np.maximum(prev - params.decay_step, 0))
+            | (c == np.maximum(prev - saving_engine.DECAY_STEP, 0))
             | (c == 0)
         )
         assert np.all(allowed), f"{name} made an illegal transition"
@@ -474,7 +478,7 @@ def monotonicity_cell(index, n):
     num_trx, cch = int(rng.integers(1, 6)), int(rng.integers(1, 4))
     fields = dict(trx_off_target=int(rng.integers(20, 101)),
                   trx_on_target=int(rng.integers(20, 101)),
-                  trx_off_delay=int(rng.integers(6, 91)), decay_step=int(rng.integers(1, 6)))
+                  trx_off_delay=int(rng.integers(6, 91)))
     top = num_trx * 8 - cch
     if rng.random() < 0.5:
         level = rng.uniform(0, top + 4)
@@ -485,12 +489,11 @@ def monotonicity_cell(index, n):
 
 
 # Steps h - 1 -> h that break the rule, found by running the generator over 6,000
-# cells of 3,000 scans with h = 1..24 (7 of 138,000 steps); the spec replay gives
-# each the same sums as run_cell. In (5670, 10), with the paper's decay step of 3,
-# h = 10 moves TRX 3's last switch-off from scan 2572 to 2676, just before the
-# load rises, and the 40-scan switch-on blocks 31 more calls than h = 9 does.
-COUNTEREXAMPLES = [(1177, 7), (1771, 10), (3408, 7), (4574, 4), (5669, 20), (5670, 10),
-                   (5763, 14)]
+# cells of 3,000 scans with h = 1..24 (5 of 138,000 steps); the spec replay gives
+# each the same sums as run_cell. In (1390, 19), h = 19 moves TRX 5's first
+# switch-off from scan 169 to 266, just before the load rises, and its switch-on
+# from scan 226 to 308: the cell blocks 105 more calls than at h = 18.
+COUNTEREXAMPLES = [(872, 15), (1390, 19), (2594, 3), (3978, 7), (4495, 2)]
 
 
 class TestHysteresisMonotonicity:

@@ -75,7 +75,8 @@ class TestRankAndAssign:
         # ascending traffic: cluster 1 (2.16) -> 4, cluster 0 (4.64) -> 6,
         # cluster 2 (6.29) -> 12
         profiles = profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS)
-        assignment = rank_and_assign(profiles, HysteresisPolicy(), sample_label_map())
+        assignment = rank_and_assign(profiles, HysteresisPolicy(values=(4, 6, 12)),
+                                     sample_label_map())
         assert assignment.hysteresis == {
             "Cell_1": 4, "Cell_2": 4, "Cell_3": 12, "Cell_4": 12,
             "Cell_5": 6, "Cell_6": 6,
@@ -102,9 +103,9 @@ class TestRankAndAssign:
         labels2 = np.array([relabel[int(l)] for l in SAMPLE_LABELS])
         map2 = {r.cell_id: int(l) for r, l in zip(SAMPLE_KPIS, labels2)}
         a1 = rank_and_assign(profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS),
-                             HysteresisPolicy(), sample_label_map())
+                             HysteresisPolicy(values=(4, 6, 12)), sample_label_map())
         a2 = rank_and_assign(profile_clusters(labels2, SAMPLE_KPIS),
-                             HysteresisPolicy(), map2)
+                             HysteresisPolicy(values=(4, 6, 12)), map2)
         assert a1.hysteresis == a2.hysteresis
 
     def test_monotone_policy_respect_and_totality(self):
@@ -137,8 +138,10 @@ class TestRankAndAssign:
 
 
 class TestPolicyValidation:
-    def test_default_policy_valid(self):
-        assert HysteresisPolicy().values == (4, 6, 12)
+    def test_values_have_no_library_default(self):
+        # the default policy is spelled once, as the default of assign --policy
+        with pytest.raises(TypeError):
+            HysteresisPolicy()
 
     def test_out_of_range_value(self):
         with pytest.raises(ConfigurationError):
