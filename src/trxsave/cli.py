@@ -415,10 +415,12 @@ def _load_scenario(
             cell_params[c.cell_id] = dataclasses.replace(params, hysteresis=assigned[c.cell_id])
         elif default is not None:
             cell_params[c.cell_id] = default
+    warmup_scans = warmup_days * 86400 / scan_period
+    if not math.isfinite(warmup_scans):
+        raise ConfigurationError(f"--warmup-days {warmup_days} is too many scans to count "
+                                 f"at {scan_period} s a scan")
     scenario = evaluator.NetworkScenario(
-        cells=cells,
-        params=cell_params,
-        warmup_scans=int(round(warmup_days * 86400 / scan_period)),
+        cells=cells, params=cell_params, warmup_scans=int(round(warmup_scans)),
     )
     return scenario, scan_period
 
@@ -445,8 +447,8 @@ def _load_scenario(
 def simulate(fleet_path: str, traffic_path: str, assignment_path: Optional[str],
              hysteresis: Optional[int], off_target: int, on_target: int, off_delay: int,
              warmup_days: float, timelines: str, seed: int, out: str) -> None:
-    """Run the fleet without, then with power saving; write comparison.csv and
-    summary.json."""
+    """Run the fleet with power saving, compare it with every TRX on; write
+    comparison.csv and summary.json."""
     from . import evaluator
     from .saving_engine import DECAY_STEP, PowerSavingParams
 

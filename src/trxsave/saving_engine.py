@@ -201,32 +201,23 @@ class CellTimeline:
         return len(self.actions)
 
 
-def run_cell(
-    config: CellConfig,
-    params: PowerSavingParams,
-    trace: TrafficTrace,
-    ps_enabled: bool = True,
-) -> CellTimeline:
-    """Simulate one cell over a traffic trace.
+def run_cell(config: CellConfig, params: PowerSavingParams, trace: TrafficTrace) -> CellTimeline:
+    """Simulate one cell with power saving over a traffic trace.
 
-    Each scan re-places the offered demand, then (when power saving is on)
-    runs the counter logic and applies at most one switch action. With
-    ``ps_enabled=False`` every TRX stays enabled for the whole run.
-
-    With saving on, ``_walk_counters`` finds the switch actions by jumping from
-    event to event (see the module docstring). It sums and compares integers
-    only, so every action falls on the scan where the
+    Each scan re-places the offered demand, then runs the counter logic and
+    applies at most one switch action. ``_walk_counters`` finds the actions by
+    jumping from event to event (see the module docstring). It sums and
+    compares integers only, so every action falls on the scan where the
     ``scan_step``/``apply_action`` replay takes it. The enabled counts follow
     from the actions, and the blocked calls from the demand and the enabled
-    count before each scan's action. Saving off is the same pass with no
-    actions. The timeline keeps no counter or delay array.
+    count before each scan's action. The timeline keeps no counter or delay
+    array.
     """
     demand = demand_series(trace.samples)
     n = len(demand)
     num_trx = config.num_trx
     actions = np.zeros(n, np.int16)
-    if ps_enabled:
-        _walk_counters(demand, config, params, actions)
+    _walk_counters(demand, config, params, actions)
 
     active_trx = np.cumsum(np.sign(actions), dtype=np.int16)
     active_trx += num_trx
@@ -260,7 +251,7 @@ def _walk_counters(
     params: PowerSavingParams,
     actions: np.ndarray,
 ) -> None:
-    """Fill the actions of a saving-on run, event by event.
+    """Fill a run's actions, event by event.
 
     Each window's counters go into two window-sized scratch buffers. Only each
     counter's value at the event scan, or at the window's last scan, is carried

@@ -57,10 +57,9 @@ class HysteresisAssignment:
 def profile_clusters(labels: Sequence[int], kpis: Sequence[KpiRecord]) -> list[ClusterProfile]:
     """Per-cluster mean of the original (pre-standardization) TCH traffic.
 
-    ``labels[i]`` is the cluster of ``kpis[i]``; clusters are 0..max(labels).
+    ``labels[i]`` is the cluster of ``kpis[i]``, one label per record; clusters
+    are 0..max(labels), each with a member.
     """
-    if len(labels) != len(kpis):
-        raise DataError(f"label/KPI mismatch: {len(labels)} labels vs {len(kpis)} records")
     if len(labels) == 0:
         raise DataError("no cluster labels")
     profiles = []
@@ -84,8 +83,9 @@ def rank_and_assign(
 ) -> HysteresisAssignment:
     """Give every cell its cluster's hysteresis.
 
-    Clusters sort ascending by mean traffic (ties toward the smaller cluster
-    id); rank r gets ``policy.values[r]``.
+    ``labels`` name only profiled clusters. Clusters sort ascending by mean
+    traffic (ties toward the smaller cluster id); rank r gets
+    ``policy.values[r]``.
     """
     if len(profiles) != len(policy.values):
         raise ConfigurationError(
@@ -93,12 +93,7 @@ def rank_and_assign(
         )
     order = sorted(profiles, key=lambda p: (p.tch_traffic_erl, p.cluster_id))
     cluster_to_hyst = {p.cluster_id: policy.values[rank] for rank, p in enumerate(order)}
-    known = {p.cluster_id for p in profiles}
-    hysteresis = {}
-    for cell_id, cluster in labels.items():
-        if cluster not in known:
-            raise DataError(f"cell {cell_id!r} labeled with unknown cluster {cluster}")
-        hysteresis[cell_id] = cluster_to_hyst[cluster]
+    hysteresis = {cell_id: cluster_to_hyst[cluster] for cell_id, cluster in labels.items()}
     return HysteresisAssignment(hysteresis=hysteresis, cluster=dict(labels))
 
 

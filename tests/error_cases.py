@@ -1,0 +1,180 @@
+"""``simulate``'s documented failures, one case each, as data.
+
+Each case holds its input files inline, its command line, the exact line it
+writes to stderr and its exit code. ``{dir}`` in an argument or the stderr
+line stands for the directory the case's files are written to.
+``test_cli.py::test_simulate_error_case`` runs every case through ``main``
+and checks that ``--out`` is left as it was. A change to a message is a
+one-line change here.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from typing import Union
+
+FLEET = {"schema_version": 1, "scan_period_s": 10.0, "cells": [
+    {"cell_id": "a", "num_trx": 2, "cch_slots": 3},
+    {"cell_id": "b", "num_trx": 3, "cch_slots": 1},
+]}
+TRAFFIC = ("cell_id,scan_index,offered_erlang\n"
+           "a,0,1.5\na,1,2\na,2,0\n"
+           "b,0,9\nb,1,0.5\nb,2,1\n")
+ASSIGNMENT_HEADER = "cell_id,cluster,hysteresis\n"
+
+
+def fleet(*cells: dict, **fields) -> str:
+    """fleet.json text: ``FLEET`` with ``fields`` set, and ``cells`` in place of
+    its cells when any are given."""
+    doc = {**FLEET, **fields}
+    if cells:
+        doc["cells"] = list(cells)
+    return json.dumps(doc)
+
+
+def cell(cell_id="a", num_trx=2, cch_slots=3) -> dict:
+    return {"cell_id": cell_id, "num_trx": num_trx, "cch_slots": cch_slots}
+
+
+@dataclass(frozen=True)
+class Case:
+    id: str
+    args: tuple[str, ...]  # after --fleet, --traffic and --timelines all
+    stderr: str  # without its "error: " and line end
+    code: int
+    files: dict[str, Union[str, bytes]] = field(default_factory=dict)  # over the defaults
+
+    def inputs(self) -> dict[str, Union[str, bytes]]:
+        return {"fleet.json": json.dumps(FLEET), "traffic.csv": TRAFFIC, **self.files}
+
+
+def assignment(*rows: str, header: str = ASSIGNMENT_HEADER) -> dict[str, str]:
+    return {"assignment.csv": header + "".join(row + "\n" for row in rows)}
+
+
+ASSIGNED = ("--assignment", "{dir}/assignment.csv")
+
+CASES = [
+    # option checks: each exits 2 before traffic.csv is read
+    Case("negative_timelines", ("--timelines", "-1"),
+         "--timelines must be 'all' or a count >= 0, got '-1'", 2),
+    Case("text_timelines", ("--timelines", "x"),
+         "--timelines must be 'all' or a count >= 0, got 'x'", 2),
+    Case("superscript_timelines", ("--timelines", "²"),
+         "--timelines must be 'all' or a count >= 0, got '²'", 2),
+    Case("low_off_target", ("--off-target", "19"),
+         "trx_off_target must be in [20, 100], got 19", 2),
+    Case("high_off_target", ("--off-target", "101"),
+         "trx_off_target must be in [20, 100], got 101", 2),
+    Case("low_on_target", ("--on-target", "19"),
+         "trx_on_target must be in [20, 100], got 19", 2),
+    Case("high_on_target", ("--on-target", "101"),
+         "trx_on_target must be in [20, 100], got 101", 2),
+    Case("low_off_delay", ("--off-delay", "5"), "trx_off_delay must be in [6, 90], got 5", 2),
+    Case("high_off_delay", ("--off-delay", "91"), "trx_off_delay must be in [6, 90], got 91", 2),
+    Case("nan_warmup", ("--warmup-days", "nan"),
+         "--warmup-days must be a finite number, got nan", 2),
+    Case("inf_warmup", ("--warmup-days", "inf"),
+         "--warmup-days must be a finite number, got inf", 2),
+    Case("negative_warmup", ("--warmup-days", "-1"), "--warmup-days must be >= 0, got -1.0", 2),
+    Case("tiny_negative_warmup", ("--warmup-days", "-0.00001"),
+         "--warmup-days must be >= 0, got -1e-05", 2),
+    # a traffic.csv that is not one shows the check comes before it is read
+    Case("overflowing_warmup", ("--warmup-days", "1e305"),
+         "--warmup-days 1e+305 is too many scans to count at 10.0 s a scan", 2,
+         {"traffic.csv": "x\n"}),
+    Case("overflowing_warmup_at_a_tiny_scan_period", ("--warmup-days", "1"),
+         "--warmup-days 1.0 is too many scans to count at 1e-310 s a scan", 2,
+         {"fleet.json": fleet(scan_period_s=1e-310), "traffic.csv": "x\n"}),
+    Case("zero_hysteresis", ("--hysteresis", "0"), "hysteresis must be in [1, 1014], got 0", 2),
+    Case("high_hysteresis", ("--hysteresis", "1015"),
+         "hysteresis must be in [1, 1014], got 1015", 2),
+    Case("unassigned_cell_without_default", ASSIGNED,
+         "cell 'b' has no hysteresis assignment and no default", 2, assignment("a,0,4")),
+    Case("zero_hysteresis_with_every_cell_assigned", (*ASSIGNED, "--hysteresis", "0"),
+         "hysteresis must be in [1, 1014], got 0", 2, assignment("a,0,4", "b,1,6")),
+
+    # assignment.csv
+    Case("assignment_header", ASSIGNED,
+         "{dir}/assignment.csv: CSV header mismatch: expected cell_id,cluster,hysteresis, "
+         "got cell_id,hysteresis", 3, assignment("a,4", header="cell_id,hysteresis\n")),
+    Case("assignment_field_count", ASSIGNED,
+         "{dir}/assignment.csv: row 2: expected 3 fields, got 2", 3,
+         assignment("a,0,4", "b,6")),
+    Case("assignment_non_integer", ASSIGNED,
+         "{dir}/assignment.csv: row 1: non-integer cluster or hysteresis", 3,
+         assignment("a,0,x")),
+    Case("assignment_hysteresis_zero", ASSIGNED,
+         "{dir}/assignment.csv: row 2: hysteresis 0 outside [1, 1014]", 3,
+         assignment("a,0,4", "b,1,0")),
+    Case("assignment_hysteresis_high", ASSIGNED,
+         "{dir}/assignment.csv: row 1: hysteresis 1015 outside [1, 1014]", 3,
+         assignment("a,0,1015")),
+    Case("assignment_duplicate_cell", ASSIGNED,
+         "{dir}/assignment.csv: row 2: duplicate cell_id 'a'", 3,
+         assignment("a,0,4", "a,1,6")),
+    Case("assignment_quote", ASSIGNED,
+         "{dir}/assignment.csv: row 1: a field holds '\"' (fields are never quoted)", 3,
+         assignment('"a",0,4')),
+    Case("assignment_empty_cell_id", ASSIGNED,
+         "{dir}/assignment.csv: row 1: empty cell_id", 3, assignment(",0,4")),
+    Case("assignment_not_utf8", ASSIGNED,
+         "{dir}/assignment.csv: row 2: not UTF-8 text (invalid start byte)", 3,
+         {"assignment.csv": ASSIGNMENT_HEADER.encode() + b"a,0,4\r\n\xff,1,6\r\n"}),
+    Case("assignment_stray_cell", ASSIGNED,
+         "{dir}/assignment.csv: cell 'c' is not in {dir}/fleet.json", 3,
+         assignment("a,0,4", "c,1,6")),
+
+    # fleet.json
+    Case("fleet_invalid_json", (),
+         "{dir}/fleet.json: invalid JSON (Expecting value: line 1 column 1 (char 0))", 3,
+         {"fleet.json": "cells"}),
+    Case("fleet_not_utf8", (),
+         "{dir}/fleet.json: not UTF-8 text (invalid start byte)", 3,
+         {"fleet.json": b'{"cells": ["\xff"]}'}),
+    Case("fleet_without_cells", (), "{dir}/fleet.json: missing 'cells' list", 3,
+         {"fleet.json": json.dumps({"scan_period_s": 10.0})}),
+    Case("fleet_zero_scan_period", (),
+         "{dir}/fleet.json: scan_period_s must be a finite number > 0, got 0", 3,
+         {"fleet.json": fleet(scan_period_s=0)}),
+    Case("fleet_text_scan_period", (),
+         "{dir}/fleet.json: scan_period_s must be a finite number > 0, got '10'", 3,
+         {"fleet.json": fleet(scan_period_s="10")}),
+    Case("fleet_bool_scan_period", (),
+         "{dir}/fleet.json: scan_period_s must be a finite number > 0, got True", 3,
+         {"fleet.json": fleet(scan_period_s=True)}),
+    Case("fleet_cell_without_id", (), "{dir}/fleet.json: cells[1] has no string 'cell_id'", 3,
+         {"fleet.json": fleet(cell(), {"num_trx": 2, "cch_slots": 3})}),
+    Case("fleet_cell_id_with_slash", (),
+         "{dir}/fleet.json: cells[0]: cell_id 'a/b' may not hold '/'", 3,
+         {"fleet.json": fleet(cell("a/b"))}),
+    Case("fleet_duplicate_cell", (), "{dir}/fleet.json: duplicate cell_id 'a'", 3,
+         {"fleet.json": fleet(cell(), cell())}),
+    Case("fleet_text_num_trx", (),
+         "{dir}/fleet.json: cell 'a': num_trx must be an integer, got '2'", 3,
+         {"fleet.json": fleet(cell(num_trx="2"))}),
+    Case("fleet_bool_cch_slots", (),
+         "{dir}/fleet.json: cell 'a': cch_slots must be an integer, got True", 3,
+         {"fleet.json": fleet(cell(cch_slots=True))}),
+    Case("fleet_num_trx_out_of_range", (),
+         "{dir}/fleet.json: cell 'a': num_trx must be in [1, 12], got 13", 3,
+         {"fleet.json": fleet(cell(num_trx=13))}),
+    Case("fleet_cch_slots_out_of_range", (),
+         "{dir}/fleet.json: cell 'a': cch_slots must be in [1, 3], got 0", 3,
+         {"fleet.json": fleet(cell(cch_slots=0))}),
+
+    # traffic.csv
+    Case("traffic_stray_cell", (), "{dir}/traffic.csv: cell 'c' is not in the fleet", 3,
+         {"traffic.csv": TRAFFIC + "c,0,1\n"}),
+    Case("traffic_untraced_cell", (), "{dir}/traffic.csv: no trace for fleet cell 'c'", 3,
+         {"fleet.json": fleet(cell(), cell("b", 3, 1), cell("c"))}),
+    Case("traffic_second_block", (),
+         "{dir}/traffic.csv: row 7: cell 'a' again after another cell; each cell's rows "
+         "must form one contiguous block", 3, {"traffic.csv": TRAFFIC + "a,3,1\n"}),
+    Case("warmup_longer_than_a_trace", ("--warmup-days", "0.0003"),
+         "warmup_scans 3 consumes the whole 3-scan trace of cell 'a'", 2),
+    Case("warmup_longer_than_a_later_trace", ("--warmup-days", "0.0003"),
+         "warmup_scans 3 consumes the whole 2-scan trace of cell 'b'", 2,
+         {"traffic.csv": TRAFFIC.replace("a,2,0\n", "a,2,0\na,3,1\n").replace("b,2,1\n", "")}),
+]

@@ -9,8 +9,9 @@ Lloyd's centroid update as one mask and one ``mean`` per cluster, silhouette
 member sums as the last of every prefix sum, power iteration with deflation
 for eigenpairs, direct capacity arithmetic for the channel model, a scan-by-scan replay of the
 state machine's executable spec (``scan_step``/``apply_action``) for the
-event-jumping ``run_cell``, and a whole-file row loop for the chunked
-``traffic.csv`` reader.
+event-jumping ``run_cell``, a saving-off run with its statistics and timeline
+text for ``summarize``'s saving-off fold, and a whole-file row loop for the
+chunked ``traffic.csv`` reader.
 
 A ``CellTimeline`` keeps only what an output reads. The counters, the delay
 window, the demand and the occupancy per scan live only in the replay, so the
@@ -30,7 +31,9 @@ import numpy as np
 from trxsave.analytics import ClusteringResult, _assign, _repair_empty, _sse
 from trxsave.cell_model import build_cell
 from trxsave.errors import DataError
-from trxsave.saving_engine import SavingState, apply_action, scan_step
+from trxsave.evaluator import CellStats
+from trxsave.saving_engine import CellTimeline, SavingState, apply_action, scan_step
+from trxsave.tables import fmt_num
 
 SLOTS_PER_TRX = 8
 
@@ -71,6 +74,36 @@ def replay_with_step_functions(config, params, trace) -> dict[str, list[int]]:
         rows.append((demand, occupied, blocked, after, after * SLOTS_PER_TRX,
                      saving.off_counter, saving.on_counter, saving.delay_remaining, action))
     return {name: list(column) for name, column in zip(REPLAY_ARRAYS, zip(*rows))}
+
+
+def saving_off_run(config, trace) -> CellTimeline:
+    """A run with saving off, scan by scan: every TRX stays enabled and takes no
+    action, so each scan blocks the calls above the cell's full capacity."""
+    cap = capacity(config.num_trx, config.cch_slots)
+    blocked = [place(math.floor(sample + 0.5), cap)[1] for sample in trace.samples.tolist()]
+    n = len(blocked)
+    return CellTimeline(cell_id=config.cell_id, offered=trace.samples,
+                        blocked=np.array(blocked, np.int64),
+                        active_trx=np.full(n, config.num_trx, np.int64),
+                        actions=np.zeros(n, np.int64))
+
+
+def timeline_stats(timeline: CellTimeline, warmup_scans: int = 0) -> CellStats:
+    """One run's statistics over scans >= warmup_scans, read off its timeline
+    one scan at a time."""
+    active_ts = timeline.active_ts.tolist()[warmup_scans:]
+    return CellStats(cell_id=timeline.cell_id, max_ts=max(active_ts),
+                     mean_ts=math.fsum(active_ts) / len(active_ts),
+                     blocked=sum(timeline.blocked.tolist()[warmup_scans:]),
+                     trx_scans=sum(timeline.active_trx.tolist()[warmup_scans:]))
+
+
+def timeline_csv_text(timeline: CellTimeline) -> str:
+    """A timeline CSV, one value at a time: scan index, offered Erlang as
+    ``fmt_num`` prints it, active slots."""
+    return "scan,erlang,active_ts\n" + "".join(
+        f"{i},{fmt_num(e)},{t}\n"
+        for i, (e, t) in enumerate(zip(timeline.offered.tolist(), timeline.active_ts.tolist())))
 
 
 def brute_silhouette(x: np.ndarray, labels) -> float:

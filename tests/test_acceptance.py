@@ -136,8 +136,8 @@ def test_criterion_3_dominance():
         level = rng.uniform(0, 30)
         samples = np.maximum(rng.normal(level, 6, size=n), 0)
         trace = TrafficTrace("c", 10.0, samples)
-        with_saving = run_cell(config, params, trace, ps_enabled=True)
-        without = run_cell(config, params, trace, ps_enabled=False)
+        with_saving = run_cell(config, params, trace)
+        without = oracles.saving_off_run(config, trace)
         assert np.all(with_saving.active_ts <= without.active_ts)
 
 

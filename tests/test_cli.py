@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import error_cases
 import trxsave
 from trxsave import analytics, parts
 from trxsave.cli import build_demo_fleet, main
@@ -691,3 +692,31 @@ class TestDeterminism:
         assert files
         for rel in files:
             assert (tmp_path / "x" / rel).read_bytes() == (tmp_path / "y" / rel).read_bytes(), rel
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` by relative path, with its bytes; a directory as None."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("case", error_cases.CASES, ids=lambda case: case.id)
+def test_simulate_error_case(runner, tmp_path, monkeypatch, case, cpus):
+    """Each documented failure of ``simulate``: one stderr line and its exit code,
+    whatever the CPU count, with an existing ``--out`` left as it was."""
+    monkeypatch.setattr(parts, "cpus", lambda: cpus)
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for name, text in case.inputs().items():
+        (inputs / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    out = tmp_path / "out"
+    (out / "timelines").mkdir(parents=True)
+    (out / "timelines" / "a_on.csv").write_text("an earlier run\n")
+    before = tree(out)
+    args = ["simulate", "--fleet", "{dir}/fleet.json", "--traffic", "{dir}/traffic.csv",
+            "--timelines", "all", *case.args, "--out", str(out)]
+    result = runner.invoke(main, [arg.format(dir=inputs) for arg in args])
+    assert (result.exit_code, result.stderr) == (
+        case.code, f"error: {case.stderr.format(dir=inputs)}\n"), result.output
+    assert tree(out) == before

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from trxsave import evaluator, traffic
 from trxsave.cell_model import CellConfig
 from trxsave.errors import ConfigurationError, DataError
@@ -26,7 +27,6 @@ from trxsave.evaluator import (
     write_timeline_csv,
 )
 from trxsave.saving_engine import PowerSavingParams, run_cell
-from trxsave.tables import fmt_num
 from trxsave.traffic import TrafficTrace
 
 
@@ -102,6 +102,14 @@ class TestSimulateNetwork:
         with pytest.raises(ConfigurationError, match="hysteresis"):
             NetworkScenario(cells=[CellConfig("a", 3, 3)], params={})
 
+    def test_each_cell_runs_once(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(evaluator, "run_cell",
+                            lambda config, *args: ran.append(config.cell_id) or
+                            run_cell(config, *args))
+        simulate_network(*make_scenario(n_cells=3, n_scans=50))
+        assert ran == ["cell_00", "cell_01", "cell_02"]
+
     def test_per_cell_hysteresis_override(self):
         scenario, traces = make_scenario(n_cells=2, n_scans=300, warmup=150)
         scenario = replace(scenario, params={"cell_00": PowerSavingParams(hysteresis=3),
@@ -157,10 +165,11 @@ class TestSimulateNetwork:
         assert sorted(p.name for p in tl.iterdir()) == [
             "cell_00_off.csv", "cell_00_on.csv", "cell_01_off.csv", "cell_01_on.csv"]
         assert [p.name for p in tmp_path.iterdir()] == ["tl"]  # no staging directory left
-        expected = tmp_path / "expected.csv"
-        write_timeline_csv(run_cell(scenario.cells[2], scenario.params["cell_00"],
-                                    traces[0]), expected)
-        assert (tl / "cell_00_on.csv").read_bytes() == expected.read_bytes()
+        config = scenario.cells[2]
+        timeline = run_cell(config, scenario.params["cell_00"], traces[0])
+        assert (tl / "cell_00_on.csv").read_text() == oracles.timeline_csv_text(timeline)
+        assert (tl / "cell_00_off.csv").read_text() == oracles.timeline_csv_text(
+            oracles.saving_off_run(config, traces[0]))
 
     def test_memory_holds_one_timeline_whatever_the_fleet_size(self):
         n_scans = 20_000
@@ -186,9 +195,10 @@ class TestSummarize:
     def test_one_cell_over_its_measured_scans(self):
         scenario, traces = make_scenario(n_cells=1, n_scans=300, hysteresis=3)
         timeline = run_cell(scenario.cells[0], scenario.params["cell_00"], traces[0])
-        # one TRX holds from scan 129 on
-        assert summarize(timeline, 150) == CellStats(
-            cell_id="cell_00", max_ts=8, mean_ts=8.0, blocked=0, trx_scans=150)
+        # one TRX holds from scan 129 on; saving off keeps all three
+        assert summarize(timeline, scenario.cells[0], 150) == (
+            CellStats(cell_id="cell_00", max_ts=24, mean_ts=24.0, blocked=0, trx_scans=450),
+            CellStats(cell_id="cell_00", max_ts=8, mean_ts=8.0, blocked=0, trx_scans=150))
 
     def test_warmup_excludes_ramp(self):
         scenario, traces = make_scenario(n_cells=1, n_scans=300, hysteresis=3)
@@ -202,6 +212,32 @@ class TestSummarize:
         with pytest.raises(ConfigurationError, match="consumes the whole 50-scan trace"):
             simulate_network(scenario, traces, tmp_path / "tl", 2)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSavingOffFold:
+    def test_fold_equals_the_saving_off_run(self, tmp_path):
+        """``summarize`` and ``write_timeline_csv`` against a saving-off run scan by
+        scan: random layouts, ragged lengths and warmups, saturated cells too."""
+        rng = np.random.default_rng(26)
+        saturated = 0
+        for index in range(60):
+            config = CellConfig(f"c{index}", int(rng.integers(1, 13)), int(rng.integers(1, 4)))
+            n = int(rng.integers(1, 700))
+            # every third cell's level reaches 2.6 times its slots, so many block at full capacity
+            level = rng.uniform(0, 1.3) * config.total_slots * (1 + index % 3 // 2)
+            samples = np.round(np.maximum(rng.normal(level, 4, size=n), 0), 3)
+            trace = TrafficTrace(config.cell_id, 10.0, samples)
+            params = PowerSavingParams(hysteresis=int(rng.integers(1, 20)))
+            warmup = int(rng.integers(0, n))
+            timeline = run_cell(config, params, trace)
+            off_run = oracles.saving_off_run(config, trace)
+            assert summarize(timeline, config, warmup) == (
+                oracles.timeline_stats(off_run, warmup), oracles.timeline_stats(timeline, warmup))
+            write_timeline_csv(timeline, config, tmp_path)
+            assert (tmp_path / f"c{index}_off.csv").read_bytes() == (
+                oracles.timeline_csv_text(off_run).encode())
+            saturated += int(off_run.blocked[warmup:].sum()) > 0
+        assert saturated >= 15
 
 
 class TestCompare:
@@ -269,11 +305,11 @@ class TestEmission:
 
     def test_timeline_csv_shape(self, tmp_path):
         scenario, traces = make_scenario(n_cells=1, n_scans=50)
-        tl = run_cell(scenario.cells[0], scenario.params["cell_00"], traces[0],
-                      ps_enabled=False)
-        path = tmp_path / "tl.csv"
-        write_timeline_csv(tl, path)
-        lines = path.read_text().splitlines()
+        tl = run_cell(scenario.cells[0], scenario.params["cell_00"], traces[0])
+        write_timeline_csv(tl, scenario.cells[0], tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cell_00_off.csv",
+                                                            "cell_00_on.csv"]
+        lines = (tmp_path / "cell_00_off.csv").read_text().splitlines()
         assert lines[0] == "scan,erlang,active_ts"
         assert len(lines) == 51
         assert lines[1] == "0,0,24"
@@ -286,12 +322,13 @@ class TestEmission:
         samples[1000:1100] += 25  # busy spell: TRXs switch back on
         samples[::7] = rng.integers(1, 100, len(samples[::7])) * 1e-6
         trace = TrafficTrace("c", 10.0, samples)
-        tl = run_cell(CellConfig("c", 4, 3), PowerSavingParams(hysteresis=1), trace)
+        config = CellConfig("c", 4, 3)
+        tl = run_cell(config, PowerSavingParams(hysteresis=1), trace)
         assert len(set(tl.active_ts.tolist())) > 2
-        write_timeline_csv(tl, tmp_path / "tl.csv")
-        assert (tmp_path / "tl.csv").read_text() == "scan,erlang,active_ts\n" + "".join(
-            f"{i},{fmt_num(e)},{t}\n"
-            for i, (e, t) in enumerate(zip(tl.offered.tolist(), tl.active_ts.tolist())))
+        write_timeline_csv(tl, config, tmp_path)
+        assert (tmp_path / "c_on.csv").read_text() == oracles.timeline_csv_text(tl)
+        assert (tmp_path / "c_off.csv").read_text() == oracles.timeline_csv_text(
+            oracles.saving_off_run(config, trace))
 
     def test_exact_bytes(self, tmp_path):
         summary = ComparisonSummary(
@@ -375,6 +412,6 @@ class TestDominanceProperty:
             samples = np.maximum(rng.normal(rng.uniform(0, 20), 5, size=300), 0)
             trace = TrafficTrace("c", 10.0, samples)
             params = PowerSavingParams(hysteresis=int(rng.integers(1, 20)))
-            on = run_cell(config, params, trace, ps_enabled=True)
-            off = run_cell(config, params, trace, ps_enabled=False)
+            on = run_cell(config, params, trace)
+            off = oracles.saving_off_run(config, trace)
             assert np.all(on.active_ts <= off.active_ts)

@@ -187,13 +187,6 @@ class TestApplyAction:
 
 
 class TestRunCell:
-    def test_saving_off_keeps_every_slot_active(self):
-        tl = run_cell(CellConfig("c1", 3, 3), PowerSavingParams(), zero_trace(),
-                      ps_enabled=False)
-        assert np.all(tl.active_ts == 24)
-        assert np.all(tl.active_trx == 3)
-        assert np.all(tl.actions == 0)
-
     def test_zero_traffic_h3_full_wind_down(self):
         # 50 qualifying scans, 30 delay scans, 50 more: disables on scans 50 and 130
         tl = run_cell(CellConfig("c1", 3, 3), PowerSavingParams(hysteresis=3), zero_trace())
@@ -463,7 +456,7 @@ class TestInvariants:
         samples = np.maximum(rng.normal(6, 5, size=800), 0)
         trace = TrafficTrace("c1", 10.0, samples)
         on = run_cell(config, PowerSavingParams(hysteresis=2), trace)
-        off = run_cell(config, PowerSavingParams(hysteresis=2), trace, ps_enabled=False)
+        off = oracles.saving_off_run(config, trace)
         assert np.all(on.active_ts <= off.active_ts)
 
 

@@ -55,10 +55,6 @@ class TestProfileClusters:
         assert profiles[0].tch_traffic_erl == SAMPLE_KPIS[0].tch_traffic_erl
         assert profiles[1].tch_traffic_erl == SAMPLE_KPIS[1].tch_traffic_erl
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DataError, match="mismatch"):
-            profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS[:4])
-
     def test_clusters_run_to_max_label(self):
         profiles = profile_clusters(np.array([2, 0, 1, 0]), SAMPLE_KPIS[:4])
         assert [(p.cluster_id, p.member_count) for p in profiles] == [(0, 2), (1, 1), (2, 1)]
