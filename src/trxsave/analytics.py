@@ -4,6 +4,11 @@ Stages: z-score standardization, PCA onto the top 3 covariance eigenvectors
 (cyclic Jacobi rotations), k-means++ seeding, Lloyd iterations, an SSE elbow
 curve, and silhouette scoring for model selection.
 
+The stages pass plain float arrays, one row per cell: ``kpi_feature_matrix``
+stacks the KPI records into an (n, 5) array, ``standardize`` returns its
+z-scores and ``pca_reduce`` their (n, 3) projection, which k-means and the
+silhouette pass read. The caller keeps the cell ids in the same row order.
+
 Everything is deterministic: all randomness flows through
 ``numpy.random.default_rng`` seeded from explicit integers, and ties break
 toward the lower index. The k-means restarts and the silhouette blocks run
@@ -44,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -66,103 +70,38 @@ FEATURE_COLUMNS = [
 N_COMPONENTS = 3  # columns of a reduced matrix
 
 
-class Stage(Enum):
-    RAW = "raw"
-    STANDARDIZED = "standardized"
-    REDUCED = "reduced"
+def kpi_feature_matrix(records: Sequence[KpiRecord]) -> np.ndarray:
+    """The (n, 5) float array of the records' features, in ``FEATURE_COLUMNS`` order."""
+    rows = [[getattr(r, c) for c in FEATURE_COLUMNS] for r in records]
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_COLUMNS))
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Rectangular numeric feature table with row identities and a stage tag,
-    checked when built."""
-
-    row_ids: list[str]
-    values: np.ndarray
-    stage: Stage = Stage.RAW
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 2:
-            raise DataError(f"feature matrix must be 2-D, got shape {self.values.shape}")
-        if len(self.row_ids) != self.values.shape[0]:
-            raise DataError("row_ids length does not match the matrix")
-        if not np.all(np.isfinite(self.values)):
-            raise DataError("feature matrix contains NaN or Inf")
-        if self.stage is Stage.REDUCED and self.values.shape[1] != N_COMPONENTS:
-            raise DataError(f"reduced matrix must have {N_COMPONENTS} columns, "
-                            f"got {self.values.shape[1]}")
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
-
-def kpi_feature_matrix(records: Sequence[KpiRecord]) -> FeatureMatrix:
-    """Stack KPI records into a raw feature matrix (fixed column order)."""
-    rows = [
-        [getattr(r, c) for c in FEATURE_COLUMNS]
-        for r in records
-    ]
-    return FeatureMatrix(
-        row_ids=[r.cell_id for r in records],
-        values=np.asarray(rows, dtype=np.float64),
-        stage=Stage.RAW,
-    )
-
-
-@dataclass(frozen=True)
-class StandardizationStats:
-    means: np.ndarray
-    stds: np.ndarray
-    constant_columns: np.ndarray  # bool mask of zero-variance columns
-
-
-def standardize(m: FeatureMatrix) -> tuple[FeatureMatrix, StandardizationStats]:
+def standardize(values: np.ndarray) -> np.ndarray:
     """Z-score each column with the population std; constant columns map to 0.
 
     Finite values can still overflow the mean or std (three values of 1e308);
     such a column is a ``DataError`` that names it (``FEATURE_COLUMNS`` when the
     matrix has those columns, else its index).
     """
-    if m.stage is not Stage.RAW:
-        raise DataError(f"standardize expects a raw matrix, got {m.stage.value}")
-    if m.n_rows < 2:
-        raise DataError(f"standardize needs at least 2 rows, got {m.n_rows}")
+    n_rows, n_cols = values.shape
+    if n_rows < 2:
+        raise DataError(f"standardize needs at least 2 rows, got {n_rows}")
     with np.errstate(over="ignore", invalid="ignore"):
-        means = m.values.mean(axis=0)
-        stds = m.values.std(axis=0)  # population, ddof=0
+        means = values.mean(axis=0)
+        stds = values.std(axis=0)  # population, ddof=0
     if not np.isfinite(stds).all():  # an infinite mean makes its std NaN
         j = int(np.flatnonzero(~np.isfinite(stds))[0])
-        name = FEATURE_COLUMNS[j] if m.n_cols == len(FEATURE_COLUMNS) else f"column {j}"
+        name = FEATURE_COLUMNS[j] if n_cols == len(FEATURE_COLUMNS) else f"column {j}"
         raise DataError(f"feature {name}: mean or standard deviation overflows a float64")
     constant = stds == 0.0
     safe = np.where(constant, 1.0, stds)
-    out = (m.values - means) / safe
+    out = (values - means) / safe
     out[:, constant] = 0.0
-    res = FeatureMatrix(list(m.row_ids), out, Stage.STANDARDIZED)
-    return res, StandardizationStats(means=means, stds=stds, constant_columns=constant)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # PCA
-
-
-@dataclass(frozen=True)
-class PcaModel:
-    """Projection model: per-feature means plus top eigenvectors of covariance."""
-
-    means: np.ndarray
-    component_matrix: np.ndarray      # n_features x n_components, orthonormal columns
-    explained_variance: np.ndarray    # top n_components eigenvalues, descending
-    all_variances: np.ndarray         # full eigenvalue spectrum, descending
-    total_variance: float             # trace of the covariance matrix
-
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.means) @ self.component_matrix
 
 
 JACOBI_TOL = 1e-12
@@ -213,40 +152,22 @@ def jacobi_eigh(matrix: np.ndarray):
     return eigenvalues[order], v[:, order]
 
 
-def pca_reduce(m: FeatureMatrix) -> tuple[FeatureMatrix, PcaModel]:
-    """Project onto the top ``N_COMPONENTS`` principal components of the sample
-    covariance.
+def pca_reduce(values: np.ndarray) -> np.ndarray:
+    """Project standardized ``values`` (at least 2 rows and ``N_COMPONENTS``
+    columns) onto the top ``N_COMPONENTS`` principal components of their
+    sample covariance.
 
     Sign convention: each component's largest-magnitude entry is positive.
     """
-    if m.stage is not Stage.STANDARDIZED:
-        raise DataError(f"pca_reduce expects a standardized matrix, got {m.stage.value}")
-    if N_COMPONENTS > m.n_cols:
-        raise DataError(f"n_components={N_COMPONENTS} exceeds {m.n_cols} features")
-    if m.n_rows < 2:
-        raise DataError("pca_reduce needs at least 2 rows")
-
-    means = m.values.mean(axis=0)
-    centered = m.values - means
-    cov = (centered.T @ centered) / (m.n_rows - 1)
-    eigenvalues, eigenvectors = jacobi_eigh(cov)
-    eigenvalues = np.maximum(eigenvalues, 0.0)  # clamp round-off negatives
-
-    components = eigenvectors[:, :N_COMPONENTS].copy()
+    means = values.mean(axis=0)
+    centered = values - means
+    cov = (centered.T @ centered) / (len(values) - 1)
+    components = jacobi_eigh(cov)[1][:, :N_COMPONENTS].copy()
     for j in range(N_COMPONENTS):
         lead = np.argmax(np.abs(components[:, j]))
         if components[lead, j] < 0:
             components[:, j] = -components[:, j]
-
-    model = PcaModel(
-        means=means,
-        component_matrix=components,
-        explained_variance=eigenvalues[:N_COMPONENTS].copy(),
-        all_variances=eigenvalues,
-        total_variance=float(np.trace(cov)),
-    )
-    reduced = FeatureMatrix(list(m.row_ids), model.transform(m.values), Stage.REDUCED)
-    return reduced, model
+    return (values - means) @ components
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +182,6 @@ class ClusteringResult:
     sse: float
     iterations: int
     sse_history: list[float] = field(default_factory=list)
-
-
-def _points_of(points: Union[FeatureMatrix, np.ndarray]) -> np.ndarray:
-    if isinstance(points, FeatureMatrix):
-        return points.values
-    return np.asarray(points, dtype=np.float64)
 
 
 def _squared_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -305,16 +220,13 @@ def seeding_probabilities(nearest_d2: np.ndarray) -> np.ndarray:
     return nearest_d2 / total
 
 
-def kmeanspp_seed(
-    points: Union[FeatureMatrix, np.ndarray], k: int, seed: int
-) -> np.ndarray:
+def kmeanspp_seed(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Pick k initial centroids: first uniform, then squared-distance weighted.
 
     The distance to the nearest chosen centroid is kept as a running minimum,
     updated against each new centroid only; ``min`` is exact, so the weights
     equal those from measuring every point against every chosen centroid.
     """
-    x = _points_of(points)
     n = len(x)
     if k > n:
         raise DataError(f"k={k} exceeds {n} points")
@@ -378,17 +290,13 @@ MAX_ITER = 300
 TOL = 1e-9
 
 
-def lloyd(
-    points: Union[FeatureMatrix, np.ndarray],
-    init_centroids: np.ndarray,
-) -> ClusteringResult:
+def lloyd(x: np.ndarray, init_centroids: np.ndarray) -> ClusteringResult:
     """Alternate assignment and centroid updates until centroids stop moving.
 
     Nearest-centroid ties break toward the lower centroid index; empty
     clusters are reseeded to the points farthest from their own centroids, so
     every returned cluster is non-empty (k <= n).
     """
-    x = _points_of(points)
     centroids = np.array(init_centroids, dtype=np.float64, copy=True)
     if centroids.ndim != 2 or centroids.shape[1] != x.shape[1] or len(centroids) == 0:
         raise DataError(f"bad init_centroids shape {centroids.shape}")
@@ -454,16 +362,11 @@ def _best(restarts: Iterable[_Restart]) -> _Restart:
     return min(restarts, key=lambda restart: restart[:2])
 
 
-def run_kmeans(
-    points: Union[FeatureMatrix, np.ndarray],
-    k: int,
-    seed: int = 0,
-    restarts: int = 10,
-) -> ClusteringResult:
+def run_kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> ClusteringResult:
     """Best of ``restarts`` k-means++ runs by SSE (ties keep the earliest)."""
     if restarts < 1:
         raise ConfigurationError(f"restarts must be >= 1, got {restarts}")
-    return _best_restart(_points_of(points), k, seed, range(restarts))[2]
+    return _best_restart(points, k, seed, range(restarts))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +380,7 @@ class ElbowResult:
 
 
 def fit_k_range(
-    points: Union[FeatureMatrix, np.ndarray],
+    x: np.ndarray,
     ks: Iterable[int],
     restarts: int = 10,
     seed: int = 0,
@@ -494,7 +397,6 @@ def fit_k_range(
     all restarts, so the table is that of one process. If any part fails, the
     range is fitted again as one part, which raises the one-process error.
     """
-    x = _points_of(points)
     ordered = sorted(set(int(k) for k in ks))
     if not ordered or ordered[0] < 1:
         raise ConfigurationError(f"bad k range {ordered!r}")
@@ -591,9 +493,7 @@ def _block_silhouettes(
     return np.divide(b - a, denom, out=np.zeros(len(own)), where=keep)
 
 
-def silhouette_scores(
-    points: Union[FeatureMatrix, np.ndarray], labelings: Sequence[np.ndarray]
-) -> list[float]:
+def silhouette_scores(x: np.ndarray, labelings: Sequence[np.ndarray]) -> list[float]:
     """Mean silhouette value s = (b - a)/max(a, b) over all points, per labeling.
 
     One pass over row blocks of the distance matrix serves every labeling.
@@ -606,7 +506,6 @@ def silhouette_scores(
     order, so the scores are those of one process. If any run fails, the
     blocks are scored again as one run, which raises the one-process error.
     """
-    x = _points_of(points)
     n = len(x)
     labelings = [np.asarray(labels) for labels in labelings]
     members = [_cluster_members(labels, n) for labels in labelings]
@@ -643,31 +542,25 @@ def silhouette_scores(
                                    range(len(blocks)))
 
 
-def silhouette_score(
-    points: Union[FeatureMatrix, np.ndarray], labels: np.ndarray
-) -> float:
+def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette value of one labeling (see ``silhouette_scores``)."""
     return silhouette_scores(points, [labels])[0]
 
 
 @dataclass
 class SelectKResult:
-    k_best: int
     curve: list[tuple[int, float]]    # (k, silhouette)
     best_result: ClusteringResult
 
 
-def select_k(
-    points: Union[FeatureMatrix, np.ndarray], fits: Mapping[int, ClusteringResult]
-) -> SelectKResult:
+def select_k(points: np.ndarray, fits: Mapping[int, ClusteringResult]) -> SelectKResult:
     """Pick the fitted k with the highest silhouette (ties go to the smaller k)."""
-    x = _points_of(points)
     if not fits or min(fits) < 2:
         raise ConfigurationError(f"select_k needs k >= 2, got {sorted(fits)!r}")
     ks = sorted(fits)
-    curve = list(zip(ks, silhouette_scores(x, [fits[k].labels for k in ks])))
+    curve = list(zip(ks, silhouette_scores(points, [fits[k].labels for k in ks])))
     k_best = max(curve, key=lambda point: point[1])[0]  # first maximum: the smaller k
-    return SelectKResult(k_best=k_best, curve=curve, best_result=fits[k_best])
+    return SelectKResult(curve=curve, best_result=fits[k_best])
 
 
 # ---------------------------------------------------------------------------

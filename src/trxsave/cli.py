@@ -290,14 +290,15 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
     if restarts < 1:
         raise ConfigurationError(f"--restarts must be >= 1, got {restarts}")
     records = tables.ingest_kpi_csv(kpi_path)
+    cell_ids = [r.cell_id for r in records]
     try:
-        standardized, _ = analytics.standardize(analytics.kpi_feature_matrix(records))
+        standardized = analytics.standardize(analytics.kpi_feature_matrix(records))
     except DataError as exc:
         raise DataError(f"{kpi_path}: {exc}") from None
     del records  # only the features are read from here on: free the rows before fitting
-    reduced, _ = analytics.pca_reduce(standardized)
+    reduced = analytics.pca_reduce(standardized)
 
-    n = reduced.n_rows
+    n = len(reduced)
     if k is not None and not 1 <= k <= n:
         raise ConfigurationError(f"--k {k} must be in [1, {n}]")
     if not 2 <= k_min <= min(k_max, n):
@@ -322,7 +323,7 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
     analytics.write_silhouette_csv([(j, sil_of[j]) for j in sel_ks], out_dir / "silhouette.csv")
 
     chosen = selection.best_result if k is None else fits[k]
-    analytics.write_clusters_csv(reduced.row_ids, chosen.labels, out_dir / "clusters.csv")
+    analytics.write_clusters_csv(cell_ids, chosen.labels, out_dir / "clusters.csv")
 
     sil = sil_of.get(chosen.k, 0.0)  # k = 1 has no silhouette
     tables.write_json({
@@ -335,7 +336,7 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
         "iterations": chosen.iterations,
         "suggested_knee": elbow.suggested_knee,
     }, out_dir / "clustering.json")
-    click.echo(f"clustered {reduced.n_rows} cells into k={chosen.k} (silhouette {sil:.4f})")
+    click.echo(f"clustered {n} cells into k={chosen.k} (silhouette {sil:.4f})")
 
 
 @main.command()

@@ -1,11 +1,11 @@
-"""``simulate``'s documented failures, one case each, as data.
+"""The documented failures of ``simulate`` and ``cluster``, one case each, as data.
 
-Each case holds its input files inline, its command line, the exact line it
-writes to stderr and its exit code. ``{dir}`` in an argument or the stderr
-line stands for the directory the case's files are written to.
-``test_cli.py::test_simulate_error_case`` runs every case through ``main``
-and checks that ``--out`` is left as it was. A change to a message is a
-one-line change here.
+Each case names its command and holds its input files inline (over that
+command's defaults), its arguments, the exact line it writes to stderr and its
+exit code. ``{dir}`` in an argument or the stderr line stands for the
+directory the case's files are written to. ``test_cli.py::test_error_case``
+runs every case through ``main`` and checks that ``--out`` is left as it was.
+A change to a message is a one-line change here.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ TRAFFIC = ("cell_id,scan_index,offered_erlang\n"
            "a,0,1.5\na,1,2\na,2,0\n"
            "b,0,9\nb,1,0.5\nb,2,1\n")
 ASSIGNMENT_HEADER = "cell_id,cluster,hysteresis\n"
+KPI_HEADER = ("cell_id,tch_traffic_erl,dl_edge_throughput_kbps,pdch_congestion_pct,"
+              "preempt_pdch,ts_count\n")
+KPI_ROWS = ("a,1.5,138,0.01,1,24", "b,7,130,0.05,10,24", "c,14,122,0.4,35,32",
+            "d,2,136,0.02,2,24")
 
 
 def fleet(*cells: dict, **fields) -> str:
@@ -40,17 +44,38 @@ def cell(cell_id="a", num_trx=2, cch_slots=3) -> dict:
 @dataclass(frozen=True)
 class Case:
     id: str
-    args: tuple[str, ...]  # after --fleet, --traffic and --timelines all
+    args: tuple[str, ...]  # after the command's ``INPUT_ARGS``
     stderr: str  # without its "error: " and line end
     code: int
     files: dict[str, Union[str, bytes]] = field(default_factory=dict)  # over the defaults
+    command: str = "simulate"
 
     def inputs(self) -> dict[str, Union[str, bytes]]:
-        return {"fleet.json": json.dumps(FLEET), "traffic.csv": TRAFFIC, **self.files}
+        return {**DEFAULT_FILES[self.command], **self.files}
+
+    def argv(self) -> list[str]:
+        return [self.command, *INPUT_ARGS[self.command], *self.args]
 
 
 def assignment(*rows: str, header: str = ASSIGNMENT_HEADER) -> dict[str, str]:
     return {"assignment.csv": header + "".join(row + "\n" for row in rows)}
+
+
+def kpis(*rows: str, header: str = KPI_HEADER) -> dict[str, str]:
+    return {"kpis.csv": header + "".join(row + "\n" for row in rows)}
+
+
+# each command's input files and the arguments that name them
+KPI_FILE = "{dir}/kpis.csv"
+DEFAULT_FILES = {
+    "simulate": {"fleet.json": json.dumps(FLEET), "traffic.csv": TRAFFIC},
+    "cluster": kpis(*KPI_ROWS),
+}
+INPUT_ARGS = {
+    "simulate": ("--fleet", "{dir}/fleet.json", "--traffic", "{dir}/traffic.csv",
+                 "--timelines", "all"),
+    "cluster": ("--kpi", KPI_FILE),
+}
 
 
 ASSIGNED = ("--assignment", "{dir}/assignment.csv")
@@ -177,4 +202,65 @@ CASES = [
     Case("warmup_longer_than_a_later_trace", ("--warmup-days", "0.0003"),
          "warmup_scans 3 consumes the whole 2-scan trace of cell 'b'", 2,
          {"traffic.csv": TRAFFIC.replace("a,2,0\n", "a,2,0\na,3,1\n").replace("b,2,1\n", "")}),
+
+    # cluster's option checks: --restarts before kpis.csv is read, the k range
+    # against its cell count, each before --out is touched
+    Case("zero_restarts", ("--restarts", "0"), "--restarts must be >= 1, got 0", 2,
+         {"kpis.csv": "x\n"}, command="cluster"),
+    Case("zero_k", ("--k", "0"), "--k 0 must be in [1, 4]", 2, command="cluster"),
+    Case("k_above_cells", ("--k", "5"), "--k 5 must be in [1, 4]", 2, command="cluster"),
+    Case("k_min_below_two", ("--k-min", "1"),
+         "--k-min 1 and --k-max 9 need 2 <= --k-min <= min(--k-max, 4 cells)", 2,
+         command="cluster"),
+    Case("k_min_above_k_max", ("--k-min", "3", "--k-max", "2"),
+         "--k-min 3 and --k-max 2 need 2 <= --k-min <= min(--k-max, 4 cells)", 2,
+         command="cluster"),
+    Case("k_min_above_cells", ("--k-min", "5"),
+         "--k-min 5 and --k-max 9 need 2 <= --k-min <= min(--k-max, 4 cells)", 2,
+         command="cluster"),
+
+    # kpis.csv
+    Case("kpi_header", (),
+         f"{KPI_FILE}: CSV header mismatch: expected {KPI_HEADER.strip()}, got cell_id,erl", 3,
+         kpis("a,1", header="cell_id,erl\n"), command="cluster"),
+    Case("kpi_empty_file", (),
+         f"{KPI_FILE}: CSV header mismatch: expected {KPI_HEADER.strip()}, got an empty file",
+         3, {"kpis.csv": ""}, command="cluster"),
+    Case("kpi_quote", (),
+         f"{KPI_FILE}: row 2: a field holds '\"' (fields are never quoted)", 3,
+         kpis(KPI_ROWS[0], '"b",7,130,0.05,10,24'), command="cluster"),
+    Case("kpi_field_count", (), f"{KPI_FILE}: row 1: expected 6 fields, got 5", 3,
+         kpis("a,1.5,138,0.01,1"), command="cluster"),
+    Case("kpi_cell_id_with_slash", (), f"{KPI_FILE}: row 1: cell_id 'a/b' may not hold '/'",
+         3, kpis("a/b,1.5,138,0.01,1,24"), command="cluster"),
+    Case("kpi_empty_cell_id", (), f"{KPI_FILE}: row 2: empty cell_id", 3,
+         kpis(KPI_ROWS[0], ",7,130,0.05,10,24"), command="cluster"),
+    Case("kpi_duplicate_cell", (), f"{KPI_FILE}: row 3: duplicate cell_id 'a'", 3,
+         kpis(*KPI_ROWS[:2], KPI_ROWS[0]), command="cluster"),
+    Case("kpi_not_utf8", (), f"{KPI_FILE}: row 2: not UTF-8 text (invalid start byte)", 3,
+         {"kpis.csv": KPI_HEADER.encode() + b"a,1.5,138,0.01,1,24\n\xff,7,130,0.05,10,24\n"},
+         command="cluster"),
+    Case("kpi_not_utf8_with_cr_line_ends", (),
+         f"{KPI_FILE}: row 2: not UTF-8 text (invalid start byte)", 3,
+         {"kpis.csv": KPI_HEADER.replace("\n", "\r").encode()
+          + b"a,1.5,138,0.01,1,24\rb,\xff,130,0.05,10,24\r"}, command="cluster"),
+    Case("kpi_non_numeric", (),
+         f"{KPI_FILE}: row 1: non-numeric field (could not convert string to float: 'oops')",
+         3, kpis("a,oops,138,0.01,1,24", *KPI_ROWS[1:]), command="cluster"),
+    Case("kpi_negative", (),
+         f"{KPI_FILE}: row 2: cell 'b': preempt_pdch must be finite and >= 0, got -1.0", 3,
+         kpis(KPI_ROWS[0], "b,7,130,0.05,-1,24"), command="cluster"),
+    Case("kpi_congestion_above_100", (),
+         f"{KPI_FILE}: row 1: cell 'a': pdch_congestion_pct must be in [0, 100], got 100.5",
+         3, kpis("a,1.5,138,100.5,1,24"), command="cluster"),
+    Case("kpi_zero_ts_count", (), f"{KPI_FILE}: row 1: cell 'a': ts_count must be > 0, got 0",
+         3, kpis("a,1.5,138,0.01,1,0"), command="cluster"),
+    Case("kpi_overflowing_column", (),
+         f"{KPI_FILE}: feature tch_traffic_erl: mean or standard deviation overflows a "
+         "float64", 3, kpis(*(f"c{i},1e308,{100 + i},0.1,1,24" for i in range(3))),
+         command="cluster"),
+    Case("kpi_one_row", (), f"{KPI_FILE}: standardize needs at least 2 rows, got 1", 3,
+         kpis(KPI_ROWS[0]), command="cluster"),
+    Case("kpi_header_only", (), f"{KPI_FILE}: standardize needs at least 2 rows, got 0", 3,
+         kpis(), command="cluster"),
 ]

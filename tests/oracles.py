@@ -7,7 +7,9 @@ k-means optimum, squared distances from the whole n x k x d difference tensor,
 k-means++ seeding that measures every point against every chosen centroid,
 Lloyd's centroid update as one mask and one ``mean`` per cluster, silhouette
 member sums as the last of every prefix sum, power iteration with deflation
-for eigenpairs, direct capacity arithmetic for the channel model, a scan-by-scan replay of the
+for eigenpairs, the whole PCA fit behind ``pca_reduce``'s projection (its
+components and eigenvalues, from ``jacobi_eigh``, to check against other
+eigensolvers), direct capacity arithmetic for the channel model, a scan-by-scan replay of the
 state machine's executable spec (``scan_step``/``apply_action``) for the
 event-jumping ``run_cell``, a saving-off run with its statistics and timeline
 text for ``summarize``'s saving-off fold, and a whole-file row loop for the
@@ -28,7 +30,8 @@ from array import array
 
 import numpy as np
 
-from trxsave.analytics import ClusteringResult, _assign, _repair_empty, _sse
+from trxsave.analytics import (N_COMPONENTS, ClusteringResult, _assign, _repair_empty, _sse,
+                               jacobi_eigh)
 from trxsave.cell_model import build_cell
 from trxsave.errors import DataError
 from trxsave.evaluator import CellStats
@@ -310,6 +313,32 @@ def power_iteration_eigs(matrix: np.ndarray, n_components: int,
         values.append(lam)
         vectors.append(v)
     return np.array(values), np.array(vectors).T
+
+
+@dataclasses.dataclass(frozen=True)
+class PcaFit:
+    means: np.ndarray
+    components: np.ndarray  # n_features x n_components, orthonormal columns
+    variances: np.ndarray  # the whole eigenvalue spectrum, descending
+    total_variance: float  # trace of the covariance matrix
+    projection: np.ndarray  # (values - means) @ components
+
+
+def pca_fit(values: np.ndarray) -> PcaFit:
+    """``pca_reduce``'s arithmetic, keeping every intermediate: the sample
+    covariance's eigenpairs from ``jacobi_eigh`` (round-off negatives clamped
+    to 0), each component's largest-magnitude entry made positive."""
+    means = values.mean(axis=0)
+    centered = values - means
+    cov = (centered.T @ centered) / (len(values) - 1)
+    eigenvalues, eigenvectors = jacobi_eigh(cov)
+    components = eigenvectors[:, :N_COMPONENTS].copy()
+    for j in range(N_COMPONENTS):
+        lead = np.argmax(np.abs(components[:, j]))
+        if components[lead, j] < 0:
+            components[:, j] = -components[:, j]
+    return PcaFit(means, components, np.maximum(eigenvalues, 0.0), float(np.trace(cov)),
+                  (values - means) @ components)
 
 
 def diurnal_template_value(base: float, peak: float, peak_hour: float,

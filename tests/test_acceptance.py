@@ -247,30 +247,26 @@ def test_criterion_7_pca_checks():
     rng = np.random.default_rng(707)
     for trial in range(5):
         x = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 5))
-        std, _ = standardize(kpi_like_matrix(x))
-        reduced, model = pca_reduce(std)
+        std = standardize(x)
+        fit = oracles.pca_fit(std)
+        assert np.array_equal(pca_reduce(std), fit.projection)
 
-        gram = model.component_matrix.T @ model.component_matrix
+        gram = fit.components.T @ fit.components
         assert np.abs(gram - np.eye(3)).max() < 1e-8
 
-        centered = std.values - std.values.mean(axis=0)
+        centered = std - std.mean(axis=0)
         cov = centered.T @ centered / (len(x) - 1)
-        assert abs(model.all_variances.sum() - float(np.trace(cov))) < 1e-8
-        assert abs(model.total_variance - float(np.trace(cov))) < 1e-8
+        assert abs(fit.variances.sum() - float(np.trace(cov))) < 1e-8
+        assert abs(fit.total_variance - float(np.trace(cov))) < 1e-8
 
         # independent small-matrix eigensolver, match up to sign
         ref_vals, ref_vecs = np.linalg.eigh(cov)
         ref_vals = ref_vals[::-1]
         ref_vecs = ref_vecs[:, ::-1]
-        assert np.abs(model.all_variances - ref_vals).max() < 1e-8
+        assert np.abs(fit.variances - ref_vals).max() < 1e-8
         for j in range(3):
-            dot = abs(float(model.component_matrix[:, j] @ ref_vecs[:, j]))
+            dot = abs(float(fit.components[:, j] @ ref_vecs[:, j]))
             assert abs(dot - 1.0) < 1e-8
-
-
-def kpi_like_matrix(x):
-    from trxsave.analytics import FeatureMatrix, Stage
-    return FeatureMatrix([f"r{i}" for i in range(len(x))], np.asarray(x, float), Stage.RAW)
 
 
 @criterion(8, "model selection: k=3 on three blobs in at least 95 of 100 trials")
@@ -281,7 +277,7 @@ def test_criterion_8_model_selection():
             [[0, 0, 0], [12, 12, 0], [-12, 12, 6]], 25, scale=1.0, seed=trial,
         )
         sel = select_k(pts, fit_k_range(pts, range(2, 10), restarts=10, seed=trial))
-        hits += sel.k_best == 3
+        hits += sel.best_result.k == 3
     assert hits >= 95, f"k=3 chosen only {hits}/100 times"
 
 

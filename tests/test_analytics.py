@@ -7,8 +7,6 @@ import pytest
 from trxsave import analytics, parts
 from trxsave.analytics import (
     ElbowResult,
-    FeatureMatrix,
-    Stage,
     child_seed,
     elbow_curve,
     fit_k_range,
@@ -36,28 +34,21 @@ import oracles
 from test_traffic import sample_kpi_csv, text_file, traced_peak
 
 
-def raw(values):
-    values = np.asarray(values, dtype=np.float64)
-    return FeatureMatrix([f"r{i}" for i in range(len(values))], values, Stage.RAW)
-
-
 class TestStandardize:
     def test_two_point_column(self):
-        std, stats = standardize(raw([[1.0], [3.0]]))
-        assert list(std.values[:, 0]) == [-1.0, 1.0]
-        assert stats.means[0] == 2.0 and stats.stds[0] == 1.0
+        assert list(standardize(np.array([[1.0], [3.0]]))[:, 0]) == [-1.0, 1.0]
 
-    def test_constant_column_flagged_and_zeroed(self):
-        std, stats = standardize(raw([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]))
-        assert np.all(std.values[:, 0] == 0.0)
-        assert list(stats.constant_columns) == [True, False]
+    def test_constant_column_zeroed(self):
+        std = standardize(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]))
+        assert np.all(std[:, 0] == 0.0)
+        assert std[:, 1] == pytest.approx([-math.sqrt(1.5), 0.0, math.sqrt(1.5)])
 
     def test_dataset_sample_columns_have_unit_moments(self, tmp_path):
         records = ingest_kpi_csv(sample_kpi_csv(tmp_path))
-        std, _ = standardize(kpi_feature_matrix(records))
+        std = standardize(kpi_feature_matrix(records))
         # recompute moments independently
-        for col in range(std.n_cols):
-            vals = std.values[:, col]
+        for col in range(std.shape[1]):
+            vals = std[:, col]
             mean = math.fsum(vals) / len(vals)
             var = math.fsum((v - mean) ** 2 for v in vals) / len(vals)
             assert abs(mean) < 1e-9
@@ -65,12 +56,7 @@ class TestStandardize:
 
     def test_single_row_rejected(self):
         with pytest.raises(DataError):
-            standardize(raw([[1.0, 2.0]]))
-
-    def test_wrong_stage_rejected(self):
-        std, _ = standardize(raw([[1.0], [2.0]]))
-        with pytest.raises(DataError):
-            standardize(std)
+            standardize(np.array([[1.0, 2.0]]))
 
     @pytest.mark.parametrize("values,name", [
         ([[1.0, 1e308, 2.0, 3.0, 24.0]] * 3, "dl_edge_throughput_kbps"),  # the mean overflows
@@ -81,7 +67,7 @@ class TestStandardize:
             warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
             with pytest.raises(DataError, match=f"^feature {name}: mean or standard "
                                                 "deviation overflows a float64$"):
-                standardize(raw(values))
+                standardize(np.array(values))
 
 
 class TestJacobi:
@@ -103,79 +89,78 @@ class TestJacobi:
 
 
 class TestPca:
+    """The components and eigenvalues come from ``oracles.pca_fit``, whose
+    projection ``pca_reduce`` must equal bit for bit."""
+
     def std3d(self, seed=11, n=60):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, 3)) * [3.0, 1.0, 0.3]
-        std, _ = standardize(raw(x))
-        return std
+        return standardize(x)
 
     def test_full_rank_rotation_keeps_all_variance(self):
         std = self.std3d()
-        _, model = pca_reduce(std)
-        assert model.explained_variance.sum() == pytest.approx(model.total_variance, abs=1e-8)
+        fit = oracles.pca_fit(std)
+        assert np.array_equal(pca_reduce(std), fit.projection)
+        assert fit.variances[:3].sum() == pytest.approx(fit.total_variance, abs=1e-8)
 
     def test_collinear_data_is_rank_one(self):
         t = np.linspace(-2, 2, 30)
         x = np.stack([t, 2 * t, -t], axis=1)
-        std, _ = standardize(raw(x))
-        _, model = pca_reduce(std)
-        assert model.explained_variance[0] == pytest.approx(model.total_variance, abs=1e-8)
-        assert model.explained_variance[1] == pytest.approx(0.0, abs=1e-8)
-        assert model.explained_variance[2] == pytest.approx(0.0, abs=1e-8)
+        std = standardize(x)
+        fit = oracles.pca_fit(std)
+        assert np.array_equal(pca_reduce(std), fit.projection)
+        assert fit.variances[0] == pytest.approx(fit.total_variance, abs=1e-8)
+        assert fit.variances[1] == pytest.approx(0.0, abs=1e-8)
+        assert fit.variances[2] == pytest.approx(0.0, abs=1e-8)
 
     def test_orthonormal_components(self):
         rng = np.random.default_rng(19)
-        std, _ = standardize(raw(rng.normal(size=(40, 5)) * [1, 2, 3, 4, 5]))
-        _, model = pca_reduce(std)
-        gram = model.component_matrix.T @ model.component_matrix
+        std = standardize(rng.normal(size=(40, 5)) * [1, 2, 3, 4, 5])
+        fit = oracles.pca_fit(std)
+        assert np.array_equal(pca_reduce(std), fit.projection)
+        gram = fit.components.T @ fit.components
         assert np.abs(gram - np.eye(3)).max() < 1e-8
 
     def test_matches_power_iteration_oracle_on_5_features(self):
         rng = np.random.default_rng(29)
         x = rng.normal(size=(80, 5)) @ rng.normal(size=(5, 5))
-        std, _ = standardize(raw(x))
-        reduced, model = pca_reduce(std)
+        std = standardize(x)
+        reduced, fit = pca_reduce(std), oracles.pca_fit(std)
+        assert np.array_equal(reduced, fit.projection)
 
-        cov = (std.values - std.values.mean(0)).T @ (std.values - std.values.mean(0))
+        cov = (std - std.mean(0)).T @ (std - std.mean(0))
         cov /= len(x) - 1
         oracle_vals, oracle_vecs = oracles.power_iteration_eigs(cov, 3)
-        assert np.allclose(model.explained_variance, oracle_vals, atol=1e-8)
+        assert np.allclose(fit.variances[:3], oracle_vals, atol=1e-8)
         for j in range(3):
-            dot = abs(float(model.component_matrix[:, j] @ oracle_vecs[:, j]))
+            dot = abs(float(fit.components[:, j] @ oracle_vecs[:, j]))
             assert dot == pytest.approx(1.0, abs=1e-8)
         # projection agrees up to the sign convention
         for j in range(3):
-            a = reduced.values[:, j]
-            b = (std.values - std.values.mean(0)) @ oracle_vecs[:, j]
+            a = reduced[:, j]
+            b = (std - std.mean(0)) @ oracle_vecs[:, j]
             assert min(np.abs(a - b).max(), np.abs(a + b).max()) < 1e-8
 
     def test_sign_convention_largest_entry_positive(self):
         rng = np.random.default_rng(31)
-        std, _ = standardize(raw(rng.normal(size=(50, 4))))
-        _, model = pca_reduce(std)
+        std = standardize(rng.normal(size=(50, 4)))
+        fit = oracles.pca_fit(std)
+        assert np.array_equal(pca_reduce(std), fit.projection)
         for j in range(3):
-            col = model.component_matrix[:, j]
+            col = fit.components[:, j]
             assert col[np.argmax(np.abs(col))] > 0
 
     def test_reconstruction_error_is_minimal_among_rank3_maps(self):
         rng = np.random.default_rng(37)
-        std, _ = standardize(raw(rng.normal(size=(45, 6)) * [1, 2, 3, 4, 5, 6]))
-        reduced, model = pca_reduce(std)
-        centered = std.values - model.means
-        recon = reduced.values @ model.component_matrix.T
+        std = standardize(rng.normal(size=(45, 6)) * [1, 2, 3, 4, 5, 6])
+        reduced, fit = pca_reduce(std), oracles.pca_fit(std)
+        assert np.array_equal(reduced, fit.projection)
+        centered = std - fit.means
+        recon = reduced @ fit.components.T
         err = float(np.sum((centered - recon) ** 2))
         # optimum equals the sum of the discarded eigenvalues of the scatter
         scatter_vals = np.sort(np.linalg.eigvalsh(centered.T @ centered))[::-1]
         assert err == pytest.approx(float(scatter_vals[3:].sum()), abs=1e-8)
-
-    def test_too_many_components_rejected(self):
-        std, _ = standardize(raw(np.random.default_rng(1).normal(size=(10, 2))))
-        with pytest.raises(DataError, match="n_components=3 exceeds 2 features"):
-            pca_reduce(std)
-
-    def test_requires_standardized_stage(self):
-        with pytest.raises(DataError):
-            pca_reduce(raw([[1.0, 2.0], [3.0, 4.0]]))
 
 
 def duplicated_point_sets(count, seed):
@@ -597,17 +582,17 @@ class TestSelectK:
     def test_three_blobs(self):
         pts = oracles.gaussian_blobs([[0, 0, 0], [15, 15, 0], [-15, 15, 5]], 25, 0.7, seed=9)
         sel = select_k(pts, fit_k_range(pts, range(2, 10), restarts=6, seed=1))
-        assert sel.k_best == 3
+        assert sel.best_result.k == 3
 
     def test_two_blobs(self):
         pts = oracles.gaussian_blobs([[0, 0], [20, 0]], 25, 0.8, seed=10)
         sel = select_k(pts, fit_k_range(pts, range(2, 8), restarts=6, seed=1))
-        assert sel.k_best == 2
+        assert sel.best_result.k == 2
 
     def test_identical_points_tie_breaks_to_two(self):
         pts = np.zeros((12, 3))
         sel = select_k(pts, fit_k_range(pts, range(2, 6), restarts=2, seed=0))
-        assert sel.k_best == 2
+        assert sel.best_result.k == 2
         assert all(s == 0.0 for _, s in sel.curve)
 
     def test_k_below_two_rejected(self):
@@ -621,7 +606,7 @@ class TestSelectK:
         pts = oracles.gaussian_blobs([[0, 0], [8, 8], [-8, 8]], 15, 1.0, seed=12)
         a = select_k(pts, fit_k_range(pts, range(2, 8), restarts=5, seed=4))
         b = select_k(pts, fit_k_range(pts, range(2, 8), restarts=5, seed=4))
-        assert a.k_best == b.k_best
+        assert a.best_result.k == b.best_result.k
         assert a.curve == b.curve
         assert np.array_equal(a.best_result.labels, b.best_result.labels)
 

@@ -149,19 +149,6 @@ class TestCluster:
                   for line in (out / "clusters.csv").read_text().splitlines()[1:]}
         assert labels == {0, 1}
 
-    def test_single_cell_input_exits_3(self, runner, tmp_path):
-        emit_kpi_csv([KpiRecord("only", 1.0, 100.0, 0.0, 1.0, 24)], tmp_path / "kpis.csv")
-        result = runner.invoke(main, ["cluster", "--kpi", str(tmp_path / "kpis.csv"),
-                                      "--out", str(tmp_path / "out")])
-        assert result.exit_code == 3
-
-    def test_corrupt_kpi_exits_3(self, runner, tmp_path):
-        (tmp_path / "kpis.csv").write_text(",".join(KPI_CSV_HEADER) + "\nc1,oops,1,1,1,24\n")
-        result = runner.invoke(main, ["cluster", "--kpi", str(tmp_path / "kpis.csv"),
-                                      "--out", str(tmp_path / "out")])
-        assert result.exit_code == 3
-        assert "row 1" in result.output
-
     def test_overflowing_kpi_column_named_on_one_stderr_line(self, tmp_path):
         path = tmp_path / "kpis.csv"
         path.write_text(",".join(KPI_CSV_HEADER) + "\n" + "".join(
@@ -173,23 +160,6 @@ class TestCluster:
         assert proc.returncode == 3
         assert proc.stderr == (f"error: {path}: feature tch_traffic_erl: mean or standard "
                                "deviation overflows a float64\n")
-
-    def test_non_utf8_kpi_exits_3(self, runner, tmp_path):
-        path = tmp_path / "kpis.csv"
-        blob_kpi_csv(path)
-        path.write_bytes(path.read_bytes().replace(b"cell_004", b"cell_\xff04"))
-        result = runner.invoke(main, ["cluster", "--kpi", str(path),
-                                      "--out", str(tmp_path / "out")])
-        assert result.exit_code == 3
-        assert f"{path}: row 5: not UTF-8 text" in result.output
-
-    def test_duplicate_cell_id_exits_3(self, runner, tmp_path):
-        records = blob_kpi_csv(tmp_path / "kpis.csv", per_blob=2)
-        emit_kpi_csv(records + records[:1], tmp_path / "kpis.csv")
-        result = runner.invoke(main, ["cluster", "--kpi", str(tmp_path / "kpis.csv"),
-                                      "--out", str(tmp_path / "out")])
-        assert result.exit_code == 3
-        assert "row 7: duplicate cell_id 'cell_000'" in result.output
 
     @pytest.mark.parametrize("seed", range(6))
     def test_duplicated_feature_rows_exit_0(self, runner, tmp_path, seed):
@@ -702,9 +672,9 @@ def tree(root: Path) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("case", error_cases.CASES, ids=lambda case: case.id)
-def test_simulate_error_case(runner, tmp_path, monkeypatch, case, cpus):
-    """Each documented failure of ``simulate``: one stderr line and its exit code,
-    whatever the CPU count, with an existing ``--out`` left as it was."""
+def test_error_case(runner, tmp_path, monkeypatch, case, cpus):
+    """Each documented failure of ``simulate`` and ``cluster``: one stderr line and
+    its exit code, whatever the CPU count, with an existing ``--out`` left as it was."""
     monkeypatch.setattr(parts, "cpus", lambda: cpus)
     inputs = tmp_path / "in"
     inputs.mkdir()
@@ -713,10 +683,10 @@ def test_simulate_error_case(runner, tmp_path, monkeypatch, case, cpus):
     out = tmp_path / "out"
     (out / "timelines").mkdir(parents=True)
     (out / "timelines" / "a_on.csv").write_text("an earlier run\n")
+    (out / "clusters.csv").write_text("an earlier run\n")
     before = tree(out)
-    args = ["simulate", "--fleet", "{dir}/fleet.json", "--traffic", "{dir}/traffic.csv",
-            "--timelines", "all", *case.args, "--out", str(out)]
-    result = runner.invoke(main, [arg.format(dir=inputs) for arg in args])
+    result = runner.invoke(main, [arg.format(dir=inputs) for arg in case.argv()]
+                           + ["--out", str(out)])
     assert (result.exit_code, result.stderr) == (
         case.code, f"error: {case.stderr.format(dir=inputs)}\n"), result.output
     assert tree(out) == before

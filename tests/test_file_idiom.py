@@ -4,7 +4,8 @@ the two I/O modules: ``trxsave.traffic`` for the per-scan CSVs and
 their readers and writers. No module imports ``csv``: the one CSV dialect is
 split and joined on bare commas. Processes are started only in
 ``trxsave.parts``. A value type checks itself once, when it is built: no
-module defines or calls a ``validate`` or names ``validate_params``."""
+module defines or calls a ``validate`` or names ``validate_params``. No
+assignment binds ``_``, so no stage computes a result only to drop it."""
 
 import ast
 from pathlib import Path
@@ -155,3 +156,26 @@ def test_the_recheck_guard_sees_each_use():
     assert rechecks(ast.parse(source)) == [
         "2: validate", "4: validate", "5: validate_params", "6: validate_params",
         "7: validate", "9: validate_params"]
+
+
+def discarded_results(tree: ast.AST) -> list[str]:
+    """Every assignment that binds ``_``, alone or inside a tuple or list
+    target, as ``line: _``; a ``for _ in ...`` loop is not an assignment."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            names = [n for target in node.targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            found += [f"{node.lineno}: _" for n in names if n.id == "_"]
+    return sorted(found, key=lambda use: int(use.split(":")[0]))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_result_is_assigned_to_underscore(path):
+    assert discarded_results(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_underscore_guard_sees_each_binding():
+    source = ("a, _ = f()\n_ = g()\nfor _ in range(3):\n    pass\nx = [y for _, y in z]\n"
+              "(_, [b, _]) = h()\n_x = i()\nc = d = _\n")
+    assert discarded_results(ast.parse(source)) == ["1: _", "2: _", "6: _", "6: _"]
