@@ -15,7 +15,7 @@ name can hold "/" or NUL. ``simulate_network`` reads the traces once, in
 file order: each cell runs once, with saving on, as its trace arrives, and
 ``summarize`` reduces the timeline to the cell's (off, on) statistics. Saving
 off needs no run: every TRX stays on, so its statistics are arithmetic on the
-demand. The trace is then dropped, so memory holds one trace and one
+timeline, its blocked calls folded from those of saving on. The trace is then dropped, so memory holds one trace and one
 timeline, never the fleet. ``compare`` folds the pairs once into the
 summary. Timeline CSVs are staged and moved into place only after the last
 check (no fleet cell untraced) passes, so a failed run leaves no output.
@@ -43,7 +43,7 @@ from .cell_model import SLOTS_PER_TRX, CellConfig
 from .errors import ConfigurationError, DataError
 from .saving_engine import CellTimeline, PowerSavingParams, run_cell
 from .tables import read_json, write_csv, write_json
-from .traffic import TrafficTrace, demand_series, iter_traffic_span, traffic_spans, write_rows
+from .traffic import TrafficTrace, iter_traffic_span, traffic_spans, write_row_pair
 
 SCHEMA_VERSION = 1
 
@@ -102,18 +102,23 @@ def summarize(timeline: CellTimeline, config: CellConfig,
     """One cell's (off, on) statistics over scans >= warmup_scans
     (``NetworkScenario.check_trace`` checks the trace is longer).
 
-    The on side reads the timeline. Saving off keeps every TRX on, so it is
-    arithmetic on the demand: every scan has ``8 * num_trx`` slots, and the
-    calls above the full capacity are blocked.
+    The on side reads the timeline. Saving off keeps every TRX on, so every
+    scan has ``8 * num_trx`` slots and blocks the calls above the full
+    capacity. Those are folded from the on side's blocked calls: a scan that
+    blocked calls on E enabled TRXs blocks ``8 * (num_trx - E)`` fewer at
+    full capacity, or none, and a scan that blocked none blocks none.
     """
     ts = timeline.active_ts[warmup_scans:]
     full_ts = SLOTS_PER_TRX * config.num_trx
-    demand = demand_series(timeline.offered[warmup_scans:])
-    demand -= full_ts - config.cch_slots
-    np.maximum(demand, 0, out=demand)
+    first = max(warmup_scans, 1)  # scan 0 places its calls on every TRX, so blocks the same
+    blocked_off = timeline.blocked[first:] - full_ts
+    # scan i places its calls on the TRXs scan i - 1 left enabled
+    blocked_off += SLOTS_PER_TRX * timeline.active_trx[first - 1:-1]
+    np.maximum(blocked_off, 0, out=blocked_off)
+    blocked_off_total = int(blocked_off.sum()) + int(timeline.blocked[warmup_scans:first].sum())
     return (
         CellStats(cell_id=timeline.cell_id, max_ts=full_ts, mean_ts=float(full_ts),
-                  blocked=int(demand.sum()), trx_scans=config.num_trx * len(ts)),
+                  blocked=blocked_off_total, trx_scans=config.num_trx * len(ts)),
         CellStats(cell_id=timeline.cell_id, max_ts=int(ts.max()), mean_ts=float(ts.mean()),
                   blocked=int(timeline.blocked[warmup_scans:].sum()),
                   trx_scans=int(timeline.active_trx[warmup_scans:].sum())),
@@ -354,9 +359,11 @@ def emit_report(summary: ComparisonSummary, out_dir: Union[str, Path]) -> list[P
 def write_timeline_csv(timeline: CellTimeline, config: CellConfig, out_dir: Path) -> None:
     """Plot-ready per-scan series of one cell, ``<cell_id>_off.csv`` and
     ``<cell_id>_on.csv`` in ``out_dir``: scan index, offered Erlang, active
-    slots. Saving off has every slot of the cell active at every scan."""
-    columns = [np.arange(timeline.n_scans), np.asarray(timeline.offered, np.float64)]
-    for mode, active_ts in (("off", str(SLOTS_PER_TRX * config.num_trx)),
-                            ("on", timeline.active_ts)):
-        write_rows(out_dir / f"{timeline.cell_id}_{mode}.csv", TIMELINE_CSV_HEADER,
-                   [[*columns, active_ts]])
+    slots. Saving off has every slot of the cell active at every scan. The
+    two files differ only in the last field, so ``write_row_pair`` formats
+    the scan and Erlang text once for both."""
+    write_row_pair(
+        (out_dir / f"{timeline.cell_id}_off.csv", out_dir / f"{timeline.cell_id}_on.csv"),
+        TIMELINE_CSV_HEADER,
+        [range(timeline.n_scans), np.asarray(timeline.offered, np.float64)],
+        (str(SLOTS_PER_TRX * config.num_trx), timeline.active_ts))

@@ -253,10 +253,14 @@ def _walk_counters(
 ) -> None:
     """Fill a run's actions, event by event.
 
-    Each window's counters go into two window-sized scratch buffers. Only each
-    counter's value at the event scan, or at the window's last scan, is carried
-    on; a counter that is not walked (delay window, no TRX to switch) keeps its
-    carried value.
+    Each window's counters go into two scratch buffers, as long as the longest
+    window walked so far, so a cell with dense events never holds a
+    ``MAX_WINDOW`` one. Only each counter's value at the event scan, or at the
+    window's last scan, is carried on; a counter that is not walked (delay
+    window, no TRX to switch) keeps its carried value. The steps' prefix sums
+    of the current enabled count are held between events, each side built the
+    first time it is walked at that count, so a cell that never leaves
+    ``num_trx`` never builds its on side.
 
     Enabled TRXs always form the prefix 1..enabled, because disables pick the
     highest index and enables the lowest disabled one, so the enabled count is
@@ -264,30 +268,28 @@ def _walk_counters(
     """
     n = len(demand)
     num_trx, cch, h = config.num_trx, config.cch_slots, params.hysteresis
-    on_target, off_target = params.trx_on_target, params.trx_off_target
     dtype = np.int32 if (n + 1) * DECAY_STEP < 2**31 else np.int64  # steps are +1 or -DECAY_STEP
-    kept: dict[tuple[str, int], np.ndarray] = {}
+    # targets of the sums' own type compare faster than Python ints
+    on_target, off_target = dtype(params.trx_on_target), dtype(params.trx_off_target)
+    kept: dict[tuple[bool, int], np.ndarray] = {}
 
-    def prefix_sums(side: str, enabled: int) -> np.ndarray:
-        """Counter steps of every scan on ``enabled`` TRXs, summed from scan 0;
-        built when the walk first reaches that count."""
-        sums = kept.get((side, enabled))
+    def prefix_sums(on: bool, enabled: int) -> np.ndarray:
+        """Counter steps of every scan on ``enabled`` TRXs, summed from scan 0."""
+        sums = kept.get((on, enabled))
         if sums is None:
             cap = enabled * SLOTS_PER_TRX - cch
-            if side == "on":  # idle < h, with idle = max(cap - demand, 0) and h >= 1
+            if on:  # idle < h, with idle = max(cap - demand, 0) and h >= 1
                 up = demand > cap - h
             else:  # idle > h + 9
                 up = demand < cap - h - FIXED_OFFSET
             sums = np.zeros(n + 1, dtype)
             np.cumsum(np.where(up, np.int8(1), np.int8(-DECAY_STEP)), dtype=dtype, out=sums[1:])
-            kept[side, enabled] = sums
+            kept[on, enabled] = sums
         return sums
 
-    on_walk = np.empty(MAX_WINDOW + 1, dtype)
-    off_walk = np.empty(MAX_WINDOW + 1, dtype)
-    low = np.empty(MAX_WINDOW + 1, dtype)
+    on_walk = off_walk = low = np.empty(0, dtype)
 
-    def first_fire(sums: np.ndarray, start: int, stop: int, counter: int, target: int,
+    def first_fire(sums: np.ndarray, start: int, stop: int, counter: int, target: np.integer,
                    walk: np.ndarray) -> int:
         """Walk a counter that holds ``counter`` before scan ``start`` over the scans
         [start, stop), leaving its value after scan ``start + i`` in ``walk[i + 1]``;
@@ -295,47 +297,56 @@ def _walk_counters(
 
         C_t = max(C_{t-1} + x_t, 0) is P_t - min(-C, min_{start<=k<=t} P_k), where P
         sums the steps x from ``start`` (Lindley's recursion, in closed form).
+        ``walk[0]`` holds -C, so it is 0 after the running minimum is taken off,
+        below any target: a first hit at 0 is no hit.
         """
-        k = stop - start
-        np.subtract(sums[start + 1:stop + 1], sums[start], out=walk[1:k + 1])
-        walk[0] = -counter
-        np.minimum.accumulate(walk[:k + 1], out=low[:k + 1])
-        np.subtract(walk[1:k + 1], low[1:k + 1], out=walk[1:k + 1])
-        hit = walk[1:k + 1] >= target
-        i = int(hit.argmax())
-        return start + i if hit[i] else stop
+        k = stop - start + 1
+        w, m = walk[:k], low[:k]
+        np.subtract(sums[start:stop + 1], sums[start], out=w)
+        w[0] = -counter
+        np.minimum.accumulate(w, out=m)
+        np.subtract(w, m, out=w)
+        i = int((w >= target).argmax())
+        return start + i - 1 if i else stop
 
     start, enabled, off_c, on_c, off_open = 0, num_trx, 0, 0, 0
+    on_sums = off_sums = None  # of the current enabled count, once walked
     window = FIRST_WINDOW
     while start < n:
         stop = min(start + window, n)
+        if len(low) <= stop - start:
+            on_walk, off_walk, low = (np.empty(window + 1, dtype) for _ in range(3))
         on_at = off_at = stop
         on_walked = enabled < num_trx
         if on_walked:
-            on_at = first_fire(prefix_sums("on", enabled), start, stop, on_c, on_target,
-                               on_walk)
+            if on_sums is None:
+                on_sums = prefix_sums(True, enabled)
+            on_at = first_fire(on_sums, start, stop, on_c, on_target, on_walk)
         # off-checks stay suspended until the delay window after a disable has run out
         off_from = max(start, off_open)
         off_walked = enabled > 1 and off_from < stop
         if off_walked:
-            off_at = first_fire(prefix_sums("off", enabled), off_from, stop, off_c,
-                                off_target, off_walk)
+            if off_sums is None:
+                off_sums = prefix_sums(False, enabled)
+            off_at = first_fire(off_sums, off_from, stop, off_c, off_target, off_walk)
         at = min(on_at, off_at)
         if at == stop:  # no event: go on from the window's last scan
             at, window = stop - 1, min(2 * window, MAX_WINDOW)
         else:
             window = FIRST_WINDOW
         if on_walked:
-            on_c = int(on_walk[at - start + 1])
+            on_c = on_walk.item(at - start + 1)
         if off_walked and off_from <= at:
-            off_c = int(off_walk[at - off_from + 1])
+            off_c = off_walk.item(at - off_from + 1)
         if at == on_at:  # enable first on a tie, which the disjoint triggers never make
             enabled += 1
             actions[at] = enabled
             on_c = 0
+            on_sums = off_sums = None
         elif at == off_at:
             actions[at] = -enabled
             enabled -= 1
             off_c = 0
             off_open = at + params.trx_off_delay + 1
+            on_sums = off_sums = None
         start = at + 1

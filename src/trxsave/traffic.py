@@ -14,7 +14,9 @@ JSON, and whose ``_lines`` splits the lines of ``traffic.csv`` too.
 
 Per-scan CSVs (``traffic.csv`` and the timelines) are bytes:
 ``write_rows`` writes the UTF-8 rows ``format_rows`` builds to a file opened
-``"wb"``, and ``iter_traffic_csv`` reads a path in chunks of whole rows.
+``"wb"``, ``write_row_pair`` writes two files whose rows differ only in the
+last field (a cell's two timelines), and ``iter_traffic_csv`` reads a path in
+chunks of whole rows.
 ``traffic_spans`` cuts a ``traffic.csv`` between cell blocks into byte
 spans that separate processes read with ``iter_traffic_span``, and
 ``append_traffic_rows`` joins traffic CSVs written by separate processes.
@@ -209,14 +211,14 @@ def trace_to_kpis(trace: TrafficTrace, config: CellConfig) -> KpiRecord:
 # ---------------------------------------------------------------------------
 # Per-scan rows: one array-built formatter for traffic.csv and timeline CSVs
 
-# Rows formatted at a time. ``format_rows`` holds about 115 bytes per
-# ``traffic.csv`` row (the byte matrix, its mask, the joined text and the digit
-# temporaries), so a block of 8,192 rows peaks under 1 MB traced whatever the
-# trace's length. ``generate`` on the 100-cell x 6-day fleet (51,840 scans a
-# cell, 2 vCPUs, 8 runs each) peaked at 39.2, 39.2, 40.0 and 44.6 MB RSS with
-# 4,096, 8,192, 16,384 and 65,536 rows, in 1.05, 1.04, 1.05 and 1.09 s. In
-# process, a 51,840-row trace and timeline format in 21 ms at 8,192 rows,
-# 23 ms at 4,096 and 26 ms at 65,536.
+# Rows formatted at a time. ``format_rows`` holds about 80 bytes per
+# ``traffic.csv`` row (the byte matrix, its mask, the compacted text and the
+# digit temporaries), so a block of 8,192 rows peaks at 0.66 MB traced whatever
+# the trace's length. ``generate`` on the 100-cell x 6-day fleet (51,840 scans a
+# cell, 2 vCPUs, 8 alternating runs each) peaked at 40.94, 40.81, 40.95 and
+# 45.02 MB RSS with 4,096, 8,192, 16,384 and 65,536 rows, in 0.73, 0.67, 0.65
+# and 0.72 s. In process, a 51,840-row trace writes in 5-9 ms and both of its
+# timeline files in 9-11 ms at 4,096, 8,192 and 65,536 rows alike.
 ROW_BLOCK = 1 << 13
 
 
@@ -255,6 +257,11 @@ def _number_field(values: np.ndarray) -> tuple[int, Callable[[np.ndarray, np.nda
     digits, so it is the shortest text that round-trips: the 6-decimal digits
     with trailing zeros cut, and an integral value bare. Those values and 0
     are built from integers; ``fmt_num`` prints the rest.
+
+    Only a fraction whose last digit is 0 loses digits, so the point and all
+    six fraction digits stay kept and only those rows are masked, digit j
+    staying while ``frac % 10**(6 - j)`` is not 0, and the point with the
+    first. The rows ``fmt_num`` prints then overwrite their own bytes and mask.
     """
     with np.errstate(over="ignore"):
         micros = np.rint(values * 1e6)
@@ -271,12 +278,12 @@ def _number_field(values: np.ndarray) -> tuple[int, Callable[[np.ndarray, np.nda
         _put_digits(whole, out[:, :digits], keep[:, :digits])
         out[:, digits] = ord(".")
         _put_digits(frac, out[:, digits + 1:digits + 7])
-        # a fraction digit stays while it or a digit after it is not 0; the point
-        # stays with the first
-        nonzero = out[:, digits + 1:digits + 7] != ord("0")
-        keep[:, digits + 1:digits + 7] = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
-        keep[:, digits] = keep[:, digits + 1]
         keep[:, digits + 7:] = False
+        cut = np.flatnonzero(out[:, digits + 6] == ord("0"))
+        tail = frac[cut]
+        for j in range(6):
+            keep[cut, digits + 1 + j] = tail % 10 ** (6 - j) != 0
+        keep[cut, digits] = keep[cut, digits + 1]
         if texts:
             padded = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), np.uint8)
             out[slow] = padded.reshape(len(texts), width)
@@ -295,42 +302,98 @@ def _text_field(text: str) -> tuple[int, Callable[[np.ndarray, np.ndarray], None
     return len(data), fill
 
 
-def format_rows(columns: Sequence[Union[str, np.ndarray]]) -> bytes:
-    """CSV rows as UTF-8, fields joined by "," and each row ended by "\\n".
+Column = Union[str, range, np.ndarray]
 
-    A ``str`` column repeats its text on every row, an integer array prints
-    its values (>= 0) in decimal, and a float array prints each value as
-    ``fmt_num`` does. The rows are one byte matrix, and a mask keeps the bytes
-    of the text.
+
+def _field(column: Column) -> tuple[int, Callable[[np.ndarray, np.ndarray], None]]:
+    if isinstance(column, str):
+        return _text_field(column)
+    if isinstance(column, range):
+        return _int_field(np.arange(column.start, column.stop, column.step))
+    if column.dtype.kind in "iu":
+        return _int_field(column)
+    return _number_field(np.asarray(column, np.float64))
+
+
+def _length(columns: Sequence[Column]) -> int:
+    return next(len(c) for c in columns if not isinstance(c, str))
+
+
+def format_rows(columns: Sequence[Column]) -> np.ndarray:
+    """CSV rows as UTF-8 bytes (a ``uint8`` array), fields joined by "," and
+    each row ended by "\\n".
+
+    A ``str`` column repeats its text on every row, an integer array or a
+    ``range`` prints its values (>= 0) in decimal, and a float array prints
+    each value as ``fmt_num`` does. A ``range`` is built a block at a time,
+    so a row index column costs no array as long as the table.
     """
-    n = next(len(c) for c in columns if not isinstance(c, str))
-    if n == 0:
-        return b""
-    fields = [_text_field(c) if isinstance(c, str)
-              else _int_field(c) if c.dtype.kind in "iu"
-              else _number_field(np.asarray(c, np.float64)) for c in columns]
-    rows = np.empty((n, sum(width + 1 for width, _ in fields)), np.uint8)
+    return next(format_row_variants(columns[:-1], columns[-1:]))
+
+
+def format_row_variants(columns: Sequence[Column],
+                        lasts: Sequence[Column]) -> Iterator[np.ndarray]:
+    """``format_rows([*columns, last])`` for each column of ``lasts``, in turn.
+
+    The rows are one byte matrix, and a mask keeps the bytes of the text: it
+    starts all True, and each field's filler clears the bytes it drops.
+    ``columns`` are formatted into it once; the last field, as wide as the
+    widest of ``lasts``, is filled again for each variant, and the unused end
+    of a narrower one is masked out.
+    """
+    n = _length([*columns, *lasts])
+    fields = [_field(c) for c in columns]
+    ends = [_field(c) for c in lasts]
+    last_width = max(width for width, _ in ends)
+    rows = np.empty((n, sum(width + 1 for width, _ in fields) + last_width + 1), np.uint8)
     keep = np.ones(rows.shape, bool)
     at = 0
     for width, fill in fields:
         fill(rows[:, at:at + width], keep[:, at:at + width])
         rows[:, at + width] = ord(",")
         at += width + 1
+    fields = fill = None  # free their digits before the rows are compacted
     rows[:, -1] = ord("\n")
-    return rows[keep].tobytes()
+    for width, fill in ends:
+        fill(rows[:, at:at + width], keep[:, at:at + width])
+        keep[:, at + width:-1] = False
+        yield rows.ravel()[keep.ravel()]  # as rows[keep], and faster
+        keep[:, at:-1] = True  # as a filler finds it
+
+
+def _block(columns: Sequence[Column], start: int) -> list[Column]:
+    return [c if isinstance(c, str) else c[start:start + ROW_BLOCK] for c in columns]
+
+
+def _header_line(header: Sequence[str]) -> bytes:
+    return ",".join(header).encode() + b"\n"
 
 
 def write_rows(dest: Union[str, Path], header: Sequence[str],
-               tables: Iterable[Sequence[Union[str, np.ndarray]]]) -> None:
+               tables: Iterable[Sequence[Column]]) -> None:
     """Write ``header``, then ``format_rows`` of each table's columns, ``ROW_BLOCK``
-    rows at a time, to the file ``dest``. ``tables`` is read once, as it is written."""
+    rows at a time, to the file ``dest``; each block's bytes are written as
+    formatted, without a copy. ``tables`` is read once, as it is written."""
     with open(dest, "wb") as out:
-        out.write(",".join(header).encode() + b"\n")
+        out.write(_header_line(header))
         for columns in tables:
-            n = next(len(c) for c in columns if not isinstance(c, str))
-            for start in range(0, n, ROW_BLOCK):
-                out.write(format_rows(
-                    [c if isinstance(c, str) else c[start:start + ROW_BLOCK] for c in columns]))
+            for start in range(0, _length(columns), ROW_BLOCK):
+                out.write(format_rows(_block(columns, start)))
+
+
+def write_row_pair(dests: tuple[Union[str, Path], Union[str, Path]], header: Sequence[str],
+                   columns: Sequence[Column], lasts: tuple[Column, Column]) -> None:
+    """``write_rows(dests[i], header, [[*columns, lasts[i]]])`` for both files, from
+    one byte matrix per ``ROW_BLOCK`` rows (``format_row_variants``): the
+    shared columns are formatted once for both."""
+    with open(dests[0], "wb") as first, open(dests[1], "wb") as second:
+        outs = (first, second)
+        for out in outs:
+            out.write(_header_line(header))
+        for start in range(0, _length([*columns, *lasts]), ROW_BLOCK):
+            variants = format_row_variants(_block(columns, start), _block(lasts, start))
+            for out in outs:
+                out.write(next(variants))  # each file's rows are freed before the next's
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +412,7 @@ def write_traffic_csv(traces: Iterable[TrafficTrace], dest: Union[str, Path]) ->
     checked before its rows are written."""
     write_rows(dest, TRAFFIC_CSV_HEADER, (
         # integer samples print as fmt_num does
-        [check_cell_id(t.cell_id, str(dest)), np.arange(len(t.samples)),
+        [check_cell_id(t.cell_id, str(dest)), range(len(t.samples)),
          np.asarray(t.samples, np.float64)]
         for t in traces))
 
@@ -420,9 +483,11 @@ def traffic_spans(path: Union[str, Path], count: int) -> list[tuple[int, Optiona
     The i-th cut is found reading forward from ``size * i / count``: it falls
     just after the first ``\n`` there whose next row does not start with the
     cell id and comma of the row before it. A span with no such row merges
-    into the next one, so a file of very uneven blocks gets fewer spans. In a
-    file whose rows break the block rules a cut may split a block; the
-    spans' readers then fail or trace a cell twice.
+    into the next one, so a file of very uneven blocks gets fewer spans. A row
+    longer than ``SPLIT_READ`` where the search starts gets no cut either: the
+    file gets fewer spans, and the outputs stay the same. In a file whose rows
+    break the block rules a cut may split a block; the spans' readers then
+    fail or trace a cell twice.
     """
     cuts: list[int] = []
     if count > 1:
@@ -437,7 +502,9 @@ def traffic_spans(path: Union[str, Path], count: int) -> list[tuple[int, Optiona
     return list(zip(bounds, bounds[1:]))
 
 
-SPLIT_READ = 1 << 20  # bytes read at a time while looking for a cut
+# Bytes read at a time while looking for a cut. Two reads are held at once, and a
+# cut further on takes more reads, not larger ones.
+SPLIT_READ = 1 << 16
 
 
 def _block_start(fd: int, pos: int, size: int) -> Optional[int]:

@@ -11,7 +11,8 @@ for eigenpairs, the whole PCA fit behind ``pca_reduce``'s projection (its
 components and eigenvalues, from ``jacobi_eigh``, to check against other
 eigensolvers), direct capacity arithmetic for the channel model, a scan-by-scan replay of the
 state machine's executable spec (``scan_step``/``apply_action``) for the
-event-jumping ``run_cell``, a saving-off run with its statistics and timeline
+event-jumping ``run_cell``, the event walker it used before its prefix sums
+were held between events, a saving-off run with its statistics and timeline
 text for ``summarize``'s saving-off fold, and a whole-file row loop for the
 chunked ``traffic.csv`` reader.
 
@@ -35,6 +36,7 @@ from trxsave.analytics import (N_COMPONENTS, ClusteringResult, _assign, _repair_
 from trxsave.cell_model import build_cell
 from trxsave.errors import DataError
 from trxsave.evaluator import CellStats
+from trxsave import saving_engine
 from trxsave.saving_engine import CellTimeline, SavingState, apply_action, scan_step
 from trxsave.tables import fmt_num
 
@@ -107,6 +109,102 @@ def timeline_csv_text(timeline: CellTimeline) -> str:
     return "scan,erlang,active_ts\n" + "".join(
         f"{i},{fmt_num(e)},{t}\n"
         for i, (e, t) in enumerate(zip(timeline.offered.tolist(), timeline.active_ts.tolist())))
+
+
+def walk_counters(demand, config, params, actions) -> None:
+    """The event walker ``run_cell`` used before its prefix sums were held between
+    events: it fills a run's actions, event by event, looking each side's sums
+    up per window and testing the hit it found. Its constants are read from
+    ``saving_engine`` at each call, so a test that patches them patches both.
+
+    Each window's counters go into two window-sized scratch buffers. Only each
+    counter's value at the event scan, or at the window's last scan, is carried
+    on; a counter that is not walked (delay window, no TRX to switch) keeps its
+    carried value.
+
+    Enabled TRXs always form the prefix 1..enabled, because disables pick the
+    highest index and enables the lowest disabled one, so the enabled count is
+    the whole cell state besides the counters.
+    """
+    decay, offset = saving_engine.DECAY_STEP, saving_engine.FIXED_OFFSET
+    first_window, max_window = saving_engine.FIRST_WINDOW, saving_engine.MAX_WINDOW
+    n = len(demand)
+    num_trx, cch, h = config.num_trx, config.cch_slots, params.hysteresis
+    on_target, off_target = params.trx_on_target, params.trx_off_target
+    dtype = np.int32 if (n + 1) * decay < 2**31 else np.int64  # steps are +1 or -decay
+    kept: dict[tuple[str, int], np.ndarray] = {}
+
+    def prefix_sums(side: str, enabled: int) -> np.ndarray:
+        """Counter steps of every scan on ``enabled`` TRXs, summed from scan 0;
+        built when the walk first reaches that count."""
+        sums = kept.get((side, enabled))
+        if sums is None:
+            cap = enabled * SLOTS_PER_TRX - cch
+            if side == "on":  # idle < h, with idle = max(cap - demand, 0) and h >= 1
+                up = demand > cap - h
+            else:  # idle > h + 9
+                up = demand < cap - h - offset
+            sums = np.zeros(n + 1, dtype)
+            np.cumsum(np.where(up, np.int8(1), np.int8(-decay)), dtype=dtype, out=sums[1:])
+            kept[side, enabled] = sums
+        return sums
+
+    on_walk = np.empty(max_window + 1, dtype)
+    off_walk = np.empty(max_window + 1, dtype)
+    low = np.empty(max_window + 1, dtype)
+
+    def first_fire(sums: np.ndarray, start: int, stop: int, counter: int, target: int,
+                   walk: np.ndarray) -> int:
+        """Walk a counter that holds ``counter`` before scan ``start`` over the scans
+        [start, stop), leaving its value after scan ``start + i`` in ``walk[i + 1]``;
+        the first scan where it reaches ``target``, or stop.
+
+        C_t = max(C_{t-1} + x_t, 0) is P_t - min(-C, min_{start<=k<=t} P_k), where P
+        sums the steps x from ``start`` (Lindley's recursion, in closed form).
+        """
+        k = stop - start
+        np.subtract(sums[start + 1:stop + 1], sums[start], out=walk[1:k + 1])
+        walk[0] = -counter
+        np.minimum.accumulate(walk[:k + 1], out=low[:k + 1])
+        np.subtract(walk[1:k + 1], low[1:k + 1], out=walk[1:k + 1])
+        hit = walk[1:k + 1] >= target
+        i = int(hit.argmax())
+        return start + i if hit[i] else stop
+
+    start, enabled, off_c, on_c, off_open = 0, num_trx, 0, 0, 0
+    window = first_window
+    while start < n:
+        stop = min(start + window, n)
+        on_at = off_at = stop
+        on_walked = enabled < num_trx
+        if on_walked:
+            on_at = first_fire(prefix_sums("on", enabled), start, stop, on_c, on_target,
+                               on_walk)
+        # off-checks stay suspended until the delay window after a disable has run out
+        off_from = max(start, off_open)
+        off_walked = enabled > 1 and off_from < stop
+        if off_walked:
+            off_at = first_fire(prefix_sums("off", enabled), off_from, stop, off_c,
+                                off_target, off_walk)
+        at = min(on_at, off_at)
+        if at == stop:  # no event: go on from the window's last scan
+            at, window = stop - 1, min(2 * window, max_window)
+        else:
+            window = first_window
+        if on_walked:
+            on_c = int(on_walk[at - start + 1])
+        if off_walked and off_from <= at:
+            off_c = int(off_walk[at - off_from + 1])
+        if at == on_at:  # enable first on a tie, which the disjoint triggers never make
+            enabled += 1
+            actions[at] = enabled
+            on_c = 0
+        elif at == off_at:
+            actions[at] = -enabled
+            enabled -= 1
+            off_c = 0
+            off_open = at + params.trx_off_delay + 1
+        start = at + 1
 
 
 def brute_silhouette(x: np.ndarray, labels) -> float:

@@ -29,6 +29,8 @@ from trxsave.evaluator import (
 from trxsave.saving_engine import PowerSavingParams, run_cell
 from trxsave.traffic import TrafficTrace
 
+from test_traffic import traced_peak
+
 
 def make_scenario(n_cells=3, n_scans=400, hysteresis=3, num_trx=3, level=0.0, warmup=0):
     """A fleet of flat-traffic cells and its traces, in cell_id order."""
@@ -240,6 +242,20 @@ class TestSavingOffFold:
         assert saturated >= 15
 
 
+    @pytest.mark.parametrize("warmup", [0, 1, 5])
+    def test_fold_holds_for_demands_past_int16(self, warmup):
+        # blocked calls near the int32 demand bound, on a cell that has shed TRXs
+        samples = np.concatenate([np.zeros(200), np.full(3, 2.0e9), np.zeros(60),
+                                  [traffic.MAX_DEMAND, 40_000.0]])
+        config = CellConfig("c", 12, 3)
+        trace = TrafficTrace("c", 10.0, samples)
+        timeline = run_cell(config, PowerSavingParams(hysteresis=1, trx_off_target=20,
+                                                      trx_off_delay=6), trace)
+        assert timeline.active_trx[199] < 12
+        assert summarize(timeline, config, warmup) == (
+            oracles.timeline_stats(oracles.saving_off_run(config, trace), warmup),
+            oracles.timeline_stats(timeline, warmup))
+
 class TestCompare:
     def test_published_totals_reduce_by_20_9_pct(self):
         # 5754 active TRX-scans without saving vs 4550 with
@@ -401,6 +417,46 @@ SUMMARY_JSON = """\
   "blocking_delta": 1
 }
 """
+
+
+class TestTimelineWriter:
+    """Both timeline files of a cell come from one row matrix per block."""
+
+    @pytest.mark.parametrize("n", [1, traffic.ROW_BLOCK - 1, traffic.ROW_BLOCK,
+                                   traffic.ROW_BLOCK + 1])
+    @pytest.mark.parametrize("num_trx", [1, 12])
+    def test_both_files_match_the_per_value_loop(self, tmp_path, num_trx, n):
+        rng = np.random.default_rng([num_trx, n])
+        samples = np.round(rng.uniform(0, 2, n), 6)  # idle enough to shed to one TRX
+        samples[n // 3:n // 3 + 400] += 8 * num_trx  # a busy spell switches TRXs back on
+        samples[::5] = rng.integers(0, 9 * num_trx, len(samples[::5]))  # integral values
+        config = CellConfig("c", num_trx, 2)
+        trace = TrafficTrace("c", 10.0, samples)
+        tl = run_cell(config, PowerSavingParams(hysteresis=1, trx_off_target=20,
+                                                trx_on_target=20, trx_off_delay=6), trace)
+        if n > 1:
+            assert (tl.active_ts == 8).any()
+        if num_trx > 1 and n > 1:
+            assert len(set(tl.active_ts.tolist())) > 2
+        write_timeline_csv(tl, config, tmp_path)
+        assert (tmp_path / "c_on.csv").read_text() == oracles.timeline_csv_text(tl)
+        assert (tmp_path / "c_off.csv").read_text() == oracles.timeline_csv_text(
+            oracles.saving_off_run(config, trace))
+
+    def test_both_files_peak_at_one_file_and_one_block(self, tmp_path):
+        n = 51_840  # six days of scans
+        rng = np.random.default_rng(7)
+        samples = np.round(rng.uniform(0, 30, n), 6)
+        config = CellConfig("c", 12, 3)
+        tl = run_cell(config, PowerSavingParams(hysteresis=1), TrafficTrace("c", 10.0, samples))
+        on_file = traced_peak(lambda: traffic.write_rows(
+            tmp_path / "on.csv", evaluator.TIMELINE_CSV_HEADER,
+            [[range(n), np.asarray(tl.offered, np.float64), tl.active_ts]]))
+        block = len(traffic.format_rows([range(traffic.ROW_BLOCK),
+                                         samples[:traffic.ROW_BLOCK],
+                                         tl.active_ts[:traffic.ROW_BLOCK]]))
+        both = traced_peak(lambda: write_timeline_csv(tl, config, tmp_path))
+        assert both <= on_file + block, (both, on_file, block)
 
 
 class TestDominanceProperty:

@@ -515,3 +515,86 @@ class TestHysteresisMonotonicity:
         active_fell = sum(higher["active_trx"]) < sum(lower["active_trx"])
         blocked_rose = sum(higher["blocked"]) > sum(lower["blocked"])
         assert active_fell or blocked_rose
+
+
+def walked_actions(walk, config, params, samples):
+    demand = demand_series(np.asarray(samples, np.float64))
+    actions = np.zeros(len(demand), np.int16)
+    walk(demand, config, params, actions)
+    return actions
+
+
+def assert_walks_like_the_reference(config, params, samples):
+    """``_walk_counters`` gives the actions of ``oracles.walk_counters``; the actions."""
+    got = walked_actions(saving_engine._walk_counters, config, params, samples)
+    want = walked_actions(oracles.walk_counters, config, params, samples)
+    assert got.tolist() == want.tolist()
+    return got
+
+
+def patch_windows(monkeypatch, windows):
+    first, largest = WINDOWS[windows]
+    monkeypatch.setattr(saving_engine, "FIRST_WINDOW", first)
+    monkeypatch.setattr(saving_engine, "MAX_WINDOW", largest)
+
+
+class TestWalkerReference:
+    """The event walker, which holds its prefix sums between events, takes every
+    action of the walker it replaced (``oracles.walk_counters``)."""
+
+    @pytest.mark.parametrize("windows", WINDOWS)
+    def test_random_cells(self, monkeypatch, windows):
+        patch_windows(monkeypatch, windows)
+        rng = np.random.default_rng(29)
+        events = 0
+        for _ in range(60):
+            num_trx, cch = int(rng.integers(1, 13)), int(rng.integers(1, 4))
+            params = PowerSavingParams(
+                trx_off_target=int(rng.integers(20, 101)),
+                trx_on_target=int(rng.integers(20, 101)),
+                trx_off_delay=int(rng.integers(6, 91)),
+                hysteresis=int(rng.integers(1, max(2, 8 * num_trx - cch - 9))),
+            )
+            n = int(rng.integers(1, 3000))  # ragged
+            samples = regimes(rng, n, -num_trx * 4, num_trx * 8 + 4, int(rng.integers(10, 200)))
+            events += np.count_nonzero(
+                assert_walks_like_the_reference(CellConfig("c", num_trx, cch), params, samples))
+        assert events >= 300
+
+    @pytest.mark.parametrize("windows", WINDOWS)
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_edge_cases(self, monkeypatch, name, windows):
+        patch_windows(monkeypatch, windows)
+        num_trx, cch, fields, samples = EDGE_CASES[name]()
+        assert_walks_like_the_reference(CellConfig("c1", num_trx, cch),
+                                        PowerSavingParams(**fields), samples)
+
+    @pytest.mark.parametrize("index,h", COUNTEREXAMPLES)
+    def test_monotonicity_counterexamples(self, index, h):
+        config, fields, trace = monotonicity_cell(index, 3000)
+        for value in (h - 1, h):
+            assert_walks_like_the_reference(config, PowerSavingParams(hysteresis=value, **fields),
+                                            trace.samples)
+
+    @pytest.mark.parametrize("windows", WINDOWS)
+    def test_delay_windows_cross_window_edges(self, monkeypatch, windows):
+        # every delay from 6 to 90 scans: a delay window ends before, on and past the
+        # edges of windows of 1, 3 to 7 and 64 scans after each disable, while bursts
+        # walk the on side through it
+        patch_windows(monkeypatch, windows)
+        rng = np.random.default_rng(30)
+        samples = np.tile(zero_then(30.0, 400, 60), 3) + np.round(rng.uniform(0, 2, 1380), 6)
+        disables = 0
+        for delay in range(6, 91):
+            params = PowerSavingParams(trx_off_target=20, trx_on_target=20, trx_off_delay=delay,
+                                       hysteresis=2)
+            actions = assert_walks_like_the_reference(CellConfig("c", 5, 2), params, samples)
+            disables += np.count_nonzero(actions < 0)
+        assert disables >= 85 * 6
+
+    @pytest.mark.parametrize("num_trx,level", [(1, 3.0), (4, 40.0)])
+    def test_a_cell_that_never_switches(self, num_trx, level):
+        # one TRX walks neither side; a saturated cell at num_trx walks the off side only
+        actions = assert_walks_like_the_reference(
+            CellConfig("c", num_trx, 2), PowerSavingParams(), np.full(3 * MAX_WINDOW + 5, level))
+        assert not actions.any()

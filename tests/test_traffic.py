@@ -382,7 +382,7 @@ class TestFormatRows:
     def test_every_sample_of_a_generated_fleet(self):
         _, traces, _ = build_demo_fleet(12, 1, seed=11)
         samples = np.concatenate([t.samples for t in traces])
-        assert format_rows([samples]) == fmt_lines(samples)
+        assert format_rows([samples]).tobytes() == fmt_lines(samples)
 
     def test_bursty_noise(self):
         rng = np.random.default_rng(3)
@@ -390,7 +390,7 @@ class TestFormatRows:
         samples = np.round(np.maximum(load + rng.normal(0.0, 1.5, len(load)), 0.0), 6)
         samples[::97] = rng.integers(1, 100, len(samples[::97])) * 1e-6  # exponent form
         assert (samples == 0).any() and (samples < 1e-4).any()
-        assert format_rows([samples]) == fmt_lines(samples)
+        assert format_rows([samples]).tobytes() == fmt_lines(samples)
 
     def test_adversarial_doubles(self):
         rng = np.random.default_rng(4)
@@ -404,7 +404,38 @@ class TestFormatRows:
         grid = rng.integers(0, 10**15, 2000) / 1e6  # on the 1e-6 grid, up to 15 digits
         raw = rng.random(2000) * 10.0 ** rng.integers(-9, 12, 2000)  # any digits
         for batch in (values, grid, raw, np.concatenate(around(grid[:50]))):
-            assert format_rows([np.array(batch)]) == fmt_lines(batch)
+            assert format_rows([np.array(batch)]).tobytes() == fmt_lines(batch)
+
+    @pytest.mark.parametrize("block", [
+        [1.000001, 23.456789, 0.123457, 7.5e-3 + 1e-6],  # no fraction ends in 0
+        [1.5, 2.25, 0.1, 30.000010, 12.34],  # every fraction ends in 0
+        [0.0, 1.0, 17.0, 100.0, 999999999.0, 5.0],  # integral or 0
+        [0.0, 0.0],
+        # fmt_num's own rows between fast ones, some ending in 0
+        [1.5, 1e9, 2.000001, 9.9e-5, 3.0, 5e-324, 0.1 + 0.2, 40.0, 1e-310, 123456789.5],
+        [2.5e-7],  # one slow row
+        [12.3],  # one fast row
+    ], ids=["no_zero_end", "all_zero_ends", "integral", "zeros", "slow_mixed", "one_slow",
+            "one_row"])
+    def test_trailing_zero_cases(self, block):
+        assert format_rows([np.array(block)]).tobytes() == fmt_lines(block)
+
+    def test_each_variant_is_format_rows_of_its_columns(self):
+        # last fields of every kind and width, each after one that masks bytes
+        # the next must show
+        rng = np.random.default_rng(8)
+        columns = ["c", np.arange(500), np.round(rng.uniform(0, 40, 500), 6)]
+        lasts = [rng.integers(1, 13, 500) * 8, "96", "8", np.round(rng.uniform(0, 3, 500), 2),
+                 "text", rng.integers(0, 10**6, 500)]
+        for got, last in zip(traffic.format_row_variants(columns, lasts), lasts, strict=True):
+            assert got.tobytes() == format_rows([*columns, last]).tobytes()
+
+    def test_a_range_prints_as_its_integer_array(self):
+        values = np.round(np.random.default_rng(9).uniform(0, 30, 2000), 6)
+        for scans in (range(2000), range(99_999_000, 100_001_000),
+                      range(2**32 - 1000, 2**32 + 1000)):
+            assert (format_rows(["c", scans, values]).tobytes()
+                    == format_rows(["c", np.array(scans), values]).tobytes())
 
     def test_rows_match_the_per_value_loop(self, tmp_path, monkeypatch):
         monkeypatch.setattr(traffic, "ROW_BLOCK", 1000)  # several blocks per trace
