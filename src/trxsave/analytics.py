@@ -48,7 +48,7 @@ keeps index order) and reduces each cluster's contiguous slice with the same
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -181,7 +181,6 @@ class ClusteringResult:
     centroids: np.ndarray
     sse: float
     iterations: int
-    sse_history: list[float] = field(default_factory=list)
 
 
 def _squared_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -304,13 +303,11 @@ def lloyd(x: np.ndarray, init_centroids: np.ndarray) -> ClusteringResult:
     if k > len(x):
         raise DataError(f"k={k} exceeds {len(x)} points")
 
-    sse_history: list[float] = []
     iterations = 0
     for _ in range(MAX_ITER):
         iterations += 1
         labels = _assign(x, centroids)
         centroids, labels = _repair_empty(x, centroids, labels)
-        sse_history.append(_sse(x, centroids, labels))
         # each cluster's members, in index order, as one slice of xs; a stable
         # sort has one result, and on labels of 16 bits or fewer numpy's is a radix sort
         order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
@@ -333,7 +330,6 @@ def lloyd(x: np.ndarray, init_centroids: np.ndarray) -> ClusteringResult:
         centroids=centroids,
         sse=_sse(x, centroids, labels),
         iterations=iterations,
-        sse_history=sse_history,
     )
 
 

@@ -12,14 +12,14 @@ Every CSV follows the one dialect of ``trxsave.tables``, which also reads
 and writes the small tables (KPIs, clusters, assignments, reports) and
 JSON, and whose ``_lines`` splits the lines of ``traffic.csv`` too.
 
-Per-scan CSVs (``traffic.csv`` and the timelines) are bytes:
-``write_rows`` writes the UTF-8 rows ``format_rows`` builds to a file opened
-``"wb"``, ``write_row_pair`` writes two files whose rows differ only in the
-last field (a cell's two timelines), and ``iter_traffic_csv`` reads a path in
-chunks of whole rows.
-``traffic_spans`` cuts a ``traffic.csv`` between cell blocks into byte
-spans that separate processes read with ``iter_traffic_span``, and
-``append_traffic_rows`` joins traffic CSVs written by separate processes.
+Per-scan CSVs (``traffic.csv`` and the timelines) are bytes, and
+``write_rows`` writes every one of them: the UTF-8 rows ``format_row_variants``
+builds, to one file opened ``"wb"`` per variant of the last field (one for
+``traffic.csv``, two for a cell's saving-off and saving-on timelines).
+``iter_traffic_span`` reads a ``traffic.csv``, whole or a byte span of it, in
+chunks of whole rows; ``traffic_spans`` cuts one between cell blocks into the
+spans that separate processes read, and ``append_traffic_rows`` joins traffic
+CSVs written by separate processes.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -211,14 +212,15 @@ def trace_to_kpis(trace: TrafficTrace, config: CellConfig) -> KpiRecord:
 # ---------------------------------------------------------------------------
 # Per-scan rows: one array-built formatter for traffic.csv and timeline CSVs
 
-# Rows formatted at a time. ``format_rows`` holds about 80 bytes per
+# Rows formatted at a time. ``format_row_variants`` holds about 80 bytes per
 # ``traffic.csv`` row (the byte matrix, its mask, the compacted text and the
 # digit temporaries), so a block of 8,192 rows peaks at 0.66 MB traced whatever
-# the trace's length. ``generate`` on the 100-cell x 6-day fleet (51,840 scans a
-# cell, 2 vCPUs, 8 alternating runs each) peaked at 40.94, 40.81, 40.95 and
-# 45.02 MB RSS with 4,096, 8,192, 16,384 and 65,536 rows, in 0.73, 0.67, 0.65
-# and 0.72 s. In process, a 51,840-row trace writes in 5-9 ms and both of its
-# timeline files in 9-11 ms at 4,096, 8,192 and 65,536 rows alike.
+# the trace's length, and a cell's two timelines share one matrix. ``generate``
+# on the 100-cell x 6-day fleet (51,840 scans a cell, 2 vCPUs, 8 alternating
+# runs each) peaked at 40.94, 40.81, 40.95 and 45.02 MB RSS with 4,096, 8,192,
+# 16,384 and 65,536 rows, in 0.73, 0.67, 0.65 and 0.72 s. In process, a
+# 51,840-row trace writes in 5-9 ms and both of its timeline files in 9-11 ms
+# at 4,096, 8,192 and 65,536 rows alike.
 ROW_BLOCK = 1 << 13
 
 
@@ -242,8 +244,6 @@ def _put_digits(values: np.ndarray, out: np.ndarray, keep: Optional[np.ndarray] 
 
 def _int_field(values: np.ndarray) -> tuple[int, Callable[[np.ndarray, np.ndarray], None]]:
     """Width and filler of integers >= 0 printed in decimal."""
-    if values.min() < 0:
-        raise ValueError("format_rows prints integers >= 0 only")
     values = _unsigned(values)
     return len(str(values.max())), lambda out, keep: _put_digits(values, out, keep)
 
@@ -319,21 +319,15 @@ def _length(columns: Sequence[Column]) -> int:
     return next(len(c) for c in columns if not isinstance(c, str))
 
 
-def format_rows(columns: Sequence[Column]) -> np.ndarray:
-    """CSV rows as UTF-8 bytes (a ``uint8`` array), fields joined by "," and
-    each row ended by "\\n".
+def format_row_variants(columns: Sequence[Column],
+                        lasts: Sequence[Column]) -> Iterator[np.ndarray]:
+    """CSV rows of ``[*columns, last]`` for each column of ``lasts``, in turn, as
+    UTF-8 bytes (a ``uint8`` array), fields joined by "," and each row ended by
+    "\\n".
 
     A ``str`` column repeats its text on every row, an integer array or a
     ``range`` prints its values (>= 0) in decimal, and a float array prints
-    each value as ``fmt_num`` does. A ``range`` is built a block at a time,
-    so a row index column costs no array as long as the table.
-    """
-    return next(format_row_variants(columns[:-1], columns[-1:]))
-
-
-def format_row_variants(columns: Sequence[Column],
-                        lasts: Sequence[Column]) -> Iterator[np.ndarray]:
-    """``format_rows([*columns, last])`` for each column of ``lasts``, in turn.
+    each value as ``fmt_num`` does.
 
     The rows are one byte matrix, and a mask keeps the bytes of the text: it
     starts all True, and each field's filler clears the bytes it drops.
@@ -365,35 +359,27 @@ def _block(columns: Sequence[Column], start: int) -> list[Column]:
     return [c if isinstance(c, str) else c[start:start + ROW_BLOCK] for c in columns]
 
 
-def _header_line(header: Sequence[str]) -> bytes:
-    return ",".join(header).encode() + b"\n"
+def write_rows(dests: Sequence[Union[str, Path]], header: Sequence[str],
+               tables: Iterable[tuple[Sequence[Column], Sequence[Column]]]) -> None:
+    """Write ``header`` to each file of ``dests``, then the rows of each table
+    ``(columns, lasts)``, file i taking ``[*columns, lasts[i]]``.
 
-
-def write_rows(dest: Union[str, Path], header: Sequence[str],
-               tables: Iterable[Sequence[Column]]) -> None:
-    """Write ``header``, then ``format_rows`` of each table's columns, ``ROW_BLOCK``
-    rows at a time, to the file ``dest``; each block's bytes are written as
-    formatted, without a copy. ``tables`` is read once, as it is written."""
-    with open(dest, "wb") as out:
-        out.write(_header_line(header))
-        for columns in tables:
-            for start in range(0, _length(columns), ROW_BLOCK):
-                out.write(format_rows(_block(columns, start)))
-
-
-def write_row_pair(dests: tuple[Union[str, Path], Union[str, Path]], header: Sequence[str],
-                   columns: Sequence[Column], lasts: tuple[Column, Column]) -> None:
-    """``write_rows(dests[i], header, [[*columns, lasts[i]]])`` for both files, from
-    one byte matrix per ``ROW_BLOCK`` rows (``format_row_variants``): the
-    shared columns are formatted once for both."""
-    with open(dests[0], "wb") as first, open(dests[1], "wb") as second:
-        outs = (first, second)
+    Each ``ROW_BLOCK`` rows are formatted once for every file
+    (``format_row_variants``), and each file's bytes are written as they are
+    formatted, without a copy. A ``range`` column is built a block at a time,
+    so a row index costs no array as long as the table. ``tables`` is read
+    once, as it is written.
+    """
+    with ExitStack() as stack:
+        outs = [stack.enter_context(open(dest, "wb")) for dest in dests]
         for out in outs:
-            out.write(_header_line(header))
-        for start in range(0, _length([*columns, *lasts]), ROW_BLOCK):
-            variants = format_row_variants(_block(columns, start), _block(lasts, start))
-            for out in outs:
-                out.write(next(variants))  # each file's rows are freed before the next's
+            out.write(",".join(header).encode() + b"\n")
+        for columns, lasts in tables:
+            for start in range(0, _length([*columns, *lasts]), ROW_BLOCK):
+                variants = format_row_variants(_block(columns, start), _block(lasts, start))
+                for out in outs:
+                    out.write(next(variants))  # each file's rows are freed before the next's
+                variants.close()  # and the block's matrix before the next block or table
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +396,10 @@ def write_traffic_csv(traces: Iterable[TrafficTrace], dest: Union[str, Path]) ->
     one block; values print as ``fmt_num`` prints them. ``traces`` is read once,
     so a generator's cells are written as it builds them; each ``cell_id`` is
     checked before its rows are written."""
-    write_rows(dest, TRAFFIC_CSV_HEADER, (
+    write_rows([dest], TRAFFIC_CSV_HEADER, (
         # integer samples print as fmt_num does
-        [check_cell_id(t.cell_id, str(dest)), range(len(t.samples)),
-         np.asarray(t.samples, np.float64)]
+        ([check_cell_id(t.cell_id, str(dest)), range(len(t.samples))],
+         [np.asarray(t.samples, np.float64)])
         for t in traces))
 
 
@@ -439,30 +425,24 @@ def append_traffic_rows(dest: Union[str, Path], sources: Iterable[Union[str, Pat
 def read_traffic_csv(
     source: Union[str, Path], scan_period_s: float = 10.0
 ) -> list[TrafficTrace]:
-    """Every trace of ``iter_traffic_csv``, in file order."""
-    return list(iter_traffic_csv(source, scan_period_s))
-
-
-def iter_traffic_csv(
-    source: Union[str, Path], scan_period_s: float = 10.0
-) -> Iterator[TrafficTrace]:
-    """Each cell's trace, in file order, as soon as its block of rows ends.
-
-    Each cell's rows form one contiguous block with scan_index 0, 1, 2, ...,
-    and every offered_erlang is finite and >= 0. The file is read in chunks
-    of whole rows: a chunk of plain rows is decoded eight digits at a time
-    (see ``_plain_runs``) and the row loop reads any other chunk, naming its
-    first bad row. Memory holds the current cell's samples and one chunk.
-    Every ``DataError`` starts with ``source``.
-    """
-    return iter_traffic_span(source, scan_period_s, (0, None))
+    """Every trace of ``iter_traffic_span`` over the whole file, in file order."""
+    return list(iter_traffic_span(source, scan_period_s))
 
 
 def iter_traffic_span(
-    source: Union[str, Path], scan_period_s: float, span: tuple[int, Optional[int]]
+    source: Union[str, Path], scan_period_s: float,
+    span: tuple[int, Optional[int]] = (0, None),
 ) -> Iterator[TrafficTrace]:
-    """``iter_traffic_csv`` over the bytes ``span`` = (start, end) of ``source``,
-    an end of None reading to the end of the file.
+    """Each cell's trace in the bytes ``span`` = (start, end) of ``source``, in
+    file order, as soon as its block of rows ends; an end of None reads to the
+    end of the file, so the default span is the whole file.
+
+    Each cell's rows form one contiguous block with scan_index 0, 1, 2, ...,
+    and every offered_erlang is finite, >= 0 and below ``MAX_ERLANG``. The
+    bytes are read in chunks of whole rows: a chunk of plain rows is decoded
+    eight digits at a time (see ``_plain_runs``) and the row loop reads any
+    other chunk, naming its first bad row. Memory holds the current cell's
+    samples and one chunk. Every ``DataError`` starts with ``source``.
 
     A span from 0 starts with the header. A span from a cut of
     ``traffic_spans`` starts at a row and numbers its rows from 1, so only
@@ -615,6 +595,9 @@ class _Blocks:
             if not math.isfinite(val) or val < 0:
                 raise DataError(f"{self.path}: row {self.row}: offered_erlang must be "
                                 f"finite and >= 0")
+            if val >= MAX_ERLANG:
+                raise DataError(f"{self.path}: row {self.row}: offered_erlang {fmt_num(val)} "
+                                f"rounds to a call demand over {MAX_DEMAND}")
             self.samples.append(val)
 
     def start_run(self, row: int, cid: str, first_scan: int) -> Optional[tuple[str, array]]:
@@ -696,8 +679,9 @@ def _plain_runs(chunk: bytes) -> Optional[list[tuple[int, bytes, int, np.ndarray
     None unless every row is plain: UTF-8 with exactly two commas and no
     control byte, a scan_index of 1-8 digits without a leading zero that
     steps by one within a run, and an offered_erlang that ``float`` reads as
-    finite and >= 0. Spaces and non-ASCII bytes may stand only in the cell id,
-    before the row's first comma.
+    >= 0 and below ``MAX_ERLANG``, so the row loop names the row of any other.
+    Spaces and non-ASCII bytes may stand only in the cell id, before the
+    row's first comma.
 
     Fields are read as words (see above). An offered_erlang of at most 8
     digits, a point and at most 16 digits, k of them after the point, is N /
@@ -777,7 +761,7 @@ def _plain_runs(chunk: bytes) -> Optional[list[tuple[int, bytes, int, np.ndarray
             odd_values = np.fromiter(map(float, fields.split(b"\n")[:-1]), np.float64, len(odd))
         except ValueError:
             return None
-        if not ((odd_values >= 0) & (odd_values < np.inf)).all():
+        if not ((odd_values >= 0) & (odd_values < MAX_ERLANG)).all():
             return None
         values[odd] = odd_values
 

@@ -19,11 +19,10 @@ from .tables import KpiRecord, read_csv, write_csv
 
 @dataclass(frozen=True)
 class ClusterProfile:
-    """A cluster's mean busy-hour TCH traffic, in Erlang, and its size."""
+    """A cluster's mean busy-hour TCH traffic, in Erlang."""
 
     cluster_id: int
     tch_traffic_erl: float
-    member_count: int
 
 
 @dataclass(frozen=True)
@@ -67,11 +66,9 @@ def profile_clusters(labels: Sequence[int], kpis: Sequence[KpiRecord]) -> list[C
         members = [kpi for kpi, label in zip(kpis, labels) if label == cluster_id]
         if not members:
             raise DataError(f"cluster {cluster_id} has no members")
-        n = len(members)
         profiles.append(ClusterProfile(
             cluster_id=cluster_id,
-            tch_traffic_erl=math.fsum(m.tch_traffic_erl for m in members) / n,
-            member_count=n,
+            tch_traffic_erl=math.fsum(m.tch_traffic_erl for m in members) / len(members),
         ))
     return profiles
 

@@ -57,6 +57,12 @@ class Case:
         return [self.command, *INPUT_ARGS[self.command], *self.args]
 
 
+def traffic(row: str, new: str) -> dict[str, str]:
+    """``TRAFFIC`` with its row ``row`` replaced by ``new``."""
+    assert f"\n{row}\n" in TRAFFIC
+    return {"traffic.csv": TRAFFIC.replace(f"\n{row}\n", f"\n{new}\n")}
+
+
 def assignment(*rows: str, header: str = ASSIGNMENT_HEADER) -> dict[str, str]:
     return {"assignment.csv": header + "".join(row + "\n" for row in rows)}
 
@@ -197,6 +203,55 @@ CASES = [
     Case("traffic_second_block", (),
          "{dir}/traffic.csv: row 7: cell 'a' again after another cell; each cell's rows "
          "must form one contiguous block", 3, {"traffic.csv": TRAFFIC + "a,3,1\n"}),
+    Case("traffic_header", (),
+         "{dir}/traffic.csv: traffic CSV header mismatch: expected "
+         "cell_id,scan_index,offered_erlang, got 'cell_id,scan,offered_erlang'", 3,
+         {"traffic.csv": TRAFFIC.replace("scan_index", "scan")}),
+    Case("traffic_empty_file", (),
+         "{dir}/traffic.csv: traffic CSV header mismatch: expected "
+         "cell_id,scan_index,offered_erlang, got ''", 3, {"traffic.csv": ""}),
+    Case("traffic_header_not_utf8", (),
+         "{dir}/traffic.csv: header: not UTF-8 text (invalid start byte)", 3,
+         {"traffic.csv": TRAFFIC.encode().replace(b"offered", b"\xffoffered")}),
+    Case("traffic_two_fields", (), "{dir}/traffic.csv: row 5: expected 3 fields, got 2", 3,
+         traffic("b,1,0.5", "b,1")),
+    Case("traffic_four_fields", (), "{dir}/traffic.csv: row 2: expected 3 fields, got 4", 3,
+         traffic("a,1,2", "a,1,2,3")),
+    Case("traffic_non_numeric_scan_index", (),
+         "{dir}/traffic.csv: row 2: non-numeric field (invalid literal for int() with base 10: "
+         "'x')", 3, traffic("a,1,2", "a,x,2")),
+    Case("traffic_non_numeric_erlang", (),
+         "{dir}/traffic.csv: row 5: non-numeric field (could not convert string to float: "
+         "'oops')", 3, traffic("b,1,0.5", "b,1,oops")),
+    *(Case(f"traffic_{name}_erlang", (),
+           "{dir}/traffic.csv: row 5: offered_erlang must be finite and >= 0", 3,
+           traffic("b,1,0.5", f"b,1,{value}"))
+      for name, value in (("negative", "-1"), ("nan", "nan"), ("inf", "inf"))),
+    Case("traffic_scan_index_gap", (),
+         "{dir}/traffic.csv: row 3: cell 'a' scan_index 3 not contiguous (expected 2)", 3,
+         traffic("a,2,0", "a,3,0")),
+    Case("traffic_block_not_from_zero", (),
+         "{dir}/traffic.csv: row 4: cell 'b' scan_index 1 not contiguous (expected 0)", 3,
+         traffic("b,0,9", "b,1,9")),
+    Case("traffic_cell_id_with_slash", (),
+         "{dir}/traffic.csv: row 4: cell_id 'b/c' may not hold '/'", 3,
+         traffic("b,0,9", "b/c,0,9")),
+    Case("traffic_empty_cell_id", (), "{dir}/traffic.csv: row 4: empty cell_id", 3,
+         traffic("b,0,9", ",0,9")),
+    Case("traffic_not_utf8", (),
+         "{dir}/traffic.csv: row 4: not UTF-8 text (invalid start byte)", 3,
+         {"traffic.csv": TRAFFIC.encode().replace(b"\nb,0,", b"\nb\xff,0,")}),
+    Case("traffic_not_utf8_with_cr_line_ends", (),
+         "{dir}/traffic.csv: row 4: not UTF-8 text (invalid start byte)", 3,
+         {"traffic.csv": TRAFFIC.replace("\n", "\r").encode().replace(b"\rb,0,", b"\rb\xff,0,")}),
+    # the first 64 KB of rows are decoded as plain rows, the bad one by the row loop
+    Case("traffic_bad_row_after_plain_rows", (),
+         "{dir}/traffic.csv: row 10001: offered_erlang must be finite and >= 0", 3,
+         {"traffic.csv": "cell_id,scan_index,offered_erlang\n"
+          + "".join(f"a,{i},1.5\n" for i in range(10_000)) + "a,10000,-1\nb,0,9\n"}),
+    Case("traffic_demand_past_int32", (),
+         "{dir}/traffic.csv: row 5: offered_erlang 3000000000 rounds to a call demand over "
+         "2147483647", 3, traffic("b,1,0.5", "b,1,3e9")),
     Case("warmup_longer_than_a_trace", ("--warmup-days", "0.0003"),
          "warmup_scans 3 consumes the whole 3-scan trace of cell 'a'", 2),
     Case("warmup_longer_than_a_later_trace", ("--warmup-days", "0.0003"),

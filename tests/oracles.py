@@ -340,13 +340,11 @@ def mask_mean_lloyd(x: np.ndarray, init_centroids: np.ndarray, max_iter: int = 3
     ones, so only the update differs from ``analytics.lloyd``."""
     centroids = np.array(init_centroids, dtype=np.float64, copy=True)
     k = len(centroids)
-    sse_history: list[float] = []
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
         labels = _assign(x, centroids)
         centroids, labels = _repair_empty(x, centroids, labels)
-        sse_history.append(_sse(x, centroids, labels))
         new_centroids = np.array([x[labels == j].mean(axis=0) for j in range(k)])
         shift = float(np.sqrt(np.max(np.sum((new_centroids - centroids) ** 2, axis=1))))
         centroids = new_centroids
@@ -355,8 +353,7 @@ def mask_mean_lloyd(x: np.ndarray, init_centroids: np.ndarray, max_iter: int = 3
     labels = _assign(x, centroids)
     centroids, labels = _repair_empty(x, centroids, labels)
     return ClusteringResult(k=k, labels=labels, centroids=centroids,
-                            sse=_sse(x, centroids, labels), iterations=iterations,
-                            sse_history=sse_history)
+                            sse=_sse(x, centroids, labels), iterations=iterations)
 
 
 def cumsum_member_sums(dist: np.ndarray, members) -> np.ndarray:
@@ -506,6 +503,10 @@ def row_loop_traffic(path) -> dict[str, array]:
                             f"(expected {len(block)})")
         if not math.isfinite(val) or val < 0:
             raise DataError(f"{path}: row {row_no}: offered_erlang must be finite and >= 0")
+        demand_max = int(np.iinfo(np.int32).max)
+        if math.floor(val + 0.5) > demand_max:  # the call demand, rounded half up, is an int32
+            raise DataError(f"{path}: row {row_no}: offered_erlang {fmt_num(val)} rounds to a "
+                            f"call demand over {demand_max}")
         block.append(val)
     return samples
 

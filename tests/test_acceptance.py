@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from trxsave import tuner
+from trxsave import analytics, tuner
 from trxsave.analytics import (
     fit_k_range,
+    kmeanspp_seed,
+    lloyd,
     pca_reduce,
     run_kmeans,
     select_k,
@@ -26,7 +28,7 @@ from trxsave.cell_model import CellConfig
 from trxsave.cli import main
 from trxsave.saving_engine import DECAY_STEP, PowerSavingParams, run_cell
 from trxsave.tables import emit_kpi_csv, ingest_kpi_csv
-from trxsave.traffic import TrafficTrace, iter_traffic_csv
+from trxsave.traffic import TrafficTrace, iter_traffic_span
 
 import oracles
 from test_golden import split_over
@@ -199,7 +201,7 @@ def test_headline_is_a_counting_identity(fleet_pipeline):
     cells = {c["cell_id"]: c for c in fleet["cells"]}
     hysteresis = tuner.read_assignment_csv(out / "assignment.csv").hysteresis
     shedding = kept_trx_scans = 0
-    for trace in iter_traffic_csv(out / "traffic.csv", fleet["scan_period_s"]):
+    for trace in iter_traffic_span(out / "traffic.csv", fleet["scan_period_s"]):
         cell = cells[trace.cell_id]
         params = PowerSavingParams(**shared, hysteresis=hysteresis[trace.cell_id])
         timeline = run_cell(CellConfig(trace.cell_id, cell["num_trx"], cell["cch_slots"]),
@@ -217,7 +219,7 @@ def test_headline_is_a_counting_identity(fleet_pipeline):
 
 
 @criterion(6, "clustering oracles: silhouette, fixed point, SSE, exhaustive optimum")
-def test_criterion_6_clustering_oracles():
+def test_criterion_6_clustering_oracles(monkeypatch):
     rng = np.random.default_rng(606)
 
     # silhouette equals the naive recomputation exactly on sets up to 200 points
@@ -226,13 +228,20 @@ def test_criterion_6_clustering_oracles():
         res = run_kmeans(pts, k, seed=seed, restarts=4)
         assert silhouette_score(pts, res.labels) == oracles.brute_silhouette(pts, res.labels)
 
-    # Lloyd's output is a fixed point and its SSE log never rises
+    # Lloyd's output is a fixed point, and its SSE never rises from one
+    # iteration to the next: stopped after 0, 1, 2, ... iterations
     for seed in range(5):
         pts = rng.normal(size=(70, 3))
         res = run_kmeans(pts, 4, seed=seed)
         d = np.sum((pts[:, None, :] - res.centroids[None, :, :]) ** 2, axis=2)
         assert np.array_equal(np.argmin(d, axis=1), res.labels)
-        assert all(a >= b - 1e-12 for a, b in zip(res.sse_history, res.sse_history[1:]))
+        init = kmeanspp_seed(pts, 4, seed)
+        sses = []
+        for stop in range(lloyd(pts, init).iterations + 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(analytics, "MAX_ITER", stop)
+                sses.append(lloyd(pts, init).sse)
+        assert len(sses) > 2 and all(a >= b - 1e-12 for a, b in zip(sses, sses[1:]))
 
     # best-of-restarts matches the exhaustive-partition optimum
     for n, k, seed in ((8, 2, 11), (9, 3, 12), (10, 3, 13)):

@@ -289,14 +289,6 @@ class TestLloyd:
         assert list(res.centroids[:, 0]) == [1.0, 11.0]
         assert list(res.labels) == [0, 0, 1, 1]
 
-    def test_sse_history_non_increasing(self):
-        rng = np.random.default_rng(21)
-        for seed in range(6):
-            pts = rng.normal(size=(60, 3))
-            res = run_kmeans(pts, 4, seed=seed, restarts=3)
-            hist = res.sse_history
-            assert all(a >= b - 1e-12 for a, b in zip(hist, hist[1:]))
-
     def test_fixed_point_no_label_changes_on_reassignment(self):
         rng = np.random.default_rng(22)
         for seed in range(6):
@@ -326,8 +318,7 @@ class TestLloyd:
             got, want = lloyd(pts, init), oracles.mask_mean_lloyd(pts, init)
             assert np.array_equal(got.labels, want.labels), i
             assert got.centroids.tobytes() == want.centroids.tobytes(), i
-            assert (got.sse, got.sse_history, got.iterations) == (
-                want.sse, want.sse_history, want.iterations), i
+            assert (got.sse, got.iterations) == (want.sse, want.iterations), i
 
     def test_more_centroids_than_points_rejected(self):
         with pytest.raises(DataError, match="k=3 exceeds 2 points"):
@@ -374,8 +365,7 @@ class TestFitKRange:
         assert list(fits[cpus]) == list(fits[1]) == list(ks)
         for k, one in fits[1].items():
             split = fits[cpus][k]
-            assert (split.k, split.sse, split.iterations, split.sse_history) == \
-                (one.k, one.sse, one.iterations, one.sse_history)
+            assert (split.k, split.sse, split.iterations) == (one.k, one.sse, one.iterations)
             assert split.labels.tobytes() == one.labels.tobytes()
             assert split.centroids.tobytes() == one.centroids.tobytes()
 

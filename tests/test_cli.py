@@ -432,7 +432,7 @@ class TestSimulate:
             f"cell_0000,{i},{1.5 if i < 4 else 3e9}\n" for i in range(10)))
         result = self.simulate(runner, out)
         assert result.exit_code == 3
-        assert "trace 'cell_0000': scan 4: offered Erlang 3000000000 rounds to a call demand " \
+        assert "traffic.csv: row 5: offered_erlang 3000000000 rounds to a call demand " \
                "over 2147483647" in result.output
         assert not (out / "summary.json").exists()
 

@@ -450,11 +450,11 @@ class TestTimelineWriter:
         config = CellConfig("c", 12, 3)
         tl = run_cell(config, PowerSavingParams(hysteresis=1), TrafficTrace("c", 10.0, samples))
         on_file = traced_peak(lambda: traffic.write_rows(
-            tmp_path / "on.csv", evaluator.TIMELINE_CSV_HEADER,
-            [[range(n), np.asarray(tl.offered, np.float64), tl.active_ts]]))
-        block = len(traffic.format_rows([range(traffic.ROW_BLOCK),
-                                         samples[:traffic.ROW_BLOCK],
-                                         tl.active_ts[:traffic.ROW_BLOCK]]))
+            [tmp_path / "on.csv"], evaluator.TIMELINE_CSV_HEADER,
+            [([range(n), np.asarray(tl.offered, np.float64)], [tl.active_ts])]))
+        block = len(next(traffic.format_row_variants(
+            [range(traffic.ROW_BLOCK), samples[:traffic.ROW_BLOCK]],
+            [tl.active_ts[:traffic.ROW_BLOCK]])))
         both = traced_peak(lambda: write_timeline_csv(tl, config, tmp_path))
         assert both <= on_file + block, (both, on_file, block)
 

@@ -1,7 +1,8 @@
 """Every file is opened, and every JSON and CSV document read or written, in
 the two I/O modules: ``trxsave.traffic`` for the per-scan CSVs and
 ``trxsave.tables`` for small tables and JSON. The other modules go through
-their readers and writers. No module imports ``csv``: the one CSV dialect is
+their readers and writers, and every per-scan CSV is written by the one
+``open(..., "wb")`` in ``traffic.write_rows``. No module imports ``csv``: the one CSV dialect is
 split and joined on bare commas. Processes are started only in
 ``trxsave.parts``. A value type checks itself once, when it is built: no
 module defines or calls a ``validate`` or names ``validate_params``. No
@@ -74,6 +75,33 @@ def test_the_guard_sees_each_call():
         "1: open", "3: json.load", "4: json.dump", "5: json.loads", "6: json.dumps",
         "7: from json import load", "8: .read_bytes", "9: .write_text"]
     assert csv_imports(ast.parse(source)) == ["2: csv", "11: csv", "12: csv"]
+
+
+def binary_writes(tree: ast.AST, scope: str = "<module>") -> list[str]:
+    """The function, or ``<module>``, around each ``open(..., "wb")`` call in ``tree``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+            found += [scope for mode in modes
+                      if isinstance(mode, ast.Constant) and mode.value == "wb"]
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else scope
+        found += binary_writes(node, inner)
+    return found
+
+
+def test_per_scan_files_have_one_writer():
+    writes = [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+              for scope in binary_writes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert writes == ["traffic.write_rows"]
+
+
+def test_the_writer_guard_sees_each_binary_write():
+    source = ('open(p, "wb")\ndef f():\n    open(p, mode="wb")\n    def g():\n'
+              '        return [open(q, "wb") for q in qs]\n    open(p, "rb")\n'
+              '    open(p, "r+b")\nclass C:\n    def h(self):\n        open(p, "wb")\n')
+    assert binary_writes(ast.parse(source)) == ["<module>", "f", "g", "h"]
 
 
 # modules that start processes, and the functions of os that do

@@ -17,7 +17,6 @@ from trxsave.traffic import (
     TrafficTrace,
     busy_hour_erlang,
     demand_series,
-    format_rows,
     generate_diurnal_trace,
     read_traffic_csv,
     trace_to_kpis,
@@ -368,6 +367,11 @@ class TestTrafficCsv:
         assert ingest_kpi_csv(tmp_path / "other_kpis.csv") == ingest_kpi_csv(tmp_path / "kpis.csv")
 
 
+def format_rows(columns) -> np.ndarray:
+    """The rows of ``columns``, the last column its one variant."""
+    return next(traffic.format_row_variants(columns[:-1], columns[-1:]))
+
+
 def fmt_lines(values) -> bytes:
     """The reference: one ``fmt_num`` call per value."""
     return "".join(fmt_num(v) + "\n" for v in np.asarray(values, np.float64).tolist()).encode()
@@ -456,17 +460,14 @@ class TestFormatRows:
         with pytest.raises(DataError, match="scan 1"):
             write_traffic_csv([TrafficTrace("a", 10.0, np.array([3, 10**15]))], path)
 
-    def test_negative_integers_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            format_rows([np.array([3, -1])])
-
     def test_write_peak_does_not_grow_with_the_table(self, tmp_path):
         rng = np.random.default_rng(5)
         peaks = {}
         for n in (20_000, 200_000):
             columns = ["cell_0001", np.arange(n), np.round(rng.uniform(0, 30, n), 6)]
             peaks[n] = traced_peak(lambda: traffic.write_rows(
-                tmp_path / "rows.csv", ["cell_id", "scan_index", "offered_erlang"], [columns]))
+                [tmp_path / "rows.csv"], ["cell_id", "scan_index", "offered_erlang"],
+                [(columns[:-1], columns[-1:])]))
         block = len(format_rows([c if isinstance(c, str) else c[:traffic.ROW_BLOCK]
                                  for c in columns]))  # one block of formatted rows
         assert abs(peaks[200_000] - peaks[20_000]) < block, (peaks, block)
@@ -643,7 +644,7 @@ class TestTrafficParsePaths:
     def test_each_trace_comes_as_soon_as_its_block_ends(self, tmp_path):
         path = tmp_path / "traffic.csv"
         path.write_text(TRAFFIC_HEADER + "a,0,1\na,1,2\nb,0,3\nb,1,oops\n")
-        traces = traffic.iter_traffic_csv(path)
+        traces = traffic.iter_traffic_span(path, 10.0)
         first = next(traces)
         assert (first.cell_id, first.samples.tolist()) == ("a", [1.0, 2.0])
         with pytest.raises(DataError, match="row 4: non-numeric field"):
@@ -757,7 +758,7 @@ def decode_values(texts) -> np.ndarray | None:
     return runs[0][3]
 
 
-EDGE_DECODED = ["0", "0.000001", "0.0001", "999999999.999999", "9007199254740993",
+EDGE_DECODED = ["0", "0.000001", "0.0001", "999999999.999999", "2147483647.4999998",
                 "12345678.12345678", "1e-05", ".5", "5.", "00.5", "-0", "+1",
                 # 2**53 - 1 and 2**53 as all digits; 16 and 17 places; 19 and 20 digits;
                 # 24 digits whose integer wraps round a uint64 to below 2**53
@@ -765,7 +766,9 @@ EDGE_DECODED = ["0", "0.000001", "0.0001", "999999999.999999", "9007199254740993
                 "0.12345678901234567", "123.4567890123456789", "1234.5678901234567890",
                 "10001825.0000000000000001",
                 "0.1e-456789012345"]  # not digits before the last 8 places
-EDGE_ROW_LOOP = [".", "1_0", "1.2.3", "inf", "nan", "0.1.34567890123456", "0.1e3456789012345"]
+EDGE_ROW_LOOP = [".", "1_0", "1.2.3", "inf", "nan", "0.1.34567890123456", "0.1e3456789012345",
+                 # a call demand past int32, named by its row
+                 "2147483647.5", "3e9", "9007199254740993"]
 
 
 class TestWordDecoder:
@@ -784,9 +787,13 @@ class TestWordDecoder:
             whole, frac = ("".join(rng.choice(list("0123456789"), rng.integers(0, n)))
                            for n in (11, 19))
             texts.append(f"{whole or '0'}.{frac}" if rng.random() < 0.8 else whole or "0")
-        values = decode_values(texts)
+        # a value whose call demand overflows int32 is left to the row loop
+        below = [t for t in texts if float(t) < traffic.MAX_ERLANG]
+        assert 0 < len(texts) - len(below) < len(texts) // 10
+        assert all(decode_values([t]) is None for t in texts if t not in below)
+        values = decode_values(below)
         assert values is not None
-        assert bits(values) == bits([float(t) for t in texts])
+        assert bits(values) == bits([float(t) for t in below])
 
     def test_scan_index_is_int(self):
         rng = np.random.default_rng(8)
@@ -823,11 +830,7 @@ class TestWordDecoder:
             assert values is not None and bits(values) == bits([float(text)])
         path = tmp_path / "traffic.csv"
         path.write_text(f"{TRAFFIC_HEADER}a,0,{text}\n")
-        if values is not None and values[0] >= traffic.MAX_ERLANG:  # read, then rejected as a trace
-            with pytest.raises(DataError, match="rounds to a call demand over"):
-                read_traffic_csv(path)
-        else:
-            assert_same_as_row_loop(lambda: path)
+        assert_same_as_row_loop(lambda: path)
 
     @pytest.mark.parametrize("chunk", [16, traffic.PARSE_CHUNK], ids=["16B", "default"])
     def test_mutated_plain_rows_read_as_the_row_loop_reads_them(self, tmp_path, monkeypatch,

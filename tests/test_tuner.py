@@ -48,7 +48,6 @@ class TestProfileClusters:
         expected_c0 = math.fsum([4.42022, 4.86402]) / 2
         assert profiles[0].tch_traffic_erl == pytest.approx(expected_c0, abs=1e-12)
         assert round(profiles[0].tch_traffic_erl, 2) == 4.64
-        assert all(p.member_count == 2 for p in profiles.values())
 
     def test_single_member_cluster_is_that_cell(self):
         profiles = profile_clusters(np.array([0, 1]), SAMPLE_KPIS[:2])
@@ -57,7 +56,7 @@ class TestProfileClusters:
 
     def test_clusters_run_to_max_label(self):
         profiles = profile_clusters(np.array([2, 0, 1, 0]), SAMPLE_KPIS[:4])
-        assert [(p.cluster_id, p.member_count) for p in profiles] == [(0, 2), (1, 1), (2, 1)]
+        assert [p.cluster_id for p in profiles] == [0, 1, 2]
         with pytest.raises(DataError, match="cluster 1 has no members"):
             profile_clusters(np.array([2, 0, 2, 0]), SAMPLE_KPIS[:4])
 
