@@ -4,8 +4,7 @@ One root ``--seed`` drives every random draw; child seeds are split off
 deterministically per cell and per clustering restart, so a single integer
 reproduces a whole study byte for byte.
 
-Exit codes: 0 success, 2 usage or configuration, 3 data or parse, 4 internal
-invariant violation.
+Exit codes: 0 ok, 2 usage/configuration, 3 data/parse.
 
 Each command imports the modules it runs inside its body, so a stage loads
 only its own code: ``assign`` never loads numpy, and ``cluster`` never loads
@@ -25,7 +24,7 @@ import click
 
 from . import __version__
 from .cell_model import CellConfig, check_cell_id
-from .errors import ConfigurationError, DataError, InvariantError
+from .errors import ConfigurationError, DataError
 
 if TYPE_CHECKING:
     from . import evaluator, tables, traffic
@@ -33,7 +32,6 @@ if TYPE_CHECKING:
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-EXIT_INVARIANT = 4
 
 FLEET_SCHEMA_VERSION = 1
 
@@ -56,8 +54,6 @@ def handle_errors(fn):
             _fail(EXIT_CONFIG, str(exc))
         except DataError as exc:
             _fail(EXIT_DATA, str(exc))
-        except InvariantError as exc:
-            _fail(EXIT_INVARIANT, str(exc))
         except OSError as exc:
             _fail(EXIT_DATA, str(exc))
     return wrapper

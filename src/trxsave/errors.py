@@ -1,7 +1,6 @@
-"""Exception hierarchy shared by all trxsave modules.
-
-The CLI maps these onto exit codes: ConfigurationError -> 2,
-DataError -> 3, InvariantError -> 4.
+"""Exception hierarchy shared by all trxsave modules; the CLI's exit codes are
+0 ok, 2 usage/configuration (ConfigurationError), 3 data/parse (DataError).
+Only the scan-step spec, which no CLI path runs, raises InvariantError.
 """
 
 

@@ -9,16 +9,17 @@ active slots after). An optional warmup window excludes the cold-start ramp,
 during which every TRX is still on, from the statistics; a live network would
 already be converged.
 
-A ``NetworkScenario`` and each value in it check everything that needs no
-trace when they are built, each ``cell_id`` included, so no timeline file
-name can hold "/" or NUL. ``simulate_network`` reads the traces once, in
-file order: each cell runs once, with saving on, as its trace arrives, and
-``summarize`` reduces the timeline to the cell's (off, on) statistics. Saving
-off needs no run: every TRX stays on, so its statistics are arithmetic on the
-timeline, its blocked calls folded from those of saving on. The trace is then dropped, so memory holds one trace and one
-timeline, never the fleet. ``compare`` folds the pairs once into the
-summary. Timeline CSVs are staged and moved into place only after the last
-check (no fleet cell untraced) passes, so a failed run leaves no output.
+Each value in a ``NetworkScenario`` checks itself when built, each
+``cell_id`` included, so no timeline file name can hold "/" or NUL.
+``simulate_network`` reads the traces once, in file order: each cell runs
+once, with saving on, as its trace arrives, and ``summarize`` reduces the
+timeline to the cell's (off, on) statistics. Saving off needs no run: every
+TRX stays on, so its statistics are arithmetic on the timeline, its blocked
+calls folded from those of saving on. The trace is then dropped, so memory
+holds one trace and one timeline, never the fleet. ``compare`` folds the
+pairs once into the summary. Timeline CSVs are staged and moved into place
+only after the last check (no fleet cell untraced) passes, so a failed run
+leaves no output.
 
 ``simulate_csv`` does the same for a traffic CSV on every usable CPU: the
 file is cut between cell blocks into one span per CPU, and each span is
@@ -56,7 +57,9 @@ class NetworkScenario:
     """Everything needed to run a fleet but its traffic: the cells, each cell's
     parameters by ``cell_id``, and the warm-up.
 
-    It checks itself when built, so a run fails before reading any trace.
+    When built it checks that every cell has parameters, so a run fails before
+    reading any trace; ``cli`` checks first that the ids are unique and the
+    warm-up >= 0.
     """
 
     cells: Sequence[CellConfig]
@@ -64,13 +67,7 @@ class NetworkScenario:
     warmup_scans: int = 0
 
     def __post_init__(self) -> None:
-        if self.warmup_scans < 0:
-            raise ConfigurationError(f"warmup_scans must be >= 0, got {self.warmup_scans}")
-        seen = set()
         for config in self.cells:
-            if config.cell_id in seen:
-                raise ConfigurationError(f"duplicate cell_id {config.cell_id!r}")
-            seen.add(config.cell_id)
             if config.cell_id not in self.params:
                 raise ConfigurationError(
                     f"cell {config.cell_id!r} has no hysteresis assignment and no default"
@@ -304,36 +301,42 @@ def summary_to_dict(summary: ComparisonSummary) -> dict:
     return out
 
 
-# JSON types a parsed summary field may hold, by its annotation; a bool is no number
+# JSON types a summary field may hold, by its annotation; a bool is no number
 _JSON_KINDS = {"str": (str, "a string"), "dict": (dict, "an object"),
-               "int": ((int, float), "a number"), "float": ((int, float), "a number")}
+               "int": ((int, float), "a number"), "float": ((int, float), "a number"),
+               "tuple[CellComparison, ...]": (list, "a list")}
 
 
-def _check_json_types(record: Any, where: str) -> None:
-    for f in dataclasses.fields(record):
-        if f.type not in _JSON_KINDS:
-            continue
+def _json_fields(cls: type, data: dict, where: str, key: str) -> dict:
+    """``data`` if it holds exactly the fields of ``cls``, each of its JSON type;
+    else an error after ``where`` about the first missing key in field order,
+    unknown key or field of a wrong type, each name after ``key``."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    missing = [name for name in names if name not in data]
+    unknown = [name for name in data if name not in names]
+    if missing or unknown:
+        raise DataError(f"{where}missing key {key + missing[0]!r}" if missing
+                        else f"{where}unknown key {key + unknown[0]!r}")
+    for f in dataclasses.fields(cls):
         kinds, noun = _JSON_KINDS[f.type]
-        value = getattr(record, f.name)
-        if not isinstance(value, kinds) or isinstance(value, bool):
-            raise DataError(f"summary: {where}{f.name} must be {noun}, got {value!r}")
+        if not isinstance(data[f.name], kinds) or isinstance(data[f.name], bool):
+            raise DataError(f"{where}{key}{f.name} must be {noun}, got {data[f.name]!r}")
+    return data
 
 
-def summary_from_dict(data: dict) -> ComparisonSummary:
-    """Inverse of ``summary_to_dict``; a missing or unknown key, or a value of
-    the wrong JSON type, is a ``DataError``."""
-    try:
-        rows = tuple(CellComparison(**r) for r in data["rows"])
-        fields = {k: v for k, v in data.items() if k != "rows"}
-        summary = ComparisonSummary(rows=rows, **fields)
-    except KeyError as exc:
-        raise DataError(f"summary: missing key {exc}") from None
-    except TypeError as exc:
-        raise DataError(f"summary: {exc}") from None
-    _check_json_types(summary, "")
-    for index, row in enumerate(rows):
-        _check_json_types(row, f"rows[{index}].")
-    return summary
+def summary_from_dict(data: Any, where: str = "") -> ComparisonSummary:
+    """Inverse of ``summary_to_dict``; a document that is not an object, a missing
+    or unknown key, or a value of the wrong JSON type is a ``DataError`` that
+    starts with ``where``."""
+    if not isinstance(data, dict):
+        raise DataError(f"{where}expected a JSON object")
+    rows = []
+    for index, row in enumerate(_json_fields(ComparisonSummary, data, where, "")["rows"]):
+        if not isinstance(row, dict):
+            raise DataError(f"{where}rows[{index}] must be an object, got {row!r}")
+        rows.append(CellComparison(**_json_fields(CellComparison, row, where,
+                                                  f"rows[{index}].")))
+    return ComparisonSummary(**{**data, "rows": tuple(rows)})
 
 
 def write_summary_json(summary: ComparisonSummary, path: Union[str, Path]) -> None:
@@ -341,7 +344,8 @@ def write_summary_json(summary: ComparisonSummary, path: Union[str, Path]) -> No
 
 
 def read_summary_json(path: Union[str, Path]) -> ComparisonSummary:
-    return summary_from_dict(read_json(path))
+    """The summary stored at ``path``; every error starts with ``path``."""
+    return summary_from_dict(read_json(path), f"{path}: ")
 
 
 def write_comparison_csv(summary: ComparisonSummary, path: Union[str, Path]) -> None:

@@ -442,17 +442,15 @@ def iter_traffic_span(
     bytes are read in chunks of whole rows: a chunk of plain rows is decoded
     eight digits at a time (see ``_plain_runs``) and the row loop reads any
     other chunk, naming its first bad row. Memory holds the current cell's
-    samples and one chunk. Every ``DataError`` starts with ``source``.
+    samples and one chunk. Every ``DataError`` starts with ``source``; each
+    trace then passes ``TrafficTrace``'s checks if ``scan_period_s`` > 0.
 
     A span from 0 starts with the header. A span from a cut of
     ``traffic_spans`` starts at a row and numbers its rows from 1, so only
     the errors of a span from 0 name the rows of the file.
     """
     for cid, samples in _Blocks(source, *span).read():
-        try:
-            yield TrafficTrace(cid, scan_period_s, np.frombuffer(samples))
-        except DataError as exc:
-            raise DataError(f"{source}: {exc}") from None
+        yield TrafficTrace(cid, scan_period_s, np.frombuffer(samples))
 
 
 def traffic_spans(path: Union[str, Path], count: int) -> list[tuple[int, Optional[int]]]:

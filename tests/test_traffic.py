@@ -11,7 +11,7 @@ from trxsave import traffic
 from trxsave.cell_model import CellConfig
 from trxsave.cli import build_demo_fleet
 from trxsave.errors import ConfigurationError, DataError
-from trxsave.tables import KpiRecord, emit_kpi_csv, fmt_num, ingest_kpi_csv, read_json
+from trxsave.tables import KpiRecord, emit_kpi_csv, fmt_num, ingest_kpi_csv
 from trxsave.traffic import (
     DiurnalProfileSpec,
     TrafficTrace,
@@ -158,49 +158,6 @@ class TestKpiCsv:
         path.write_text(KPI_HEADER + "\n" + SAMPLE_KPI_ROWS[0] + "\n")
         assert len(ingest_kpi_csv(path)) == 1
 
-    def test_missing_column_rejected(self, tmp_path):
-        bad = text_file(tmp_path, "cell_id,tch_traffic_erl\nCell_1,2.0\n")
-        with pytest.raises(DataError, match="header"):
-            ingest_kpi_csv(bad)
-
-    def test_non_numeric_field_names_row(self, tmp_path):
-        bad = text_file(tmp_path, KPI_HEADER + "\nCell_1,abc,130.5,0.0,5.0,24\n")
-        with pytest.raises(DataError, match="row 1"):
-            ingest_kpi_csv(bad)
-
-    def test_negative_erlang_names_row(self, tmp_path):
-        bad = text_file(tmp_path, KPI_HEADER + "\nCell_1,2.0,130.5,0.0,5.0,24\n"
-                        "Cell_2,-1.0,130.5,0.0,5.0,24\n")
-        with pytest.raises(DataError, match="row 2"):
-            ingest_kpi_csv(bad)
-
-    def test_duplicate_cell_id_names_row(self, tmp_path):
-        bad = text_file(tmp_path, KPI_HEADER + "\n"
-                        + "\n".join(SAMPLE_KPI_ROWS[:2] + SAMPLE_KPI_ROWS[:1]))
-        with pytest.raises(DataError, match="row 3: duplicate cell_id 'Cell_1'"):
-            ingest_kpi_csv(bad)
-
-    def test_non_utf8_byte_names_file_and_row(self, tmp_path):
-        path = tmp_path / "kpis.csv"
-        path.write_bytes((KPI_HEADER + "\n" + "\n".join(SAMPLE_KPI_ROWS) + "\n")
-                         .encode().replace(b"Cell_4", b"Cell_\xff4"))
-        with pytest.raises(DataError, match=re.escape(f"{path}: row 4: not UTF-8 text")):
-            ingest_kpi_csv(path)
-
-    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
-    def test_non_utf8_byte_names_its_row_whatever_the_line_ends(self, tmp_path, line_end):
-        path = tmp_path / "kpis.csv"
-        rows = [KPI_HEADER.encode(), *(r.encode() for r in SAMPLE_KPI_ROWS)]
-        rows[5] = rows[5].replace(b"Cell_5", b"Cell_\xff5")
-        path.write_bytes(line_end.join(rows) + line_end)
-        with pytest.raises(DataError) as got:
-            ingest_kpi_csv(path)
-        assert str(got.value) == f"{path}: row 5: not UTF-8 text (invalid start byte)"
-        # in the header
-        path.write_bytes(line_end.join([b"\xff" + rows[0], *rows[1:]]))
-        with pytest.raises(DataError, match=re.escape(f"{path}: header: not UTF-8 text")):
-            ingest_kpi_csv(path)
-
     def test_earlier_bad_row_is_named_before_a_non_utf8_byte(self, tmp_path):
         path = tmp_path / "kpis.csv"
         rows = [KPI_HEADER, *SAMPLE_KPI_ROWS]
@@ -223,11 +180,6 @@ class TestKpiCsv:
             with pytest.raises(DataError) as got:
                 ingest_kpi_csv(path)
             assert str(got.value) == f"{path}: row 1: a field holds '\"' (fields are never quoted)"
-
-    def test_congestion_range_enforced(self, tmp_path):
-        bad = text_file(tmp_path, KPI_HEADER + "\nCell_1,2.0,130.5,101.0,5.0,24\n")
-        with pytest.raises(DataError):
-            ingest_kpi_csv(bad)
 
     def test_round_trip_preserves_printed_digits(self, tmp_path):
         records = ingest_kpi_csv(sample_kpi_csv(tmp_path))
@@ -298,22 +250,6 @@ class TestTrafficCsv:
         assert [t.cell_id for t in back] == ["a", "b"]
         assert np.array_equal(back[0].samples, t1.samples)
         assert np.array_equal(back[1].samples, t2.samples)
-
-    def test_non_contiguous_scan_index_rejected(self, tmp_path):
-        text = "cell_id,scan_index,offered_erlang\na,0,1.0\na,2,1.0\n"
-        with pytest.raises(DataError, match="contiguous"):
-            read_traffic_csv(traffic_file(tmp_path, text))
-
-    def test_negative_erlang_rejected(self, tmp_path):
-        text = "cell_id,scan_index,offered_erlang\na,0,-1.0\n"
-        with pytest.raises(DataError):
-            read_traffic_csv(traffic_file(tmp_path, text))
-
-    def test_garbage_rejected_with_row(self, tmp_path):
-        text = "cell_id,scan_index,offered_erlang\na,0,1.0\na,1,oops\n"
-        with pytest.raises(DataError, match="row 2"):
-            read_traffic_csv(traffic_file(tmp_path, text))
-
 
     @pytest.mark.parametrize("line_no,where", [(0, "header: "), (2500, "row 2500: ")],
                              ids=["header", "row_2500"])
@@ -650,14 +586,6 @@ class TestTrafficParsePaths:
         with pytest.raises(DataError, match="row 4: non-numeric field"):
             next(traces)
 
-    @pytest.mark.parametrize("name,message", [
-        ("interleaved", "row 3: cell 'a' again after another cell"),
-        ("repeated_block", "row 4: cell 'a' again after another cell"),
-    ])
-    def test_cell_rows_must_form_one_block(self, tmp_path, name, message):
-        with pytest.raises(DataError, match=re.escape(message)):
-            read_traffic_csv(corpus_file(tmp_path, name))
-
     @pytest.mark.parametrize("name,message,fast", [
         ("empty_id", "row 1: empty cell_id", True),
         ("quoted_id", "row 1: cell_id '\"a\"' may not hold '\"'", True),
@@ -902,14 +830,6 @@ class TestRowChunks:
                                                 for _ in range(5)]))
         # 4x the bytes: about 4x the time, but 25x when every read re-copies the remainder
         assert large < 10 * small, (small, large)
-
-
-class TestReadJson:
-    def test_non_utf8_byte_names_file(self, tmp_path):
-        path = tmp_path / "fleet.json"
-        path.write_bytes(b'{"cells": [], "note": "\xff"}')
-        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
-            read_json(path)
 
 
 class TestFmtNum:
