@@ -10,7 +10,8 @@ during which every TRX is still on, from the statistics; a live network would
 already be converged.
 
 Each value in a ``NetworkScenario`` checks itself when built, each
-``cell_id`` included, so no timeline file name can hold "/" or NUL.
+``cell_id`` included, so no timeline file name can hold "/" or NUL; that the
+ids are unique and the warm-up >= 0 is checked only by ``cli``.
 ``simulate_network`` reads the traces once, in file order: each cell runs
 once, with saving on, as its trace arrives, and ``summarize`` reduces the
 timeline to the cell's (off, on) statistics. Saving off needs no run: every
@@ -37,6 +38,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Generator, Iterable, Mapping, Optional, Sequence, Union
 
+# traffic, the largest module, before numpy: compiled from source (no bytecode
+# cached), its parser's freed memory is then reused by numpy's import; the other
+# order left bursty-churn's simulate peak about 0.4 MB higher
+from .traffic import TrafficTrace, iter_traffic_span, traffic_spans, write_rows
+
 import numpy as np
 
 from . import parts
@@ -44,7 +50,6 @@ from .cell_model import SLOTS_PER_TRX, CellConfig
 from .errors import ConfigurationError, DataError
 from .saving_engine import CellTimeline, PowerSavingParams, run_cell
 from .tables import read_json, write_csv, write_json
-from .traffic import TrafficTrace, iter_traffic_span, traffic_spans, write_rows
 
 SCHEMA_VERSION = 1
 
@@ -58,8 +63,9 @@ class NetworkScenario:
     parameters by ``cell_id``, and the warm-up.
 
     When built it checks that every cell has parameters, so a run fails before
-    reading any trace; ``cli`` checks first that the ids are unique and the
-    warm-up >= 0.
+    reading any trace. That the ids are unique and the warm-up >= 0 only
+    ``cli`` checks, before it builds one; a scenario built in code must keep
+    both rules itself.
     """
 
     cells: Sequence[CellConfig]
@@ -324,10 +330,15 @@ def _json_fields(cls: type, data: dict, where: str, key: str) -> dict:
     return data
 
 
-def summary_from_dict(data: Any, where: str = "") -> ComparisonSummary:
-    """Inverse of ``summary_to_dict``; a document that is not an object, a missing
-    or unknown key, or a value of the wrong JSON type is a ``DataError`` that
-    starts with ``where``."""
+def write_summary_json(summary: ComparisonSummary, path: Union[str, Path]) -> None:
+    write_json(summary_to_dict(summary), path)
+
+
+def read_summary_json(path: Union[str, Path]) -> ComparisonSummary:
+    """Inverse of ``write_summary_json``; a document that is not an object, a
+    missing or unknown key, or a value of the wrong JSON type is a
+    ``DataError`` that starts with ``path``."""
+    data, where = read_json(path), f"{path}: "
     if not isinstance(data, dict):
         raise DataError(f"{where}expected a JSON object")
     rows = []
@@ -337,15 +348,6 @@ def summary_from_dict(data: Any, where: str = "") -> ComparisonSummary:
         rows.append(CellComparison(**_json_fields(CellComparison, row, where,
                                                   f"rows[{index}].")))
     return ComparisonSummary(**{**data, "rows": tuple(rows)})
-
-
-def write_summary_json(summary: ComparisonSummary, path: Union[str, Path]) -> None:
-    write_json(summary_to_dict(summary), path)
-
-
-def read_summary_json(path: Union[str, Path]) -> ComparisonSummary:
-    """The summary stored at ``path``; every error starts with ``path``."""
-    return summary_from_dict(read_json(path), f"{path}: ")
 
 
 def write_comparison_csv(summary: ComparisonSummary, path: Union[str, Path]) -> None:

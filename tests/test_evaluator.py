@@ -20,8 +20,6 @@ from trxsave.evaluator import (
     read_summary_json,
     simulate_network,
     summarize,
-    summary_from_dict,
-    summary_to_dict,
     write_comparison_csv,
     write_summary_json,
     write_timeline_csv,
@@ -306,7 +304,6 @@ class TestEmission:
         path = tmp_path / "summary.json"
         write_summary_json(summary, path)
         assert read_summary_json(path) == summary
-        assert summary_from_dict(summary_to_dict(summary)) == summary
 
     def test_emit_report_writes_both_formats(self, tmp_path):
         paths = emit_report(self.small_summary(), tmp_path)

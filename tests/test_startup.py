@@ -93,3 +93,16 @@ def test_version_from_a_checkout():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-1] == trxsave.__version__ == "0.1.0"
+
+
+def test_evaluator_compiles_traffic_before_numpy_loads():
+    """numpy's import reuses the memory freed by compiling ``traffic`` from source
+    only if ``traffic`` comes first (see the comment on evaluator's imports)."""
+    started = ("import sys\n"  # the audit event comes as each import starts
+               "sys.addaudithook(lambda event, args: event == 'import' and print(args[0]))\n"
+               "import trxsave.evaluator")
+    proc = subprocess.run([sys.executable, "-c", started], env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules = proc.stdout.split()
+    assert modules.index("trxsave.traffic") < modules.index("numpy")
