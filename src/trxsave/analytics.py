@@ -43,6 +43,11 @@ bit-for-bit the naive pairwise one at any CPU count.
 Lloyd's centroid update sorts the points by label (stable, so each cluster
 keeps index order) and reduces each cluster's contiguous slice with the same
 ``np.add.reduce`` and divide as ``x[labels == j].mean(axis=0)``, bit for bit.
+
+The caller keeps each function's preconditions: ``cli.cluster`` checks
+``--k``, ``--k-min``/``--k-max`` and ``--restarts`` once, before any fit.
+Only the checks a run can reach stay here: ``standardize``'s two, and
+``lloyd``'s k <= n, the guard that ends ``_repair_empty``'s loop.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ import numpy as np
 
 from . import parts
 from .cell_model import check_cell_id
-from .errors import ConfigurationError, DataError
+from .errors import DataError
 from .tables import CLUSTERS_CSV_HEADER, KpiRecord, fmt_num, write_csv
 
 FEATURE_COLUMNS = [
@@ -80,18 +85,16 @@ def standardize(values: np.ndarray) -> np.ndarray:
     """Z-score each column with the population std; constant columns map to 0.
 
     Finite values can still overflow the mean or std (three values of 1e308);
-    such a column is a ``DataError`` that names it (``FEATURE_COLUMNS`` when the
-    matrix has those columns, else its index).
+    such a column is a ``DataError`` that names it. The caller passes the
+    ``FEATURE_COLUMNS`` of ``kpi_feature_matrix``.
     """
-    n_rows, n_cols = values.shape
-    if n_rows < 2:
-        raise DataError(f"standardize needs at least 2 rows, got {n_rows}")
+    if len(values) < 2:
+        raise DataError(f"standardize needs at least 2 rows, got {len(values)}")
     with np.errstate(over="ignore", invalid="ignore"):
         means = values.mean(axis=0)
         stds = values.std(axis=0)  # population, ddof=0
     if not np.isfinite(stds).all():  # an infinite mean makes its std NaN
-        j = int(np.flatnonzero(~np.isfinite(stds))[0])
-        name = FEATURE_COLUMNS[j] if n_cols == len(FEATURE_COLUMNS) else f"column {j}"
+        name = FEATURE_COLUMNS[int(np.flatnonzero(~np.isfinite(stds))[0])]
         raise DataError(f"feature {name}: mean or standard deviation overflows a float64")
     constant = stds == 0.0
     safe = np.where(constant, 1.0, stds)
@@ -118,10 +121,6 @@ def jacobi_eigh(matrix: np.ndarray):
     """
     a = np.array(matrix, dtype=np.float64, copy=True)
     n = a.shape[0]
-    if a.shape != (n, n):
-        raise DataError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-10):
-        raise DataError("matrix is not symmetric")
     v = np.eye(n)
     for _ in range(JACOBI_MAX_SWEEPS):
         off = 0.0
@@ -220,17 +219,13 @@ def seeding_probabilities(nearest_d2: np.ndarray) -> np.ndarray:
 
 
 def kmeanspp_seed(x: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Pick k initial centroids: first uniform, then squared-distance weighted.
+    """Pick 1 <= k <= len(x) initial centroids: first uniform, then squared-distance weighted.
 
     The distance to the nearest chosen centroid is kept as a running minimum,
     updated against each new centroid only; ``min`` is exact, so the weights
     equal those from measuring every point against every chosen centroid.
     """
     n = len(x)
-    if k > n:
-        raise DataError(f"k={k} exceeds {n} points")
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[rng.integers(n)]
@@ -294,11 +289,10 @@ def lloyd(x: np.ndarray, init_centroids: np.ndarray) -> ClusteringResult:
 
     Nearest-centroid ties break toward the lower centroid index; empty
     clusters are reseeded to the points farthest from their own centroids, so
-    every returned cluster is non-empty (k <= n).
+    every returned cluster is non-empty. ``init_centroids`` is a (k, features)
+    array; k > n is rejected, since ``_repair_empty`` would then never end.
     """
     centroids = np.array(init_centroids, dtype=np.float64, copy=True)
-    if centroids.ndim != 2 or centroids.shape[1] != x.shape[1] or len(centroids) == 0:
-        raise DataError(f"bad init_centroids shape {centroids.shape}")
     k = len(centroids)
     if k > len(x):
         raise DataError(f"k={k} exceeds {len(x)} points")
@@ -359,9 +353,7 @@ def _best(restarts: Iterable[_Restart]) -> _Restart:
 
 
 def run_kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> ClusteringResult:
-    """Best of ``restarts`` k-means++ runs by SSE (ties keep the earliest)."""
-    if restarts < 1:
-        raise ConfigurationError(f"restarts must be >= 1, got {restarts}")
+    """Best of ``restarts`` (>= 1) k-means++ runs by SSE (ties keep the earliest)."""
     return _best_restart(points, k, seed, range(restarts))[2]
 
 
@@ -383,8 +375,9 @@ def fit_k_range(
 ) -> dict[int, ClusteringResult]:
     """Best-of-restarts k-means for each distinct k, keyed by k in ascending order.
 
-    This is the one place a k range is checked and fitted: the elbow curve,
-    silhouette selection and a pinned k all read their results from this table.
+    This is the one place a k range is fitted: the elbow curve, silhouette
+    selection and a pinned k all read their results from this table. The
+    caller keeps every k in [1, len(x)] and ``restarts`` >= 1.
 
     The restarts are dealt to one part per usable CPU (at most one per restart):
     part p fits the restarts r = p, p + P, ... of every k in its own process
@@ -394,12 +387,6 @@ def fit_k_range(
     range is fitted again as one part, which raises the one-process error.
     """
     ordered = sorted(set(int(k) for k in ks))
-    if not ordered or ordered[0] < 1:
-        raise ConfigurationError(f"bad k range {ordered!r}")
-    if ordered[-1] > len(x):
-        raise ConfigurationError(f"max k {ordered[-1]} exceeds {len(x)} points")
-    if restarts < 1:
-        raise ConfigurationError(f"restarts must be >= 1, got {restarts}")
 
     def fit_part(rs: range) -> dict[int, _Restart]:
         return {k: _best_restart(x, k, seed, rs) for k in ordered}
@@ -445,19 +432,6 @@ def elbow_curve(fits: Mapping[int, ClusteringResult]) -> ElbowResult:
 PAIRS_PER_BLOCK = 1 << 18
 
 
-def _cluster_members(labels: np.ndarray, n: int) -> list[np.ndarray]:
-    """Member indices of each cluster 0..k-1; needs k >= 2, all non-empty."""
-    if len(labels) != n:
-        raise DataError("labels length does not match points")
-    k = int(labels.max()) + 1 if n else 0
-    if k < 2:
-        raise DataError(f"silhouette needs k >= 2, got {k}")
-    members = [np.flatnonzero(labels == j) for j in range(k)]
-    if any(len(m) == 0 for m in members):
-        raise DataError("silhouette needs every cluster non-empty")
-    return members
-
-
 def _member_sums(dist: np.ndarray, members: Sequence[np.ndarray]) -> np.ndarray:
     """(block, k) sums of each column of ``dist`` over each cluster's member rows.
 
@@ -494,7 +468,8 @@ def silhouette_scores(x: np.ndarray, labelings: Sequence[np.ndarray]) -> list[fl
 
     One pass over row blocks of the distance matrix serves every labeling.
     Singleton-cluster points score 0, as do points where both means vanish
-    (coincident data). Each labeling needs at least 2 clusters, all non-empty.
+    (coincident data). The caller keeps each labeling one label per point, in
+    k >= 2 clusters 0..k-1, all non-empty, as ``lloyd``'s fits are.
 
     The blocks are cut into one contiguous run per usable CPU, each run scored
     in its own process (``parts.run_parts``) one block at a time; this process
@@ -504,10 +479,11 @@ def silhouette_scores(x: np.ndarray, labelings: Sequence[np.ndarray]) -> list[fl
     """
     n = len(x)
     labelings = [np.asarray(labels) for labels in labelings]
-    members = [_cluster_members(labels, n) for labels in labelings]
+    members = [[np.flatnonzero(labels == j) for j in range(labels.max() + 1)]
+               for labels in labelings]
     # blocks of at least two columns, a last one-column block joining the one
     # before it: numpy would sum a single column pairwise, not in index order
-    step = max(2, PAIRS_PER_BLOCK // n) if n else 2
+    step = max(2, PAIRS_PER_BLOCK // n)
     starts = list(range(0, n, step))
     if len(starts) > 1 and starts[-1] == n - 1:
         del starts[-1]
@@ -550,9 +526,7 @@ class SelectKResult:
 
 
 def select_k(points: np.ndarray, fits: Mapping[int, ClusteringResult]) -> SelectKResult:
-    """Pick the fitted k with the highest silhouette (ties go to the smaller k)."""
-    if not fits or min(fits) < 2:
-        raise ConfigurationError(f"select_k needs k >= 2, got {sorted(fits)!r}")
+    """The fitted k (one or more, each >= 2) of highest silhouette; ties go to the smaller k."""
     ks = sorted(fits)
     curve = list(zip(ks, silhouette_scores(points, [fits[k].labels for k in ks])))
     k_best = max(curve, key=lambda point: point[1])[0]  # first maximum: the smaller k

@@ -24,7 +24,7 @@ from trxsave.analytics import (
     silhouette_score,
     standardize,
 )
-from trxsave.cell_model import CellConfig
+from trxsave.cell_model import SLOTS_PER_TRX, CellConfig
 from trxsave.cli import main
 from trxsave.saving_engine import DECAY_STEP, PowerSavingParams, run_cell
 from trxsave.tables import emit_kpi_csv, ingest_kpi_csv
@@ -216,6 +216,75 @@ def test_headline_is_a_counting_identity(fleet_pipeline):
     assert shedding == 84 and len(cells) == 100
     assert summary["trx_scans_with"] == kept_trx_scans == 11_059_200
     assert summary["trx_scans_without"] == 14_688_000
+
+
+HYSTERESIS_3_TIMELINES = [f"cell_{i:04d}" for i in range(8)]  # the default --timelines 8
+
+
+@pytest.fixture(scope="module")
+def hysteresis_3(fleet_pipeline, tmp_path_factory):
+    """``simulate --hysteresis 3`` on the bundled fleet, where TRXs switch back on.
+
+    Returns the run's output directory and summary, each cell's in-process
+    ``run_cell`` switch-on and switch-off scans, and the config and trace of
+    every cell whose timelines the run wrote.
+    """
+    out, _ = fleet_pipeline
+    run = tmp_path_factory.mktemp("hysteresis_3")
+    result = CliRunner().invoke(main, [
+        "simulate", "--fleet", f"{out}/fleet.json", "--traffic", f"{out}/traffic.csv",
+        "--hysteresis", "3", "--warmup-days", "1", "--seed", FLEET_SEED,
+        "--out", str(run)], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    fleet = json.loads((out / "fleet.json").read_text())
+    cells = {c["cell_id"]: c for c in fleet["cells"]}
+    switches, written = {}, {}
+    for trace in iter_traffic_span(out / "traffic.csv", fleet["scan_period_s"]):
+        cell = cells[trace.cell_id]
+        config = CellConfig(trace.cell_id, cell["num_trx"], cell["cch_slots"])
+        actions = run_cell(config, PowerSavingParams(hysteresis=3), trace).actions
+        switches[trace.cell_id] = (np.flatnonzero(actions > 0), np.flatnonzero(actions < 0))
+        if trace.cell_id in HYSTERESIS_3_TIMELINES:
+            written[trace.cell_id] = (config, trace)
+    summary = json.loads((run / "summary.json").read_text())
+    return run, summary, switches, written
+
+
+def test_hysteresis_3_headline_and_switch_events(hysteresis_3):
+    """At ``--hysteresis 3`` the headline depends on the traffic: its figures,
+    the switch events, and which cells switch on."""
+    run, summary, switches, _ = hysteresis_3
+    assert summary["reduction_pct"] == 35.30731209150327
+    assert summary["blocking_delta"] == 0
+    warmup = summary["metadata"]["warmup_scans"]
+    assert warmup == 8_640
+    assert sorted(p.name for p in (run / "timelines").iterdir()) == \
+        [f"{cell_id}_{mode}.csv" for cell_id in HYSTERESIS_3_TIMELINES for mode in ("off", "on")]
+    for cell_id in ("cell_0002", "cell_0003"):
+        on, _ = switches[cell_id]
+        assert (len(on), np.count_nonzero(on >= warmup)) == (6, 5), cell_id
+    ons = sum(len(on) for on, _ in switches.values())
+    offs = sum(len(off) for _, off in switches.values())
+    ons_after = sum(int(np.count_nonzero(on >= warmup)) for on, _ in switches.values())
+    offs_after = sum(int(np.count_nonzero(off >= warmup)) for _, off in switches.values())
+    assert (ons, offs) == (161, 277)
+    assert (ons_after, offs_after) == (135, 135)
+
+
+@pytest.mark.parametrize("cell_id", HYSTERESIS_3_TIMELINES)
+def test_hysteresis_3_timelines_replay_with_step_functions(hysteresis_3, cell_id):
+    """A written cell's ``_on.csv`` is the ``scan_step``/``apply_action`` replay
+    and its ``_off.csv`` keeps every TRX's slots at every scan."""
+    run, _, _, written = hysteresis_3
+    config, trace = written[cell_id]
+
+    def active_ts(mode):
+        lines = (run / "timelines" / f"{cell_id}_{mode}.csv").read_text().splitlines()[1:]
+        return [int(line.rpartition(",")[2]) for line in lines]
+
+    replay = oracles.replay_with_step_functions(config, PowerSavingParams(hysteresis=3), trace)
+    assert active_ts("on") == replay["active_ts"]
+    assert active_ts("off") == [SLOTS_PER_TRX * config.num_trx] * len(trace.samples)
 
 
 @criterion(6, "clustering oracles: silhouette, fixed point, SSE, exhaustive optimum")

@@ -195,6 +195,36 @@ class TestCluster:
         assert meta["k"] == (3 if pin is None else pin)
         assert meta["silhouette"] == (0.0 if pin == 1 else wide[meta["k"]])
 
+    # cluster's option checks are the only ones: every value at their edges runs
+    # through each stage, and each fitted cluster keeps at least one cell
+    FOUR_CELLS = [(1.5, 138.0, 0.01, 1.0, 24), (1.7, 137.0, 0.02, 2.0, 24),
+                  (14.0, 122.0, 0.40, 35.0, 32), (13.0, 121.0, 0.38, 33.0, 32)]
+
+    @pytest.mark.parametrize("rows,args,k,elbow_ks,sel_ks", [
+        (FOUR_CELLS, ["--k", "4"], 4, [1, 2, 3, 4], [2, 3, 4]),
+        (FOUR_CELLS, ["--k-min", "4", "--k-max", "4"], 4, [1, 2, 3, 4], [4]),
+        (FOUR_CELLS, ["--k-min", "2", "--k-max", "2"], 2, [1, 2, 3, 4], [2]),
+        (FOUR_CELLS, ["--k-max", "50"], 2, [1, 2, 3, 4], [2, 3, 4]),
+        (FOUR_CELLS, ["--restarts", "1"], 2, [1, 2, 3, 4], [2, 3, 4]),
+        (FOUR_CELLS[:2], [], 2, [1, 2], [2]),
+        ([FOUR_CELLS[0]] * 2, [], 2, [1, 2], [2]),
+    ], ids=["k_equals_cells", "k_min_equals_cells", "k_min_equals_k_max", "k_max_above_cells",
+            "one_restart", "two_cells", "two_identical_cells"])
+    def test_options_at_the_edge_of_its_checks_run(self, runner, tmp_path, rows, args, k,
+                                                   elbow_ks, sel_ks):
+        emit_kpi_csv([KpiRecord(f"cell_{i}", *row) for i, row in enumerate(rows)],
+                     tmp_path / "kpis.csv")
+        out = tmp_path / "out"
+        run_ok(runner, ["cluster", "--kpi", str(tmp_path / "kpis.csv"), *args, "--seed", "5",
+                        "--out", str(out)])
+        assert json.loads((out / "clustering.json").read_text())["k"] == k
+        assert list(read_curve(out / "elbow.csv")) == elbow_ks
+        assert list(read_curve(out / "silhouette.csv")) == sel_ks
+        labels = [int(line.split(",")[1])
+                  for line in (out / "clusters.csv").read_text().splitlines()[1:]]
+        assert len(labels) == len(rows)
+        assert sorted(set(labels)) == list(range(k))
+
 
 def read_curve(path: Path) -> dict[int, float]:
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]

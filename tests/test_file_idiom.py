@@ -5,8 +5,9 @@ their readers and writers, and every per-scan CSV is written by the one
 ``open(..., "wb")`` in ``traffic.write_rows``. No module imports ``csv``: the one CSV dialect is
 split and joined on bare commas. Processes are started only in
 ``trxsave.parts``. A value type checks itself once, when it is built: no
-module defines or calls a ``validate`` or names ``validate_params``. No
-assignment binds ``_``, so no stage computes a result only to drop it."""
+module defines or calls a ``validate`` or names ``validate_params``, and
+``analytics`` never names ``ConfigurationError``: ``cli`` checks the options.
+No assignment binds ``_``, so no stage computes a result only to drop it."""
 
 import ast
 from pathlib import Path
@@ -159,31 +160,37 @@ def test_the_process_guard_sees_each_start():
 RECHECKS = {"validate", "validate_params"}
 
 
-def rechecks(tree: ast.AST) -> list[str]:
-    """Every definition, call, import or other use of a ``validate`` or of
-    ``validate_params``, as ``line: name``."""
+def name_uses(tree: ast.AST, names: set[str]) -> list[str]:
+    """Every definition, call, import or other use of one of ``names``, as ``line: name``."""
     found = []
     for node in ast.walk(tree):
         name = (node.name if isinstance(node, (ast.FunctionDef, ast.alias))
                 else node.id if isinstance(node, ast.Name)
                 else node.attr if isinstance(node, ast.Attribute) else None)
-        if name in RECHECKS:
+        if name in names:
             found.append(f"{node.lineno}: {name}")
     return sorted(found, key=lambda use: int(use.split(":")[0]))
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_values_are_checked_only_when_built(path):
-    assert rechecks(ast.parse(path.read_text(encoding="utf-8"))) == []
+    assert name_uses(ast.parse(path.read_text(encoding="utf-8")), RECHECKS) == []
 
 
 def test_the_recheck_guard_sees_each_use():
     source = ("class C:\n    def validate(self):\n        pass\nc.validate()\n"
               "from m import validate_params\nvalidate_params(p)\nmap(C.validate, cs)\n"
               "validated = validate_all(p)\nm.validate_params\n")
-    assert rechecks(ast.parse(source)) == [
+    assert name_uses(ast.parse(source), RECHECKS) == [
         "2: validate", "4: validate", "5: validate_params", "6: validate_params",
         "7: validate", "9: validate_params"]
+
+
+def test_cluster_options_are_checked_only_in_cli():
+    """``cli.cluster`` checks ``--k``, ``--k-min``/``--k-max`` and ``--restarts``
+    before any fit, so ``analytics`` has no option to reject."""
+    source = (PACKAGE / "analytics.py").read_text(encoding="utf-8")
+    assert name_uses(ast.parse(source), {"ConfigurationError"}) == []
 
 
 def discarded_results(tree: ast.AST) -> list[str]:
