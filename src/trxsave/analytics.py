@@ -32,12 +32,19 @@ scores every fitted k in one blocked pass: the distance matrix is computed a
 block of points at a time (about ``PAIRS_PER_BLOCK`` distances) and each
 block serves every labeling, so memory stays bounded whatever the fleet size.
 A block is stored transposed, one column per block point, since distance is
-symmetric bit for bit. Each point's sum over a cluster's members is
-``np.add.reduce`` down the member rows: on a C-contiguous block of two or
-more columns numpy adds the rows one after another in index order, but a
-one-column block is summed pairwise, so every block is at least two columns
-wide. The parts return their blocks' values, and the stage process carries
-each running total across the blocks in point order; the score is therefore
+symmetric bit for bit. Each part holds one block and one scratch buffer of
+``PIECE_ROWS`` rows, allocated once and cut to each block's width from the
+front, so every block is C-contiguous. A block is filled in place
+(``_distance_block``): a piece of its rows takes the first feature's
+squares, and each later feature's squares are built in the scratch buffer
+and added to it, in ``_squared_gaps``' order. Each point's sum over a
+cluster's members is ``np.add.reduce`` down the member rows, which
+``_member_sums`` takes into the scratch buffer a piece at a time, the running
+sum carried as its row 0: on a C-contiguous array of two or more columns
+numpy adds the rows one after another in index order, but a one-column
+array is summed pairwise, so every block is at least two columns wide. The
+parts return their blocks' values, and the stage process carries each
+running total across the blocks in point order; the score is therefore
 bit-for-bit the naive pairwise one at any CPU count.
 
 Lloyd's centroid update sorts the points by label (stable, so each cluster
@@ -327,12 +334,6 @@ def lloyd(x: np.ndarray, init_centroids: np.ndarray) -> ClusteringResult:
     )
 
 
-def child_seed(root: int, *key: int) -> int:
-    """Deterministic, platform-stable child seed for a (root, key...) path."""
-    ss = np.random.SeedSequence(entropy=root, spawn_key=tuple(key))
-    return int(ss.generate_state(1)[0])
-
-
 # one restart's outcome: (sse, restart index r, fit)
 _Restart = tuple[float, int, ClusteringResult]
 
@@ -341,7 +342,7 @@ def _best_restart(x: np.ndarray, k: int, seed: int, restarts: Iterable[int]) -> 
     """The best k-means++ restart of k among ``restarts`` (see ``_best``)."""
     def fits() -> Iterator[_Restart]:
         for r in restarts:
-            fit = lloyd(x, kmeanspp_seed(x, k, child_seed(seed, k, r)))
+            fit = lloyd(x, kmeanspp_seed(x, k, parts.child_seed(seed, k, r)))
             yield fit.sse, r, fit
 
     return _best(fits())
@@ -421,29 +422,76 @@ def elbow_curve(fits: Mapping[int, ClusteringResult]) -> ElbowResult:
     return ElbowResult(points=curve, suggested_knee=knee)
 
 
-# Distances one silhouette block holds at once: 2^18 float64, 2 MiB. A block
-# and its ``_squared_gaps`` temporary are live together, so the pass peaks at
-# a little over two blocks (4.8 MB traced at n = 3,000, nine labelings)
-# instead of the whole n x n matrix, and that peak stops growing with n once
-# n >= 512. On 2,000 demo-fleet cells (2 vCPUs, 12 runs each) ``cluster``
-# peaked at 41.3, 43.2, 47.3 and 55.3 MB RSS with 2^17, 2^18, 2^19 and 2^20,
-# in 0.60, 0.58, 0.57 and 0.57 s (quartile spread about 0.04 s); below 2^18
-# the saving shrinks and the per-block numpy calls start to cost time.
+# Distances one silhouette block holds at once: 2^18 float64, 2 MiB. A part
+# holds one block and its scratch rows, so the pass peaks at 1.2-1.3 blocks
+# traced (2.5-2.8 MB at n = 3,000, two to nine labelings) instead of the
+# whole n x n matrix, and that peak stops growing with n once n >= 512. On
+# 2,000 demo-fleet cells (2 vCPUs, 14 alternating runs each) ``cluster``
+# peaked at 41.7, 42.3 and 43.4 MB RSS with 2^16, 2^17 and 2^18, in 0.50,
+# 0.45 and 0.44 s (quartile spread 0.07-0.12 s); the pass alone took 102, 69
+# and 52 ms, as a smaller block costs more numpy calls per distance. 2^18 is
+# the smallest that is not slower.
 PAIRS_PER_BLOCK = 1 << 18
 
+# Rows of the scratch buffer a silhouette part holds beside its block: each
+# feature's squares after the first reach the block through it, and each
+# cluster's member rows are summed through it (see ``_member_sums``). At 2^18
+# pairs on the same 2,000 cells, 64, 128 and 256 rows peaked at 43.2, 43.3
+# and 43.5 MB RSS, and the pass took 62, 53 and 51 ms.
+PIECE_ROWS = 128
 
-def _member_sums(dist: np.ndarray, members: Sequence[np.ndarray]) -> np.ndarray:
+
+def _distance_block(x: np.ndarray, i0: int, dist: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill ``dist`` (n, w) in place: column i holds every point's distance to point i0 + i.
+
+    The additions are ``_squared_gaps``': a row piece of ``dist`` takes the first
+    feature's squares, and each later feature's squares, left to right, are
+    built in ``scratch`` (at most as many rows, the same width) and added to
+    it, so no second block is built. (x_j - x_i)^2 equals (x_i - x_j)^2 bit
+    for bit, so the block is the transposed rows i0.. of the distance matrix.
+    """
+    cols = x[i0:i0 + dist.shape[1]].T
+    for r0 in range(0, len(x), len(scratch)):
+        rows = x[r0:r0 + len(scratch)]
+        out = dist[r0:r0 + len(rows)]
+        gap = scratch[:len(rows)]
+        np.subtract(rows[:, :1], cols[0], out=out)
+        out *= out
+        for j in range(1, x.shape[1]):
+            np.subtract(rows[:, j:j + 1], cols[j], out=gap)
+            gap *= gap
+            out += gap
+        np.sqrt(out, out=out)
+
+
+def _member_sums(dist: np.ndarray, members: Sequence[np.ndarray],
+                 scratch: np.ndarray) -> np.ndarray:
     """(block, k) sums of each column of ``dist`` over each cluster's member rows.
 
-    ``dist[m]`` is C-contiguous, and numpy reduces its first axis row after row,
-    in index order, the same additions as a scalar ``acc += d[j]`` loop, as
-    long as the block has two or more columns; one column is summed pairwise.
+    The member rows are taken into ``scratch`` (two or more rows, the width of
+    ``dist``) a piece at a time: the first piece fills it, and each later
+    piece follows the running sum, carried as row 0. numpy reduces the first
+    axis of a C-contiguous array row after row, in index order, as long as it
+    has two or more columns (one column is summed pairwise), so each sum makes
+    the same additions as a scalar ``acc += d[j]`` loop over the members.
     """
-    return np.stack([np.add.reduce(dist[m], axis=0) for m in members], axis=1)
+    sums = np.empty((len(members), dist.shape[1]))
+    for total, m in zip(sums, members):
+        # mode="clip" takes straight into ``out`` (mode="raise" would buffer
+        # it); every index is a row of ``dist``
+        first = m[:len(scratch)]
+        np.take(dist, first, axis=0, out=scratch[:len(first)], mode="clip")
+        np.add.reduce(scratch[:len(first)], axis=0, out=total)
+        for a in range(len(scratch), len(m), len(scratch) - 1):
+            piece = m[a:a + len(scratch) - 1]
+            scratch[0] = total
+            np.take(dist, piece, axis=0, out=scratch[1:1 + len(piece)], mode="clip")
+            np.add.reduce(scratch[:1 + len(piece)], axis=0, out=total)
+    return sums.T
 
 
 def _block_silhouettes(
-    dist: np.ndarray, own: np.ndarray, members: Sequence[np.ndarray]
+    dist: np.ndarray, own: np.ndarray, members: Sequence[np.ndarray], scratch: np.ndarray
 ) -> np.ndarray:
     """Silhouette value of each column of a distance block (0 for singletons and a = b = 0).
 
@@ -451,7 +499,7 @@ def _block_silhouettes(
     The block must be at least two columns wide (see ``_member_sums``).
     """
     counts = np.array([len(m) for m in members])
-    sums = _member_sums(dist, members)
+    sums = _member_sums(dist, members, scratch)
     rows = np.arange(len(own))
     own_size = counts[own] - 1
     a = sums[rows, own] / np.maximum(own_size, 1)
@@ -488,17 +536,23 @@ def silhouette_scores(x: np.ndarray, labelings: Sequence[np.ndarray]) -> list[fl
     if len(starts) > 1 and starts[-1] == n - 1:
         del starts[-1]
     blocks = list(zip(starts, [*starts[1:], n]))
+    piece_rows = min(PIECE_ROWS, n)
 
     def score_part(run: range) -> list[list[np.ndarray]]:
         """Per block of ``run``, each labeling's silhouette values of the block points."""
+        mine = blocks[run.start:run.stop]
+        widest = max(i1 - i0 for i0, i1 in mine)
+        # one block and one scratch buffer for the run, each block's views cut
+        # from their fronts, so a narrower block's views are C-contiguous too
+        block_buffer = np.empty(n * widest)
+        scratch_buffer = np.empty(piece_rows * widest)
         values = []
-        for i0, i1 in blocks[run.start:run.stop]:
-            # transposed block: (x_j - x_i)^2 equals (x_i - x_j)^2 bit for bit
-            dist = _squared_gaps(x[:, None, :], x[None, i0:i1, :])
-            np.sqrt(dist, out=dist)
-            values.append([_block_silhouettes(dist, labels[i0:i1], members[t])
+        for i0, i1 in mine:
+            dist = block_buffer[:n * (i1 - i0)].reshape(n, i1 - i0)
+            scratch = scratch_buffer[:piece_rows * (i1 - i0)].reshape(piece_rows, i1 - i0)
+            _distance_block(x, i0, dist, scratch)
+            values.append([_block_silhouettes(dist, labels[i0:i1], members[t], scratch)
                            for t, labels in enumerate(labelings)])
-            del dist  # freed before the next block is built
         return values
 
     def score(runs: Sequence[range]) -> list[float]:

@@ -7,8 +7,9 @@ reproduces a whole study byte for byte.
 Exit codes: 0 ok, 2 usage/configuration, 3 data/parse.
 
 Each command imports the modules it runs inside its body, so a stage loads
-only its own code: ``assign`` never loads numpy, and ``cluster`` never loads
-the engine or the per-scan CSVs.
+only its own code: ``assign`` never loads numpy, ``cluster`` never loads the
+engine or the per-scan CSVs, and ``generate`` and ``simulate`` never load
+``analytics``.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def _demo_cells(
     its own index, so a cell is the same whichever range builds it."""
     import numpy as np
 
-    from . import analytics, traffic
+    from . import parts, traffic
 
     counts = {}
     remaining = n_cells
@@ -110,7 +111,7 @@ def _demo_cells(
         tier = tiers[index]
         share, num_trx, base_rng, peak_rng, sigma_rng = FLEET_TIERS[tier]
         cell_id = f"cell_{index:04d}"
-        rng = np.random.default_rng(analytics.child_seed(seed, _SEED_TIER, index))
+        rng = np.random.default_rng(parts.child_seed(seed, _SEED_TIER, index))
         base = float(rng.uniform(*base_rng))
         peak = float(rng.uniform(*peak_rng))
         sigma = float(rng.uniform(*sigma_rng))
@@ -121,7 +122,7 @@ def _demo_cells(
             trough_hour=int(rng.integers(2, 5)),
             noise_sigma=sigma,
             days=days,
-            seed=analytics.child_seed(seed, _SEED_TRACE, index),
+            seed=parts.child_seed(seed, _SEED_TRACE, index),
             scan_period_s=scan_period_s,
         )
         config = CellConfig(cell_id=cell_id, num_trx=num_trx, cch_slots=3)

@@ -13,6 +13,11 @@ fails, so no process is left running.
 part fails, the stage runs again as one part, in this process, and that run
 raises the error, with the row number and exit code a single process gives.
 
+``child_seed`` splits a root seed per unit of work (a cell, a k-means
+restart), so a unit draws the same numbers whichever part runs it. It
+imports numpy when called, so a stage that loads this module loads numpy
+only if it draws.
+
 This is the one module of the package that starts processes.
 """
 
@@ -32,6 +37,14 @@ _READ = 1 << 20
 def cpus() -> int:
     """How many CPUs this process may run on."""
     return len(os.sched_getaffinity(0))
+
+
+def child_seed(root: int, *key: int) -> int:
+    """Deterministic, platform-stable child seed for a (root, key...) path."""
+    import numpy as np
+
+    ss = np.random.SeedSequence(entropy=root, spawn_key=tuple(key))
+    return int(ss.generate_state(1)[0])
 
 
 def ranges(n: int, count: int) -> list[range]:

@@ -7,7 +7,6 @@ import pytest
 from trxsave import analytics, parts
 from trxsave.analytics import (
     ElbowResult,
-    child_seed,
     elbow_curve,
     fit_k_range,
     jacobi_eigh,
@@ -27,6 +26,7 @@ from trxsave.analytics import (
     write_silhouette_csv,
 )
 from trxsave.errors import DataError
+from trxsave.parts import child_seed
 from trxsave.tables import ingest_kpi_csv, read_clusters_csv
 
 import oracles
@@ -482,9 +482,10 @@ class TestSilhouetteScores:
         seen = []
         block_silhouettes = analytics._block_silhouettes
 
-        def recording(dist, own, members):
+        def recording(dist, *rest):
+            assert dist.flags.c_contiguous  # a narrower last block's view too
             seen.append(dist.shape[1])
-            return block_silhouettes(dist, own, members)
+            return block_silhouettes(dist, *rest)
 
         monkeypatch.setattr(analytics, "_block_silhouettes", recording)
         assert silhouette_scores(pts, labelings) == expected
@@ -506,12 +507,55 @@ class TestSilhouetteScores:
         pts, labelings, _ = thousand_points
         n = len(pts)
         width = width or min(n, analytics.PAIRS_PER_BLOCK // n)
+        scratch = np.empty((analytics.PIECE_ROWS, width))
         for i0 in (0, 1, n // 2, n - width):
             dist = np.sqrt(analytics._squared_gaps(pts[:, None, :], pts[None, i0:i0 + width, :]))
             for labels in labelings:
                 members = [np.flatnonzero(labels == j) for j in range(labels.max() + 1)]
-                assert (analytics._member_sums(dist, members).tobytes()
+                assert (analytics._member_sums(dist, members, scratch).tobytes()
                         == oracles.cumsum_member_sums(dist, members).tobytes())
+
+    # a piece of 7 rows: the first piece fills all 7, each later one holds 6
+    # member rows behind the running sum
+    @pytest.mark.parametrize("size", [1, 6, 7, 8, 13, 14, 59])
+    def test_member_sums_carry_across_pieces(self, monkeypatch, size):
+        """One cluster of ``size`` of 60 points, the other of the rest, scored in
+        pieces of 7 rows: every member sum is the cumsum oracle's, bit for bit."""
+        monkeypatch.setattr(analytics, "PIECE_ROWS", 7)
+        monkeypatch.setattr(parts, "cpus", lambda: 1)
+        rng = np.random.default_rng(size)
+        pts = rng.normal(size=(60, 3))
+        labels = np.ones(60, dtype=np.int64)
+        labels[rng.choice(60, size, replace=False)] = 0
+        checked = []
+        member_sums = analytics._member_sums
+
+        def checking(dist, members, scratch):
+            assert len(scratch) == 7
+            sums = member_sums(dist, members, scratch)
+            assert sums.tobytes() == oracles.cumsum_member_sums(dist, members).tobytes()
+            checked.append(sorted(len(m) for m in members))
+            return sums
+
+        monkeypatch.setattr(analytics, "_member_sums", checking)
+        assert silhouette_scores(pts, [labels]) == [oracles.pairwise_silhouette(pts, labels)]
+        assert checked == [sorted([size, 60 - size])]
+
+    @pytest.mark.parametrize("width,rows", [(2, 7), (5, 7), (6, 1000), (9, 3)])
+    def test_distance_block_in_a_wider_buffer(self, thousand_points, width, rows):
+        """A block narrower than its buffer, filled through a scratch buffer of
+        ``rows`` rows (7 and 3 leave a short last piece): each distance is
+        ``np.sqrt`` of ``_squared_gaps``, bit for bit."""
+        pts = thousand_points[0]
+        n = len(pts)
+        buffer = np.full(n * 10, np.nan)
+        dist = buffer[:n * width].reshape(n, width)
+        for i0 in (0, 123, n - width):
+            analytics._distance_block(pts, i0, dist, np.empty((rows, width)))
+            expected = np.sqrt(analytics._squared_gaps(pts[:, None, :],
+                                                       pts[None, i0:i0 + width, :]))
+            assert dist.tobytes() == expected.tobytes()
+        assert np.isnan(buffer[n * width:]).all()  # the rest of the buffer is untouched
 
     def test_one_labeling_equals_its_share_of_the_pass(self, thousand_points):
         pts, labelings, expected = thousand_points
@@ -524,11 +568,12 @@ class TestSilhouetteScores:
         labelings = [np.arange(n) % k for k in (2, 4)]
         return traced_peak(lambda: silhouette_scores(pts, labelings))
 
-    def test_peak_memory_bounded(self, monkeypatch):
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_peak_memory_bounded(self, monkeypatch, n):
         monkeypatch.setattr(parts, "cpus", lambda: 1)  # every block is built in this process
         block = analytics.PAIRS_PER_BLOCK * 8
-        # a block and its _squared_gaps temporary; the n x n matrix would take 72 MB
-        assert self.pass_peak(3000) < 3 * block
+        # one block and its scratch rows; the n x n matrix would take 8 or 72 MB
+        assert self.pass_peak(n) < 1.5 * block
 
     def test_peak_memory_does_not_grow_with_n(self, monkeypatch):
         monkeypatch.setattr(parts, "cpus", lambda: 1)

@@ -430,7 +430,7 @@ class TestErrorParity:
     def test_cluster_fails_alike_when_a_restart_fails(self, kpis, tmp_path, monkeypatch,
                                                       part_counts):
         seed = analytics.kmeanspp_seed
-        failing = analytics.child_seed(6, 1, 1)  # restart 1 of k = 1: part 1 fits it
+        failing = parts.child_seed(6, 1, 1)  # restart 1 of k = 1: part 1 fits it
 
         def seed_or_fail(x, k, s):
             if s == failing:
@@ -445,10 +445,10 @@ class TestErrorParity:
                                                     part_counts):
         block_silhouettes = analytics._block_silhouettes
 
-        def score_or_fail(dist, own, members):
+        def score_or_fail(dist, *rest):
             if dist[-1, -1] == 0.0:  # the block of the last point: the last part scores it
                 raise DataError("last block failed")
-            return block_silhouettes(dist, own, members)
+            return block_silhouettes(dist, *rest)
 
         monkeypatch.setattr(analytics, "_block_silhouettes", score_or_fail)
         self.fails_alike(kpis, tmp_path, monkeypatch, part_counts, "error: last block failed",

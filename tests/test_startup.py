@@ -12,8 +12,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import trxsave
+from trxsave.cli import main
 from trxsave.tables import CLUSTERS_CSV_HEADER, KpiRecord, emit_kpi_csv, write_csv
 
 SRC = str(Path(trxsave.__file__).parents[1])
@@ -53,15 +55,6 @@ def loaded(tmp_path: Path, *args: str) -> set[str]:
     return set(result["modules"])
 
 
-def small_tables(tmp_path: Path) -> tuple[Path, Path]:
-    """kpis.csv and clusters.csv of eight cells in two clusters."""
-    kpis, clusters = tmp_path / "kpis.csv", tmp_path / "clusters.csv"
-    emit_kpi_csv([KpiRecord(f"c{i}", 1.0 + 3 * (i % 2) + i / 10, 130.0 - i, 0.01 * i, 2.0 * i, 24)
-                  for i in range(8)], kpis)
-    write_csv(clusters, CLUSTERS_CSV_HEADER, [(f"c{i}", i % 2) for i in range(8)])
-    return kpis, clusters
-
-
 @pytest.mark.parametrize("args", [(), ("--help",), ("--version",)],
                          ids=["import", "help", "version"])
 def test_the_command_line_loads_no_pipeline_module(tmp_path, args):
@@ -70,22 +63,47 @@ def test_the_command_line_loads_no_pipeline_module(tmp_path, args):
     assert modules & PIPELINE == set()
 
 
-def test_assign_loads_no_numpy(tmp_path):
-    kpis, clusters = small_tables(tmp_path)
-    modules = loaded(tmp_path, "assign", "--clusters", str(clusters), "--kpi", str(kpis),
-                     "--policy", "4,12", "--out", str(tmp_path))
-    assert (tmp_path / "assignment.csv").read_text().count("\n") == 9
-    assert "trxsave.tuner" in modules
-    assert modules & PIPELINE == set()
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> Path:
+    """kpis.csv and clusters.csv of eight cells in two clusters, and the
+    fleet.json and traffic.csv of a generated two-cell, one-day fleet."""
+    path = tmp_path_factory.mktemp("inputs")
+    emit_kpi_csv([KpiRecord(f"c{i}", 1.0 + 3 * (i % 2) + i / 10, 130.0 - i, 0.01 * i, 2.0 * i, 24)
+                  for i in range(8)], path / "kpis.csv")
+    write_csv(path / "clusters.csv", CLUSTERS_CSV_HEADER, [(f"c{i}", i % 2) for i in range(8)])
+    result = CliRunner().invoke(main, ["generate", "--cells", "2", "--days", "1",
+                                       "--out", str(path / "fleet")])
+    assert result.exit_code == 0, result.output
+    return path
 
 
-def test_cluster_loads_no_engine(tmp_path):
-    kpis, _ = small_tables(tmp_path)
-    modules = loaded(tmp_path, "cluster", "--kpi", str(kpis), "--k", "2", "--out", str(tmp_path))
-    assert (tmp_path / "clusters.csv").is_file()
-    assert "trxsave.analytics" in modules
+# stage -> (its arguments, "{inputs}" and "{out}" to be filled in; the file it
+# writes; modules it runs; modules it must not load)
+STAGES = {
+    # its cells seed from parts.child_seed
+    "generate": (["generate", "--cells", "2", "--days", "1", "--out", "{out}"],
+                 "traffic.csv", {"trxsave.parts", "trxsave.traffic"}, {"trxsave.analytics"}),
     # its k-means restarts and silhouette blocks run as parts
-    assert modules & ENGINE == {"trxsave.parts"}
+    "cluster": (["cluster", "--kpi", "{inputs}/kpis.csv", "--k", "2", "--out", "{out}"],
+                "clusters.csv", {"trxsave.analytics", "trxsave.parts"},
+                ENGINE - {"trxsave.parts"}),
+    "assign": (["assign", "--clusters", "{inputs}/clusters.csv", "--kpi", "{inputs}/kpis.csv",
+                "--policy", "4,12", "--out", "{out}"],
+               "assignment.csv", {"trxsave.tuner"}, PIPELINE),
+    "simulate": (["simulate", "--fleet", "{inputs}/fleet/fleet.json",
+                  "--traffic", "{inputs}/fleet/traffic.csv", "--out", "{out}"],
+                 "summary.json", ENGINE, {"trxsave.analytics"}),
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_each_stage_loads_only_its_modules(tmp_path, inputs, stage):
+    args, written, runs, never = STAGES[stage]
+    out = tmp_path / "out"
+    modules = loaded(tmp_path, *(a.format(inputs=inputs, out=out) for a in args))
+    assert (out / written).is_file()
+    assert runs <= modules
+    assert modules & never == set()
 
 
 def test_version_from_a_checkout():
