@@ -126,23 +126,29 @@ def generate_diurnal_trace(spec: DiurnalProfileSpec, cell_id: str = "cell") -> T
 
     Samples are quantized to 6 decimals so CSV output stays compact and the
     in-memory series matches the emitted file exactly.
+
+    One day is synthesized and tiled. Its scan times need no ``% 24``: the
+    last scan starts one period before midnight, so every hour is below 24,
+    and the mark after hour 23 is read from the template with its first
+    value appended. The noise, the clip at zero and the rounding are done in
+    place on the tiled samples.
     """
     period = spec.scan_period_s
     scans_per_day = int(round(86400 / period))
     template = _hourly_template(spec)
 
-    t_hours = (np.arange(scans_per_day, dtype=np.float64) * period / 3600.0) % 24.0
-    lo = np.floor(t_hours).astype(int) % 24
-    hi = (lo + 1) % 24
-    frac = t_hours - np.floor(t_hours)
-    day = template[lo] * (1 - frac) + template[hi] * frac
+    t = np.arange(scans_per_day, dtype=np.float64) * period / 3600.0
+    lo = np.floor(t)
+    frac = t - lo
+    lo = lo.astype(int)
+    day = template[lo] * (1 - frac) + np.append(template, template[0])[lo + 1] * frac
 
     samples = np.tile(day, spec.days)
     if spec.noise_sigma > 0:
         rng = np.random.default_rng(spec.seed)
-        samples = samples + rng.normal(0.0, spec.noise_sigma, size=len(samples))
-    samples = np.maximum(samples, 0.0)
-    samples = np.round(samples, 6)
+        samples += rng.normal(0.0, spec.noise_sigma, size=len(samples))
+    np.maximum(samples, 0.0, out=samples)
+    np.round(samples, 6, out=samples)
     return TrafficTrace(cell_id=cell_id, scan_period_s=period, samples=samples)
 
 

@@ -13,8 +13,9 @@ eigensolvers), direct capacity arithmetic for the channel model, a scan-by-scan 
 state machine's executable spec (``scan_step``/``apply_action``) for the
 event-jumping ``run_cell``, the event walker it used before its prefix sums
 were held between events, a saving-off run with its statistics and timeline
-text for ``summarize``'s saving-off fold, and a whole-file row loop for the
-chunked ``traffic.csv`` reader.
+text for ``summarize``'s saving-off fold, a whole-file row loop for the
+chunked ``traffic.csv`` reader, and the diurnal trace synthesis that wraps
+every scan time and allocates a new array per step.
 
 A ``CellTimeline`` keeps only what an output reads. The counters, the delay
 window, the demand and the occupancy per scan live only in the replay, so the
@@ -39,6 +40,7 @@ from trxsave.evaluator import CellStats
 from trxsave import saving_engine
 from trxsave.saving_engine import CellTimeline, SavingState, apply_action, scan_step
 from trxsave.tables import fmt_num
+from trxsave.traffic import _hourly_template
 
 SLOTS_PER_TRX = 8
 
@@ -446,6 +448,30 @@ def diurnal_template_value(base: float, peak: float, peak_hour: float,
         return base + amp * (1 - math.cos(math.pi * d / rise)) / 2
     f = (d - rise) / (24.0 - rise)
     return base + amp * (1 + math.cos(math.pi * f)) / 2
+
+
+def diurnal_trace(spec) -> np.ndarray:
+    """The samples of ``generate_diurnal_trace(spec)`` as it first computed them:
+    each scan's hour of day wrapped with ``% 24.0``, both hourly marks wrapped
+    with ``% 24``, and a new array for the noise, the clip at zero and the
+    rounding. The hourly template is the production one, which this does not
+    check (``diurnal_template_value`` does)."""
+    period = spec.scan_period_s
+    scans_per_day = int(round(86400 / period))
+    template = _hourly_template(spec)
+
+    t_hours = (np.arange(scans_per_day, dtype=np.float64) * period / 3600.0) % 24.0
+    lo = np.floor(t_hours).astype(int) % 24
+    hi = (lo + 1) % 24
+    frac = t_hours - np.floor(t_hours)
+    day = template[lo] * (1 - frac) + template[hi] * frac
+
+    samples = np.tile(day, spec.days)
+    if spec.noise_sigma > 0:
+        rng = np.random.default_rng(spec.seed)
+        samples = samples + rng.normal(0.0, spec.noise_sigma, size=len(samples))
+    samples = np.maximum(samples, 0.0)
+    return np.round(samples, 6)
 
 
 def gaussian_blobs(centers, points_per_blob: int, scale: float, seed: int) -> np.ndarray:

@@ -60,6 +60,8 @@ def run_all(root: Path) -> None:
               "--assignment", pipe / "assignment.csv", "--seed", SEED)
     cli("simulate", *inputs, "--timelines", "all", "--out", pipe)
     cli("cluster", "--kpi", pipe / "kpis.csv", "--seed", SEED, "--out", root / "cluster-auto")
+    cli("generate", "--cells", 3, "--days", 2, "--scan-period", 7.5, "--seed", SEED,
+        "--out", root / "scan-7.5")
 
     bursty = root / "bursty"
     bursty.mkdir()

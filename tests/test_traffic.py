@@ -101,6 +101,41 @@ class TestDiurnalTrace:
         assert np.all(np.isfinite(trace.samples))
         assert np.all(trace.samples >= 0)
 
+    @pytest.mark.parametrize("spec", [
+        *(DiurnalProfileSpec(0.5, 5.0, noise_sigma=0.3, seed=i, days=1 + i % 3, scan_period_s=p)
+          for i, p in enumerate([0.5, 1, 2.5, 7.5, 10, 60, 900, 3600])),
+        DiurnalProfileSpec(0.2, 6.0, peak_hour=19.75, trough_hour=2.5, days=2),
+        DiurnalProfileSpec(1.0, 4.0, peak_hour=13.5, trough_hour=22.25, scan_period_s=7.5),
+        DiurnalProfileSpec(1.0, 4.0, peak_hour=13.5, trough_hour=22.25, noise_sigma=0.5,
+                           seed=8, days=3, scan_period_s=2.5),
+        DiurnalProfileSpec(0.0, 3.0, peak_hour=0.25, trough_hour=23.5, noise_sigma=1.5, seed=2),
+        DiurnalProfileSpec(2.5, 2.5, days=2, scan_period_s=60),
+        DiurnalProfileSpec(2.5, 2.5, noise_sigma=0.2, seed=6, days=3, scan_period_s=900),
+    ], ids=repr)
+    def test_matches_reference(self, spec):
+        samples = generate_diurnal_trace(spec).samples
+        assert samples.dtype == np.float64
+        assert samples.tobytes() == oracles.diurnal_trace(spec).tobytes()
+
+    def test_demo_fleet_matches_reference(self, monkeypatch):
+        cells, traces, kpis = build_demo_fleet(50, 3, 7)
+        monkeypatch.setattr(traffic, "generate_diurnal_trace", lambda spec, cell_id: TrafficTrace(
+            cell_id, spec.scan_period_s, oracles.diurnal_trace(spec)))
+        ref_cells, ref_traces, ref_kpis = build_demo_fleet(50, 3, 7)
+        assert cells == ref_cells
+        assert [(t.cell_id, t.samples.tobytes()) for t in traces] == [
+            (t.cell_id, t.samples.tobytes()) for t in ref_traces]
+        assert kpis == ref_kpis
+
+    @pytest.mark.parametrize("days, bound", [(6, 2.75), (1, 7.5)])
+    def test_peak_memory_bounded(self, days, bound):
+        """Noise, clip and rounding work in place: beside the trace the peak holds
+        the noise draw and a few day-long temporaries, in trace lengths."""
+        spec = DiurnalProfileSpec(0.5, 5.0, noise_sigma=0.4, seed=3, days=days)
+        generate_diurnal_trace(spec)
+        peak = traced_peak(lambda: generate_diurnal_trace(spec))
+        assert peak < bound * days * 8640 * 8, peak / (days * 8640 * 8)
+
     @pytest.mark.parametrize("kwargs", [
         dict(base_erlang=-0.1, peak_erlang=1.0),
         dict(base_erlang=2.0, peak_erlang=1.0),
