@@ -79,14 +79,13 @@ FLEET_TIERS = {
 
 
 def _check_fleet_args(n_cells: int, days: int, scan_period_s: float) -> None:
-    from . import traffic
-
     if n_cells < 1:
         raise ConfigurationError(f"need at least 1 cell, got {n_cells}")
     if days < 1:
         raise ConfigurationError(f"need at least 1 day, got {days}")
-    # every cell's profile shares the scan period, which the spec checks
-    traffic.DiurnalProfileSpec(0.0, 0.0, scan_period_s=scan_period_s)
+    if scan_period_s <= 0 or 3600 % scan_period_s != 0:
+        raise ConfigurationError(
+            f"scan_period_s must divide one hour evenly, got {scan_period_s}")
 
 
 def _demo_cells(

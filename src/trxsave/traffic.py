@@ -35,7 +35,7 @@ from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .cell_model import CellConfig, check_cell_id
-from .errors import ConfigurationError, DataError
+from .errors import DataError
 # emit_kpi_csv and ingest_kpi_csv stay reachable here for bench/workloads.py
 from .tables import KpiRecord, _lines, emit_kpi_csv, fmt_num, ingest_kpi_csv
 
@@ -48,33 +48,23 @@ MAX_ERLANG = MAX_DEMAND + 0.5
 
 @dataclass(frozen=True)
 class TrafficTrace:
-    """Offered Erlang per scan for one cell, checked when built; the ``cell_id``
-    is checked where a file names it."""
+    """Offered Erlang per scan for one cell: at least one sample, each finite,
+    >= 0 and below ``MAX_ERLANG``, at a scan period > 0. The trace checks none
+    of this: the ``traffic.csv`` reader does, naming the row of a bad value,
+    and ``generate_diurnal_trace`` keeps it. The ``cell_id`` is checked where
+    a file names it."""
 
     cell_id: str
     scan_period_s: float
     samples: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.scan_period_s <= 0:
-            raise DataError(f"trace {self.cell_id!r}: scan_period_s must be > 0")
-        if len(self.samples) == 0:
-            raise DataError(f"trace {self.cell_id!r}: no samples")
-        if not np.all(np.isfinite(self.samples)):
-            raise DataError(f"trace {self.cell_id!r}: non-finite sample")
-        if np.any(self.samples < 0):
-            raise DataError(f"trace {self.cell_id!r}: negative offered Erlang")
-        if self.samples.max() >= MAX_ERLANG:
-            scan = int(np.argmax(self.samples >= MAX_ERLANG))
-            raise DataError(
-                f"trace {self.cell_id!r}: scan {scan}: offered Erlang "
-                f"{fmt_num(self.samples[scan])} rounds to a call demand over {MAX_DEMAND}"
-            )
-
 
 @dataclass(frozen=True)
 class DiurnalProfileSpec:
-    """Shape parameters for a synthetic daily traffic profile, checked when built."""
+    """Shape parameters for a synthetic daily traffic profile: 0 <= base <=
+    peak, hours in [0, 24) that differ, noise_sigma >= 0, days >= 1 and a scan
+    period that divides one hour. The spec does not check this: ``cli`` checks
+    the options that set it, and ``cli.FLEET_TIERS`` keeps the rest."""
 
     base_erlang: float
     peak_erlang: float
@@ -84,26 +74,6 @@ class DiurnalProfileSpec:
     days: int = 1
     seed: int = 0
     scan_period_s: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.base_erlang <= self.peak_erlang:
-            raise ConfigurationError(
-                f"need 0 <= base <= peak, got base={self.base_erlang} peak={self.peak_erlang}"
-            )
-        for name in ("peak_hour", "trough_hour"):
-            h = getattr(self, name)
-            if not 0 <= h < 24:
-                raise ConfigurationError(f"{name} must be in [0, 24), got {h}")
-        if self.peak_hour == self.trough_hour:
-            raise ConfigurationError("peak_hour and trough_hour must differ")
-        if self.noise_sigma < 0:
-            raise ConfigurationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.days < 1:
-            raise ConfigurationError(f"days must be >= 1, got {self.days}")
-        if self.scan_period_s <= 0 or 3600 % self.scan_period_s != 0:
-            raise ConfigurationError(
-                f"scan_period_s must divide one hour evenly, got {self.scan_period_s}"
-            )
 
 
 def _hourly_template(spec: DiurnalProfileSpec) -> np.ndarray:
@@ -448,8 +418,9 @@ def iter_traffic_span(
     bytes are read in chunks of whole rows: a chunk of plain rows is decoded
     eight digits at a time (see ``_plain_runs``) and the row loop reads any
     other chunk, naming its first bad row. Memory holds the current cell's
-    samples and one chunk. Every ``DataError`` starts with ``source``; each
-    trace then passes ``TrafficTrace``'s checks if ``scan_period_s`` > 0.
+    samples and one chunk. Every ``DataError`` starts with ``source``. Each
+    trace holds at least one sample, and keeps the rules of ``TrafficTrace``
+    if ``scan_period_s`` > 0.
 
     A span from 0 starts with the header. A span from a cut of
     ``traffic_spans`` starts at a row and numbers its rows from 1, so only

@@ -27,13 +27,13 @@ class ClusterProfile:
 
 @dataclass(frozen=True)
 class HysteresisPolicy:
-    """Hysteresis per traffic rank, quietest cluster first; checked when built."""
+    """Hysteresis per traffic rank, quietest cluster first; each value's range
+    and their order are checked when built. ``assign --policy`` gives at least
+    one value."""
 
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.values:
-            raise ConfigurationError("policy needs at least one hysteresis value")
         for v in self.values:
             if not HYSTERESIS_MIN <= v <= HYSTERESIS_MAX:
                 raise ConfigurationError(

@@ -295,7 +295,8 @@ CASES = [
     *(Case(f"traffic_{name}_erlang", (),
            "{dir}/traffic.csv: row 5: offered_erlang must be finite and >= 0", 3,
            traffic("b,1,0.5", f"b,1,{value}"))
-      for name, value in (("negative", "-1"), ("nan", "nan"), ("inf", "inf"))),
+      for name, value in (("negative", "-1"), ("nan", "nan"), ("inf", "inf"),
+                          ("negative_inf", "-inf"), ("overflowing", "1e999"))),
     Case("traffic_scan_index_gap", (),
          "{dir}/traffic.csv: row 3: cell 'a' scan_index 3 not contiguous (expected 2)", 3,
          traffic("a,2,0", "a,3,0")),
@@ -321,6 +322,9 @@ CASES = [
     Case("traffic_demand_past_int32", (),
          "{dir}/traffic.csv: row 5: offered_erlang 3000000000 rounds to a call demand over "
          "2147483647", 3, traffic("b,1,0.5", "b,1,3e9")),
+    Case("traffic_demand_at_int32_bound", (),
+         "{dir}/traffic.csv: row 5: offered_erlang 2147483647.5 rounds to a call demand over "
+         "2147483647", 3, traffic("b,1,0.5", "b,1,2147483647.5")),
     Case("warmup_longer_than_a_trace", ("--warmup-days", "0.0003"),
          "warmup_scans 3 consumes the whole 3-scan trace of cell 'a'", 2),
     Case("warmup_longer_than_a_later_trace", ("--warmup-days", "0.0003"),
@@ -407,6 +411,8 @@ CASES = [
                           ("inf", "inf"))),
 
     # clusters.csv, as assign reads it
+    Case("clusters_header_only", (), f"{CLUSTERS_FILE}: no cluster labels", 3, clusters(),
+         command="assign"),
     Case("clusters_header", (),
          f"{CLUSTERS_FILE}: CSV header mismatch: expected cell_id,cluster, got cell_id,k", 3,
          clusters("a,0", header="cell_id,k\n"), command="assign"),

@@ -4,9 +4,12 @@ the two I/O modules: ``trxsave.traffic`` for the per-scan CSVs and
 their readers and writers, and every per-scan CSV is written by the one
 ``open(..., "wb")`` in ``traffic.write_rows``. No module imports ``csv``: the one CSV dialect is
 split and joined on bare commas. Processes are started only in
-``trxsave.parts``. A value type checks itself once, when it is built: no
-module defines or calls a ``validate`` or names ``validate_params``, and
-``analytics`` never names ``ConfigurationError``: ``cli`` checks the options.
+``trxsave.parts``. Each value is checked once, where it enters the program:
+in a file's reader, which names the row, or in ``cli``, which names the
+option. A value type that checks itself does so when it is built: no module
+defines or calls a ``validate`` or names ``validate_params``. ``analytics``
+never names ``ConfigurationError``, and a trace and a profile spec check
+nothing when built.
 No assignment binds ``_``, so no stage computes a result only to drop it."""
 
 import ast
@@ -191,6 +194,29 @@ def test_cluster_options_are_checked_only_in_cli():
     before any fit, so ``analytics`` has no option to reject."""
     source = (PACKAGE / "analytics.py").read_text(encoding="utf-8")
     assert name_uses(ast.parse(source), {"ConfigurationError"}) == []
+
+
+def readers_of(tree: ast.Module, name: str) -> set[str]:
+    """The top-level function or class around each read of ``name`` in ``tree``,
+    or ``<module>`` for a read outside them."""
+    found = set()
+    for top in tree.body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        found |= {scope for node in ast.walk(top) if isinstance(node, ast.Name)
+                  and node.id == name and isinstance(node.ctx, ast.Load)}
+    return found
+
+
+def test_trace_values_are_checked_only_where_they_enter():
+    """The ``traffic.csv`` reader checks each offered_erlang and names its row,
+    and ``cli`` checks ``--scan-period``, so neither a trace nor a profile spec
+    checks itself when built."""
+    tree = ast.parse((PACKAGE / "traffic.py").read_text(encoding="utf-8"))
+    assert readers_of(tree, "MAX_ERLANG") == {"_plain_runs", "_Blocks"}
+    classes = {top.name: top for top in tree.body if isinstance(top, ast.ClassDef)}
+    for name in ("TrafficTrace", "DiurnalProfileSpec"):
+        assert "__post_init__" not in {node.name for node in classes[name].body
+                                       if isinstance(node, ast.FunctionDef)}
 
 
 def discarded_results(tree: ast.AST) -> list[str]:

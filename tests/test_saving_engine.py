@@ -9,7 +9,7 @@ import pytest
 import oracles
 from trxsave import cli, saving_engine
 from trxsave.cell_model import MAX_TRX, CellConfig, build_cell, place_calls
-from trxsave.errors import ConfigurationError, DataError, InvariantError
+from trxsave.errors import ConfigurationError, InvariantError
 from trxsave.saving_engine import (
     FIRST_WINDOW,
     MAX_WINDOW,
@@ -214,11 +214,6 @@ class TestRunCell:
         assert enables[0] == 200 + 48
         assert tl.active_trx[-1] == 3
         assert np.all(tl.blocked == 0)
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(DataError):
-            run_cell(CellConfig("c1", 3, 3), PowerSavingParams(),
-                     TrafficTrace("c1", 10.0, np.zeros(0)))
 
     def test_saturated_cell_never_sheds(self):
         tl = run_cell(CellConfig("c1", 3, 3), PowerSavingParams(hysteresis=1),
