@@ -362,12 +362,6 @@ def run_kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) ->
 # Model selection
 
 
-@dataclass
-class ElbowResult:
-    points: list[tuple[int, float]]   # (k, best sse)
-    suggested_knee: Optional[int]
-
-
 def fit_k_range(
     x: np.ndarray,
     ks: Iterable[int],
@@ -401,8 +395,11 @@ def fit_k_range(
                                    range(restarts))
 
 
-def elbow_curve(fits: Mapping[int, ClusteringResult]) -> ElbowResult:
-    """Best SSE per fitted k plus a knee suggestion (advisory; selection uses silhouette).
+def elbow_curve(
+    fits: Mapping[int, ClusteringResult],
+) -> tuple[list[tuple[int, float]], Optional[int]]:
+    """The (k, best SSE) curve in ascending k, and a knee suggestion (advisory;
+    selection uses silhouette), None for fewer than 3 points.
 
     The knee is the k farthest from the chord joining the curve's endpoints,
     which is the classic largest-deviation bend heuristic.
@@ -419,7 +416,7 @@ def elbow_curve(fits: Mapping[int, ClusteringResult]) -> ElbowResult:
             if dev > best_dev:
                 best_dev = dev
                 knee = k
-    return ElbowResult(points=curve, suggested_knee=knee)
+    return curve, knee
 
 
 # Distances one silhouette block holds at once: 2^18 float64, 2 MiB. A part
@@ -573,30 +570,24 @@ def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
     return silhouette_scores(points, [labels])[0]
 
 
-@dataclass
-class SelectKResult:
-    curve: list[tuple[int, float]]    # (k, silhouette)
-    best_result: ClusteringResult
-
-
-def select_k(points: np.ndarray, fits: Mapping[int, ClusteringResult]) -> SelectKResult:
-    """The fitted k (one or more, each >= 2) of highest silhouette; ties go to the smaller k."""
+def select_k(
+    points: np.ndarray, fits: Mapping[int, ClusteringResult],
+) -> tuple[list[tuple[int, float]], int]:
+    """The (k, silhouette) curve of the fitted ks (one or more, each >= 2) in
+    ascending k, and the k of highest silhouette; ties go to the smaller k."""
     ks = sorted(fits)
     curve = list(zip(ks, silhouette_scores(points, [fits[k].labels for k in ks])))
-    k_best = max(curve, key=lambda point: point[1])[0]  # first maximum: the smaller k
-    return SelectKResult(curve=curve, best_result=fits[k_best])
+    return curve, max(curve, key=lambda point: point[1])[0]  # first maximum: the smaller k
 
 
 # ---------------------------------------------------------------------------
 # CSV exports
 
 
-def write_elbow_csv(result: ElbowResult, path: Union[str, Path]) -> None:
-    write_csv(path, ["k", "sse"], [(k, fmt_num(v)) for k, v in result.points])
-
-
-def write_silhouette_csv(curve: Sequence[tuple[int, float]], path: Union[str, Path]) -> None:
-    write_csv(path, ["k", "silhouette"], [(k, fmt_num(v)) for k, v in curve])
+def write_curve_csv(curve: Iterable[tuple[int, float]], column: str,
+                    path: Union[str, Path]) -> None:
+    """One ``k,<column>`` row per (k, value) point of ``curve``, in its order."""
+    write_csv(path, ["k", column], [(k, fmt_num(v)) for k, v in curve])
 
 
 def write_clusters_csv(row_ids: Sequence[str], labels: np.ndarray, path: Union[str, Path]) -> None:

@@ -8,8 +8,8 @@ Exit codes: 0 ok, 2 usage/configuration, 3 data/parse.
 
 Each command imports the modules it runs inside its body, so a stage loads
 only its own code: ``assign`` never loads numpy, ``cluster`` never loads the
-engine or the per-scan CSVs, and ``generate`` and ``simulate`` never load
-``analytics``.
+engine or the per-scan CSVs, ``generate`` and ``simulate`` never load
+``analytics``, and ``simulate`` loads ``tuner`` only to read ``--assignment``.
 """
 
 from __future__ import annotations
@@ -309,16 +309,17 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
     fits = analytics.fit_k_range(reduced, [*elbow_ks, *sel_ks, *pinned],
                                  restarts=restarts, seed=seed)
 
-    elbow = analytics.elbow_curve({j: fits[j] for j in elbow_ks})
-    analytics.write_elbow_csv(elbow, out_dir / "elbow.csv")
+    elbow, knee = analytics.elbow_curve({j: fits[j] for j in elbow_ks})
+    analytics.write_curve_csv(elbow, "sse", out_dir / "elbow.csv")
     # one distance pass scores the curve and a pinned k off it; a pinned k then
     # overrides the selection, so the curve's argmax is taken only when none is
     scored = {j: fits[j] for j in [*sel_ks, *pinned] if j >= 2}
-    selection = analytics.select_k(reduced, scored)
-    sil_of = dict(selection.curve)
-    analytics.write_silhouette_csv([(j, sil_of[j]) for j in sel_ks], out_dir / "silhouette.csv")
+    curve, best_k = analytics.select_k(reduced, scored)
+    sil_of = dict(curve)
+    analytics.write_curve_csv([(j, sil_of[j]) for j in sel_ks], "silhouette",
+                              out_dir / "silhouette.csv")
 
-    chosen = selection.best_result if k is None else fits[k]
+    chosen = fits[best_k if k is None else k]
     analytics.write_clusters_csv(cell_ids, chosen.labels, out_dir / "clusters.csv")
 
     sil = sil_of.get(chosen.k, 0.0)  # k = 1 has no silhouette
@@ -330,7 +331,7 @@ def cluster(kpi_path: str, k: Optional[int], k_min: int, k_max: int,
         "sse": chosen.sse,
         "silhouette": sil,
         "iterations": chosen.iterations,
-        "suggested_knee": elbow.suggested_knee,
+        "suggested_knee": knee,
     }, out_dir / "clustering.json")
     click.echo(f"clustered {n} cells into k={chosen.k} (silhouette {sil:.4f})")
 
@@ -361,16 +362,16 @@ def assign(clusters_path: str, kpi_path: str, policy: str, out: str) -> None:
 
     ordered = [by_id[c] for c in labels]
     try:
-        profiles = tuner.profile_clusters([labels[r.cell_id] for r in ordered], ordered)
+        means = tuner.profile_clusters([labels[r.cell_id] for r in ordered], ordered)
     except DataError as exc:  # a gap in the cluster ids, or no rows
         raise DataError(f"{clusters_path}: {exc}") from None
-    assignment = tuner.rank_and_assign(profiles, tuner.HysteresisPolicy(values=values), labels)
+    hysteresis = tuner.rank_and_assign(means, tuner.HysteresisPolicy(values=values), labels)
 
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tuner.write_assignment_csv(assignment, out_dir / "assignment.csv")
-    tuner.write_push_csv(assignment, out_dir / "param_push.csv")
-    click.echo(f"assigned hysteresis for {len(assignment.hysteresis)} cells")
+    tuner.write_assignment_csv(labels, hysteresis, out_dir / "assignment.csv")
+    tuner.write_push_csv(hysteresis, out_dir / "param_push.csv")
+    click.echo(f"assigned hysteresis for {len(hysteresis)} cells")
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +391,7 @@ def _load_scenario(
     else ``default_hysteresis``, which is checked even when every cell is
     assigned.
     """
-    from . import evaluator, tuner
+    from . import evaluator
 
     if not math.isfinite(warmup_days):
         raise ConfigurationError(f"--warmup-days must be a finite number, got {warmup_days}")
@@ -399,7 +400,9 @@ def _load_scenario(
     scan_period, cells = read_fleet_json(Path(fleet_path))
     assigned = {}
     if assignment_path:
-        assigned = tuner.read_assignment_csv(assignment_path).hysteresis
+        from . import tuner
+
+        assigned = tuner.read_assignment_csv(assignment_path)
         fleet_ids = {c.cell_id for c in cells}
         stray = next((c for c in assigned if c not in fleet_ids), None)
         if stray is not None:

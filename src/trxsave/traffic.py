@@ -134,24 +134,18 @@ def demand_series(samples: np.ndarray) -> np.ndarray:
 def busy_hour_erlang(trace: TrafficTrace) -> float:
     """Mean offered Erlang of each day's busiest contiguous hour, averaged.
 
-    The busy hour is the sliding one-hour window with the highest mean. Traces
-    shorter than one day are treated as a single day; shorter than one hour,
-    the whole series is the window.
+    The busy hour is the sliding one-hour window with the highest mean. The
+    trace holds whole days and its scan period divides an hour, as
+    ``generate_diurnal_trace`` and ``cli`` make them. Each day's largest
+    window sum is divided once: division by a positive count keeps the order
+    of the sums, so that is the largest window mean.
     """
-    period = trace.scan_period_s
-    per_hour = max(1, int(round(3600 / period)))
-    per_day = max(per_hour, int(round(86400 / period)))
-    x = trace.samples
+    per_hour = int(round(3600 / trace.scan_period_s))
+    csum = np.zeros(24 * per_hour + 1)
     day_maxima = []
-    for start in range(0, len(x), per_day):
-        day = x[start:start + per_day]
-        if len(day) < per_hour:
-            if not day_maxima:
-                day_maxima.append(float(np.mean(day)))
-            continue
-        csum = np.concatenate(([0.0], np.cumsum(day)))
-        window_means = (csum[per_hour:] - csum[:-per_hour]) / per_hour
-        day_maxima.append(float(window_means.max()))
+    for day in trace.samples.reshape(-1, 24 * per_hour):
+        np.cumsum(day, out=csum[1:])
+        day_maxima.append(float((csum[per_hour:] - csum[:-per_hour]).max()) / per_hour)
     return math.fsum(day_maxima) / len(day_maxima)
 
 

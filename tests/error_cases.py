@@ -183,6 +183,9 @@ CASES = [
     Case("assignment_non_integer", ASSIGNED,
          "{dir}/assignment.csv: row 1: non-integer cluster or hysteresis", 3,
          assignment("a,0,x")),
+    Case("assignment_non_integer_cluster", ASSIGNED,
+         "{dir}/assignment.csv: row 1: non-integer cluster or hysteresis", 3,
+         assignment("a,x,4")),
     Case("assignment_hysteresis_zero", ASSIGNED,
          "{dir}/assignment.csv: row 2: hysteresis 0 outside [1, 1014]", 3,
          assignment("a,0,4", "b,1,0")),

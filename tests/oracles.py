@@ -14,8 +14,9 @@ state machine's executable spec (``scan_step``/``apply_action``) for the
 event-jumping ``run_cell``, the event walker it used before its prefix sums
 were held between events, a saving-off run with its statistics and timeline
 text for ``summarize``'s saving-off fold, a whole-file row loop for the
-chunked ``traffic.csv`` reader, and the diurnal trace synthesis that wraps
-every scan time and allocates a new array per step.
+chunked ``traffic.csv`` reader, the diurnal trace synthesis that wraps
+every scan time and allocates a new array per step, and the busy hour that
+divides every window before it takes a day's largest.
 
 A ``CellTimeline`` keeps only what an output reads. The counters, the delay
 window, the demand and the occupancy per scan live only in the replay, so the
@@ -472,6 +473,28 @@ def diurnal_trace(spec) -> np.ndarray:
         samples = samples + rng.normal(0.0, spec.noise_sigma, size=len(samples))
     samples = np.maximum(samples, 0.0)
     return np.round(samples, 6)
+
+
+def busy_hour_erlang(trace) -> float:
+    """``traffic.busy_hour_erlang`` as it first read a trace: one slice per day of
+    the whole days, and a new cumulative sum and array of window means per day,
+    each window divided before the day's largest is taken. A trace shorter than
+    one day is one day; shorter than one hour, the whole series is the window."""
+    period = trace.scan_period_s
+    per_hour = max(1, int(round(3600 / period)))
+    per_day = max(per_hour, int(round(86400 / period)))
+    x = trace.samples
+    day_maxima = []
+    for start in range(0, len(x), per_day):
+        day = x[start:start + per_day]
+        if len(day) < per_hour:
+            if not day_maxima:
+                day_maxima.append(float(np.mean(day)))
+            continue
+        csum = np.concatenate(([0.0], np.cumsum(day)))
+        window_means = (csum[per_hour:] - csum[:-per_hour]) / per_hour
+        day_maxima.append(float(window_means.max()))
+    return math.fsum(day_maxima) / len(day_maxima)
 
 
 def gaussian_blobs(centers, points_per_blob: int, scale: float, seed: int) -> np.ndarray:

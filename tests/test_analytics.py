@@ -6,7 +6,6 @@ import pytest
 
 from trxsave import analytics, parts
 from trxsave.analytics import (
-    ElbowResult,
     elbow_curve,
     fit_k_range,
     jacobi_eigh,
@@ -22,8 +21,7 @@ from trxsave.analytics import (
     squared_distances,
     standardize,
     write_clusters_csv,
-    write_elbow_csv,
-    write_silhouette_csv,
+    write_curve_csv,
 )
 from trxsave.errors import DataError
 from trxsave.parts import child_seed
@@ -380,22 +378,22 @@ class TestElbow:
     def test_sse_zero_at_k_equals_n(self):
         rng = np.random.default_rng(25)
         pts = rng.normal(size=(8, 2))
-        result = elbow_curve(fit_k_range(pts, range(1, 9), restarts=4, seed=1))
-        assert result.points[-1][0] == 8
-        assert result.points[-1][1] == pytest.approx(0.0, abs=1e-18)
+        curve, _ = elbow_curve(fit_k_range(pts, range(1, 9), restarts=4, seed=1))
+        assert curve[-1][0] == 8
+        assert curve[-1][1] == pytest.approx(0.0, abs=1e-18)
 
     def test_sse_non_increasing_in_k(self):
         rng = np.random.default_rng(26)
         for seed in range(4):
             pts = rng.normal(size=(40, 3))
-            result = elbow_curve(fit_k_range(pts, range(1, 9), restarts=8, seed=seed))
-            sses = [s for _, s in result.points]
+            curve, _ = elbow_curve(fit_k_range(pts, range(1, 9), restarts=8, seed=seed))
+            sses = [s for _, s in curve]
             assert all(a >= b - 1e-9 for a, b in zip(sses, sses[1:]))
 
     def test_three_blobs_knee_at_three(self):
         pts = oracles.gaussian_blobs([[0, 0, 0], [20, 0, 0], [0, 20, 0]], 20, 0.8, seed=4)
-        result = elbow_curve(fit_k_range(pts, range(1, 11), restarts=6, seed=2))
-        assert result.suggested_knee == 3
+        _, knee = elbow_curve(fit_k_range(pts, range(1, 11), restarts=6, seed=2))
+        assert knee == 3
 
 
 class TestSilhouette:
@@ -584,47 +582,49 @@ class TestSilhouetteScores:
 class TestSelectK:
     def test_three_blobs(self):
         pts = oracles.gaussian_blobs([[0, 0, 0], [15, 15, 0], [-15, 15, 5]], 25, 0.7, seed=9)
-        sel = select_k(pts, fit_k_range(pts, range(2, 10), restarts=6, seed=1))
-        assert sel.best_result.k == 3
+        _, best_k = select_k(pts, fit_k_range(pts, range(2, 10), restarts=6, seed=1))
+        assert best_k == 3
 
     def test_two_blobs(self):
         pts = oracles.gaussian_blobs([[0, 0], [20, 0]], 25, 0.8, seed=10)
-        sel = select_k(pts, fit_k_range(pts, range(2, 8), restarts=6, seed=1))
-        assert sel.best_result.k == 2
+        _, best_k = select_k(pts, fit_k_range(pts, range(2, 8), restarts=6, seed=1))
+        assert best_k == 2
 
     def test_identical_points_tie_breaks_to_two(self):
         pts = np.zeros((12, 3))
-        sel = select_k(pts, fit_k_range(pts, range(2, 6), restarts=2, seed=0))
-        assert sel.best_result.k == 2
-        assert all(s == 0.0 for _, s in sel.curve)
+        curve, best_k = select_k(pts, fit_k_range(pts, range(2, 6), restarts=2, seed=0))
+        assert best_k == 2
+        assert all(s == 0.0 for _, s in curve)
 
     def test_full_determinism(self):
         pts = oracles.gaussian_blobs([[0, 0], [8, 8], [-8, 8]], 15, 1.0, seed=12)
-        a = select_k(pts, fit_k_range(pts, range(2, 8), restarts=5, seed=4))
-        b = select_k(pts, fit_k_range(pts, range(2, 8), restarts=5, seed=4))
-        assert a.best_result.k == b.best_result.k
-        assert a.curve == b.curve
-        assert np.array_equal(a.best_result.labels, b.best_result.labels)
+        fits_a = fit_k_range(pts, range(2, 8), restarts=5, seed=4)
+        fits_b = fit_k_range(pts, range(2, 8), restarts=5, seed=4)
+        curve_a, k_a = select_k(pts, fits_a)
+        curve_b, k_b = select_k(pts, fits_b)
+        assert k_a == k_b
+        assert curve_a == curve_b
+        assert np.array_equal(fits_a[k_a].labels, fits_b[k_b].labels)
 
 
 class TestCsvExports:
     def test_curves_and_clusters(self, tmp_path):
         pts = oracles.gaussian_blobs([[0, 0], [9, 9]], 10, 0.5, seed=2)
         fits = fit_k_range(pts, range(1, 5), restarts=3, seed=0)
-        elbow = elbow_curve(fits)
-        write_elbow_csv(elbow, tmp_path / "elbow.csv")
+        elbow, _ = elbow_curve(fits)
+        write_curve_csv(elbow, "sse", tmp_path / "elbow.csv")
         lines = (tmp_path / "elbow.csv").read_text().splitlines()
         assert lines[0] == "k,sse"
         assert len(lines) == 5
 
-        sel = select_k(pts, {k: fits[k] for k in range(2, 5)})
-        write_silhouette_csv(sel.curve, tmp_path / "sil.csv")
+        curve, best_k = select_k(pts, {k: fits[k] for k in range(2, 5)})
+        write_curve_csv(curve, "silhouette", tmp_path / "sil.csv")
         assert (tmp_path / "sil.csv").read_text().splitlines()[0] == "k,silhouette"
 
         ids = [f"cell_{i}" for i in range(len(pts))]
-        write_clusters_csv(ids, sel.best_result.labels, tmp_path / "clusters.csv")
+        write_clusters_csv(ids, fits[best_k].labels, tmp_path / "clusters.csv")
         back = read_clusters_csv(tmp_path / "clusters.csv")
-        assert back == {i: int(l) for i, l in zip(ids, sel.best_result.labels)}
+        assert back == {i: int(l) for i, l in zip(ids, fits[best_k].labels)}
 
     def test_duplicate_cell_id_names_row(self, tmp_path):
         source = text_file(tmp_path, "cell_id,cluster\na,0\nb,1\na,1\n", "clusters.csv")
@@ -639,10 +639,9 @@ class TestCsvExports:
 
     def test_exact_bytes(self, tmp_path):
         out = tmp_path / "out.csv"
-        write_elbow_csv(ElbowResult(points=[(1, 12.0), (2, 3.5), (3, 0.1 + 0.2)],
-                                    suggested_knee=2), out)
+        write_curve_csv([(1, 12.0), (2, 3.5), (3, 0.1 + 0.2)], "sse", out)
         assert out.read_bytes() == b"k,sse\n1,12\n2,3.5\n3,0.30000000000000004\n"
-        write_silhouette_csv([(2, 0.5), (3, 1 / 3)], out)
+        write_curve_csv([(2, 0.5), (3, 1 / 3)], "silhouette", out)
         assert out.read_bytes() == b"k,silhouette\n2,0.5\n3,0.3333333333333333\n"
         # fields are joined by bare commas: no quoting
         write_clusters_csv(["a", "b c", "é"], np.array([1, 0, 2]), out)

@@ -76,9 +76,8 @@ WRITERS = {
     "clusters.csv": lambda cell_id, path: analytics.write_clusters_csv(
         [cell_id], np.array([0]), path),
     "assignment.csv": lambda cell_id, path: tuner.write_assignment_csv(
-        tuner.HysteresisAssignment({cell_id: 4}, {cell_id: 0}), path),
-    "param_push.csv": lambda cell_id, path: tuner.write_push_csv(
-        tuner.HysteresisAssignment({cell_id: 4}, {cell_id: 0}), path),
+        {cell_id: 0}, {cell_id: 4}, path),
+    "param_push.csv": lambda cell_id, path: tuner.write_push_csv({cell_id: 4}, path),
 }
 
 
@@ -118,9 +117,8 @@ def read_back(cell_id, root):
                      lambda p: [r.cell_id for r in tables.ingest_kpi_csv(p)]),
         "clusters.csv": (lambda p: analytics.write_clusters_csv([cell_id], np.array([0]), p),
                          lambda p: list(tables.read_clusters_csv(p))),
-        "assignment.csv": (lambda p: tuner.write_assignment_csv(
-                               tuner.HysteresisAssignment({cell_id: 4}, {cell_id: 0}), p),
-                           lambda p: list(tuner.read_assignment_csv(p).hysteresis)),
+        "assignment.csv": (lambda p: tuner.write_assignment_csv({cell_id: 0}, {cell_id: 4}, p),
+                           lambda p: list(tuner.read_assignment_csv(p))),
         "traffic.csv": (lambda p: traffic.write_traffic_csv(
                             [TrafficTrace(cell_id, 10.0, np.array([1.0, 2.5]))], p),
                         lambda p: [t.cell_id for t in traffic.read_traffic_csv(p)]),
@@ -178,9 +176,8 @@ class TestOneIdRuleEverywhere:
                          "traffic.csv"]
         # odd ids the dialect allows: spaces, "'", a tab, ";" and non-ASCII letters
         odd = ["a b", " x'", "t\tu", "é;小"]
-        tuner.write_assignment_csv(
-            tuner.HysteresisAssignment(dict.fromkeys(odd, 4), dict.fromkeys(odd, 1)),
-            tmp_path / "odd_assignment.csv")
+        tuner.write_assignment_csv(dict.fromkeys(odd, 1), dict.fromkeys(odd, 4),
+                                   tmp_path / "odd_assignment.csv")
         tables.emit_kpi_csv([kpi_row(c) for c in odd], tmp_path / "odd_kpis.csv")
         summary = evaluator.read_summary_json(tmp_path / "summary.json")
         rows = tuple(evaluator.CellComparison(c, 24, 16, 12.5, 0, 0) for c in odd)

@@ -92,7 +92,7 @@ STAGES = {
                "assignment.csv", {"trxsave.tuner"}, PIPELINE),
     "simulate": (["simulate", "--fleet", "{inputs}/fleet/fleet.json",
                   "--traffic", "{inputs}/fleet/traffic.csv", "--out", "{out}"],
-                 "summary.json", ENGINE, {"trxsave.analytics"}),
+                 "summary.json", ENGINE, {"trxsave.analytics", "trxsave.tuner"}),
 }
 
 

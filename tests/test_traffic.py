@@ -250,6 +250,21 @@ class TestTraceToKpis:
         samples[1000:1360] = 10.0  # one busy hour
         assert busy_hour_erlang(TrafficTrace("c1", 10.0, samples)) == 10.0
 
+    @pytest.mark.parametrize("period", [0.5, 1, 7.5, 10, 60, 3600])
+    @pytest.mark.parametrize("days", [1, 2, 6])
+    def test_busy_hour_matches_reference(self, period, days):
+        specs = [DiurnalProfileSpec(0.5, 5.0, days=days, scan_period_s=period),
+                 DiurnalProfileSpec(3.0, 3.0, days=days, scan_period_s=period),  # base == peak
+                 *(DiurnalProfileSpec(0.2 * i, 2.0 + 3 * i, peak_hour=11 + i, trough_hour=2 + i,
+                                      noise_sigma=0.1 + 0.4 * i, seed=i, days=days,
+                                      scan_period_s=period) for i in range(3)),
+                 DiurnalProfileSpec(3.0, 3.0, noise_sigma=0.3, seed=9, days=days,
+                                    scan_period_s=period)]
+        for spec in specs:
+            trace = generate_diurnal_trace(spec)
+            assert (busy_hour_erlang(trace).hex()
+                    == oracles.busy_hour_erlang(trace).hex()), spec
+
     def test_congestion_monotone_in_load(self):
         levels = [0.0, 1.0, 3.0, 8.0, 15.0, 30.0]
         recs = [
@@ -317,6 +332,22 @@ class TestTrafficCsv:
         with pytest.raises(DataError) as got:
             read_traffic_csv(path)
         assert str(got.value) == expected
+
+    def test_append_stops_at_a_copy_of_no_bytes(self, tmp_path, monkeypatch):
+        dest, source = tmp_path / "traffic.csv", tmp_path / "part.csv"
+        write_traffic_csv([TrafficTrace("a", 10.0, np.ones(2))], dest)
+        write_traffic_csv([TrafficTrace("b", 10.0, np.ones(3))], source)
+        calls = []
+
+        def copy_nothing(*args):  # a second call would copy from the same offset again
+            calls.append(args)
+            assert len(calls) == 1, "copied again after a copy of no bytes"
+            return 0
+
+        monkeypatch.setattr(traffic.os, "copy_file_range", copy_nothing)
+        with pytest.raises(DataError) as got:
+            traffic.append_traffic_rows(dest, [source])
+        assert str(got.value) == f"{source}: ended at byte 34 of {source.stat().st_size}"
 
     @pytest.mark.parametrize("line_end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
     def test_carriage_return_files_give_the_records_of_lf(self, tmp_path, line_end):
@@ -779,6 +810,17 @@ class TestWordDecoder:
             for other in (cid[:-1], cid + b"z", b"z" + cid):  # a byte short or over
                 runs = traffic._plain_runs(b"%s,0,1\n%s,1,2\n" % (cid, other))
                 assert [run[1] for run in runs] == [cid, other]
+
+    @pytest.mark.parametrize("length, runs", [(40, 2), (200, None)])
+    def test_one_very_long_id_leaves_the_chunk_to_the_row_loop(self, tmp_path, length, runs):
+        # comparing every id a word at a time would cost n x longest / 8 words
+        chunk = b"".join(b"a,%d,1.5\n" % i for i in range(100)) + b"%s,0,2\n" % (b"b" * length)
+        assert (101 * length > 8 * len(chunk)) == (runs is None)
+        got = traffic._plain_runs(chunk)
+        assert (got if got is None else len(got)) == runs
+        path = tmp_path / "traffic.csv"
+        path.write_bytes(TRAFFIC_HEADER.encode() + chunk)
+        assert assert_same_as_row_loop(lambda: path)
 
     @pytest.mark.parametrize("text", EDGE_DECODED + EDGE_ROW_LOOP)
     def test_edge_text_is_float_bits_or_row_loop(self, tmp_path, text):

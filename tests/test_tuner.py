@@ -6,7 +6,6 @@ import pytest
 from trxsave.errors import ConfigurationError, DataError
 from trxsave.tables import KpiRecord
 from trxsave.tuner import (
-    HysteresisAssignment,
     HysteresisPolicy,
     profile_clusters,
     rank_and_assign,
@@ -39,24 +38,26 @@ def sample_label_map():
 
 class TestProfileClusters:
     def test_cluster_means_match_hand_sums(self):
-        profiles = {p.cluster_id: p for p in profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS)}
+        means = profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS)
         # cluster 2 traffic: mean of 7.31606 and 5.25773
         expected_c2 = math.fsum([7.31606, 5.25773]) / 2
-        assert profiles[2].tch_traffic_erl == pytest.approx(expected_c2, abs=1e-12)
-        assert round(profiles[2].tch_traffic_erl, 2) == 6.29
+        assert means[2] == pytest.approx(expected_c2, abs=1e-12)
+        assert round(means[2], 2) == 6.29
         # cluster 0 traffic: mean of 4.42022 and 4.86402
         expected_c0 = math.fsum([4.42022, 4.86402]) / 2
-        assert profiles[0].tch_traffic_erl == pytest.approx(expected_c0, abs=1e-12)
-        assert round(profiles[0].tch_traffic_erl, 2) == 4.64
+        assert means[0] == pytest.approx(expected_c0, abs=1e-12)
+        assert round(means[0], 2) == 4.64
 
     def test_single_member_cluster_is_that_cell(self):
-        profiles = profile_clusters(np.array([0, 1]), SAMPLE_KPIS[:2])
-        assert profiles[0].tch_traffic_erl == SAMPLE_KPIS[0].tch_traffic_erl
-        assert profiles[1].tch_traffic_erl == SAMPLE_KPIS[1].tch_traffic_erl
+        means = profile_clusters(np.array([0, 1]), SAMPLE_KPIS[:2])
+        assert means[0] == SAMPLE_KPIS[0].tch_traffic_erl
+        assert means[1] == SAMPLE_KPIS[1].tch_traffic_erl
 
     def test_clusters_run_to_max_label(self):
-        profiles = profile_clusters(np.array([2, 0, 1, 0]), SAMPLE_KPIS[:4])
-        assert [p.cluster_id for p in profiles] == [0, 1, 2]
+        means = profile_clusters(np.array([2, 0, 1, 0]), SAMPLE_KPIS[:4])
+        assert means == [math.fsum([SAMPLE_KPIS[1].tch_traffic_erl,
+                                    SAMPLE_KPIS[3].tch_traffic_erl]) / 2,
+                         SAMPLE_KPIS[2].tch_traffic_erl, SAMPLE_KPIS[0].tch_traffic_erl]
         with pytest.raises(DataError, match="cluster 1 has no members"):
             profile_clusters(np.array([2, 0, 2, 0]), SAMPLE_KPIS[:4])
 
@@ -69,10 +70,10 @@ class TestRankAndAssign:
     def test_dataset_sample_gets_published_values(self):
         # ascending traffic: cluster 1 (2.16) -> 4, cluster 0 (4.64) -> 6,
         # cluster 2 (6.29) -> 12
-        profiles = profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS)
-        assignment = rank_and_assign(profiles, HysteresisPolicy(values=(4, 6, 12)),
+        means = profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS)
+        hysteresis = rank_and_assign(means, HysteresisPolicy(values=(4, 6, 12)),
                                      sample_label_map())
-        assert assignment.hysteresis == {
+        assert hysteresis == {
             "Cell_1": 4, "Cell_2": 4, "Cell_3": 12, "Cell_4": 12,
             "Cell_5": 6, "Cell_6": 6,
         }
@@ -82,15 +83,15 @@ class TestRankAndAssign:
             KpiRecord("a", 5.0, 100.0, 0.0, 1.0, 24),
             KpiRecord("b", 5.0, 100.0, 0.0, 1.0, 24),
         ]
-        profiles = profile_clusters(np.array([1, 0]), kpis)
-        assignment = rank_and_assign(profiles, HysteresisPolicy(values=(4, 6)),
+        means = profile_clusters(np.array([1, 0]), kpis)
+        hysteresis = rank_and_assign(means, HysteresisPolicy(values=(4, 6)),
                                      {"a": 1, "b": 0})
-        assert assignment.hysteresis == {"b": 4, "a": 6}
+        assert hysteresis == {"b": 4, "a": 6}
 
     def test_policy_count_mismatch(self):
-        profiles = profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS)
+        means = profile_clusters(SAMPLE_LABELS, SAMPLE_KPIS)
         with pytest.raises(ConfigurationError):
-            rank_and_assign(profiles, HysteresisPolicy(values=(4, 6)), sample_label_map())
+            rank_and_assign(means, HysteresisPolicy(values=(4, 6)), sample_label_map())
 
     def test_relabeling_invariance(self):
         # permute cluster ids; the per-cell hysteresis must not change
@@ -101,7 +102,7 @@ class TestRankAndAssign:
                              HysteresisPolicy(values=(4, 6, 12)), sample_label_map())
         a2 = rank_and_assign(profile_clusters(labels2, SAMPLE_KPIS),
                              HysteresisPolicy(values=(4, 6, 12)), map2)
-        assert a1.hysteresis == a2.hysteresis
+        assert a1 == a2
 
     def test_monotone_policy_respect_and_totality(self):
         rng = np.random.default_rng(3)
@@ -115,17 +116,17 @@ class TestRankAndAssign:
                           float(rng.uniform(0, 5)), float(rng.uniform(0, 50)), 24)
                 for i in range(n)
             ]
-            profiles = profile_clusters(labels, kpis)
+            means = profile_clusters(labels, kpis)
             policy = HysteresisPolicy(values=tuple(sorted(rng.integers(1, 1015, size=k))))
             label_map = {r.cell_id: int(l) for r, l in zip(kpis, labels)}
-            assignment = rank_and_assign(profiles, policy, label_map)
+            hysteresis = rank_and_assign(means, policy, label_map)
 
-            assert set(assignment.hysteresis) == {r.cell_id for r in kpis}
-            assert all(1 <= h <= 1014 for h in assignment.hysteresis.values())
-            scores = {p.cluster_id: p.tch_traffic_erl for p in profiles}
-            hyst_of = {p.cluster_id: assignment.hysteresis[
-                next(c for c, l in label_map.items() if l == p.cluster_id)
-            ] for p in profiles}
+            assert set(hysteresis) == {r.cell_id for r in kpis}
+            assert all(1 <= h <= 1014 for h in hysteresis.values())
+            scores = dict(enumerate(means))
+            hyst_of = {cluster: hysteresis[
+                next(c for c, l in label_map.items() if l == cluster)
+            ] for cluster in scores}
             for a in scores:
                 for b in scores:
                     if scores[a] > scores[b]:
@@ -151,20 +152,18 @@ class TestPolicyValidation:
 
 class TestAssignmentCsv:
     def test_round_trip_and_push_file(self, tmp_path):
-        assignment = HysteresisAssignment(
-            hysteresis={"a": 4, "b": 12}, cluster={"a": 0, "b": 1}
-        )
+        labels, hysteresis = {"a": 0, "b": 1}, {"a": 4, "b": 12}
         path = tmp_path / "assignment.csv"
-        write_assignment_csv(assignment, path)
+        write_assignment_csv(labels, hysteresis, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "cell_id,cluster,hysteresis"
         back = read_assignment_csv(path)
-        assert back == assignment
+        assert back == hysteresis
 
         assert path.read_bytes() == b"cell_id,cluster,hysteresis\na,0,4\nb,1,12\n"
 
         push = tmp_path / "push.csv"
-        write_push_csv(assignment, push)
+        write_push_csv(hysteresis, push)
         assert push.read_bytes() == b"cell_id,BTSPSHYST\na,4\nb,12\n"
 
     def test_duplicate_cell_id_names_row(self, tmp_path):
@@ -186,4 +185,4 @@ class TestAssignmentCsv:
 
     def test_hysteresis_range_ends_accepted(self, tmp_path):
         source = assignment_file(tmp_path, "a,0,1\nb,1,1014\n")
-        assert read_assignment_csv(source).hysteresis == {"a": 1, "b": 1014}
+        assert read_assignment_csv(source) == {"a": 1, "b": 1014}
